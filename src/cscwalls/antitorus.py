@@ -108,32 +108,31 @@ def commuting_powers_search(query, k_bound=8, j_bound=8):
 
 
 def find_periodic_top(query, n, i_max=DEFAULT_I_MAX):
-    """Stack vertical periods on the n-th power of the horizontal word until a
-    developed top repeats.
+    """Stack vertical periods on the n-th power of the horizontal word until
+    the developed top returns to the bottom.
 
-    Returns (j, first_repeat): the height gap j of the first repetition and
-    the index at which it was observed.  There are finitely many words of the
-    top's length, so a repeat is guaranteed; i_max only caps memory.  The gap
-    j always satisfies develop_top(h^n, v^j) == h^n (a repeated top can be
-    translated back to the bottom); this is asserted, not assumed.
+    Returns (j, first_repeat) with first_repeat == j: the least j with
+    develop_top(h^n, v^j) == h^n.  No earlier top needs remembering.  In a
+    CSC every cell is determined by its SW corner pair and equally by its NW
+    corner pair, so stacking one vertical period is a bijection on the finite
+    set of words of length n*|w1|; the orbit of the bottom is purely periodic
+    and the first repeated top is the bottom itself.  i_max caps the number
+    of stacked periods.  The translation property of the tall rectangle is
+    checked, not assumed.
     """
     tables = query.complex.tables
     v_ids = _word_ids(query.complex, query.vword.period)
     bottom = _word_ids(query.complex, query.hword.power(n))
-    seen = {tuple(bottom): 0}
     top = bottom
-    for m in range(1, i_max + 1):
+    for j in range(1, i_max + 1):
         top, _ = develop_ids(tables, top, v_ids)
-        key = tuple(top)
-        if key in seen:
-            j = m - seen[key]
+        if top == bottom:
             check, _ = develop_ids(tables, bottom, v_ids * j)
             if check != bottom:
                 raise CscwallsError(
                     "translation property failed: repeated top does not reproduce the bottom"
                 )
-            return j, m
-        seen[key] = m
+            return j, j
     raise BudgetExceeded(f"no repeated top within {i_max} developed words")
 
 

@@ -60,20 +60,8 @@ class Run:
         with open(path, "rb") as fh:
             self.inputs[role] = _sha256(fh.read())
 
-    @property
-    def digest(self):
-        head = {
-            "schema": f"{SCHEMA_PREFIX}/manifest/v1",
-            "tool": "cscwalls",
-            "version": __version__,
-            "subcommand": self.subcommand,
-            "inputs": self.inputs,
-            "params": self.params,
-            "bounds": self.bounds,
-        }
-        return _sha256(_canonical_json(head))
-
-    def manifest(self):
+    def _head(self):
+        """The manifest fields covered by the digest."""
         return {
             "schema": f"{SCHEMA_PREFIX}/manifest/v1",
             "tool": "cscwalls",
@@ -82,9 +70,14 @@ class Run:
             "inputs": self.inputs,
             "params": self.params,
             "bounds": self.bounds,
-            "digest": self.digest,
-            "outputs": self.outputs,
         }
+
+    @property
+    def digest(self):
+        return _sha256(_canonical_json(self._head()))
+
+    def manifest(self):
+        return {**self._head(), "digest": self.digest, "outputs": self.outputs}
 
     def emit(self, payload, args, kind, default_format="json"):
         """Write the artifact (stdout or --out) plus the manifest sidecar.
@@ -153,7 +146,7 @@ def _cmd_validate(args, run):
 
 def _cmd_enumerate(args, run):
     run.params.update({"hcount": args.hcount, "vcount": args.vcount, "screen": args.screen})
-    census = list(enumerate_csc(args.hcount, args.vcount, jobs=args.jobs))
+    census = list(enumerate_csc(args.hcount, args.vcount))
     entries = []
     for i, p in enumerate(census):
         entry = {"index": i, "text": serialize_complex(p)}
@@ -244,7 +237,6 @@ def _cmd_obstruct(args, run):
         j_bound=j_bound,
         k_max=args.kmax,
         i_max=args.imax,
-        jobs=args.jobs,
     )
     if args.format == "csv":
         lines = ["n,diam,L"]
@@ -335,7 +327,6 @@ def build_parser():
     s.add_argument("--screen", action="store_true", help="screen each entry for anti-torus candidate pairs")
     s.add_argument("--screen-len", type=int, default=2, help="max candidate word length")
     s.add_argument("--screen-limit", type=int, default=4, help="candidates reported per entry")
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--format", choices=("json", "text"), default="json")
     _add_common(s)
 
@@ -367,7 +358,6 @@ def build_parser():
     s.add_argument("--w2", required=True)
     s.add_argument("--nmax", type=int, required=True)
     s.add_argument("--bounds", default="8,8")
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--format", choices=("json", "csv"), default="json")
     _add_budgets(s)
     _add_common(s)

@@ -454,15 +454,14 @@ def _canonical_cover(cover, hmaps, vmaps):
     return best
 
 
-def enumerate_csc(h_count, v_count, max_nodes=2_000_000, jobs=1):
+def enumerate_csc(h_count, v_count, max_nodes=2_000_000):
     """Yield every one-vertex CSC with the given edge counts, up to relabeling.
 
     The census is computed as an exact cover: each candidate square occupies
     four germ pairs (its corners), and a CSC is a set of squares covering all
     (2*h_count)*(2*v_count) pairs exactly once.  Results are deduplicated by
     canonical-form minimization over edge relabelings and inversions and come
-    out in a fixed sorted order; jobs > 1 parallelizes the canonicalization
-    pass without affecting the order.
+    out in a fixed sorted order.
 
     Raises BudgetExceeded when the edge counts exceed desk scale (3) or the
     backtracking search exceeds max_nodes nodes.
@@ -518,14 +517,7 @@ def enumerate_csc(h_count, v_count, max_nodes=2_000_000, jobs=1):
 
     hmaps = _signed_maps(h_count)
     vmaps = _signed_maps(v_count)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            canon = pool.map(lambda c: _canonical_cover(c, hmaps, vmaps), covers)
-            unique = sorted(set(canon))
-    else:
-        unique = sorted({_canonical_cover(cover, hmaps, vmaps) for cover in covers})
+    unique = sorted({_canonical_cover(cover, hmaps, vmaps) for cover in covers})
 
     hlabels = tuple(EdgeLabel(_H_NAMES[i], HORIZONTAL) for i in range(h_count))
     vlabels = tuple(EdgeLabel(_V_NAMES[i], VERTICAL) for i in range(v_count))

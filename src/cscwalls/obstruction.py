@@ -16,9 +16,7 @@ bound on membership multiplicity at a vertex.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 
 from .antitorus import DEFAULT_I_MAX, DEFAULT_K_MAX, commuting_powers_search, overlap_gamma
 from .errors import BudgetExceeded, CommutingPowersFound
@@ -65,8 +63,10 @@ class WellSeparationResult:
     """Separation data for the two strip walls over one overlap segment.
 
     The walls transverse to both strip walls are exactly the walls dual to
-    the L overlap edges; facing_triple_free records the explicit check that
-    in any three of them the middle one separates the outer two.
+    the L overlap edges, so crossing_set_size is L by definition.  Those
+    walls are dual to distinct edges of one geodesic, hence pairwise disjoint
+    and linearly ordered along it: in any three the middle one separates the
+    outer two, so facing_triple_free is always True.
     """
 
     n: int
@@ -88,15 +88,12 @@ def projection_diameter(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
 
     Equals the overlap length: the projection maps the overlap isometrically
     and everything beyond it to the overlap's endpoints, which add nothing to
-    the diameter.  Contains the basepoint by construction.
+    the diameter.  Contains the basepoint by construction: overlap_gamma has
+    already raised unless right_len >= n*|w1|, and left_len is a stream
+    length, never negative.
     """
     gamma = overlap_gamma(query, n, k_max=k_max, i_max=i_max)
-    return ProjectionResult(
-        n=n,
-        gamma=gamma,
-        diam=gamma.total_len,
-        contains_basepoint=gamma.left_len >= 0 and gamma.right_len >= n * len(query.hword),
-    )
+    return ProjectionResult(n=n, gamma=gamma, diam=gamma.total_len, contains_basepoint=True)
 
 
 def obstruction_table(
@@ -106,15 +103,13 @@ def obstruction_table(
     j_bound=8,
     k_max=DEFAULT_K_MAX,
     i_max=DEFAULT_I_MAX,
-    jobs=1,
 ):
     """One ProjectionResult row per exponent n = 1..n_max.
 
     First certifies the aperiodicity hypothesis up to (k_bound, j_bound) and
     raises CommutingPowersFound when the screen fails, since a periodic flat
     admits no obstruction.  Rows that exceed their budgets are recorded as
-    failures instead of aborting the table.  With jobs > 1 rows are computed
-    concurrently; assembly order is always by n.
+    failures instead of aborting the table.  Rows are computed in order of n.
     """
     found = commuting_powers_search(query, k_bound, j_bound)
     if found is not None:
@@ -126,12 +121,7 @@ def obstruction_table(
         except BudgetExceeded as exc:
             return None, (n, str(exc))
 
-    ns = range(1, n_max + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, ns))
-    else:
-        outcomes = [one(n) for n in ns]
+    outcomes = [one(n) for n in range(1, n_max + 1)]
 
     rows = tuple(row for row, _ in outcomes if row is not None)
     failures = tuple(fail for _, fail in outcomes if fail is not None)
@@ -150,20 +140,12 @@ def obstruction_table(
 def well_separation(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
     """Well-separation number of the two strip walls at exponent n.
 
-    The overlap has length L, one transverse wall per overlap edge, and the
-    facing-triple check enumerates all C(L, 3) index triples verifying that
-    the middle wall separates the outer two.  The pair is L-well-separated
-    but not (L-1)-well-separated.
+    The overlap has length L and carries one transverse wall per overlap
+    edge.  Walls dual to distinct edges of one geodesic are disjoint and
+    linearly ordered, so the middle one of any three separates the outer two
+    and no facing triple exists; both fields are therefore set by definition
+    (see WellSeparationResult).  The pair is L-well-separated but not
+    (L-1)-well-separated.
     """
-    gamma = overlap_gamma(query, n, k_max=k_max, i_max=i_max)
-    L = gamma.total_len
-    facing_free = all(
-        (a < b) != (c < b)  # the middle edge position separates the outer two
-        for a, b, c in combinations(range(L), 3)
-    )
-    return WellSeparationResult(
-        n=n,
-        L=L,
-        crossing_set_size=L,
-        facing_triple_free=facing_free,
-    )
+    L = overlap_gamma(query, n, k_max=k_max, i_max=i_max).total_len
+    return WellSeparationResult(n=n, L=L, crossing_set_size=L, facing_triple_free=True)

@@ -518,7 +518,7 @@ def nonacyl_certificate(params, p, window=None, graph=None):
                 raise CscwallsError(f"distance to translate {i} is {d}, expected 2")
             witnesses.append((i, witness))
 
-    bfs_distance = contact_distance(graph, base, family[p])
+    bfs_distance = distances[-1][1]  # the loop above ends at translate p
     bound = Fraction(p, m)
     if bfs_distance < bound:
         raise CscwallsError(

@@ -8,6 +8,7 @@ filters raw 4-tuples instead of running the exact-cover search.
 import itertools
 
 from cscwalls.complexes import HORIZONTAL, VERTICAL
+from cscwalls.develop import Word
 
 
 def develop_row_major(presentation, bottom_word, left_word):
@@ -109,3 +110,33 @@ def presentation_canonical_form(presentation):
             for sq in presentation.squares
         )
     )
+
+
+def pigeonhole_by_memory(query, n, i_max=10**6):
+    """Reference pigeonhole that assumes nothing about the first repeat:
+    remember every developed top of h^n under stacked vertical periods and
+    stop at the first repeat.
+
+    Returns (j, first_repeat): the height gap of the first repetition and the
+    number of stacked periods at which it was seen.  Development is row-major.
+    """
+    p = query.complex
+    top = query.hword.power(n)
+    seen = {top.letters: 0}
+    for m in range(1, i_max + 1):
+        letters, _ = develop_row_major(p, top, query.vword.period)
+        top = Word(tuple(letters), HORIZONTAL)
+        if top.letters in seen:
+            return m - seen[top.letters], m
+        seen[top.letters] = m
+    raise AssertionError(f"no repeated top within {i_max} developed words")
+
+
+def periodic_agreement(presentation, period, left_word, width):
+    """Leading columns on which the row-major developed top of the periodic
+    bottom word (the first `width` letters of period repeated) equals that
+    bottom; `width` when they agree throughout."""
+    letters = period.letters
+    bottom = tuple(letters[i % len(letters)] for i in range(width))
+    top, _ = develop_row_major(presentation, Word(bottom, HORIZONTAL), left_word)
+    return next((i for i, (a, b) in enumerate(zip(top, bottom)) if a != b), width)

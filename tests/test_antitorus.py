@@ -1,5 +1,7 @@
 """Commuting-power screening, the pigeonhole, and overlap measurement."""
 
+from itertools import islice
+
 import pytest
 
 import cscwalls as cw
@@ -14,6 +16,8 @@ from cscwalls.antitorus import (
 )
 from cscwalls.develop import parse_word
 from cscwalls.errors import BudgetExceeded, UnsupportedComplexError, WordError
+
+from .oracles import pigeonhole_by_memory
 
 
 def query(p, w1, w2):
@@ -74,6 +78,18 @@ class TestFindPeriodicTop:
     def test_budget(self, shipped):
         with pytest.raises(BudgetExceeded):
             find_periodic_top(shipped, 3, i_max=2)
+
+    def test_first_repeat_is_the_bottom(self, census22):
+        """Against the remembering pigeonhole on the first 8 screened pairs of
+        every 2+2 census entry, n in {1, 2, 3, 5}: stacking one vertical
+        period is a bijection, so the first repeated top is the bottom."""
+        queries = [q for p in census22 for _, _, q in islice(screen_anti_torus(p), 8)]
+        assert len(queries) == 24
+        for q in queries:
+            for n in (1, 2, 3, 5):
+                j, first = find_periodic_top(q, n)
+                assert (j, first) == pigeonhole_by_memory(q, n)
+                assert first == j
 
     def test_translation_property_over_all_repeats(self, shipped):
         """Scan the developed-top sequence and check every observed repeat:
