@@ -9,8 +9,11 @@ the flat *below* it only along the overlap segment of length L where its
 lower geodesic runs inside that flat.  Beyond the overlap the strip's
 bottom vertices carry a branch tag, keeping them distinct from same-
 coordinate flat vertices: that finite branching is what stops vertical
-walls after ceil(L/r)+1 strips and makes every certificate quantity
-independent of the margin.
+walls after ceil(L/r)+1 strips.  It makes the crossing bound, the maximum
+crossing count and the counting bound p/(ceil(L/r)+1) independent of the
+margin, and the BFS distance of the p-th translate is at least that bound at
+every margin.  The BFS distances themselves are window distances and can
+depend on the margin.
 
 Coordinates are deterministic functions of the parameters, so identical
 parameters give byte-identical windows, walls and certificates.
@@ -18,7 +21,7 @@ parameters give byte-identical windows, walls and certificates.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +39,8 @@ class StairParams:
 
     steps is the number of flat levels; strips are indexed 0..steps, so the
     wall family has steps+1 members.  margin is extra flat width beyond the
-    overlap on each side; certificate quantities do not depend on it.
+    overlap on each side; crossing_bound, the certificate's max_crossing and
+    lower_bound do not depend on it, but its BFS distances can.
     """
 
     overlap_len: int
@@ -343,9 +347,9 @@ class ContactGraph:
         adjacency = {w.id: set() for w in self.walls}
         for bucket in vertex_walls.values():
             for a in bucket:
-                for b in bucket:
-                    if a != b:
-                        adjacency[a].add(b)
+                adjacency[a].update(bucket)
+        for k, v in adjacency.items():
+            v.discard(k)
         self.neighbors = {k: tuple(sorted(v)) for k, v in adjacency.items()}
         self.crossings = {k: frozenset(v) for k, v in crossings.items()}
 
@@ -367,26 +371,36 @@ def contact_graph(window, wall_set=None):
     return ContactGraph(window, wall_set)
 
 
-def contact_distance(graph, a, b):
-    """BFS hop count between two walls in the contact graph."""
-    start, goal = _wall_id(a), _wall_id(b)
-    for w in (start, goal):
-        if w not in graph.by_id:
-            raise UnknownWall(f"unknown wall {w!r}")
-    if start == goal:
-        return 0
+def contact_distances(graph, source):
+    """BFS hop counts from one wall to every wall of the contact graph.
+
+    Raises CscwallsError when some wall is unreachable, i.e. when the contact
+    graph is disconnected.
+    """
+    start = _wall_id(source)
+    if start not in graph.by_id:
+        raise UnknownWall(f"unknown wall {start!r}")
+    neighbors = graph.neighbors
     dist = {start: 0}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nxt in graph.neighbors[cur]:
-            if nxt in dist:
-                continue
-            dist[nxt] = dist[cur] + 1
-            if nxt == goal:
-                return dist[nxt]
-            queue.append(nxt)
-    raise CscwallsError("contact graph is disconnected; windows never produce this")
+        d = dist[cur] + 1
+        for nxt in neighbors[cur]:
+            if nxt not in dist:
+                dist[nxt] = d
+                queue.append(nxt)
+    if len(dist) != len(graph.walls):
+        raise CscwallsError("contact graph is disconnected; windows never produce this")
+    return dist
+
+
+def contact_distance(graph, a, b):
+    """BFS hop count between two walls in the contact graph."""
+    goal = _wall_id(b)
+    if goal not in graph.by_id:
+        raise UnknownWall(f"unknown wall {goal!r}")
+    return contact_distances(graph, a)[goal]
 
 
 def contact_graph_dot(graph, highlight=()):
@@ -492,11 +506,8 @@ def nonacyl_certificate(params, p, window=None, graph=None):
         raise CscwallsError("strip walls are not pairwise distinct")
     witness = graph.wall_of_edge(window.last_projection_edge()).id
 
-    counts = {}
-    for w in graph.walls:
-        c = sum(1 for f in family if graph.crosses(w.id, f))
-        if c:
-            counts[w.id] = c
+    # family members are distinct, so each crossing of one adds exactly one
+    counts = dict(Counter(w for f in family for w in graph.crossings[f]))
     max_crossing = max(counts.values(), default=0)
     argmax = tuple(sorted(w for w, c in counts.items() if c == max_crossing))
 
@@ -506,10 +517,11 @@ def nonacyl_certificate(params, p, window=None, graph=None):
         raise CscwallsError("witness wall does not attain the crossing bound")
 
     base = family[0]
+    from_base = contact_distances(graph, base)
     distances = []
     witnesses = []
     for i in range(1, p + 1):
-        d = contact_distance(graph, base, family[i])
+        d = from_base[family[i]]
         distances.append((i, d))
         if i < m:
             if not (graph.crosses(witness, base) and graph.crosses(witness, family[i])):

@@ -1,9 +1,15 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 import cscwalls as cw
 from cscwalls.antitorus import AntiTorusQuery
+
+# No per-example deadline (a loaded host slows examples unevenly) and the same
+# examples on every run.
+settings.register_profile("cscwalls", deadline=None, derandomize=True)
+settings.load_profile("cscwalls")
 
 TORUS_TEXT = """\
 hedges: a

@@ -1,11 +1,14 @@
 """Independent reference implementations used to cross-check the engine.
 
 Everything here is deliberately written against the production code paths:
-row-major development (the engine is column-major), and a census oracle that
-filters raw 4-tuples instead of running the exact-cover search.
+row-major development (the engine is column-major), a census oracle that
+filters raw 4-tuples instead of running the exact-cover search, and staircase
+crossing counts and contact distances taken wall by wall instead of from the
+family side and one breadth-first search.
 """
 
 import itertools
+from collections import deque
 
 from cscwalls.complexes import HORIZONTAL, VERTICAL
 from cscwalls.develop import Word
@@ -140,3 +143,33 @@ def periodic_agreement(presentation, period, left_word, width):
     bottom = tuple(letters[i % len(letters)] for i in range(width))
     top, _ = develop_row_major(presentation, Word(bottom, HORIZONTAL), left_word)
     return next((i for i, (a, b) in enumerate(zip(top, bottom)) if a != b), width)
+
+
+def crossing_counts_by_scan(graph, family):
+    """Strip walls of `family` crossed by each wall, scanning every wall
+    against every family member; walls that cross none are left out."""
+    counts = {}
+    for w in graph.walls:
+        c = sum(1 for f in family if graph.crosses(w.id, f))
+        if c:
+            counts[w.id] = c
+    return counts
+
+
+def contact_distance_by_search(graph, a, b):
+    """Hop count between wall ids a and b by a breadth-first search from a
+    that stops as soon as it reaches b."""
+    if a == b:
+        return 0
+    dist = {a: 0}
+    queue = deque([a])
+    while queue:
+        cur = queue.popleft()
+        for nxt in graph.neighbors[cur]:
+            if nxt in dist:
+                continue
+            dist[nxt] = dist[cur] + 1
+            if nxt == b:
+                return dist[nxt]
+            queue.append(nxt)
+    raise AssertionError(f"wall {b} is unreachable from {a}")

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cscwalls.errors import CscwallsError, InvalidParams, UnknownWall
 from cscwalls.staircase import (
@@ -11,12 +12,27 @@ from cscwalls.staircase import (
     StairParams,
     build_staircase,
     contact_distance,
+    contact_distances,
     contact_graph,
     contact_graph_dot,
     nonacyl_certificate,
     unit_square,
     walls,
 )
+
+from .oracles import contact_distance_by_search, crossing_counts_by_scan
+
+
+@st.composite
+def certifiable(draw):
+    """(L, r, steps, p) of a small staircase whose certificate exists:
+    steps >= crossing_bound - 1 and 1 <= p <= steps."""
+    L = draw(st.integers(1, 8))
+    r = draw(st.integers(1, L))
+    m = -(-L // r) + 1
+    steps = draw(st.integers(m - 1, m + 5))
+    p = draw(st.integers(1, steps))
+    return L, r, steps, p
 
 
 class TestParams:
@@ -153,6 +169,14 @@ class TestContactGraph:
         assert d >= 12 / 3
         assert d == 8  # frozen exact BFS value for this window
 
+    def test_disconnected_graph(self):
+        graph = contact_graph(CubeWindow([unit_square(0, 0), unit_square(5, 0)]))
+        near, far = graph.walls[0], graph.walls[-1]
+        with pytest.raises(CscwallsError, match="disconnected"):
+            contact_distance(graph, near, far)
+        with pytest.raises(CscwallsError, match="disconnected"):
+            contact_distances(graph, near)
+
     def test_unknown_wall(self):
         graph = contact_graph(CubeWindow([unit_square(0, 0)]))
         with pytest.raises(UnknownWall):
@@ -181,13 +205,48 @@ class TestCertificate:
         assert all(c <= 3 for c in cert.crossing_counts.values())
 
     def test_margin_independence(self):
-        """Certificate quantities do not depend on the margin."""
+        """At (6, 2, 8) no certificate quantity depends on the margin; at
+        (3, 2, 6) the window distances do, though the counting bound holds."""
         a = nonacyl_certificate(StairParams(6, 2, steps=8, margin=1), 8)
         b = nonacyl_certificate(StairParams(6, 2, steps=8, margin=3), 8)
         assert a.crossing_bound == b.crossing_bound == 4
         assert a.max_crossing == b.max_crossing
         assert [d for _, d in a.family_distances] == [d for _, d in b.family_distances]
         assert a.bfs_distance == b.bfs_distance
+        narrow = nonacyl_certificate(StairParams(3, 2, steps=6, margin=1), 6)
+        wide = nonacyl_certificate(StairParams(3, 2, steps=6, margin=2), 6)
+        assert [d for _, d in narrow.family_distances] == [2, 2, 3, 4, 5, 6]
+        assert [d for _, d in wide.family_distances] == [2, 2, 3, 4, 4, 6]
+
+    @settings(max_examples=40)
+    @given(certifiable())
+    def test_margin_invariants_sweep(self, shape):
+        """crossing_bound, max_crossing and p/M agree across margins, and the
+        BFS distance meets p/M at every margin."""
+        L, r, steps, p = shape
+        certs = [nonacyl_certificate(StairParams(L, r, steps, margin), p) for margin in (1, 2, 4)]
+        assert len({(c.crossing_bound, c.max_crossing, c.lower_bound) for c in certs}) == 1
+        assert all(c.bfs_distance >= c.lower_bound for c in certs)
+
+    @settings(max_examples=60)
+    @given(certifiable(), st.integers(1, 4))
+    def test_fast_paths_match_oracles(self, shape, margin):
+        """Crossing counts from the family side and distances from one BFS
+        agree with the wall-by-wall scan and early-exit searches."""
+        L, r, steps, p = shape
+        params = StairParams(L, r, steps, margin)
+        window = build_staircase(params)
+        graph = contact_graph(window)
+        cert = nonacyl_certificate(params, p, window=window, graph=graph)
+        assert cert.crossing_counts == crossing_counts_by_scan(graph, cert.family)
+        base = cert.family[0]
+        assert cert.family_distances == tuple(
+            (i, contact_distance_by_search(graph, base, cert.family[i])) for i in range(1, p + 1)
+        )
+        from_base = contact_distances(graph, base)
+        assert from_base == {
+            w.id: contact_distance_by_search(graph, base, w.id) for w in graph.walls
+        }
 
     def test_growing_overlap_grows_bound(self):
         bounds = [
