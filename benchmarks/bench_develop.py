@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled development kernel against the pure-Python fallback.
+"""Time the development kernel on the three shapes the searches run.
 
-Three workloads, all on the shipped 2+2 complex:
+Three workloads, all on the shipped 2+2 complex, each reported as the best of
+``--reps`` timed runs after one warm-up:
   rect    one large rectangle development
   many    a batch of small rectangles (search-shaped workload)
   stream  a long periodic divergence scan at a tall height
@@ -15,7 +16,7 @@ import time
 from importlib.resources import files
 
 import cscwalls as cw
-from cscwalls.develop import _speedups, develop_ids, stream_mismatch_ids
+from cscwalls.develop import develop_ids, stream_mismatch_ids
 from cscwalls.antitorus import AntiTorusQuery, find_periodic_top
 
 
@@ -45,16 +46,16 @@ def load_inputs():
     return p, big_bottom, big_left, small, period, tall_side
 
 
-def run_workloads(tables, big_bottom, big_left, small, period, tall_side, backend):
+def run_workloads(tables, big_bottom, big_left, small, period, tall_side):
     def rect():
-        develop_ids(tables, big_bottom, big_left, backend=backend)
+        develop_ids(tables, big_bottom, big_left)
 
     def many():
         for b, l in small:
-            develop_ids(tables, b, l, backend=backend)
+            develop_ids(tables, b, l)
 
     def stream():
-        stream_mismatch_ids(tables, period, list(tall_side), 5000, backend=backend)
+        stream_mismatch_ids(tables, period, tall_side, 5000)
 
     return {"rect": rect, "many": many, "stream": stream}
 
@@ -74,24 +75,10 @@ def main():
     args = parser.parse_args()
 
     p, *inputs = load_inputs()
-    backends = ["python"] + (["cython"] if _speedups is not None else [])
-    if _speedups is None:
-        print("compiled kernel not available; timing the fallback only")
-
-    results = {}
-    for backend in backends:
-        for name, fn in run_workloads(p.tables, *inputs, backend=backend).items():
-            fn()  # warm up
-            results[(backend, name)] = best_time(fn, args.reps)
-
-    print(f"{'workload':<10} {'python':>12} {'cython':>12} {'speedup':>9}")
-    for name in ("rect", "many", "stream"):
-        py = results[("python", name)]
-        if ("cython", name) in results:
-            cy = results[("cython", name)]
-            print(f"{name:<10} {py * 1e3:>10.2f}ms {cy * 1e3:>10.2f}ms {py / cy:>8.1f}x")
-        else:
-            print(f"{name:<10} {py * 1e3:>10.2f}ms {'-':>12} {'-':>9}")
+    print(f"{'workload':<10} {'best':>12}")
+    for name, fn in run_workloads(p.tables, *inputs).items():
+        fn()  # warm up
+        print(f"{name:<10} {best_time(fn, args.reps) * 1e3:>10.2f}ms")
 
 
 if __name__ == "__main__":

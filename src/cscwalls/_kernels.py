@@ -1,7 +1,7 @@
-"""Pure-Python development kernels.
+"""The development kernel: the inner loops of rectangle development.
 
-Fallback used when the compiled extension is unavailable; same contracts as
-``_speedups``.  Table arguments are nested lists indexed [h germ][v germ].
+Pure Python over germ ids.  Table arguments are the nested lists of
+``CornerTables``, indexed [h germ][v germ].
 """
 
 from .errors import DevelopmentError

@@ -20,8 +20,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from .errors import (
     BudgetExceeded,
     ClassError,
@@ -127,31 +125,25 @@ class ValidationReport:
     corner_count: int
 
 
+@dataclass(frozen=True)
 class CornerTables:
-    """Corner-lookup arrays for development over a validated one-vertex-per-germ complex.
+    """Corner-lookup tables for development over a validated one-vertex-per-germ complex.
 
     Germ ids encode oriented edges: letter index i with sign + is 2i, with
-    sign - is 2i+1, so inversion is ``germ ^ 1``.  Entry (b, l) holds the top
+    sign - is 2i+1, so inversion is ``germ ^ 1``.  Each table is a list of
+    ``nh`` rows of ``nv`` ints indexed ``[b][l]``: entry (b, l) holds the top
     and right germs of the unique square having the pair (b, l) at a corner,
-    read in the orientation that puts that corner at the SW position.
+    read in the orientation that puts that corner at the SW position, with
+    that square's index and the corner type (an index into ``CORNERS``).
     Missing entries (multi-vertex complexes only) hold -1.
     """
 
-    def __init__(self, nh, nv, top, right, square, corner):
-        self.nh = nh
-        self.nv = nv
-        self.top = top
-        self.right = right
-        self.square = square
-        self.corner = corner
-
-    @cached_property
-    def top_rows(self):
-        return self.top.tolist()
-
-    @cached_property
-    def right_rows(self):
-        return self.right.tolist()
+    nh: int
+    nv: int
+    top: list
+    right: list
+    square: list
+    corner: list
 
 
 @dataclass(frozen=True)
@@ -254,20 +246,17 @@ class SquareComplexPresentation:
                 f"not a complete square complex: {len(self.validation.violations)} corner violations"
             )
         nh, nv = 2 * len(self.hedges), 2 * len(self.vedges)
-        top = np.full((nh, nv), -1, dtype=np.int32)
-        right = np.full((nh, nv), -1, dtype=np.int32)
-        square = np.full((nh, nv), -1, dtype=np.int32)
-        corner = np.full((nh, nv), -1, dtype=np.int8)
+        top, right, square, corner = ([[-1] * nv for _ in range(nh)] for _ in range(4))
         for s, sq in enumerate(self.squares):
             for code, version in enumerate(
                 (sq, sq.flip_h(), sq.flip_v(), sq.flip_h().flip_v())
             ):
                 b = self.germ_id(version.bottom)
                 l = self.germ_id(version.left)
-                top[b, l] = self.germ_id(version.top)
-                right[b, l] = self.germ_id(version.right)
-                square[b, l] = s
-                corner[b, l] = code
+                top[b][l] = self.germ_id(version.top)
+                right[b][l] = self.germ_id(version.right)
+                square[b][l] = s
+                corner[b][l] = code
         return CornerTables(nh, nv, top, right, square, corner)
 
     @cached_property

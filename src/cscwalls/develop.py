@@ -6,33 +6,19 @@ particular determines the top and right boundary words.  Development runs
 column-major from the SW corner: columns are computed left to right and
 never revised, so tops of widening rectangles are prefix-stable.
 
-Two kernels implement the inner loop: a compiled Cython extension and a
-pure-Python fallback, selected at import time (set CSCWALLS_PURE_PYTHON=1
-to force the fallback).
+The inner loop is the pure-Python kernel in ``_kernels``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-
-import numpy as np
 
 from .complexes import HORIZONTAL, VERTICAL, OrientedEdge
 from .errors import DevelopmentError, WordError
 from . import _kernels
 
-_FORCE_PURE = os.environ.get("CSCWALLS_PURE_PYTHON", "") not in ("", "0")
-
-try:
-    if _FORCE_PURE:
-        raise ImportError("pure-Python kernel forced via CSCWALLS_PURE_PYTHON")
-    from . import _speedups
-except ImportError:
-    _speedups = None
-
-#: Active kernel backend: "cython" or "python".
-BACKEND = "python" if _speedups is None else "cython"
+#: The development kernel in use; there is one, and it is pure Python.
+BACKEND = "python"
 
 
 # ---------------------------------------------------------------------------
@@ -155,39 +141,19 @@ def format_word(word):
 
 
 # ---------------------------------------------------------------------------
-# Kernel dispatch
+# Kernel entry points
 # ---------------------------------------------------------------------------
 
 
-def develop_ids(tables, bottom_ids, left_ids, backend=None):
+def develop_ids(tables, bottom_ids, left_ids):
     """Develop germ-id sequences; returns (top ids, right ids) as lists."""
-    backend = BACKEND if backend is None else backend
-    if backend == "cython":
-        side = np.asarray(left_ids, dtype=np.int32)
-        bottom = np.asarray(bottom_ids, dtype=np.int32)
-        top_out = np.empty(len(bottom_ids), dtype=np.int32)
-        try:
-            _speedups.develop_ids(tables.top, tables.right, bottom, side, top_out)
-        except ValueError as exc:
-            raise DevelopmentError(str(exc)) from None
-        return top_out.tolist(), side.tolist()
-    return _kernels.develop_ids(tables.top_rows, tables.right_rows, list(bottom_ids), list(left_ids))
+    return _kernels.develop_ids(tables.top, tables.right, list(bottom_ids), list(left_ids))
 
 
-def stream_mismatch_ids(tables, period_ids, side_ids, max_cols, backend=None):
+def stream_mismatch_ids(tables, period_ids, side_ids, max_cols):
     """Columns of agreement between the developed top and the periodic bottom
     word; -1 when no mismatch shows up within max_cols columns."""
-    backend = BACKEND if backend is None else backend
-    if backend == "cython":
-        side = np.asarray(side_ids, dtype=np.int32)
-        period = np.asarray(period_ids, dtype=np.int32)
-        try:
-            return _speedups.stream_mismatch(tables.top, tables.right, period, side, max_cols)
-        except ValueError as exc:
-            raise DevelopmentError(str(exc)) from None
-    return _kernels.stream_mismatch(
-        tables.top_rows, tables.right_rows, list(period_ids), list(side_ids), max_cols
-    )
+    return _kernels.stream_mismatch(tables.top, tables.right, list(period_ids), list(side_ids), max_cols)
 
 
 def _word_ids(presentation, word):
@@ -238,7 +204,7 @@ def fill_rectangle(presentation, bottom, left, keep_cells=False):
 
     Corner uniqueness makes the result unique; empty words are allowed and
     give degenerate rectangles.  With keep_cells=True the full cell grid is
-    retained for inspection (slower, Python path).
+    retained for inspection.
     """
     _check_classes(bottom, left)
     tables = presentation.tables
@@ -263,20 +229,19 @@ def fill_rectangle(presentation, bottom, left, keep_cells=False):
 def _fill_cells(presentation, tables, bottom_ids, left_ids):
     from .complexes import CORNERS
 
-    sq_tab, co_tab = tables.square, tables.corner
-    top_rows, right_rows = tables.top_rows, tables.right_rows
+    sq_tab, co_tab, top_tab, right_tab = tables.square, tables.corner, tables.top, tables.right
     rows = [[] for _ in left_ids]
     side = list(left_ids)
     for b in bottom_ids:
         for j, v in enumerate(side):
-            s = int(sq_tab[b, v])
+            s = sq_tab[b][v]
             if s < 0:
                 raise DevelopmentError("development hit a missing corner")
-            nt, nr = top_rows[b][v], right_rows[b][v]
+            nt, nr = top_tab[b][v], right_tab[b][v]
             rows[j].append(
                 Cell(
                     square=s,
-                    corner=CORNERS[int(co_tab[b, v])],
+                    corner=CORNERS[co_tab[b][v]],
                     bottom=presentation.germ_edge(HORIZONTAL, b),
                     right=presentation.germ_edge(VERTICAL, nr),
                     top=presentation.germ_edge(HORIZONTAL, nt),

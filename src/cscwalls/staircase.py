@@ -183,7 +183,7 @@ class CubeWindow:
         for a, b in self.edges:
             adjacency.setdefault(a, []).append(b)
             adjacency.setdefault(b, []).append(a)
-        start = next(iter(sorted(self.vertices)))
+        start = min(self.vertices)
         seen = {start}
         queue = deque([start])
         while queue:

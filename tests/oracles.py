@@ -17,7 +17,7 @@ from cscwalls.develop import Word
 def develop_row_major(presentation, bottom_word, left_word):
     """Row-by-row development; must agree with the column-major engine."""
     tables = presentation.tables
-    top_rows, right_rows = tables.top_rows, tables.right_rows
+    top_rows, right_rows = tables.top, tables.right
     bottom = [presentation.germ_id(e) for e in bottom_word.letters]
     right = []
     for left_letter in left_word.letters:

@@ -127,15 +127,15 @@ class TestCornerTableProperties:
             t = p.tables
             for h in range(t.nh):
                 for v in range(t.nv):
-                    s = int(t.square[h, v])
+                    s = t.square[h][v]
                     assert s >= 0
                     sq = p.squares[s]
                     versions = (sq, sq.flip_h(), sq.flip_v(), sq.flip_h().flip_v())
-                    version = versions[int(t.corner[h, v])]
+                    version = versions[t.corner[h][v]]
                     assert p.germ_id(version.bottom) == h
                     assert p.germ_id(version.left) == v
-                    assert p.germ_id(version.top) == int(t.top[h, v])
-                    assert p.germ_id(version.right) == int(t.right[h, v])
+                    assert p.germ_id(version.top) == t.top[h][v]
+                    assert p.germ_id(version.right) == t.right[h][v]
 
     def test_corner_count_identity(self, torus, shipped, census22):
         for p in (torus, shipped.complex) + census22[:5]:

@@ -1,10 +1,14 @@
 """Development engine: determinism, algebraic laws, kernels, words."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cscwalls as cw
-from cscwalls.develop import BACKEND, _speedups, develop_ids, parse_word
+from cscwalls.develop import BACKEND, parse_word, stream_mismatch_ids
 from cscwalls.errors import DevelopmentError, WordError
 
 from .conftest import random_reduced_word
@@ -148,16 +152,6 @@ class TestOracle:
             top, right = develop_row_major(p, bottom, left)
             assert r.top.letters == tuple(top) and r.right.letters == tuple(right)
 
-    @pytest.mark.skipif(_speedups is None, reason="compiled kernel unavailable")
-    def test_backends_agree(self, census22, rng):
-        for i in range(100):
-            p = census22[(7 * i) % len(census22)]
-            bottom = [p.germ_id(e) for e in random_reduced_word(p, cw.HORIZONTAL, 20, rng).letters]
-            left = [p.germ_id(e) for e in random_reduced_word(p, cw.VERTICAL, 20, rng).letters]
-            assert develop_ids(p.tables, bottom, left, backend="cython") == develop_ids(
-                p.tables, bottom, left, backend="python"
-            )
-
 
 class TestCells:
     def test_grid_shares_interior_edges(self, shipped):
@@ -196,6 +190,15 @@ class TestMultiVertex:
         with pytest.raises(DevelopmentError):
             cw.fill_rectangle(p, w(p, "a a"), w(p, "x"))  # a ends at Q, a starts at P
 
+    def test_stream_raises_at_missing_corner(self, two_vertex):
+        p = two_vertex
+        period = [p.germ_id(e) for e in w(p, "a").letters]
+        side = [p.germ_id(e) for e in w(p, "x").letters]
+        # Column 0 turns x into y at Q; column 1 starts a at P against y at Q.
+        assert stream_mismatch_ids(p.tables, period, side, 1) == -1
+        with pytest.raises(DevelopmentError, match="missing corner"):
+            stream_mismatch_ids(p.tables, period, side, 2)
+
 
 @st.composite
 def torus_words(draw):
@@ -229,4 +232,25 @@ class TestHypothesis:
 
 
 def test_backend_reported():
-    assert BACKEND in ("cython", "python")
+    assert BACKEND == "python"
+
+
+def test_import_and_tables_load_only_the_standard_library():
+    """The package has no runtime dependencies: importing it and building the
+    shipped complex's corner tables in a fresh interpreter loads nothing
+    outside the standard library."""
+    src = Path(cw.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import cscwalls\n"
+        "from importlib.resources import files\n"
+        "text = files('cscwalls.data').joinpath('aperiodic22.sqc').read_text()\n"
+        "cscwalls.parse_complex(text).tables\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'cscwalls'}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
