@@ -152,7 +152,7 @@ def overlap_at_height(query, j, k_max=DEFAULT_K_MAX):
     side = _word_ids(p, query.vword.period) * j
     max_cols = k_max * len(query.hword)
 
-    right_len = stream_mismatch_ids(p.tables, _word_ids(p, query.hword.period), list(side), max_cols)
+    right_len = stream_mismatch_ids(p.tables, _word_ids(p, query.hword.period), side, max_cols)
     if right_len < 0:
         raise BudgetExceeded(
             f"no divergence east of the basepoint within {k_max} periods",
@@ -161,7 +161,7 @@ def overlap_at_height(query, j, k_max=DEFAULT_K_MAX):
 
     mirrored = p.mirrored
     m_period = _word_ids(mirrored, query.hword.inverse().period)
-    left_len = stream_mismatch_ids(mirrored.tables, m_period, list(side), max_cols)
+    left_len = stream_mismatch_ids(mirrored.tables, m_period, side, max_cols)
     if left_len < 0:
         raise BudgetExceeded(
             f"no divergence west of the basepoint within {k_max} periods",

@@ -152,8 +152,9 @@ def develop_ids(tables, bottom_ids, left_ids):
 
 def stream_mismatch_ids(tables, period_ids, side_ids, max_cols):
     """Columns of agreement between the developed top and the periodic bottom
-    word; -1 when no mismatch shows up within max_cols columns."""
-    return _kernels.stream_mismatch(tables.top, tables.right, list(period_ids), list(side_ids), max_cols)
+    word; -1 when no mismatch shows up within max_cols columns.  side_ids is
+    copied, since the kernel mutates its side; period_ids is only read."""
+    return _kernels.stream_mismatch(tables.top, tables.right, period_ids, list(side_ids), max_cols)
 
 
 def _word_ids(presentation, word):

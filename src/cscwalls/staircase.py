@@ -21,9 +21,13 @@ parameters give byte-identical windows, walls and certificates.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 from .errors import CscwallsError, InvalidParams, UnknownWall
 
@@ -75,37 +79,22 @@ class StairParams:
 
 
 # Vertices are (x, y, tag): tag 0 on the main sheet, tag 1 on a strip bottom
-# hanging beyond the overlap with the flat below.
+# hanging beyond the overlap with the flat below.  CubeWindow interns them
+# once: vertex ids follow sorted (x, y, tag) order, so comparing ids compares
+# the tuples, and an edge is the pair of its endpoint ids in ascending order,
+# numbered in ascending pair order.  Validation, walls and the contact graph
+# run on these ints.  Tuples remain only at the API edge: window.vertices and
+# window.edges, Wall.dual_edges, the edges strip_wall_edge and
+# last_projection_edge name, and ContactGraph.wall_of_edge's argument.
 
 
-@dataclass(frozen=True)
-class WindowSquare:
+class WindowSquare(NamedTuple):
+    """A square by its four corner vertices."""
+
     sw: tuple
     se: tuple
     nw: tuple
     ne: tuple
-
-    @property
-    def bottom(self):
-        return _edge(self.sw, self.se)
-
-    @property
-    def top(self):
-        return _edge(self.nw, self.ne)
-
-    @property
-    def left(self):
-        return _edge(self.sw, self.nw)
-
-    @property
-    def right(self):
-        return _edge(self.se, self.ne)
-
-    def edges(self):
-        return (self.bottom, self.right, self.top, self.left)
-
-    def corners(self):
-        return (self.sw, self.se, self.nw, self.ne)
 
 
 def _edge(a, b):
@@ -114,37 +103,94 @@ def _edge(a, b):
 
 def unit_square(x, y, bl_tag=0, br_tag=0):
     """Axis-aligned unit square with optional branch tags on its bottom corners."""
-    return WindowSquare(
-        sw=(x, y, bl_tag),
-        se=(x + 1, y, br_tag),
-        nw=(x, y + 1, 0),
-        ne=(x + 1, y + 1, 0),
-    )
+    return WindowSquare((x, y, bl_tag), (x + 1, y, br_tag), (x, y + 1, 0), (x + 1, y + 1, 0))
+
+
+def _intern(items):
+    """The distinct items in sorted order, and a dict from each to its position
+    there.  The dict keeps first-seen order, so looking the items up again in
+    their original order stays cache-local."""
+    ids = dict.fromkeys(items)
+    ordered = sorted(ids)
+    ids.update(zip(ordered, range(len(ordered))))
+    return ordered, ids
+
+
+def _pair_keys(n, lo, hi):
+    """Key a * n + b of each id pair, its two ids put in ascending order."""
+    return [a * n + b if a <= b else b * n + a for a, b in zip(lo, hi)]
+
+
+def _least_members(n, xs, ys):
+    """For each of 0..n-1, the least element of its class once every pair
+    (xs[k], ys[k]) is merged: union-find on a list, the smaller root always
+    kept, with path halving."""
+    parent = list(range(n))
+    for a, b in zip(xs, ys):
+        while a != parent[a]:
+            parent[a] = a = parent[parent[a]]
+        while b != parent[b]:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # parent[e] <= e throughout, so one ascending pass finishes every path
+    for e in range(n):
+        parent[e] = parent[parent[e]]
+    return parent
+
+
+_QUADRANTS = ("NE", "NW", "SE", "SW")  # the quadrant each corner sw, se, nw, ne fills
 
 
 class CubeWindow:
-    """A finite square complex with coordinatized cells."""
+    """A finite square complex with coordinatized cells.
+
+    The constructor interns every cell once.  vertices is the tuple of vertex
+    tuples in id order (sorted); corner_ids holds four vertex ids per square
+    (sw, se, nw, ne); edge_keys holds, ascending, the key a * len(vertices) + b
+    of each edge's endpoint ids a <= b, so edge e is edge_keys[e]; side_ids
+    holds four lists of edge ids (bottom, right, top, left), each indexed by
+    square.  edges, the tuple of edge tuples in id order (sorted), is built
+    on first use; edge_id maps an edge tuple back to its id.
+    """
 
     def __init__(self, squares, params=None):
         self.params = params
         self.squares = tuple(squares)
-        vertices = set()
-        edges = set()
-        for sq in self.squares:
-            vertices.update(sq.corners())
-            edges.update(sq.edges())
-        self.vertices = frozenset(vertices)
-        self.edges = frozenset(edges)
+        flat = [v for sq in self.squares for v in sq]
+        vertices, vertex_id = _intern(flat)
+        self.vertices = tuple(vertices)
+        n = len(vertices)
+        self.corner_ids = corners = list(map(vertex_id.__getitem__, flat))
+        sw, se, nw, ne = corners[0::4], corners[1::4], corners[2::4], corners[3::4]
+        sides = (_pair_keys(n, sw, se), _pair_keys(n, se, ne), _pair_keys(n, nw, ne), _pair_keys(n, sw, nw))
+        self.edge_keys, edge_id = _intern(chain(*sides))
+        self.side_ids = tuple(list(map(edge_id.__getitem__, keys)) for keys in sides)
+
+    @cached_property
+    def edges(self):
+        vs, n = self.vertices, len(self.vertices)
+        return tuple((vs[k // n], vs[k % n]) for k in self.edge_keys)
+
+    def edge_id(self, edge):
+        """Id of an edge given as its (lesser, greater) vertex tuples; None if
+        the window has no such edge."""
+        a, b = (_sorted_index(self.vertices, v) for v in edge)
+        if a is None or b is None:
+            return None
+        return _sorted_index(self.edge_keys, a * len(self.vertices) + b)
 
     def counts(self):
         return {
             "vertices": len(self.vertices),
-            "edges": len(self.edges),
+            "edges": len(self.edge_keys),
             "squares": len(self.squares),
         }
 
     def euler_characteristic(self):
-        return len(self.vertices) - len(self.edges) + len(self.squares)
+        return len(self.vertices) - len(self.edge_keys) + len(self.squares)
 
     def validate(self):
         """Link-condition scan: each quadrant of each vertex holds at most one square.
@@ -153,21 +199,15 @@ class CubeWindow:
         so it embeds in a CAT(0) square complex.  Raises CscwallsError on any
         failure; returns the count summary.
         """
-        occupied = {}
-        for idx, sq in enumerate(self.squares):
-            for vertex, quadrant in (
-                (sq.sw, "NE"),
-                (sq.se, "NW"),
-                (sq.nw, "SE"),
-                (sq.ne, "SW"),
-            ):
-                key = (vertex, quadrant)
-                if key in occupied:
-                    raise CscwallsError(
-                        f"link condition fails at {vertex}: quadrant {quadrant} "
-                        f"held by squares {occupied[key]} and {idx}"
-                    )
-                occupied[key] = idx
+        holder = [-1] * (4 * len(self.vertices))  # 4 * vertex + quadrant -> square
+        for i, v in enumerate(self.corner_ids):
+            key = 4 * v + (i & 3)
+            if holder[key] >= 0:
+                raise CscwallsError(
+                    f"link condition fails at {self.vertices[v]}: quadrant {_QUADRANTS[i & 3]} "
+                    f"held by squares {holder[key]} and {i >> 2}"
+                )
+            holder[key] = i >> 2
         if self.euler_characteristic() != 1:
             raise CscwallsError(
                 f"window is not contractible: Euler characteristic {self.euler_characteristic()}"
@@ -177,21 +217,8 @@ class CubeWindow:
         return self.counts()
 
     def _connected(self):
-        if not self.vertices:
-            return True
-        adjacency = {}
-        for a, b in self.edges:
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
-        start = min(self.vertices)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            for nxt in adjacency.get(queue.popleft(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return len(seen) == len(self.vertices)
+        n, keys = len(self.vertices), self.edge_keys
+        return not any(_least_members(n, [k // n for k in keys], [k % n for k in keys]))
 
     # -- named cells of the staircase ------------------------------------
 
@@ -210,6 +237,12 @@ class CubeWindow:
         """The easternmost edge of the level-0 overlap segment, on the base axis."""
         p = self.params
         return _edge((p.overlap_len - 1, 1, 0), (p.overlap_len, 1, 0))
+
+
+def _sorted_index(seq, item):
+    """Position of item in the sorted sequence seq, or None if absent."""
+    i = bisect_left(seq, item)
+    return i if i < len(seq) and seq[i] == item else None
 
 
 def _flat_span(params, i):
@@ -234,27 +267,27 @@ def _strip_bottom_tag(params, i, x):
     return 1
 
 
+def _row(bottom, top):
+    """The unit squares between two equally long rows of vertices, west to east."""
+    return map(WindowSquare, bottom, bottom[1:], top, top[1:])
+
+
 def build_staircase(params):
     """Assemble and validate the staircase window for the given parameters."""
     squares = []
     for i in range(params.steps + 1):
         lo, hi = _strip_span(params, i)
         y = _LEVEL_PITCH * i
-        for x in range(lo, hi):
-            squares.append(
-                unit_square(
-                    x,
-                    y,
-                    bl_tag=_strip_bottom_tag(params, i, x),
-                    br_tag=_strip_bottom_tag(params, i, x + 1),
-                )
-            )
+        xs = range(lo, hi + 1)
+        bottom = [(x, y, _strip_bottom_tag(params, i, x)) for x in xs]
+        squares += _row(bottom, [(x, y + 1, 0) for x in xs])
     for i in range(params.steps):
         lo, hi = _flat_span(params, i)
         base = _LEVEL_PITCH * i + 1
-        for y in range(base, base + FLAT_ROWS):
-            for x in range(lo, hi):
-                squares.append(unit_square(x, y))
+        xs = range(lo, hi + 1)
+        rows = [[(x, y, 0) for x in xs] for y in range(base, base + FLAT_ROWS + 1)]
+        for bottom, top in zip(rows, rows[1:]):
+            squares += _row(bottom, top)
     window = CubeWindow(squares, params=params)
     window.validate()
     return window
@@ -270,51 +303,39 @@ class Wall:
     """An equivalence class of edges under opposite-sides-of-a-square.
 
     orientation is the direction the wall runs: a wall dual to horizontal
-    edges runs vertically and vice versa.
+    edges runs vertically and vice versa.  edge_ids are the window's ids of
+    the dual edges, ascending; dual_edges, their vertex-tuple pairs, is built
+    on first use.
     """
 
     id: str
     orientation: str  # "horizontal" or "vertical"
-    dual_edges: frozenset
+    edge_ids: tuple = field(repr=False)
+    window: CubeWindow = field(repr=False, compare=False)
 
-
-def _is_horizontal_edge(edge):
-    (x1, y1, _), (x2, y2, _) = edge
-    return y1 == y2
+    @cached_property
+    def dual_edges(self):
+        edges = self.window.edges
+        return frozenset(edges[e] for e in self.edge_ids)
 
 
 def walls(window):
-    """Partition the window's edges into walls (union-find over squares)."""
-    parent = {}
+    """Partition the window's edges into walls (union-find over squares).
 
-    def find(e):
-        root = e
-        while parent[root] != root:
-            root = parent[root]
-        while parent[e] != root:
-            parent[e], e = root, parent[e]
-        return root
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for e in window.edges:
-        parent[e] = e
-    for sq in window.squares:
-        union(sq.bottom, sq.top)
-        union(sq.left, sq.right)
-
-    classes = {}
-    for e in window.edges:
-        classes.setdefault(find(e), []).append(e)
-
+    Walls are numbered by their least dual edge: edge ids ascend with the
+    edge tuples, and each class's union-find root is its least edge id.
+    """
+    bottom, right, top, left = window.side_ids
+    root = _least_members(len(window.edge_keys), bottom + right, top + left)
+    members = {}
+    for e, r in enumerate(root):
+        members.setdefault(r, []).append(e)
+    vertices = window.vertices
     out = []
-    for root in sorted(classes, key=lambda r: min(classes[r])):
-        dual = frozenset(classes[root])
-        orientation = "vertical" if _is_horizontal_edge(root) else "horizontal"
-        out.append(Wall(id=f"w{len(out):04d}", orientation=orientation, dual_edges=dual))
+    for r, edge_ids in members.items():  # roots first appear in ascending order
+        a, b = divmod(window.edge_keys[r], len(vertices))
+        orientation = "vertical" if vertices[a][1] == vertices[b][1] else "horizontal"
+        out.append(Wall(f"w{len(out):04d}", orientation, tuple(edge_ids), window))
     return tuple(out)
 
 
@@ -322,42 +343,51 @@ class ContactGraph:
     """Walls as nodes; edges between walls whose carriers share a vertex.
 
     crossings is the transversality subrelation: walls sharing a square.
+    Both are built on wall indices and published keyed by wall id, each
+    neighbour tuple sorted as strings.
     """
 
-    def __init__(self, window, wall_set=None):
-        self.walls = tuple(wall_set) if wall_set is not None else walls(window)
+    def __init__(self, window):
+        self.window = window
+        self.walls = walls(window)
         self.by_id = {w.id: w for w in self.walls}
-        self._edge_wall = {}
-        for w in self.walls:
-            for e in w.dual_edges:
-                self._edge_wall[e] = w.id
+        self._edge_wall = edge_wall = [0] * len(window.edge_keys)
+        for k, w in enumerate(self.walls):
+            for e in w.edge_ids:
+                edge_wall[e] = k
 
-        vertex_walls = {}
-        crossings = {w.id: set() for w in self.walls}
-        for sq in window.squares:
-            wv = self._edge_wall[sq.bottom]  # runs vertically through sq
-            wh = self._edge_wall[sq.left]  # runs horizontally through sq
+        n_walls = len(self.walls)
+        crossings = [set() for _ in range(n_walls)]
+        bottom, _, _, left = window.side_ids
+        for e, f in zip(bottom, left):
+            wv, wh = edge_wall[e], edge_wall[f]  # wv runs vertically through the square
             crossings[wv].add(wh)
             crossings[wh].add(wv)
-            for vertex in sq.corners():
-                bucket = vertex_walls.setdefault(vertex, set())
-                bucket.add(wv)
-                bucket.add(wh)
 
-        adjacency = {w.id: set() for w in self.walls}
-        for bucket in vertex_walls.values():
+        # A square's two walls are dual to its two sides at each corner, and
+        # every edge is a side of some square, so the walls whose carriers
+        # hold a vertex are exactly the walls of the edges at that vertex.
+        n = len(window.vertices)
+        at_vertex = [[] for _ in range(n)]
+        for key, w in zip(window.edge_keys, edge_wall):
+            at_vertex[key // n].append(w)
+            at_vertex[key % n].append(w)
+        adjacency = [set() for _ in range(n_walls)]
+        for bucket in at_vertex:
             for a in bucket:
                 adjacency[a].update(bucket)
-        for k, v in adjacency.items():
-            v.discard(k)
-        self.neighbors = {k: tuple(sorted(v)) for k, v in adjacency.items()}
-        self.crossings = {k: frozenset(v) for k, v in crossings.items()}
+        names = [w.id for w in self.walls]
+        self.neighbors = {}
+        for k, adj in enumerate(adjacency):
+            adj.discard(k)
+            self.neighbors[names[k]] = tuple(sorted([names[j] for j in adj]))
+        self.crossings = {names[k]: frozenset([names[j] for j in c]) for k, c in enumerate(crossings)}
 
     def wall_of_edge(self, edge):
-        try:
-            return self.by_id[self._edge_wall[edge]]
-        except KeyError:
-            raise UnknownWall(f"no wall is dual to edge {edge}") from None
+        e = self.window.edge_id(edge)
+        if e is None:
+            raise UnknownWall(f"no wall is dual to edge {edge}")
+        return self.walls[self._edge_wall[e]]
 
     def crosses(self, a, b):
         return _wall_id(b) in self.crossings[_wall_id(a)]
@@ -367,8 +397,8 @@ def _wall_id(wall):
     return wall.id if isinstance(wall, Wall) else wall
 
 
-def contact_graph(window, wall_set=None):
-    return ContactGraph(window, wall_set)
+def contact_graph(window):
+    return ContactGraph(window)
 
 
 def contact_distances(graph, source):

@@ -2,13 +2,16 @@
 
 Everything here is deliberately written against the production code paths:
 row-major development (the engine is column-major), a census oracle that
-filters raw 4-tuples instead of running the exact-cover search, and staircase
-crossing counts and contact distances taken wall by wall instead of from the
-family side and one breadth-first search.
+filters raw 4-tuples instead of running the exact-cover search, staircase
+walls and contact graphs built on vertex and edge tuples instead of interned
+ids, and staircase crossing counts and contact distances taken wall by wall
+instead of from the family side and one breadth-first search.
 """
 
 import itertools
 from collections import deque
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from cscwalls.complexes import HORIZONTAL, VERTICAL
 from cscwalls.develop import Word
@@ -173,3 +176,79 @@ def contact_distance_by_search(graph, a, b):
                 return dist[nxt]
             queue.append(nxt)
     raise AssertionError(f"wall {b} is unreachable from {a}")
+
+
+class TupleWall(NamedTuple):
+    id: str
+    orientation: str
+    dual_edges: frozenset
+
+
+def _edge(a, b):
+    return (a, b) if a <= b else (b, a)
+
+
+def _sides(sq):
+    """(bottom, right, top, left) of a window square as vertex-tuple pairs."""
+    return _edge(sq.sw, sq.se), _edge(sq.se, sq.ne), _edge(sq.nw, sq.ne), _edge(sq.sw, sq.nw)
+
+
+def walls_by_tuples(window):
+    """Walls by a union-find keyed by edge tuples, read straight off the
+    window's squares; ids numbered by each wall's least dual edge."""
+    parent = {}
+
+    def find(e):
+        root = e
+        while parent[root] != root:
+            root = parent[root]
+        while parent[e] != root:
+            parent[e], e = root, parent[e]
+        return root
+
+    for sq in window.squares:
+        for e in _sides(sq):
+            parent.setdefault(e, e)
+    for sq in window.squares:
+        bottom, right, top, left = _sides(sq)
+        for a, b in ((bottom, top), (left, right)):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[rb] = ra
+
+    classes = {}
+    for e in parent:
+        classes.setdefault(find(e), []).append(e)
+    out = []
+    for members in sorted(classes.values(), key=min):
+        (_, y1, _), (_, y2, _) = members[0]
+        orientation = "vertical" if y1 == y2 else "horizontal"
+        out.append(TupleWall(f"w{len(out):04d}", orientation, frozenset(members)))
+    return tuple(out)
+
+
+def contact_graph_by_tuples(window):
+    """Contact graph keyed by wall-id strings, built from every corner of
+    every square; `walls`, `neighbors` and `crossings` mirror ContactGraph."""
+    wall_set = walls_by_tuples(window)
+    edge_wall = {e: w.id for w in wall_set for e in w.dual_edges}
+    crossings = {w.id: set() for w in wall_set}
+    at_vertex = {}
+    for sq in window.squares:
+        bottom, _, _, left = _sides(sq)
+        wv, wh = edge_wall[bottom], edge_wall[left]
+        crossings[wv].add(wh)
+        crossings[wh].add(wv)
+        for vertex in (sq.sw, sq.se, sq.nw, sq.ne):
+            at_vertex.setdefault(vertex, set()).update((wv, wh))
+    neighbors = {w.id: set() for w in wall_set}
+    for bucket in at_vertex.values():
+        for a in bucket:
+            neighbors[a].update(bucket)
+    for k, v in neighbors.items():
+        v.discard(k)
+    return SimpleNamespace(
+        walls=wall_set,
+        neighbors={k: tuple(sorted(v)) for k, v in neighbors.items()},
+        crossings={k: frozenset(v) for k, v in crossings.items()},
+    )

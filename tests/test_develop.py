@@ -196,6 +196,8 @@ class TestMultiVertex:
         side = [p.germ_id(e) for e in w(p, "x").letters]
         # Column 0 turns x into y at Q; column 1 starts a at P against y at Q.
         assert stream_mismatch_ids(p.tables, period, side, 1) == -1
+        # the kernel turned its copy of the side into y; the caller's x stays
+        assert side == [p.germ_id(e) for e in w(p, "x").letters]
         with pytest.raises(DevelopmentError, match="missing corner"):
             stream_mismatch_ids(p.tables, period, side, 2)
 

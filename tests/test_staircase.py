@@ -1,5 +1,6 @@
 """Staircase windows, walls, contact graphs, and certificates."""
 
+import hashlib
 import json
 
 import pytest
@@ -20,7 +21,11 @@ from cscwalls.staircase import (
     walls,
 )
 
-from .oracles import contact_distance_by_search, crossing_counts_by_scan
+from .oracles import (
+    contact_distance_by_search,
+    contact_graph_by_tuples,
+    crossing_counts_by_scan,
+)
 
 
 @st.composite
@@ -33,6 +38,42 @@ def certifiable(draw):
     steps = draw(st.integers(m - 1, m + 5))
     p = draw(st.integers(1, steps))
     return L, r, steps, p
+
+
+@st.composite
+def stair_shapes(draw):
+    """StairParams of a small staircase, any step count up to crossing_bound + 5."""
+    L = draw(st.integers(1, 8))
+    r = draw(st.integers(1, L))
+    m = -(-L // r) + 1
+    return StairParams(L, r, draw(st.integers(1, m + 5)), draw(st.integers(1, 4)))
+
+
+#: Unit squares on a 5x5 grid, bottom corners tagged at random; repeats allowed.
+unit_square_lists = st.lists(
+    st.builds(unit_square, st.integers(0, 4), st.integers(0, 4), st.integers(0, 1), st.integers(0, 1)),
+    min_size=1,
+    max_size=12,
+)
+
+
+def assert_graph_matches_oracle(window):
+    """Walls and contact graph on interned ids equal the tuple-keyed oracle."""
+    graph = contact_graph(window)
+    oracle = contact_graph_by_tuples(window)
+    assert [(w.id, w.orientation, w.dual_edges) for w in graph.walls] == [
+        (w.id, w.orientation, w.dual_edges) for w in oracle.walls
+    ]
+    for w in oracle.walls:
+        assert {graph.wall_of_edge(e).id for e in w.dual_edges} == {w.id}
+    assert graph.neighbors == oracle.neighbors
+    assert graph.crossings == oracle.crossings
+    assert contact_graph_dot(graph) == contact_graph_dot(oracle)
+
+
+def _annulus():
+    """The 3x3 block of unit squares without its centre: Euler number 0."""
+    return [unit_square(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
 
 
 class TestParams:
@@ -89,6 +130,19 @@ class TestWindowValidation:
         with pytest.raises(CscwallsError):
             window.validate()
 
+    def test_annulus_is_not_contractible(self):
+        window = CubeWindow(_annulus())
+        assert window.euler_characteristic() == 0
+        with pytest.raises(CscwallsError, match="not contractible"):
+            window.validate()
+
+    def test_annulus_and_far_square_is_not_connected(self):
+        """Euler number 1, so only the connectivity check catches it."""
+        window = CubeWindow(_annulus() + [unit_square(10, 10)])
+        assert window.euler_characteristic() == 1
+        with pytest.raises(CscwallsError, match="not connected"):
+            window.validate()
+
     def test_determinism(self):
         a = build_staircase(StairParams(6, 2, steps=5, margin=2))
         b = build_staircase(StairParams(6, 2, steps=5, margin=2))
@@ -133,6 +187,30 @@ class TestWalls:
             for k in range(4):
                 if abs(i - k) >= m:
                     assert family[k] not in graph.neighbors[family[i]]
+
+    @settings(max_examples=60)
+    @given(stair_shapes())
+    def test_staircases_match_tuple_oracle(self, params):
+        assert_graph_matches_oracle(build_staircase(params))
+
+    @settings(max_examples=150)
+    @given(unit_square_lists)
+    def test_unit_square_sets_match_tuple_oracle(self, squares):
+        """Any set of unit squares, tagged bottoms and repeats included, and
+        not validated: the window need not be a staircase or even CAT(0)."""
+        assert_graph_matches_oracle(CubeWindow(squares))
+
+    def test_wall_ids_sorted_as_strings_beyond_9999_walls(self):
+        """Above w9999 string order is not numeric order ("w10000" < "w9999"):
+        neighbour tuples and the DOT file follow string order."""
+        graph = contact_graph(build_staircase(StairParams(3, 2, steps=1300)))
+        assert len(graph.walls) > 10_000
+        assert all(list(v) == sorted(v) for v in graph.neighbors.values())
+        assert any(
+            list(v) != sorted(v, key=lambda w: int(w[1:])) for v in graph.neighbors.values()
+        )
+        oracle = contact_graph_by_tuples(graph.window)
+        assert contact_graph_dot(graph) == contact_graph_dot(oracle)
 
 
 class TestContactGraph:
@@ -276,3 +354,39 @@ class TestCertificate:
         a = nonacyl_certificate(StairParams(10, 3, steps=15, margin=1), 15)
         b = nonacyl_certificate(StairParams(10, 3, steps=15, margin=1), 15)
         assert a.to_dict() == b.to_dict()
+
+
+#: SHA-256 of the certificate JSON and of the contact-graph DOT text, frozen
+#: from the tuple-keyed implementation the interned one replaced.
+PINNED_DIGESTS = {
+    (10, 3, 15, 15, 1): (
+        "c98308b6cc50a5fa8808f3400db4ef39985fe4d4f057862208159beb4199ee7c",
+        "d552b31248083a471f767ebc6eae97549bcaf50157cdbece8b2de4b2ebc0fdd0",
+    ),
+    (10, 3, 15, 15, 2): (
+        "3ac10f4c2addcb5eb0022459ca566a4f9e996a91c43ad863a9cdbb58a352de7c",
+        "c37a10308c21d8832e5908f68207fa8bc0710a80fb400db6a15c94c32aab86b3",
+    ),
+    (3, 2, 6, 6, 1): (
+        "1166e0f7d151d46c1cc0f4100ade42a52e2233000e23c841caff269c4025222b",
+        "6092a57970a855a4ed840c34c777351bbec55b244a7c1b6828ada0d8b43d8fd4",
+    ),
+    (3, 2, 6, 6, 2): (
+        "48837169e306090267c11dedeab132ba87510fbc9fc77b7118b00945a25219ac",
+        "4441d3f3f684d46e2d6c0c0bfd8b71969e67df1b140980b783ec745ed075ff13",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_DIGESTS), ids=lambda s: "-".join(map(str, s)))
+def test_pinned_artifact_digests(shape):
+    L, r, steps, p, margin = shape
+    params = StairParams(L, r, steps, margin)
+    window = build_staircase(params)
+    graph = contact_graph(window)
+    cert = nonacyl_certificate(params, p, window=window, graph=graph)
+    blob = json.dumps(cert.to_dict(), sort_keys=True)
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest() for text in (blob, contact_graph_dot(graph))
+    )
+    assert digests == PINNED_DIGESTS[shape]
