@@ -16,6 +16,7 @@ mirrored complex.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .complexes import HORIZONTAL, VERTICAL
@@ -91,17 +92,23 @@ def commuting_powers_search(query, k_bound=8, j_bound=8):
     The pair commutes exactly when the rectangle spanned by the k-th power of
     the horizontal word and the j-th power of the vertical word closes up into
     a torus: developed top equals bottom and developed right equals left.
-    Returns None when no pair exists within the bounds, which certifies the
-    aperiodicity hypothesis up to those bounds (never beyond them).
+    For each k the rectangles of heights 1..j_bound are built by stacking one
+    vertical period at a time on the previous top, collecting the right word
+    block by block; development is unique, so each is the rectangle developed
+    from scratch.  Returns None when no pair exists within the bounds, which
+    certifies the aperiodicity hypothesis up to those bounds (never beyond
+    them).
     """
     tables = query.complex.tables
     h_ids = _word_ids(query.complex, query.hword.period)
     v_ids = _word_ids(query.complex, query.vword.period)
     for k in range(1, k_bound + 1):
         bottom = h_ids * k
+        top, left, right = bottom, [], []
         for j in range(1, j_bound + 1):
-            left = v_ids * j
-            top, right = develop_ids(tables, bottom, left)
+            top, block = develop_ids(tables, top, v_ids)
+            left += v_ids
+            right += block
             if top == bottom and right == left:
                 return (k, j)
     return None
@@ -112,7 +119,7 @@ def find_periodic_top(query, n, i_max=DEFAULT_I_MAX):
     the developed top returns to the bottom.
 
     Returns (j, first_repeat) with first_repeat == j: the least j with
-    develop_top(h^n, v^j) == h^n.  No earlier top needs remembering.  In a
+    fill_rectangle(h^n, v^j).top == h^n.  No earlier top needs remembering.  In a
     CSC every cell is determined by its SW corner pair and equally by its NW
     corner pair, so stacking one vertical period is a bijection on the finite
     set of words of length n*|w1|; the orbit of the bottom is purely periodic
@@ -198,27 +205,16 @@ def overlap_gamma(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
 
 
 def periodic_candidates(presentation, klass, max_len):
-    """All primitive cyclically reduced periodic words up to max_len, in a
-    fixed lexicographic order of germ ids."""
+    """All primitive cyclically reduced periodic words up to max_len, ordered
+    by length, then by germ ids."""
     pool = presentation.hedges if klass == HORIZONTAL else presentation.vedges
-    germs = range(2 * len(pool))
     out = []
-
-    def extend(prefix):
-        if prefix:
+    for n in range(1, max_len + 1):
+        for ids in itertools.product(range(2 * len(pool)), repeat=n):
             try:
-                out.append(PeriodicWord(_ids_word(presentation, klass, prefix)))
-            except WordError:
+                out.append(PeriodicWord(_ids_word(presentation, klass, ids)))
+            except WordError:  # not reduced, not cyclically reduced, or a proper power
                 pass
-        if len(prefix) == max_len:
-            return
-        for g in germs:
-            if prefix and g == prefix[-1] ^ 1:
-                continue
-            extend(prefix + [g])
-
-    extend([])
-    out.sort(key=lambda w: (len(w), _word_ids(presentation, w.period)))
     return out
 
 
@@ -229,8 +225,9 @@ def screen_anti_torus(presentation, max_len=2, k_bound=8, j_bound=8):
     pair is only a bounded certificate: the aperiodicity hypothesis itself is
     not decided by this search.
     """
+    vwords = periodic_candidates(presentation, VERTICAL, max_len)
     for hw in periodic_candidates(presentation, HORIZONTAL, max_len):
-        for vw in periodic_candidates(presentation, VERTICAL, max_len):
+        for vw in vwords:
             query = AntiTorusQuery(presentation, hw, vw)
             if commuting_powers_search(query, k_bound, j_bound) is None:
                 yield hw, vw, query

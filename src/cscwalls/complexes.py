@@ -38,6 +38,19 @@ BASE_VERTEX = "*"
 CORNERS = ("SW", "SE", "NW", "NE")
 
 
+def _square_versions(b, r, t, l):
+    """The four oriented readings of one geometric square, as germ-id
+    (bottom, right, top, left) 4-tuples, in the order of ``CORNERS``: each
+    reading puts that corner at the SW position, so its (bottom, left) pair
+    is the germ pair at that corner."""
+    return (
+        (b, r, t, l),
+        (b ^ 1, l, t ^ 1, r),
+        (t, r ^ 1, b, l ^ 1),
+        (t ^ 1, l ^ 1, b ^ 1, r ^ 1),
+    )
+
+
 @dataclass(frozen=True)
 class EdgeLabel:
     """A named oriented edge of the quotient complex."""
@@ -186,6 +199,10 @@ class SquareComplexPresentation:
     def germ_token(self, klass, germ):
         return self.germ_edge(klass, germ).token()
 
+    def _square_ids(self, sq):
+        """A square's (bottom, right, top, left) as germ ids."""
+        return tuple(self.germ_id(e) for e in (sq.bottom, sq.right, sq.top, sq.left))
+
     # -- validation ----------------------------------------------------
 
     @cached_property
@@ -193,18 +210,8 @@ class SquareComplexPresentation:
         """Map (vertex, h germ, v germ) -> list of (square index, corner type)."""
         counts = {}
         for s, sq in enumerate(self.squares):
-            b = self.germ_id(sq.bottom)
-            r = self.germ_id(sq.right)
-            t = self.germ_id(sq.top)
-            l = self.germ_id(sq.left)
-            sw, se, nw, ne = sq.corner_vertices()
-            pairs = (
-                (sw, b, l, "SW"),
-                (se, b ^ 1, r, "SE"),
-                (nw, t, l ^ 1, "NW"),
-                (ne, t ^ 1, r ^ 1, "NE"),
-            )
-            for vertex, h, v, corner in pairs:
+            readings = zip(sq.corner_vertices(), CORNERS, _square_versions(*self._square_ids(sq)))
+            for vertex, corner, (h, _, _, v) in readings:
                 counts.setdefault((vertex, h, v), []).append((s, corner))
         return counts
 
@@ -248,13 +255,9 @@ class SquareComplexPresentation:
         nh, nv = 2 * len(self.hedges), 2 * len(self.vedges)
         top, right, square, corner = ([[-1] * nv for _ in range(nh)] for _ in range(4))
         for s, sq in enumerate(self.squares):
-            for code, version in enumerate(
-                (sq, sq.flip_h(), sq.flip_v(), sq.flip_h().flip_v())
-            ):
-                b = self.germ_id(version.bottom)
-                l = self.germ_id(version.left)
-                top[b][l] = self.germ_id(version.top)
-                right[b][l] = self.germ_id(version.right)
+            for code, (b, r, t, l) in enumerate(_square_versions(*self._square_ids(sq))):
+                top[b][l] = t
+                right[b][l] = r
                 square[b][l] = s
                 corner[b][l] = code
         return CornerTables(nh, nv, top, right, square, corner)
@@ -402,20 +405,6 @@ _H_NAMES = "abc"
 _V_NAMES = "xyz"
 
 
-def _square_versions(b, r, t, l):
-    """The four oriented readings of one geometric square, as germ-id 4-tuples."""
-    return (
-        (b, r, t, l),
-        (b ^ 1, l, t ^ 1, r),
-        (t, r ^ 1, b, l ^ 1),
-        (t ^ 1, l ^ 1, b ^ 1, r ^ 1),
-    )
-
-
-def _square_corners(b, r, t, l):
-    return ((b, l), (b ^ 1, r), (t, l ^ 1), (t ^ 1, r ^ 1))
-
-
 @lru_cache(maxsize=None)
 def _signed_maps(n):
     """All relabelings of n letters: permutations composed with per-letter inversion."""
@@ -467,7 +456,7 @@ def enumerate_csc(h_count, v_count, max_nodes=2_000_000):
     for four in itertools.product(range(nh), range(nv), range(nh), range(nv)):
         if four != _canonical_square(four):
             continue
-        corners = _square_corners(*four)
+        corners = [(h, v) for h, _, _, v in _square_versions(*four)]
         if len(set(corners)) < 4:
             continue  # a corner pair repeats inside the square: unusable
         mask = 0

@@ -6,7 +6,10 @@ particular determines the top and right boundary words.  Development runs
 column-major from the SW corner: columns are computed left to right and
 never revised, so tops of widening rectangles are prefix-stable.
 
-The inner loop is the pure-Python kernel in ``_kernels``.
+Every search develops through one loop, ``_develop``, over integer germ ids:
+``develop_ids`` runs it once on a copy of the left word, and
+``stream_mismatch_ids`` runs it one column at a time.  The only other loop is
+``_fill_cells``, which also records every cell for inspection.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 
 from .complexes import HORIZONTAL, VERTICAL, OrientedEdge
 from .errors import DevelopmentError, WordError
-from . import _kernels
 
 #: The development kernel in use; there is one, and it is pure Python.
 BACKEND = "python"
@@ -141,20 +143,51 @@ def format_word(word):
 
 
 # ---------------------------------------------------------------------------
-# Kernel entry points
+# The development loop
 # ---------------------------------------------------------------------------
+
+
+def _develop(tables, bottom, side):
+    """Column-major development over germ-id lists.
+
+    ``side`` enters as the left word and is mutated in place into the right
+    word; ``bottom`` is only read.  Returns the top as a new list.
+    """
+    top_rows, right_rows = tables.top, tables.right
+    top = []
+    h = len(side)
+    for b in bottom:
+        for j in range(h):
+            v = side[j]
+            nv = right_rows[b][v]
+            if nv < 0:
+                raise DevelopmentError("development hit a missing corner")
+            side[j] = nv
+            b = top_rows[b][v]
+        top.append(b)
+    return top
 
 
 def develop_ids(tables, bottom_ids, left_ids):
     """Develop germ-id sequences; returns (top ids, right ids) as lists."""
-    return _kernels.develop_ids(tables.top, tables.right, list(bottom_ids), list(left_ids))
+    side = list(left_ids)
+    return _develop(tables, bottom_ids, side), side
 
 
 def stream_mismatch_ids(tables, period_ids, side_ids, max_cols):
     """Columns of agreement between the developed top and the periodic bottom
-    word; -1 when no mismatch shows up within max_cols columns.  side_ids is
-    copied, since the kernel mutates its side; period_ids is only read."""
-    return _kernels.stream_mismatch(tables.top, tables.right, period_ids, list(side_ids), max_cols)
+    word; -1 when no mismatch shows up within max_cols columns.
+
+    The bottom is period_ids repeated, developed one column at a time on one
+    copy of side_ids, so the caller's list is left as it was.
+    """
+    side = list(side_ids)
+    plen = len(period_ids)
+    for col in range(max_cols):
+        b = period_ids[col % plen]
+        if _develop(tables, (b,), side)[0] != b:
+            return col
+    return -1
 
 
 def _word_ids(presentation, word):
@@ -258,20 +291,3 @@ def _fill_cells(presentation, tables, bottom_ids, left_ids):
     )
     return top_ids, side, tuple(tuple(r) for r in rows)
 
-
-def develop_top(presentation, bottom, left):
-    """The word on the side opposite the bottom."""
-    _check_classes(bottom, left)
-    top_ids, _ = develop_ids(
-        presentation.tables, _word_ids(presentation, bottom), _word_ids(presentation, left)
-    )
-    return _ids_word(presentation, HORIZONTAL, top_ids)
-
-
-def develop_right(presentation, bottom, left):
-    """The word on the side opposite the left."""
-    _check_classes(bottom, left)
-    _, right_ids = develop_ids(
-        presentation.tables, _word_ids(presentation, bottom), _word_ids(presentation, left)
-    )
-    return _ids_word(presentation, VERTICAL, right_ids)

@@ -222,15 +222,11 @@ class CubeWindow:
 
     # -- named cells of the staircase ------------------------------------
 
-    def strip_row(self, i):
-        """y coordinate of the squares of strip i."""
-        return _LEVEL_PITCH * i
-
     def strip_wall_edge(self, i):
         """A vertical edge surely dual to strip i's wall: its westmost one."""
         p = self.params
         lo, _ = _strip_span(p, i)
-        y = self.strip_row(i)
+        y = _LEVEL_PITCH * i  # the row of strip i's squares
         return _edge((lo, y, _strip_bottom_tag(p, i, lo)), (lo, y + 1, 0))
 
     def last_projection_edge(self):

@@ -54,6 +54,16 @@ def census22():
 
 
 @pytest.fixture(scope="session")
+def census13():
+    return tuple(cw.enumerate_csc(1, 3))
+
+
+@pytest.fixture(scope="session")
+def census31():
+    return tuple(cw.enumerate_csc(3, 1))
+
+
+@pytest.fixture(scope="session")
 def shipped():
     """The packaged 2+2 complex with its screened aperiodic pair."""
     from importlib.resources import files

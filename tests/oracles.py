@@ -1,8 +1,10 @@
 """Independent reference implementations used to cross-check the engine.
 
 Everything here is deliberately written against the production code paths:
-row-major development (the engine is column-major), a census oracle that
-filters raw 4-tuples instead of running the exact-cover search, staircase
+row-major development (the engine is column-major), a commuting-powers search
+that develops every rectangle from scratch instead of stacking vertical
+periods, candidate words filtered from every germ-id tuple, a census oracle
+that filters raw 4-tuples instead of running the exact-cover search, staircase
 walls and contact graphs built on vertex and edge tuples instead of interned
 ids, and staircase crossing counts and contact distances taken wall by wall
 instead of from the family side and one breadth-first search.
@@ -33,6 +35,35 @@ def develop_row_major(presentation, bottom_word, left_word):
     top = [presentation.germ_edge(HORIZONTAL, g) for g in bottom]
     right = [presentation.germ_edge(VERTICAL, g) for g in right]
     return top, right
+
+
+def commuting_powers_by_rectangles(query, k_bound=8, j_bound=8):
+    """Reference commuting-powers search: the least (k, j), lexicographically,
+    whose k x j rectangle, developed from scratch row by row, closes up into
+    a torus; None within the bounds otherwise."""
+    p = query.complex
+    for k in range(1, k_bound + 1):
+        bottom = query.hword.power(k)
+        for j in range(1, j_bound + 1):
+            left = query.vword.power(j)
+            top, right = develop_row_major(p, bottom, left)
+            if tuple(top) == bottom.letters and tuple(right) == left.letters:
+                return (k, j)
+    return None
+
+
+def periodic_ids_by_filtering(n_germs, max_len):
+    """Germ-id tuples of every primitive cyclically reduced word up to max_len,
+    sorted by (length, ids): every tuple is generated, then filtered."""
+    out = []
+    for n in range(1, max_len + 1):
+        for ids in itertools.product(range(n_germs), repeat=n):
+            if any(b == a ^ 1 for a, b in zip(ids, ids[1:] + ids[:1])):
+                continue  # not cyclically reduced (or not reduced)
+            if any(n % d == 0 and ids == ids[:d] * (n // d) for d in range(1, n)):
+                continue  # a proper power
+            out.append(ids)
+    return sorted(out, key=lambda ids: (len(ids), ids))
 
 
 def _versions(four):

@@ -35,7 +35,7 @@ def _check_laws(p, bottom, left, rng):
     if len(bottom) >= 1:
         cut = rng.randint(1, len(bottom))
         prefix = cw.Word(bottom.letters[:cut], cw.HORIZONTAL)
-        assert cw.develop_top(p, prefix, left).letters == whole.top.letters[:cut]
+        assert cw.fill_rectangle(p, prefix, left).top.letters == whole.top.letters[:cut]
     if len(bottom) >= 2:
         cut = rng.randint(1, len(bottom) - 1)
         u1 = cw.Word(bottom.letters[:cut], cw.HORIZONTAL)
@@ -79,7 +79,7 @@ def test_criterion_2_pigeonhole_overlaps(shipped):
         for n in range(1, 9):
             j, _ = find_periodic_top(shipped, n)
             bottom = shipped.hword.power(n)
-            assert cw.develop_top(p, bottom, shipped.vword.power(j)) == bottom
+            assert cw.fill_rectangle(p, bottom, shipped.vword.power(j)).top == bottom
             g = overlap_gamma(shipped, n)
             assert g.j == j
             assert g.total_len >= n * h

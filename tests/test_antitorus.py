@@ -3,6 +3,7 @@
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cscwalls as cw
 from cscwalls.antitorus import (
@@ -17,7 +18,11 @@ from cscwalls.antitorus import (
 from cscwalls.develop import parse_word
 from cscwalls.errors import BudgetExceeded, UnsupportedComplexError, WordError
 
-from .oracles import pigeonhole_by_memory
+from .oracles import (
+    commuting_powers_by_rectangles,
+    periodic_ids_by_filtering,
+    pigeonhole_by_memory,
+)
 
 
 def query(p, w1, w2):
@@ -48,6 +53,35 @@ class TestCommutingSearch:
                     hits.append((k, j))
         assert hits == []
 
+    def test_matches_search_by_rectangles(self, census22, census13, census31):
+        """Derandomized sweep over the 2+2, 1+3 and 3+1 census complexes,
+        candidate pairs of length <= 2 and bounds <= 8: stacking vertical
+        periods finds the same (k, j) as developing every rectangle from
+        scratch.  The sweep must meet pairs that first commute at k >= 2 and
+        at j >= 2, so neither loop's later iterations go unchecked."""
+        complexes = census22 + census13 + census31
+        candidates = {}
+        results = []
+
+        @given(st.data())
+        @settings(max_examples=300)
+        def check(data):
+            c = data.draw(st.integers(0, len(complexes) - 1), label="complex")
+            p = complexes[c]
+            if c not in candidates:
+                candidates[c] = [periodic_candidates(p, klass, 2) for klass in (cw.HORIZONTAL, cw.VERTICAL)]
+            hwords, vwords = candidates[c]
+            q = AntiTorusQuery(p, data.draw(st.sampled_from(hwords)), data.draw(st.sampled_from(vwords)))
+            k_bound = data.draw(st.integers(1, 8), label="k_bound")
+            j_bound = data.draw(st.integers(1, 8), label="j_bound")
+            found = commuting_powers_search(q, k_bound, j_bound)
+            assert found == commuting_powers_by_rectangles(q, k_bound, j_bound)
+            results.append(found)
+
+        check()
+        assert any(r is not None and r[0] >= 2 for r in results)
+        assert any(r is not None and r[1] >= 2 for r in results)
+
     def test_proper_power_rejected_upstream(self, torus):
         with pytest.raises(WordError):
             query(torus, "a a", "x")
@@ -66,7 +100,7 @@ class TestFindPeriodicTop:
         for n in (1, 2, 3):
             j, first = find_periodic_top(shipped, n)
             bottom = shipped.hword.power(n)
-            assert cw.develop_top(p, bottom, shipped.vword.power(j)) == bottom
+            assert cw.fill_rectangle(p, bottom, shipped.vword.power(j)).top == bottom
             assert 1 <= j <= first
 
     def test_repetition_within_alphabet_power_bound(self, shipped):
@@ -99,7 +133,7 @@ class TestFindPeriodicTop:
         bottom = shipped.hword.power(n)
         tops = [bottom]
         for _ in range(horizon):
-            tops.append(cw.develop_top(p, tops[-1], shipped.vword.period))
+            tops.append(cw.fill_rectangle(p, tops[-1], shipped.vword.period).top)
         repeats = 0
         for i in range(len(tops)):
             for k in range(i + 1, len(tops)):
@@ -134,7 +168,7 @@ class TestOverlap:
         g = overlap_gamma(shipped, 2)
         h = len(shipped.hword)
         k = -(-g.right_len // h) + 1
-        top = cw.develop_top(p, shipped.hword.power(k), shipped.vword.power(g.j))
+        top = cw.fill_rectangle(p, shipped.hword.power(k), shipped.vword.power(g.j)).top
         periodic = shipped.hword.power(k)
         agree = 0
         while agree < k * h and top.letters[agree] == periodic.letters[agree]:
@@ -149,7 +183,7 @@ class TestOverlap:
         left = shipped.vword.power(j)
         found = None
         for k in range(1, 200):
-            if cw.develop_right(p, shipped.hword.power(k), left) == left:
+            if cw.fill_rectangle(p, shipped.hword.power(k), left).right == left:
                 found = k
                 break
         assert found is not None
@@ -192,6 +226,14 @@ class TestScreening:
         words = periodic_candidates(p, cw.HORIZONTAL, 2)
         assert [str(x.period) for x in words] == [str(x.period) for x in periodic_candidates(p, cw.HORIZONTAL, 2)]
         assert all(len(x) <= 2 for x in words)
+
+    def test_candidates_match_brute_force_filter(self, shipped, census13, census31):
+        """Edge counts 1, 2 and 3 in both classes, words up to length 3."""
+        for p in (shipped.complex, census13[0], census31[0]):
+            for klass, pool in ((cw.HORIZONTAL, p.hedges), (cw.VERTICAL, p.vedges)):
+                words = periodic_candidates(p, klass, 3)
+                ids = [tuple(p.germ_id(e) for e in x.period.letters) for x in words]
+                assert ids == periodic_ids_by_filtering(2 * len(pool), 3)
 
     def test_shipped_complex_screens_positive(self, shipped):
         pairs = list(screen_anti_torus(shipped.complex, max_len=1))

@@ -76,7 +76,7 @@ class TestTrivialDevelopments:
         assert r.right == word and len(r.top) == 0
 
     def test_torus_develop_top(self, torus):
-        assert str(cw.develop_top(torus, w(torus, "aaaa"), w(torus, "xxx"))) == "aaaa"
+        assert str(cw.fill_rectangle(torus, w(torus, "aaaa"), w(torus, "xxx")).top) == "aaaa"
 
 
 class TestLaws:
@@ -93,10 +93,10 @@ class TestLaws:
         for _ in range(50):
             bottom = random_reduced_word(p, cw.HORIZONTAL, rng.randint(1, 30), rng)
             left = random_reduced_word(p, cw.VERTICAL, rng.randint(1, 20), rng)
-            full = cw.develop_top(p, bottom, left)
+            full = cw.fill_rectangle(p, bottom, left).top
             for cut in (1, len(bottom) // 2, len(bottom) - 1):
                 prefix = cw.Word(bottom.letters[:cut], cw.HORIZONTAL)
-                assert cw.develop_top(p, prefix, left).letters == full.letters[:cut]
+                assert cw.fill_rectangle(p, prefix, left).top.letters == full.letters[:cut]
 
     def test_horizontal_compositionality(self, shipped, rng):
         p = shipped.complex

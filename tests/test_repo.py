@@ -1,10 +1,15 @@
-"""Repository hygiene: generated files stay out of version control."""
+"""Repository hygiene: generated files stay out of version control, and the
+names the benchmark looks up stay in the package."""
 
+import ast
+import importlib
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
+
+import cscwalls
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,3 +31,32 @@ def test_no_tracked_file_is_gitignored():
     ignored = _git("ls-files", "-ci", "--exclude-standard")
     assert ignored.returncode == 0, ignored.stderr
     assert ignored.stdout.splitlines() == []
+
+
+def _traced():
+    """``TRACED`` from perfbench/spans.py, read without importing the file."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py defines no TRACED")
+
+
+def test_benchmark_entry_points_exist():
+    """perfbench wraps every TRACED name with getattr and prints BACKEND, and
+    tier-1 does not collect perfbench, so a rename would break only the
+    benchmark."""
+    traced = _traced()
+    assert traced
+    for module, names in traced.items():
+        mod = importlib.import_module(f"cscwalls.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"cscwalls.{module}.{name}"
+    assert isinstance(cscwalls.BACKEND, str)
+
+
+def test_public_names_resolve():
+    names = cscwalls.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(cscwalls, name), name
