@@ -9,21 +9,20 @@ its bottom and left sides.
 When no such rectangle exists, widening rectangles develop tops that
 eventually diverge from the horizontal periodic word, and the overlap of
 the corresponding parallel geodesic with the flat is a finite segment.
-``overlap_gamma`` measures that segment: rightward by streaming columns
-until the first mismatch, leftward by running the same stream on the
-mirrored complex.
+``overlap_gamma`` measures that segment by streaming columns until the
+first mismatch: rightward with the horizontal word, leftward with its
+inverse on the same corner tables.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .complexes import HORIZONTAL, VERTICAL
 from .errors import BudgetExceeded, CscwallsError, UnsupportedComplexError, WordError
 from .develop import (
     PeriodicWord,
-    Word,
     _ids_word,
     _word_ids,
     develop_ids,
@@ -76,14 +75,7 @@ class GammaResult:
     y_offset: int
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "j": self.j,
-            "left_len": self.left_len,
-            "right_len": self.right_len,
-            "total_len": self.total_len,
-            "y_offset": self.y_offset,
-        }
+        return asdict(self)
 
 
 def commuting_powers_search(query, k_bound=8, j_bound=8):
@@ -124,8 +116,9 @@ def find_periodic_top(query, n, i_max=DEFAULT_I_MAX):
     corner pair, so stacking one vertical period is a bijection on the finite
     set of words of length n*|w1|; the orbit of the bottom is purely periodic
     and the first repeated top is the bottom itself.  i_max caps the number
-    of stacked periods.  The translation property of the tall rectangle is
-    checked, not assumed.
+    of stacked periods.  Development is unique, so the tall rectangle of
+    height j periods has the same top as the stack and is not developed
+    again.
     """
     tables = query.complex.tables
     v_ids = _word_ids(query.complex, query.vword.period)
@@ -134,11 +127,6 @@ def find_periodic_top(query, n, i_max=DEFAULT_I_MAX):
     for j in range(1, i_max + 1):
         top, _ = develop_ids(tables, top, v_ids)
         if top == bottom:
-            check, _ = develop_ids(tables, bottom, v_ids * j)
-            if check != bottom:
-                raise CscwallsError(
-                    "translation property failed: repeated top does not reproduce the bottom"
-                )
             return j, j
     raise BudgetExceeded(f"no repeated top within {i_max} developed words")
 
@@ -147,34 +135,28 @@ def overlap_at_height(query, j, k_max=DEFAULT_K_MAX):
     """Agreement lengths (west, east) between the horizontal periodic line and
     the flat's label line at height j vertical periods.
 
-    Eastward: stream columns of the rectangle of height j periods, bottom
-    extended by the horizontal period, until the developed top first diverges
-    from the periodic word.  Westward: the identical stream on the mirrored
-    complex with the inverted horizontal word, so measuring the mirrored query
-    at the same height swaps the two lengths exactly.  Raises BudgetExceeded
-    with a periodic-flat diagnostic when either direction fails to diverge
-    within k_max periods.
+    Each direction streams columns of the rectangle of height j periods,
+    bottom extended by a horizontal period, until the developed top first
+    diverges from the periodic word: eastward with the horizontal word,
+    westward with its inverse.  Reading a square from its SE corner is one of
+    the four readings the corner tables store, so the mirror image of the
+    flat develops on the same tables and no mirrored complex is built.  East
+    runs first.  Raises BudgetExceeded with a periodic-flat diagnostic when
+    either direction fails to diverge within k_max periods.
     """
     p = query.complex
     side = _word_ids(p, query.vword.period) * j
     max_cols = k_max * len(query.hword)
-
-    right_len = stream_mismatch_ids(p.tables, _word_ids(p, query.hword.period), side, max_cols)
-    if right_len < 0:
-        raise BudgetExceeded(
-            f"no divergence east of the basepoint within {k_max} periods",
-            diagnostic=PERIODIC_FLAT_DIAGNOSTIC,
-        )
-
-    mirrored = p.mirrored
-    m_period = _word_ids(mirrored, query.hword.inverse().period)
-    left_len = stream_mismatch_ids(mirrored.tables, m_period, side, max_cols)
-    if left_len < 0:
-        raise BudgetExceeded(
-            f"no divergence west of the basepoint within {k_max} periods",
-            diagnostic=PERIODIC_FLAT_DIAGNOSTIC,
-        )
-    return left_len, right_len
+    lengths = {}
+    for direction, hword in (("east", query.hword), ("west", query.hword.inverse())):
+        cols = stream_mismatch_ids(p.tables, _word_ids(p, hword.period), side, max_cols)
+        if cols < 0:
+            raise BudgetExceeded(
+                f"no divergence {direction} of the basepoint within {k_max} periods",
+                diagnostic=PERIODIC_FLAT_DIAGNOSTIC,
+            )
+        lengths[direction] = cols
+    return lengths["west"], lengths["east"]
 
 
 def overlap_gamma(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):

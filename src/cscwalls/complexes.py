@@ -264,7 +264,14 @@ class SquareComplexPresentation:
 
     @cached_property
     def mirrored(self):
-        """The west-east mirror image (every square reflected)."""
+        """The west-east mirror image (every square reflected).
+
+        Its top and right corner tables equal this complex's: the SW reading
+        of a reflected square is the SE reading of the original, and the
+        tables already store all four readings, so development westward
+        needs no second presentation.  It is kept as an independent
+        construction against which that identity is tested.
+        """
         return SquareComplexPresentation(
             vertices=self.vertices,
             hedges=self.hedges,

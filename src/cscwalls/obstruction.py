@@ -16,7 +16,7 @@ bound on membership multiplicity at a vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .antitorus import DEFAULT_I_MAX, DEFAULT_K_MAX, commuting_powers_search, overlap_gamma
 from .errors import BudgetExceeded, CommutingPowersFound
@@ -32,12 +32,7 @@ class ProjectionResult:
     contains_basepoint: bool
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "diam": self.diam,
-            "contains_basepoint": self.contains_basepoint,
-            "gamma": self.gamma.to_dict(),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -75,12 +70,7 @@ class WellSeparationResult:
     facing_triple_free: bool
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "L": self.L,
-            "crossing_set_size": self.crossing_set_size,
-            "facing_triple_free": self.facing_triple_free,
-        }
+        return asdict(self)
 
 
 def projection_diameter(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
@@ -115,19 +105,15 @@ def obstruction_table(
     if found is not None:
         raise CommutingPowersFound(*found)
 
-    def one(n):
+    rows, failures = [], []
+    for n in range(1, n_max + 1):
         try:
-            return projection_diameter(query, n, k_max=k_max, i_max=i_max), None
+            rows.append(projection_diameter(query, n, k_max=k_max, i_max=i_max))
         except BudgetExceeded as exc:
-            return None, (n, str(exc))
-
-    outcomes = [one(n) for n in range(1, n_max + 1)]
-
-    rows = tuple(row for row, _ in outcomes if row is not None)
-    failures = tuple(fail for _, fail in outcomes if fail is not None)
+            failures.append((n, str(exc)))
     return ObstructionTable(
-        rows=rows,
-        failures=failures,
+        rows=tuple(rows),
+        failures=tuple(failures),
         bounds_used={
             "k_bound": k_bound,
             "j_bound": j_bound,

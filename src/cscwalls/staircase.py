@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -70,12 +70,7 @@ class StairParams:
         return -(-self.overlap_len // self.shift) + 1
 
     def to_dict(self):
-        return {
-            "overlap_len": self.overlap_len,
-            "shift": self.shift,
-            "steps": self.steps,
-            "margin": self.margin,
-        }
+        return asdict(self)
 
 
 # Vertices are (x, y, tag): tag 0 on the main sheet, tag 1 on a strip bottom

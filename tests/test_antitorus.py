@@ -116,7 +116,9 @@ class TestFindPeriodicTop:
     def test_first_repeat_is_the_bottom(self, census22):
         """Against the remembering pigeonhole on the first 8 screened pairs of
         every 2+2 census entry, n in {1, 2, 3, 5}: stacking one vertical
-        period is a bijection, so the first repeated top is the bottom."""
+        period is a bijection, so the first repeated top is the bottom, and
+        the rectangle of height j periods developed in one piece has that
+        top too (the translation property)."""
         queries = [q for p in census22 for _, _, q in islice(screen_anti_torus(p), 8)]
         assert len(queries) == 24
         for q in queries:
@@ -124,6 +126,8 @@ class TestFindPeriodicTop:
                 j, first = find_periodic_top(q, n)
                 assert (j, first) == pigeonhole_by_memory(q, n)
                 assert first == j
+                bottom = q.hword.power(n)
+                assert cw.fill_rectangle(q.complex, bottom, q.vword.power(j)).top == bottom
 
     def test_translation_property_over_all_repeats(self, shipped):
         """Scan the developed-top sequence and check every observed repeat:

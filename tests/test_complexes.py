@@ -120,9 +120,12 @@ class TestValidate:
 
 
 class TestCornerTableProperties:
-    def test_lookup_total_and_consistent(self, shipped, census22):
+    def test_lookup_total_and_consistent(
+        self, shipped, torus, klein, two_vertex, census22, census13, census31
+    ):
         """Every germ pair resolves to a square actually having that pair at
-        the resolved corner type."""
+        the resolved corner type, and the mirrored complex has the same top
+        and right tables, which the westward overlap stream relies on."""
         for p in (shipped.complex,) + census22[:5]:
             t = p.tables
             for h in range(t.nh):
@@ -136,6 +139,9 @@ class TestCornerTableProperties:
                     assert p.germ_id(version.left) == v
                     assert p.germ_id(version.top) == t.top[h][v]
                     assert p.germ_id(version.right) == t.right[h][v]
+        for p in (shipped.complex, torus, klein, two_vertex) + census22 + census13 + census31:
+            assert p.mirrored.tables.top == p.tables.top
+            assert p.mirrored.tables.right == p.tables.right
 
     def test_corner_count_identity(self, torus, shipped, census22):
         for p in (torus, shipped.complex) + census22[:5]:

@@ -1,5 +1,6 @@
 """Projection-diameter tables and well-separation numbers."""
 
+import hashlib
 import json
 
 import pytest
@@ -122,3 +123,45 @@ class TestWellSeparation:
         )
         r = well_separation(q, 1)
         assert r.L == 1 and r.crossing_set_size == 1 and r.facing_triple_free
+
+
+#: SHA-256 of the sorted-key JSON of each overlap artifact, frozen from the
+#: implementation that streamed westward on the mirrored complex and
+#: re-developed the pigeonhole rectangle in one piece.
+PINNED_OVERLAP_DIGESTS = {
+    "obstruction_table(shipped, 40)": "1e74ab4b8e60d4e144d2dfc39f36071140699ad5699a2da5c7a2b96c58e35977",
+    "overlap_gamma(shipped, 300)": "10c0891c61bffe28fdbcd22ff4a89d09a75e3ed90b00210ab117191063e558c7",
+    "well_separation(shipped, 40)": "64daf438f69abc5636a02120976b992b085a8908c1b7e32d5ef557bc55580e2f",
+    "overlap_gamma(census22[69], 1)": "5f36e3bd213f57d861c10a6ced85976735128a9d4c06d361d6ec750d0b29cd53",
+    "overlap_gamma(census22[69], 2)": "c72a3b652d0df03e39431d6751238c44b79570ca4630ea4a67bf25099dc821ae",
+    "overlap_gamma(census22[69], 3)": "7d642470d626a1f57fbd7d86d793b9ad7824aa2bf8f02350061d9ea1f348e262",
+    "overlap_gamma(census22[69], 4)": "b6a04f80397c45e95064e26eaf75c04bc5281e22df6e2ea91b3b9fa53451f02f",
+    "overlap_gamma(census22[69], 5)": "768b167ca23d2071054e7adcf72e1ea12c177b80e4af4d83a9fa8c14d5837629",
+}
+
+
+def test_pinned_artifact_digests(shipped, census22, torus_query):
+    """The census pair b / x -y overlaps one edge further west than east, so
+    swapping the two directions changes its digests; the torus, which never
+    diverges, reports the direction measured first."""
+    p = census22[69]
+    asym = AntiTorusQuery(
+        p, cw.PeriodicWord(cw.parse_word(p, "b")), cw.PeriodicWord(cw.parse_word(p, "x -y"))
+    )
+    artifacts = {
+        "obstruction_table(shipped, 40)": obstruction_table(shipped, 40),
+        "overlap_gamma(shipped, 300)": overlap_gamma(shipped, 300),
+        "well_separation(shipped, 40)": well_separation(shipped, 40),
+    }
+    for n in range(1, 6):
+        g = overlap_gamma(asym, n)
+        assert g.left_len == g.right_len + 1
+        artifacts[f"overlap_gamma(census22[69], {n})"] = g
+    digests = {
+        name: hashlib.sha256(json.dumps(x.to_dict(), sort_keys=True).encode()).hexdigest()
+        for name, x in artifacts.items()
+    }
+    assert digests == PINNED_OVERLAP_DIGESTS
+    with pytest.raises(BudgetExceeded) as info:
+        overlap_gamma(torus_query, 1, k_max=50)
+    assert "east" in str(info.value)

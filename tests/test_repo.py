@@ -5,6 +5,7 @@ import ast
 import importlib
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,20 @@ def test_public_names_resolve():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(cscwalls, name), name
+
+
+def test_setup_probe_prints_one_float():
+    """perfbench/setup_probe.py also builds the mirrored complexes' corner
+    tables, which no code in the package reads; tier-1 does not collect
+    perfbench, so dropping a name the probe uses would otherwise break only
+    the benchmark's setup_s."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/setup_probe.py", "src"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 1
+    float(lines[0])
