@@ -9,9 +9,17 @@ its bottom and left sides.
 When no such rectangle exists, widening rectangles develop tops that
 eventually diverge from the horizontal periodic word, and the overlap of
 the corresponding parallel geodesic with the flat is a finite segment.
-``overlap_gamma`` measures that segment by streaming columns until the
-first mismatch: rightward with the horizontal word, leftward with its
-inverse on the same corner tables.
+``overlap_gamma`` measures that segment from two orbit sweeps
+(``develop.orbit_lengths``): for every prefix length N of the horizontal
+periodic word, the least number j(N) of stacked vertical periods that
+returns that prefix.  The height for exponent n is j(n*|w1|), and the
+overlap runs east as far as j(N) divides that height; the west end comes
+from the same sweep of the inverse word on the same corner tables.
+
+``find_periodic_top`` (stack periods on h^n until the top comes back) and
+``overlap_at_height`` (stream columns at a fixed height until the first
+mismatch) compute the same quantities one exponent at a time; they are kept
+as in-package references for the tests.
 """
 
 from __future__ import annotations
@@ -20,19 +28,21 @@ import itertools
 from dataclasses import asdict, dataclass
 
 from .complexes import HORIZONTAL, VERTICAL
-from .errors import BudgetExceeded, CscwallsError, UnsupportedComplexError, WordError
+from .errors import BudgetExceeded, UnsupportedComplexError, WordError
 from .develop import (
     PeriodicWord,
     _ids_word,
     _word_ids,
     develop_ids,
+    orbit_lengths,
     stream_mismatch_ids,
 )
 
-#: Default budget for the pigeonhole search (developed words).
+#: Default cap on the height j, the orbit length of h^n (in vertical periods).
 DEFAULT_I_MAX = 10**6
 
-#: Default budget for the divergence scan (periods of the horizontal word).
+#: Default cap on the columns of each orbit sweep (in periods of the
+#: horizontal word).
 DEFAULT_K_MAX = 10**4
 
 PERIODIC_FLAT_DIAGNOSTIC = "periodic flat suspected: the pair may not span an aperiodic flat"
@@ -159,26 +169,95 @@ def overlap_at_height(query, j, k_max=DEFAULT_K_MAX):
     return lengths["west"], lengths["east"]
 
 
+class _Sweep:
+    """j(0) = 1, j(1), j(2), ... of one orbit sweep (develop.orbit_lengths),
+    developed on demand and kept.
+
+    Lengths only grow, so the sweep stops at the first one above max_j and
+    gives that one for every later column too.
+    """
+
+    def __init__(self, tables, period_ids, side_ids, max_j, max_cols):
+        self._lengths = orbit_lengths(tables, period_ids, side_ids)
+        self._js = [1]
+        self._max_j, self._max_cols = max_j, max_cols
+        self._agreement = {}
+
+    def __getitem__(self, cols):
+        js = self._js
+        while len(js) <= cols and js[-1] <= self._max_j:
+            js.append(next(self._lengths))
+        return js[min(cols, len(js) - 1)]
+
+    def agreement(self, j):
+        """Leading columns of the periodic word that j stacked periods return:
+        the largest N with j(N) dividing j, or None when N reaches max_cols."""
+        if j not in self._agreement:
+            cols = 0
+            while cols < self._max_cols and j % self[cols + 1] == 0:
+                cols += 1
+            self._agreement[j] = cols if cols < self._max_cols else None
+        return self._agreement[j]
+
+
+class OverlapSweep:
+    """Overlaps of one query at any exponents, from one orbit sweep per
+    direction, each developed only as far as the exponents asked need.
+
+    i_max caps the height j; k_max caps the columns of each sweep, in periods
+    of the horizontal word.  Both overlap ends depend on the height only, so
+    they are measured once per height.
+    """
+
+    def __init__(self, query, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
+        p = query.complex
+        v_ids = _word_ids(p, query.vword.period)
+        max_cols = k_max * len(query.hword)
+        self.query, self.k_max, self.i_max = query, k_max, i_max
+        self.east, self.west = (
+            _Sweep(p.tables, _word_ids(p, hword.period), v_ids, i_max, max_cols)
+            for hword in (query.hword, query.hword.inverse())
+        )
+
+    def _end(self, direction, sweep, j):
+        cols = sweep.agreement(j)
+        if cols is None:
+            raise BudgetExceeded(
+                f"no divergence {direction} of the basepoint within {self.k_max} periods",
+                diagnostic=PERIODIC_FLAT_DIAGNOSTIC,
+            )
+        return cols
+
+    def gamma(self, n):
+        """The GammaResult at exponent n.  Raises BudgetExceeded when j
+        exceeds i_max, else when the overlap reaches k_max periods east, else
+        west.  A negative n is the exponent of the inverse word, as in
+        PeriodicWord.power."""
+        j = (self.east if n >= 0 else self.west)[abs(n) * len(self.query.hword)]
+        if j > self.i_max:
+            raise BudgetExceeded(f"no repeated top within {self.i_max} developed words")
+        right_len = self._end("east", self.east, j)
+        left_len = self._end("west", self.west, j)
+        return GammaResult(
+            n=n,
+            j=j,
+            left_len=left_len,
+            right_len=right_len,
+            total_len=left_len + right_len,
+            y_offset=j * len(self.query.vword),
+        )
+
+
 def overlap_gamma(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
     """The finite overlap of the height-j parallel geodesic with the flat.
 
-    The height is chosen by the eastward pigeonhole (find_periodic_top), which
-    guarantees the east agreement covers at least n horizontal periods, hence
-    the basepoint column lies on the overlap.  Both directions are then
-    measured with overlap_at_height.
+    The height j = j(n*|w1|) is the least number of stacked vertical periods
+    that returns h^n, so the overlap covers at least n horizontal periods
+    east of the basepoint, which therefore lies on it.  The overlap runs east
+    for the largest N with j(N) dividing j, and west likewise on the inverse
+    word's sweep (see OverlapSweep for the budgets).
     """
-    j, _ = find_periodic_top(query, n, i_max=i_max)
-    left_len, right_len = overlap_at_height(query, j, k_max=k_max)
-    if right_len < n * len(query.hword):
-        raise CscwallsError("overlap shorter than the pigeonhole guarantee; development bug")
-    return GammaResult(
-        n=n,
-        j=j,
-        left_len=left_len,
-        right_len=right_len,
-        total_len=left_len + right_len,
-        y_offset=j * len(query.vword),
-    )
+    return OverlapSweep(query, k_max=k_max, i_max=i_max).gamma(n)
 
 
 # ---------------------------------------------------------------------------

@@ -305,8 +305,12 @@ def _add_common(sub, out=True):
 
 
 def _add_budgets(sub):
-    sub.add_argument("--kmax", type=int, default=DEFAULT_K_MAX, help="divergence scan budget, in periods")
-    sub.add_argument("--imax", type=int, default=DEFAULT_I_MAX, help="pigeonhole budget, in developed words")
+    sub.add_argument(
+        "--kmax", type=int, default=DEFAULT_K_MAX, help="cap on the columns of each orbit sweep, in periods of w1"
+    )
+    sub.add_argument(
+        "--imax", type=int, default=DEFAULT_I_MAX, help="cap on j, the orbit length of w1^n, in periods of w2"
+    )
 
 
 def build_parser():

@@ -8,12 +8,14 @@ never revised, so tops of widening rectangles are prefix-stable.
 
 Every search develops through one loop, ``_develop``, over integer germ ids:
 ``develop_ids`` runs it once on a copy of the left word, and
-``stream_mismatch_ids`` runs it one column at a time.  The only other loop is
-``_fill_cells``, which also records every cell for inspection.
+``stream_mismatch_ids`` and ``orbit_lengths`` run it one column at a time.
+The only other loop is ``_fill_cells``, which also records every cell for
+inspection.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .complexes import HORIZONTAL, VERTICAL, OrientedEdge
@@ -188,6 +190,37 @@ def stream_mismatch_ids(tables, period_ids, side_ids, max_cols):
         if _develop(tables, (b,), side)[0] != b:
             return col
     return -1
+
+
+def orbit_lengths(tables, period_ids, side_ids):
+    """Yield j(1), j(2), ...: j(N) is the orbit length of the length-N prefix
+    of the periodic bottom word (period_ids repeated) under stacking one copy
+    of side_ids, the least j whose rectangle of height j copies has that
+    prefix as its top.
+
+    In a CSC stacking is a bijection on the words of each length, and
+    development is prefix-stable, so the heights that return the length-N
+    prefix are exactly the multiples of j(N).  The sweep keeps R, the right
+    word of the rectangle of height j(N) over the prefix (side_ids for the
+    empty prefix).  That rectangle returns its bottom, so stacking it again
+    and again develops the next column over R block by block: the column's
+    bottom letter comes back after some t blocks, j(N+1) = t*j(N), and the t
+    right words laid end to end are the next R.  Each block is one
+    develop_ids call of len(R) cells.
+    """
+    plen = len(period_ids)
+    right, j = side_ids, 1
+    for col in itertools.count():
+        b = top = period_ids[col % plen]
+        next_right, t = [], 0
+        while True:
+            (top,), block = develop_ids(tables, (top,), right)
+            next_right += block
+            t += 1
+            if top == b:
+                break
+        right, j = next_right, j * t
+        yield j
 
 
 def _word_ids(presentation, word):

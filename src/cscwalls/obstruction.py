@@ -18,7 +18,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .antitorus import DEFAULT_I_MAX, DEFAULT_K_MAX, commuting_powers_search, overlap_gamma
+from .antitorus import (
+    DEFAULT_I_MAX,
+    DEFAULT_K_MAX,
+    OverlapSweep,
+    commuting_powers_search,
+    overlap_gamma,
+)
 from .errors import BudgetExceeded, CommutingPowersFound
 
 
@@ -73,17 +79,19 @@ class WellSeparationResult:
         return asdict(self)
 
 
+def _projection(gamma):
+    return ProjectionResult(n=gamma.n, gamma=gamma, diam=gamma.total_len, contains_basepoint=True)
+
+
 def projection_diameter(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
     """Diameter of the projection of the height-j geodesic onto the axis.
 
     Equals the overlap length: the projection maps the overlap isometrically
     and everything beyond it to the overlap's endpoints, which add nothing to
-    the diameter.  Contains the basepoint by construction: overlap_gamma has
-    already raised unless right_len >= n*|w1|, and left_len is a stream
-    length, never negative.
+    the diameter.  Contains the basepoint by construction: j stacked periods
+    return h^n, so right_len >= n*|w1|, and left_len is never negative.
     """
-    gamma = overlap_gamma(query, n, k_max=k_max, i_max=i_max)
-    return ProjectionResult(n=n, gamma=gamma, diam=gamma.total_len, contains_basepoint=True)
+    return _projection(overlap_gamma(query, n, k_max=k_max, i_max=i_max))
 
 
 def obstruction_table(
@@ -98,17 +106,20 @@ def obstruction_table(
 
     First certifies the aperiodicity hypothesis up to (k_bound, j_bound) and
     raises CommutingPowersFound when the screen fails, since a periodic flat
-    admits no obstruction.  Rows that exceed their budgets are recorded as
-    failures instead of aborting the table.  Rows are computed in order of n.
+    admits no obstruction.  Every row reads the same two orbit sweeps (one
+    OverlapSweep), developed once as far as row n_max needs; each row equals
+    projection_diameter at its n.  Rows that exceed their budgets are
+    recorded as failures, with the same text, instead of aborting the table.
     """
     found = commuting_powers_search(query, k_bound, j_bound)
     if found is not None:
         raise CommutingPowersFound(*found)
 
+    sweep = OverlapSweep(query, k_max=k_max, i_max=i_max)
     rows, failures = [], []
     for n in range(1, n_max + 1):
         try:
-            rows.append(projection_diameter(query, n, k_max=k_max, i_max=i_max))
+            rows.append(_projection(sweep.gamma(n)))
         except BudgetExceeded as exc:
             failures.append((n, str(exc)))
     return ObstructionTable(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 
 import cscwalls as cw
-from cscwalls.antitorus import AntiTorusQuery
+from cscwalls.antitorus import AntiTorusQuery, screen_anti_torus
 
 # No per-example deadline (a loaded host slows examples unevenly) and the same
 # examples on every run.
@@ -61,6 +61,15 @@ def census13():
 @pytest.fixture(scope="session")
 def census31():
     return tuple(cw.enumerate_csc(3, 1))
+
+
+@pytest.fixture(scope="session")
+def screened_pairs(census22, census13, census31):
+    """Every screened pair with words of length <= 2 over the 2+2, 1+3 and
+    3+1 census complexes (336 queries)."""
+    return tuple(
+        q for p in census22 + census13 + census31 for _, _, q in screen_anti_torus(p, max_len=2)
+    )
 
 
 @pytest.fixture(scope="session")

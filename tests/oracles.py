@@ -1,7 +1,9 @@
 """Independent reference implementations used to cross-check the engine.
 
 Everything here is deliberately written against the production code paths:
-row-major development (the engine is column-major), a commuting-powers search
+row-major development (the engine is column-major), overlaps measured one
+exponent at a time by the pigeonhole and two divergence streams (the engine
+reads them off one orbit sweep per direction), a commuting-powers search
 that develops every rectangle from scratch instead of stacking vertical
 periods, candidate words filtered from every germ-id tuple, a census oracle
 that filters raw 4-tuples instead of running the exact-cover search, staircase
@@ -15,6 +17,7 @@ from collections import deque
 from types import SimpleNamespace
 from typing import NamedTuple
 
+from cscwalls.antitorus import GammaResult, find_periodic_top, overlap_at_height
 from cscwalls.complexes import HORIZONTAL, VERTICAL
 from cscwalls.develop import Word
 
@@ -167,6 +170,22 @@ def pigeonhole_by_memory(query, n, i_max=10**6):
             return m - seen[top.letters], m
         seen[top.letters] = m
     raise AssertionError(f"no repeated top within {i_max} developed words")
+
+
+def overlap_gamma_by_streams(query, n, k_max=10**4, i_max=10**6):
+    """Reference overlap at exponent n: stack vertical periods on h^n until
+    the top comes back (find_periodic_top), then stream columns east and west
+    at that height until the first mismatch (overlap_at_height)."""
+    j, _ = find_periodic_top(query, n, i_max=i_max)
+    left_len, right_len = overlap_at_height(query, j, k_max=k_max)
+    return GammaResult(
+        n=n,
+        j=j,
+        left_len=left_len,
+        right_len=right_len,
+        total_len=left_len + right_len,
+        y_offset=j * len(query.vword),
+    )
 
 
 def periodic_agreement(presentation, period, left_word, width):

@@ -1,5 +1,6 @@
 """Commuting-power screening, the pigeonhole, and overlap measurement."""
 
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 import cscwalls as cw
 from cscwalls.antitorus import (
     AntiTorusQuery,
+    GammaResult,
+    OverlapSweep,
     commuting_powers_search,
     find_periodic_top,
     overlap_at_height,
@@ -20,6 +23,8 @@ from cscwalls.errors import BudgetExceeded, UnsupportedComplexError, WordError
 
 from .oracles import (
     commuting_powers_by_rectangles,
+    overlap_gamma_by_streams,
+    periodic_agreement,
     periodic_ids_by_filtering,
     pigeonhole_by_memory,
 )
@@ -192,23 +197,33 @@ class TestOverlap:
                 break
         assert found is not None
 
-    def test_mirror_swaps_at_fixed_height(self, census22):
-        """Measuring the mirrored query at the same height swaps the lengths
-        exactly; checked on an asymmetric instance."""
+    def test_ends_at_fixed_height_match_row_major(self, census22):
+        """At heights j = 1..7 the streams and the orbit sweeps measure the
+        ends that row-major development finds: east with the horizontal
+        word, west with its inverse on the mirrored complex.  The pair's west
+        end lies further out than its east end at some of these heights, so
+        a swap of the two directions fails."""
         p = census22[69]
         q = query(p, "b", "x -y")
-        qm = AntiTorusQuery(p.mirrored, q.hword.inverse(), q.vword)
+        sweep = OverlapSweep(q)
+        asymmetric = 0
         for j in range(1, 8):
             left, right = overlap_at_height(q, j)
-            m_left, m_right = overlap_at_height(qm, j)
-            assert (m_left, m_right) == (right, left)
+            side = q.vword.power(j)
+            assert periodic_agreement(p, q.hword.period, side, right + 1) == right
+            assert periodic_agreement(p.mirrored, q.hword.inverse().period, side, left + 1) == left
+            assert (sweep.west.agreement(j), sweep.east.agreement(j)) == (left, right)
+            asymmetric += left != right
+        assert asymmetric
 
-    def test_mirror_swaps_gamma_when_height_is_mirror_invariant(self, shipped):
+    def test_gamma_ends_match_row_major(self, shipped):
+        p = shipped.complex
         g = overlap_gamma(shipped, 2)
-        qm = AntiTorusQuery(shipped.complex.mirrored, shipped.hword.inverse(), shipped.vword)
-        gm = overlap_gamma(qm, 2)
-        assert gm.j == g.j  # this pair's pigeonhole height is mirror-invariant
-        assert (gm.left_len, gm.right_len) == (g.right_len, g.left_len)
+        assert g.j == pigeonhole_by_memory(shipped, 2)[0]
+        side = shipped.vword.power(g.j)
+        assert periodic_agreement(p, shipped.hword.period, side, g.right_len + 1) == g.right_len
+        west = periodic_agreement(p.mirrored, shipped.hword.inverse().period, side, g.left_len + 1)
+        assert west == g.left_len
 
     def test_detectors_are_exclusive(self, census22, torus_query, klein):
         """commuting-powers-found and finite-overlap-found never co-fire."""
@@ -222,6 +237,78 @@ class TestOverlap:
             except BudgetExceeded:
                 finite = False
             assert not (commuting is not None and finite), (commuting, q)
+
+
+#: Height cap of the oracle sweeps.  Screened pairs with words of length <= 2
+#: exceed it by n = 6 only on a few rows, which must then fail alike on both
+#: sides; it keeps the one-exponent-at-a-time references affordable.
+ORACLE_I_MAX = 5000
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of fn, or the type and text of the BudgetExceeded it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except BudgetExceeded as exc:
+        return type(exc), str(exc)
+
+
+class TestOverlapSweep:
+    def test_matches_stream_and_memory_oracles(self, screened_pairs):
+        """Derandomized sweep over screened 2+2, 1+3 and 3+1 pairs with words
+        of length <= 2 and n <= 6: overlap_gamma equals the pigeonhole plus
+        two divergence streams, and the remembering row-major pigeonhole plus
+        row-major agreement east and west; the overlap reaches n periods east."""
+        seen = Counter()
+
+        @given(st.data())
+        @settings(max_examples=150)
+        def check(data):
+            q = screened_pairs[data.draw(st.integers(0, len(screened_pairs) - 1), label="pair")]
+            n = data.draw(st.integers(1, 6), label="n")
+            got = outcome(overlap_gamma, q, n, i_max=ORACLE_I_MAX)
+            assert got == outcome(overlap_gamma_by_streams, q, n, i_max=ORACLE_I_MAX)
+            if not isinstance(got, GammaResult):
+                seen["over i_max"] += 1
+                return
+            assert got.right_len >= n * len(q.hword)
+            j, _ = pigeonhole_by_memory(q, n, i_max=ORACLE_I_MAX)
+            side = q.vword.power(j)
+            east = periodic_agreement(q.complex, q.hword.period, side, got.right_len + 1)
+            west = periodic_agreement(
+                q.complex.mirrored, q.hword.inverse().period, side, got.left_len + 1
+            )
+            assert (j, west, east) == (got.j, got.left_len, got.right_len)
+            seen["unequal ends" if west != east else "equal ends"] += 1
+
+        check()
+        assert set(seen) == {"over i_max", "unequal ends", "equal ends"}, seen
+
+    def test_budget_failures_match_streams(self, screened_pairs):
+        """With small budgets the same exception type and text as the
+        references, in the same precedence: i_max, then east, then west.
+        Exponents from -6 to 6: n <= 0 takes its height from the inverse
+        word, as h.power(n) does in the reference."""
+        seen = Counter()
+
+        @given(st.data())
+        @settings(max_examples=200)
+        def check(data):
+            q = screened_pairs[data.draw(st.integers(0, len(screened_pairs) - 1), label="pair")]
+            n = data.draw(st.integers(-6, 6), label="n")
+            k_max = data.draw(st.integers(1, 12), label="k_max")
+            i_max = data.draw(st.integers(1, 300), label="i_max")
+            got = outcome(overlap_gamma, q, n, k_max=k_max, i_max=i_max)
+            assert got == outcome(overlap_gamma_by_streams, q, n, k_max=k_max, i_max=i_max)
+            seen["ok" if isinstance(got, GammaResult) else got[1].split(" within")[0]] += 1
+
+        check()
+        assert set(seen) == {
+            "ok",
+            "no repeated top",
+            "no divergence east of the basepoint",
+            "no divergence west of the basepoint",
+        }, seen
 
 
 class TestScreening:

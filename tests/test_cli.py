@@ -205,3 +205,28 @@ class TestManifest:
         assert code == 0
         manifest = json.loads(mpath.read_text())
         assert manifest["digest"] == json.loads(out)["manifest_digest"]
+
+
+#: The overlap workload's jobs in perfbench/run.py at the ends of its input
+#: ranges; tier-1 does not collect perfbench, so its invariants are kept here.
+BENCHMARK_OVERLAP_JOBS = (
+    ("obstruct", "--nmax", "32"),
+    ("gamma", "--n", "244"),
+    ("gamma", "--n", "729"),
+    ("wellsep", "--n", "82"),
+    ("wellsep", "--n", "243"),
+)
+
+
+@pytest.mark.parametrize("job", BENCHMARK_OVERLAP_JOBS, ids=" ".join)
+def test_benchmark_overlap_job(capsys, aperiodic_path, job):
+    command, flag, value = job
+    code, out, err = run(capsys, command, "--complex", aperiodic_path, "--w1", "a", "--w2", "x", flag, value)
+    assert code == 0, err
+    a = json.loads(out)
+    if command == "obstruct":
+        assert len(a["rows"]) == 32 and a["failures"] == []
+    elif command == "gamma":
+        assert (a["j"], a["total_len"]) == (2916, 1458) and a["right_len"] >= int(value)
+    else:
+        assert a["L"] == 486 and a["facing_triple_free"] is True

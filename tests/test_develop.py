@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cscwalls as cw
-from cscwalls.develop import BACKEND, parse_word, stream_mismatch_ids
+from cscwalls.develop import BACKEND, orbit_lengths, parse_word, stream_mismatch_ids
 from cscwalls.errors import DevelopmentError, WordError
 
 from .conftest import random_reduced_word
@@ -151,6 +151,28 @@ class TestOracle:
             r = cw.fill_rectangle(p, bottom, left)
             top, right = develop_row_major(p, bottom, left)
             assert r.top.letters == tuple(top) and r.right.letters == tuple(right)
+
+
+    def test_orbit_lengths_are_stacking_orbits(self, screened_pairs):
+        """For every prefix length N up to three periods of the horizontal
+        word, including prefixes that end inside a two-letter period, j(N) is
+        the number of row-major stacks of one vertical period that bring the
+        length-N prefix back."""
+        queries = screened_pairs[::7]
+        assert any(len(q.hword) == 2 for q in queries)
+        for q in queries:
+            p = q.complex
+            h = q.hword.period.letters
+            lengths = orbit_lengths(
+                p.tables, [p.germ_id(e) for e in h], [p.germ_id(e) for e in q.vword.period.letters]
+            )
+            for N, j in zip(range(1, 3 * len(h) + 1), lengths):
+                prefix = tuple(h[i % len(h)] for i in range(N))
+                top, stacks = prefix, 0
+                while stacks == 0 or top != prefix:
+                    top = tuple(develop_row_major(p, cw.Word(top, cw.HORIZONTAL), q.vword.period)[0])
+                    stacks += 1
+                assert j == stacks, (q.hword.period, q.vword.period, N)
 
 
 class TestCells:

@@ -6,11 +6,13 @@ import json
 import pytest
 
 import cscwalls as cw
-from cscwalls.antitorus import AntiTorusQuery, overlap_at_height, overlap_gamma, screen_anti_torus
+from hypothesis import given, settings, strategies as st
+
+from cscwalls.antitorus import AntiTorusQuery, overlap_gamma, screen_anti_torus
 from cscwalls.errors import BudgetExceeded, CommutingPowersFound
 from cscwalls.obstruction import obstruction_table, projection_diameter, well_separation
 
-from .oracles import periodic_agreement
+from .oracles import overlap_gamma_by_streams, periodic_agreement
 
 
 class TestProjectionDiameter:
@@ -20,14 +22,18 @@ class TestProjectionDiameter:
         assert r.diam >= len(shipped.hword)
         assert r.diam == r.gamma.total_len
 
-    def test_mirrored_recomputation(self, shipped):
-        """Recompute the two sides via the mirrored query at the same height
-        and check the diameter matches."""
+    def test_row_major_recomputation(self, shipped):
+        """Recompute both ends by row-major development at the same height,
+        east with the horizontal word and west with its inverse on the
+        mirrored complex, and check the diameter matches."""
         r = projection_diameter(shipped, 2)
-        qm = AntiTorusQuery(shipped.complex.mirrored, shipped.hword.inverse(), shipped.vword)
-        m_left, m_right = overlap_at_height(qm, r.gamma.j)
-        assert m_left + m_right == r.diam
-        assert (m_left, m_right) == (r.gamma.right_len, r.gamma.left_len)
+        p, side = shipped.complex, shipped.vword.power(r.gamma.j)
+        east = periodic_agreement(p, shipped.hword.period, side, r.gamma.right_len + 1)
+        west = periodic_agreement(
+            p.mirrored, shipped.hword.inverse().period, side, r.gamma.left_len + 1
+        )
+        assert (west, east) == (r.gamma.left_len, r.gamma.right_len)
+        assert west + east == r.diam
 
     def test_n5_bound(self, shipped):
         assert projection_diameter(shipped, 5).diam >= 5 * len(shipped.hword)
@@ -76,6 +82,34 @@ class TestObstructionTable:
         assert back["bounds_used"] == t.to_dict()["bounds_used"]
         assert [r["diam"] for r in back["rows"]] == [r.diam for r in t.rows]
 
+    def test_rows_match_per_row_streams(self, screened_pairs):
+        """Derandomized sweep over screened 2+2, 1+3 and 3+1 pairs with words
+        of length <= 2: the table's rows and failures, read off one sweep per
+        direction, equal the references computed row by row."""
+        seen = set()
+
+        @given(st.data())
+        @settings(max_examples=60)
+        def check(data):
+            q = screened_pairs[data.draw(st.integers(0, len(screened_pairs) - 1), label="pair")]
+            n_max = data.draw(st.integers(1, 6), label="n_max")
+            k_max = data.draw(st.integers(1, 12), label="k_max")
+            i_max = data.draw(st.integers(1, 5000), label="i_max")
+            t = obstruction_table(q, n_max, k_max=k_max, i_max=i_max)
+            rows, failures = [], []
+            for n in range(1, n_max + 1):
+                try:
+                    rows.append(overlap_gamma_by_streams(q, n, k_max=k_max, i_max=i_max))
+                except BudgetExceeded as exc:
+                    failures.append((n, str(exc)))
+            assert [r.gamma for r in t.rows] == rows
+            assert t.failures == tuple(failures)
+            assert all((r.n, r.diam) == (r.gamma.n, r.gamma.total_len) for r in t.rows)
+            seen.update(("rows" if rows else None, "failures" if failures else None))
+
+        check()
+        assert {"rows", "failures"} <= seen
+
     def test_bounds_recorded(self, shipped):
         t = obstruction_table(shipped, 2, k_bound=5, j_bound=7, k_max=500, i_max=10_000)
         assert t.bounds_used == {"k_bound": 5, "j_bound": 7, "k_max": 500, "i_max": 10_000}
@@ -123,6 +157,20 @@ class TestWellSeparation:
         )
         r = well_separation(q, 1)
         assert r.L == 1 and r.crossing_set_size == 1 and r.facing_triple_free
+
+
+def test_shipped_law_through_n_729(shipped):
+    """On the shipped pair j(n) = 4*3^k and total_len = 2*3^k for
+    3^(k-1) < n <= 3^k, at every n <= 729.  One table computes all 729 rows
+    from one sweep per direction, so it costs about what its last row costs
+    alone (under a second); a sweep per row would take minutes."""
+    t = obstruction_table(shipped, 729)
+    assert not t.failures and [r.n for r in t.rows] == list(range(1, 730))
+    for row in t.rows:
+        k = 0
+        while 3**k < row.n:
+            k += 1
+        assert (row.gamma.j, row.gamma.total_len) == (4 * 3**k, 2 * 3**k), row.n
 
 
 #: SHA-256 of the sorted-key JSON of each overlap artifact, frozen from the
