@@ -4,7 +4,8 @@ A horizontal periodic word and a vertical periodic word through the base
 vertex span a flat in the universal cover.  The flat is periodic exactly
 when some nonzero powers of the two translations commute, which shows up
 combinatorially as a rectangle whose developed top and right sides repeat
-its bottom and left sides.
+its bottom and left sides; ``commuting_powers_search`` reads this off one
+orbit sweep.
 
 When no such rectangle exists, widening rectangles develop tops that
 eventually diverge from the horizontal periodic word, and the overlap of
@@ -91,28 +92,23 @@ class GammaResult:
 def commuting_powers_search(query, k_bound=8, j_bound=8):
     """Smallest (k, j), lexicographically, with commuting k-th and j-th powers.
 
-    The pair commutes exactly when the rectangle spanned by the k-th power of
-    the horizontal word and the j-th power of the vertical word closes up into
-    a torus: developed top equals bottom and developed right equals left.
-    For each k the rectangles of heights 1..j_bound are built by stacking one
-    vertical period at a time on the previous top, collecting the right word
-    block by block; development is unique, so each is the rectangle developed
-    from scratch.  Returns None when no pair exists within the bounds, which
-    certifies the aperiodicity hypothesis up to those bounds (never beyond
-    them).
+    The k x i rectangle of h^k and v^i closes up into a torus (top equals
+    bottom, right equals left) exactly when these powers commute.  On one
+    orbit sweep (develop.orbit_lengths) at N = k*|w1|, it returns its bottom
+    iff j(N) divides i, and is then i/j(N) copies of the height-j(N)
+    rectangle, with right word R^(i/j(N)); that is v^i iff R = v^j(N).  So the
+    least closing height for k is j(N) or none, and since j(N) never falls
+    the search stops at the first j(N) above j_bound.  None certifies the
+    aperiodicity hypothesis up to the bounds (never beyond them).
     """
-    tables = query.complex.tables
     h_ids = _word_ids(query.complex, query.hword.period)
     v_ids = _word_ids(query.complex, query.vword.period)
-    for k in range(1, k_bound + 1):
-        bottom = h_ids * k
-        top, left, right = bottom, [], []
-        for j in range(1, j_bound + 1):
-            top, block = develop_ids(tables, top, v_ids)
-            left += v_ids
-            right += block
-            if top == bottom and right == left:
-                return (k, j)
+    sweep = orbit_lengths(query.complex.tables, h_ids, v_ids)
+    for cols, (j, right) in zip(range(1, k_bound * len(h_ids) + 1), sweep):
+        if j > j_bound:
+            return None
+        if cols % len(h_ids) == 0 and right == v_ids * j:
+            return (cols // len(h_ids), j)
     return None
 
 
@@ -186,7 +182,7 @@ class _Sweep:
     def __getitem__(self, cols):
         js = self._js
         while len(js) <= cols and js[-1] <= self._max_j:
-            js.append(next(self._lengths))
+            js.append(next(self._lengths)[0])
         return js[min(cols, len(js) - 1)]
 
     def agreement(self, j):

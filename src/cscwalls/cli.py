@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 
@@ -119,9 +120,26 @@ def _load_query(args, run):
     return AntiTorusQuery(p, hw, vw)
 
 
+#: The least value each numeric option accepts, by argparse dest.
+_MINIMUMS = {"n": 1, "nmax": 1, "hcount": 0, "vcount": 0, "screen_len": 1, "screen_limit": 1}
+
+
+def _check_minimums(args):
+    for dest, low in _MINIMUMS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < low:
+            raise CscwallsError(f"--{dest.replace('_', '-')} must be at least {low}, got {value}")
+
+
 def _parse_bounds(text):
     k, _, j = text.partition(",")
-    return int(k), int(j or k)
+    try:
+        bounds = int(k), int(j or k)
+    except ValueError:
+        raise CscwallsError(f"--bounds must be K or K,J in integers, got {text!r}") from None
+    if min(bounds) < 1:
+        raise CscwallsError(f"--bounds must be at least 1, got {text!r}")
+    return bounds
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -151,12 +169,11 @@ def _cmd_enumerate(args, run):
     for i, p in enumerate(census):
         entry = {"index": i, "text": serialize_complex(p)}
         if args.screen:
-            pairs = []
-            for hw, vw, _ in screen_anti_torus(p, max_len=args.screen_len):
-                pairs.append({"w1": str(hw.period), "w2": str(vw.period)})
-                if len(pairs) >= args.screen_limit:
-                    break
-            entry["anti_torus_candidates"] = pairs
+            screened = screen_anti_torus(p, max_len=args.screen_len)
+            entry["anti_torus_candidates"] = [
+                {"w1": str(hw.period), "w2": str(vw.period)}
+                for hw, vw, _ in itertools.islice(screened, args.screen_limit)
+            ]
         entries.append(entry)
     if args.format == "text":
         chunks = [f"# census entry {e['index']}\n{e['text']}" for e in entries]
@@ -279,12 +296,6 @@ def _cmd_staircase(args, run):
     return run.emit(payload, args, "staircase")
 
 
-def _cmd_certify(args, run):
-    if args.p is None:
-        raise CscwallsError("certify requires --p")
-    return _cmd_staircase(args, run)
-
-
 _HANDLERS = {
     "validate": _cmd_validate,
     "enumerate": _cmd_enumerate,
@@ -294,7 +305,7 @@ _HANDLERS = {
     "obstruct": _cmd_obstruct,
     "wellsep": _cmd_wellsep,
     "staircase": _cmd_staircase,
-    "certify": _cmd_certify,
+    "certify": _cmd_staircase,
 }
 
 
@@ -394,6 +405,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     run = Run(args.subcommand)
     try:
+        _check_minimums(args)
         return _HANDLERS[args.subcommand](args, run)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

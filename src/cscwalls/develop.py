@@ -9,8 +9,9 @@ never revised, so tops of widening rectangles are prefix-stable.
 Every search develops through one loop, ``_develop``, over integer germ ids:
 ``develop_ids`` runs it once on a copy of the left word, and
 ``stream_mismatch_ids`` and ``orbit_lengths`` run it one column at a time.
-The only other loop is ``_fill_cells``, which also records every cell for
-inspection.
+``orbit_lengths`` is the one stacking algorithm: the commuting-powers screen
+and the overlap sweep both read it.  The only other loop is ``_fill_cells``,
+which also records every cell for inspection.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import HORIZONTAL, VERTICAL, OrientedEdge
+from .complexes import CORNERS, HORIZONTAL, VERTICAL, OrientedEdge
 from .errors import DevelopmentError, WordError
 
 #: The development kernel in use; there is one, and it is pure Python.
@@ -193,10 +194,10 @@ def stream_mismatch_ids(tables, period_ids, side_ids, max_cols):
 
 
 def orbit_lengths(tables, period_ids, side_ids):
-    """Yield j(1), j(2), ...: j(N) is the orbit length of the length-N prefix
-    of the periodic bottom word (period_ids repeated) under stacking one copy
-    of side_ids, the least j whose rectangle of height j copies has that
-    prefix as its top.
+    """Yield (j(N), R) for N = 1, 2, ...: j(N) is the orbit length of the
+    length-N prefix of the periodic bottom word (period_ids repeated) under
+    stacking one copy of side_ids, the least j whose rectangle of height j
+    copies has that prefix as its top, and R is that rectangle's right word.
 
     In a CSC stacking is a bijection on the words of each length, and
     development is prefix-stable, so the heights that return the length-N
@@ -206,7 +207,7 @@ def orbit_lengths(tables, period_ids, side_ids):
     and again develops the next column over R block by block: the column's
     bottom letter comes back after some t blocks, j(N+1) = t*j(N), and the t
     right words laid end to end are the next R.  Each block is one
-    develop_ids call of len(R) cells.
+    develop_ids call of len(R) cells.  Each R is a new list.
     """
     plen = len(period_ids)
     right, j = side_ids, 1
@@ -220,7 +221,7 @@ def orbit_lengths(tables, period_ids, side_ids):
             if top == b:
                 break
         right, j = next_right, j * t
-        yield j
+        yield j, right
 
 
 def _word_ids(presentation, word):
@@ -259,13 +260,6 @@ class Rectangle:
     cells: tuple | None = None  # rows bottom-to-top, each a tuple of Cells
 
 
-def _check_classes(bottom, left):
-    if bottom.klass != HORIZONTAL:
-        raise WordError("bottom word must be horizontal")
-    if left.klass != VERTICAL:
-        raise WordError("left word must be vertical")
-
-
 def fill_rectangle(presentation, bottom, left, keep_cells=False):
     """Fill the rectangle with the given SW boundary words.
 
@@ -273,7 +267,10 @@ def fill_rectangle(presentation, bottom, left, keep_cells=False):
     give degenerate rectangles.  With keep_cells=True the full cell grid is
     retained for inspection.
     """
-    _check_classes(bottom, left)
+    if bottom.klass != HORIZONTAL:
+        raise WordError("bottom word must be horizontal")
+    if left.klass != VERTICAL:
+        raise WordError("left word must be vertical")
     tables = presentation.tables
     bottom_ids = _word_ids(presentation, bottom)
     left_ids = _word_ids(presentation, left)
@@ -294,11 +291,10 @@ def fill_rectangle(presentation, bottom, left, keep_cells=False):
 
 
 def _fill_cells(presentation, tables, bottom_ids, left_ids):
-    from .complexes import CORNERS
-
     sq_tab, co_tab, top_tab, right_tab = tables.square, tables.corner, tables.top, tables.right
     rows = [[] for _ in left_ids]
     side = list(left_ids)
+    top = []
     for b in bottom_ids:
         for j, v in enumerate(side):
             s = sq_tab[b][v]
@@ -317,10 +313,6 @@ def _fill_cells(presentation, tables, bottom_ids, left_ids):
             )
             side[j] = nr
             b = nt
-    top_ids = (
-        [presentation.germ_id(rows[-1][i].top) for i in range(len(bottom_ids))]
-        if left_ids
-        else list(bottom_ids)
-    )
-    return top_ids, side, tuple(tuple(r) for r in rows)
+        top.append(b)
+    return top, side, tuple(tuple(r) for r in rows)
 

@@ -60,32 +60,40 @@ class TestCommutingSearch:
 
     def test_matches_search_by_rectangles(self, census22, census13, census31):
         """Derandomized sweep over the 2+2, 1+3 and 3+1 census complexes,
-        candidate pairs of length <= 2 and bounds <= 8: stacking vertical
-        periods finds the same (k, j) as developing every rectangle from
-        scratch.  The sweep must meet pairs that first commute at k >= 2 and
-        at j >= 2, so neither loop's later iterations go unchecked."""
+        horizontal candidates of length <= 3, vertical ones of length <= 2
+        and bounds <= 8: reading the orbit sweep finds the same (k, j) as
+        developing every rectangle from scratch.  The sweep must meet pairs
+        that first commute at k >= 2 and at j >= 2, and horizontal words of
+        length >= 2 that commute and that do not, so the reading at columns
+        k*|w1| and the stop above j_bound mid-period are checked.  It takes
+        1000 examples because a search that compares only the first vertical
+        period of R with v differs from the reference on under 1% of these
+        draws."""
         complexes = census22 + census13 + census31
         candidates = {}
         results = []
 
         @given(st.data())
-        @settings(max_examples=300)
+        @settings(max_examples=1000)
         def check(data):
             c = data.draw(st.integers(0, len(complexes) - 1), label="complex")
             p = complexes[c]
             if c not in candidates:
-                candidates[c] = [periodic_candidates(p, klass, 2) for klass in (cw.HORIZONTAL, cw.VERTICAL)]
+                candidates[c] = [periodic_candidates(p, cw.HORIZONTAL, 3), periodic_candidates(p, cw.VERTICAL, 2)]
             hwords, vwords = candidates[c]
             q = AntiTorusQuery(p, data.draw(st.sampled_from(hwords)), data.draw(st.sampled_from(vwords)))
             k_bound = data.draw(st.integers(1, 8), label="k_bound")
             j_bound = data.draw(st.integers(1, 8), label="j_bound")
             found = commuting_powers_search(q, k_bound, j_bound)
             assert found == commuting_powers_by_rectangles(q, k_bound, j_bound)
-            results.append(found)
+            results.append((len(q.hword), found))
 
         check()
-        assert any(r is not None and r[0] >= 2 for r in results)
-        assert any(r is not None and r[1] >= 2 for r in results)
+        assert any(r is not None and r[0] >= 2 for _, r in results)
+        assert any(r is not None and r[1] >= 2 for _, r in results)
+        assert any(r is not None for n, r in results if n >= 2)
+        assert any(r is None for n, r in results if n >= 2)
+        assert any(n == 3 for n, _ in results)
 
     def test_proper_power_rejected_upstream(self, torus):
         with pytest.raises(WordError):

@@ -177,6 +177,42 @@ class TestEnumerate:
         assert code == 2 and "budget" in err
 
 
+BAD_NUMBERS = (
+    ("antitorus", "--bounds", "x"),
+    ("antitorus", "--bounds", "3,x"),
+    ("antitorus", "--bounds", "0"),
+    ("antitorus", "--bounds", "0,0"),
+    ("antitorus", "--bounds", "3,0"),
+    ("obstruct", "--bounds", "0"),
+    ("obstruct", "--nmax", "0"),
+    ("gamma", "--n", "0"),
+    ("gamma", "--n", "-3"),
+    ("wellsep", "--n", "0"),
+    ("enumerate", "--hcount", "-1"),
+    ("enumerate", "--vcount", "-1"),
+    ("enumerate", "--screen-len", "0"),
+    ("enumerate", "--screen-limit", "0"),
+)
+
+
+@pytest.mark.parametrize("case", BAD_NUMBERS, ids=" ".join)
+def test_bad_numeric_input_is_an_input_error(capsys, aperiodic_path, tmp_path, case):
+    """Exit 1 with one error line, and neither artifact nor manifest."""
+    command, flag, value = case
+    argv = {
+        "antitorus": ["--complex", aperiodic_path, "--w1", "a", "--w2", "x"],
+        "obstruct": ["--complex", aperiodic_path, "--w1", "a", "--w2", "x", "--nmax", "3"],
+        "gamma": ["--complex", aperiodic_path, "--w1", "a", "--w2", "x"],
+        "wellsep": ["--complex", aperiodic_path, "--w1", "a", "--w2", "x"],
+        "enumerate": ["--hcount", "1", "--vcount", "1", "--screen"],
+    }[command]
+    out_path = tmp_path / "artifact.json"
+    code, out, err = run(capsys, command, *argv, flag, value, "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestManifest:
     def test_embedded_digest_and_reproducibility(self, capsys, aperiodic_path, tmp_path):
         out1 = tmp_path / "g1.json"

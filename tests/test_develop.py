@@ -157,7 +157,8 @@ class TestOracle:
         """For every prefix length N up to three periods of the horizontal
         word, including prefixes that end inside a two-letter period, j(N) is
         the number of row-major stacks of one vertical period that bring the
-        length-N prefix back."""
+        length-N prefix back, and R is the row-major right word of the
+        rectangle of height j(N) periods over the prefix."""
         queries = screened_pairs[::7]
         assert any(len(q.hword) == 2 for q in queries)
         for q in queries:
@@ -166,13 +167,15 @@ class TestOracle:
             lengths = orbit_lengths(
                 p.tables, [p.germ_id(e) for e in h], [p.germ_id(e) for e in q.vword.period.letters]
             )
-            for N, j in zip(range(1, 3 * len(h) + 1), lengths):
+            for N, (j, right) in zip(range(1, 3 * len(h) + 1), lengths):
                 prefix = tuple(h[i % len(h)] for i in range(N))
                 top, stacks = prefix, 0
                 while stacks == 0 or top != prefix:
                     top = tuple(develop_row_major(p, cw.Word(top, cw.HORIZONTAL), q.vword.period)[0])
                     stacks += 1
                 assert j == stacks, (q.hword.period, q.vword.period, N)
+                expected = develop_row_major(p, cw.Word(prefix, cw.HORIZONTAL), q.vword.power(j))[1]
+                assert right == [p.germ_id(e) for e in expected], (q.hword.period, q.vword.period, N)
 
 
 class TestCells:
