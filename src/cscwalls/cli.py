@@ -121,7 +121,10 @@ def _load_query(args, run):
 
 
 #: The least value each numeric option accepts, by argparse dest.
-_MINIMUMS = {"n": 1, "nmax": 1, "hcount": 0, "vcount": 0, "screen_len": 1, "screen_limit": 1}
+_MINIMUMS = {
+    "n": 1, "nmax": 1, "kmax": 1, "imax": 1,
+    "hcount": 0, "vcount": 0, "screen_len": 1, "screen_limit": 1,
+}
 
 
 def _check_minimums(args):

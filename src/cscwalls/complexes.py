@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import (
     BudgetExceeded,
@@ -195,9 +195,6 @@ class SquareComplexPresentation:
         """Inverse of germ_id."""
         pool = self.hedges if klass == HORIZONTAL else self.vedges
         return OrientedEdge(pool[germ // 2], 1 if germ % 2 == 0 else -1)
-
-    def germ_token(self, klass, germ):
-        return self.germ_edge(klass, germ).token()
 
     def _square_ids(self, sq):
         """A square's (bottom, right, top, left) as germ ids."""
@@ -412,7 +409,6 @@ _H_NAMES = "abc"
 _V_NAMES = "xyz"
 
 
-@lru_cache(maxsize=None)
 def _signed_maps(n):
     """All relabelings of n letters: permutations composed with per-letter inversion."""
     maps = []
@@ -426,27 +422,19 @@ def _canonical_square(four):
     return min(_square_versions(*four))
 
 
-def _canonical_cover(cover, hmaps, vmaps):
-    """Least relabeling of a set of squares under the signed-permutation group."""
-    best = None
-    for hm in hmaps:
-        for vm in vmaps:
-            image = tuple(
-                sorted(_canonical_square((hm[b], vm[r], hm[t], vm[l])) for (b, r, t, l) in cover)
-            )
-            if best is None or image < best:
-                best = image
-    return best
-
-
 def enumerate_csc(h_count, v_count, max_nodes=2_000_000):
     """Yield every one-vertex CSC with the given edge counts, up to relabeling.
 
     The census is computed as an exact cover: each candidate square occupies
     four germ pairs (its corners), and a CSC is a set of squares covering all
-    (2*h_count)*(2*v_count) pairs exactly once.  Results are deduplicated by
-    canonical-form minimization over edge relabelings and inversions and come
-    out in a fixed sorted order.
+    (2*h_count)*(2*v_count) pairs exactly once.  The usable squares, each in
+    its least reading, are numbered in sorted order as tile ids, and every
+    cover is a sorted tuple of tile ids.  Each signed relabeling of the edges
+    permutes the tile ids; each cover not yet seen is expanded once into its
+    orbit under those permutations, every member is marked as seen, and the
+    least member stands for the class.  Sorted id tuples compare like the
+    sorted square tuples, so that is the least relabeling of the squares,
+    and the classes come out in that sorted order.
 
     Raises BudgetExceeded when the edge counts exceed desk scale (3) or the
     backtracking search exceeds max_nodes nodes.
@@ -459,23 +447,18 @@ def enumerate_csc(h_count, v_count, max_nodes=2_000_000):
         return
     nh, nv = 2 * h_count, 2 * v_count
 
-    tiles = []
+    tiles, masks = [], []
+    by_pair = [[] for _ in range(nh * nv)]
     for four in itertools.product(range(nh), range(nv), range(nh), range(nv)):
         if four != _canonical_square(four):
             continue
-        corners = [(h, v) for h, _, _, v in _square_versions(*four)]
-        if len(set(corners)) < 4:
+        corners = {h * nv + v for h, _, _, v in _square_versions(*four)}
+        if len(corners) < 4:
             continue  # a corner pair repeats inside the square: unusable
-        mask = 0
-        for h, v in corners:
-            mask |= 1 << (h * nv + v)
-        tiles.append((four, mask))
-
-    by_pair = {}
-    for idx, (_, mask) in enumerate(tiles):
-        for pid in range(nh * nv):
-            if mask >> pid & 1:
-                by_pair.setdefault(pid, []).append(idx)
+        for pid in corners:
+            by_pair[pid].append(len(tiles))
+        tiles.append(four)
+        masks.append(sum(1 << pid for pid in corners))
 
     full = (1 << (nh * nv)) - 1
     covers = []
@@ -490,19 +473,32 @@ def enumerate_csc(h_count, v_count, max_nodes=2_000_000):
             covers.append(tuple(sorted(chosen)))
             return
         pid = (~covered & full).bit_length() - 1  # any uncovered pair; highest is fine
-        for idx in by_pair.get(pid, ()):
-            _, mask = tiles[idx]
-            if covered & mask:
+        for tile in by_pair[pid]:
+            if covered & masks[tile]:
                 continue
-            chosen.append(tiles[idx][0])
-            extend(covered | mask, chosen)
+            chosen.append(tile)
+            extend(covered | masks[tile], chosen)
             chosen.pop()
 
     extend(0, [])
 
-    hmaps = _signed_maps(h_count)
-    vmaps = _signed_maps(v_count)
-    unique = sorted({_canonical_cover(cover, hmaps, vmaps) for cover in covers})
+    # A relabeling maps usable squares to usable squares, so each row is a
+    # permutation of the tile ids.
+    tile_id = {four: i for i, four in enumerate(tiles)}
+    actions = [
+        [tile_id[_canonical_square((hm[b], vm[r], hm[t], vm[l]))] for b, r, t, l in tiles]
+        for hm in _signed_maps(h_count)
+        for vm in _signed_maps(v_count)
+    ]
+    seen = set()
+    unique = []
+    for cover in covers:
+        if cover in seen:
+            continue
+        orbit = {tuple(sorted(a[t] for t in cover)) for a in actions}
+        seen |= orbit
+        unique.append(min(orbit))
+    unique.sort()
 
     hlabels = tuple(EdgeLabel(_H_NAMES[i], HORIZONTAL) for i in range(h_count))
     vlabels = tuple(EdgeLabel(_V_NAMES[i], VERTICAL) for i in range(v_count))
@@ -518,7 +514,7 @@ def enumerate_csc(h_count, v_count, max_nodes=2_000_000):
                 top=edge(hlabels, t),
                 left=edge(vlabels, l),
             )
-            for (b, r, t, l) in cover
+            for b, r, t, l in (tiles[i] for i in cover)
         )
         yield SquareComplexPresentation(
             vertices=(BASE_VERTEX,), hedges=hlabels, vedges=vlabels, squares=squares

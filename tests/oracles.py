@@ -6,12 +6,14 @@ exponent at a time by the pigeonhole and two divergence streams (the engine
 reads them off one orbit sweep per direction), a commuting-powers search
 that develops every rectangle from scratch instead of stacking vertical
 periods, candidate words filtered from every germ-id tuple, a census oracle
-that filters raw 4-tuples instead of running the exact-cover search, staircase
-walls and contact graphs built on vertex and edge tuples instead of interned
-ids, and staircase crossing counts and contact distances taken wall by wall
-instead of from the family side and one breadth-first search.
+that filters raw 4-tuples instead of running the exact-cover search, a census
+class count by Burnside's lemma that never forms a class, staircase walls and
+contact graphs built on vertex and edge tuples instead of interned ids, and
+staircase crossing counts and contact distances taken wall by wall instead of
+from the family side and one breadth-first search.
 """
 
+import functools
 import itertools
 from collections import deque
 from types import SimpleNamespace
@@ -84,6 +86,23 @@ def _corners(four):
     return ((b, l), (b ^ 1, r), (t, l ^ 1), (t ^ 1, r ^ 1))
 
 
+def _signed_maps(n):
+    """Signed permutations of n letters, as maps on germ ids."""
+    out = []
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((0, 1), repeat=n):
+            out.append(tuple(2 * perm[i] + (e ^ signs[i]) for i in range(n) for e in (0, 1)))
+    return out
+
+
+def _usable_squares(nh, nv):
+    """Least readings of the geometric squares whose four corners differ, sorted."""
+    squares = {
+        min(_versions(four)) for four in itertools.product(range(nh), range(nv), range(nh), range(nv))
+    }
+    return sorted(sq for sq in squares if len(set(_corners(sq))) == 4)
+
+
 def census_by_filtering(h_count, v_count):
     """All one-vertex CSCs with the given edge counts, up to relabeling.
 
@@ -94,13 +113,7 @@ def census_by_filtering(h_count, v_count):
     """
     nh, nv = 2 * h_count, 2 * v_count
     n_pairs = nh * nv
-    squares = sorted(
-        {
-            min(_versions(four))
-            for four in itertools.product(range(nh), range(nv), range(nh), range(nv))
-        }
-    )
-    usable = [sq for sq in squares if len(set(_corners(sq))) == 4]
+    usable = _usable_squares(nh, nv)
 
     covers = []
     need = n_pairs // 4
@@ -112,16 +125,7 @@ def census_by_filtering(h_count, v_count):
             covers.append(tuple(sorted(combo)))
 
     # orbit quotient under signed permutations of each letter class
-    def maps(n):
-        out = []
-        for perm in itertools.permutations(range(n)):
-            for signs in itertools.product((0, 1), repeat=n):
-                out.append(
-                    tuple(2 * perm[i] + (e ^ signs[i]) for i in range(n) for e in (0, 1))
-                )
-        return out
-
-    hmaps, vmaps = maps(h_count), maps(v_count)
+    hmaps, vmaps = _signed_maps(h_count), _signed_maps(v_count)
     canonical = set()
     for cover in covers:
         best = min(
@@ -131,6 +135,49 @@ def census_by_filtering(h_count, v_count):
         )
         canonical.add(best)
     return canonical
+
+
+def census_count_by_burnside(h_count, v_count):
+    """Number of census classes by Burnside's lemma, with no class formed.
+
+    The classes are the orbits of the signed relabelings g on exact covers,
+    so there are (1/|G|)·Σ_g |Fix(g)| of them.  A cover fixed by g is a union
+    of <g>-orbits of squares, and an orbit can be part of a cover only when
+    its squares' corners are pairwise distinct.  Fix(g) counts the exact
+    covers of the germ pairs by such orbits, memoized on the covered pairs.
+    """
+    nh, nv = 2 * h_count, 2 * v_count
+    usable = _usable_squares(nh, nv)
+    full = (1 << (nh * nv)) - 1
+    group = [(hm, vm) for hm in _signed_maps(h_count) for vm in _signed_maps(v_count)]
+    fixed = 0
+    for hm, vm in group:
+        image = {
+            (b, r, t, l): min(_versions((hm[b], vm[r], hm[t], vm[l]))) for b, r, t, l in usable
+        }
+        blocks, placed = [], set()
+        for sq in usable:
+            if sq in placed:
+                continue
+            orbit = [sq]
+            while image[orbit[-1]] != sq:
+                orbit.append(image[orbit[-1]])
+            placed.update(orbit)
+            pairs = [h * nv + v for member in orbit for h, v in _corners(member)]
+            if len(set(pairs)) == len(pairs):
+                blocks.append(sum(1 << pid for pid in pairs))
+
+        @functools.cache
+        def exact_covers(covered):
+            if covered == full:
+                return 1
+            low = ~covered & (covered + 1)  # the lowest uncovered pair
+            return sum(exact_covers(covered | m) for m in blocks if m & low and not m & covered)
+
+        fixed += exact_covers(0)
+    classes, rest = divmod(fixed, len(group))
+    assert rest == 0, f"Burnside sum {fixed} is not a multiple of |G| = {len(group)}"
+    return classes
 
 
 def presentation_canonical_form(presentation):

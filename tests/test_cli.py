@@ -188,6 +188,15 @@ BAD_NUMBERS = (
     ("gamma", "--n", "0"),
     ("gamma", "--n", "-3"),
     ("wellsep", "--n", "0"),
+    ("gamma", "--kmax", "0"),
+    ("gamma", "--kmax", "-1"),
+    ("gamma", "--imax", "-1"),
+    ("obstruct", "--kmax", "0"),
+    ("obstruct", "--kmax", "-1"),
+    ("obstruct", "--imax", "-1"),
+    ("wellsep", "--kmax", "0"),
+    ("wellsep", "--kmax", "-1"),
+    ("wellsep", "--imax", "-1"),
     ("enumerate", "--hcount", "-1"),
     ("enumerate", "--vcount", "-1"),
     ("enumerate", "--screen-len", "0"),
@@ -202,8 +211,8 @@ def test_bad_numeric_input_is_an_input_error(capsys, aperiodic_path, tmp_path, c
     argv = {
         "antitorus": ["--complex", aperiodic_path, "--w1", "a", "--w2", "x"],
         "obstruct": ["--complex", aperiodic_path, "--w1", "a", "--w2", "x", "--nmax", "3"],
-        "gamma": ["--complex", aperiodic_path, "--w1", "a", "--w2", "x"],
-        "wellsep": ["--complex", aperiodic_path, "--w1", "a", "--w2", "x"],
+        "gamma": ["--complex", aperiodic_path, "--w1", "a", "--w2", "x", "--n", "2"],
+        "wellsep": ["--complex", aperiodic_path, "--w1", "a", "--w2", "x", "--n", "2"],
         "enumerate": ["--hcount", "1", "--vcount", "1", "--screen"],
     }[command]
     out_path = tmp_path / "artifact.json"

@@ -1,5 +1,8 @@
 """Parsing, validation, serialization, and the census."""
 
+import functools
+import hashlib
+
 import pytest
 
 import cscwalls as cw
@@ -12,7 +15,7 @@ from cscwalls.errors import (
     ParseError,
 )
 
-from .oracles import census_by_filtering, presentation_canonical_form
+from .oracles import census_by_filtering, census_count_by_burnside, presentation_canonical_form
 
 
 class TestParse:
@@ -148,14 +151,47 @@ class TestCornerTableProperties:
             assert 4 * len(p.squares) == (2 * len(p.hedges)) * (2 * len(p.vedges))
 
 
+#: SHA-256 of the concatenated serialized census entries, per (h, v).
+CENSUS_SHA256 = {
+    (2, 2): "3791d8f862b6a0d779c836784bb18b5d785f3ad61287936ebb1a2678a3b1b1f2",
+    (1, 3): "0735f9ad8965a3102021b2dfd6db9d894b4b8edc2e45804b69b4590fe3281589",
+    (3, 1): "9bd6276bc9e443304fb4cb387c5f109648a44063268eb294e090aba5ac574bad",
+    (2, 3): "a17997d925b67e78f4d5e7ae2380bb958c5d6962954633bb60bdc60b8e204f72",
+}
+
+
+@functools.cache
+def census_of(h_count, v_count):
+    return tuple(cw.enumerate_csc(h_count, v_count))
+
+
 class TestCensus:
     def test_1_1_against_filtering_oracle(self):
         census = list(cw.enumerate_csc(1, 1))
         oracle = census_by_filtering(1, 1)
         assert len(census) == len(oracle) == 3  # torus + two Klein-type twists
-        assert {presentation_canonical_form(p) for p in census} == oracle
+        assert [presentation_canonical_form(p) for p in census] == sorted(oracle)
         torus_form = presentation_canonical_form(cw.parse_complex("hedges: a\nvedges: x\nsquare: a x a x\n"))
         assert torus_form in oracle
+
+    @pytest.mark.parametrize("h, v", [(1, 2), (2, 1), (1, 3), (3, 1), (2, 2)])
+    def test_against_filtering_oracle(self, h, v):
+        """Each class in its least relabeling, in sorted order."""
+        forms = [presentation_canonical_form(p) for p in census_of(h, v)]
+        assert forms == sorted(census_by_filtering(h, v))
+
+    @pytest.mark.parametrize(
+        "h, v, classes",
+        [(1, 1, 3), (1, 2, 9), (2, 1, 9), (2, 2, 98), (1, 3, 22), (3, 1, 22), (2, 3, 1001), (3, 2, 1001)],
+    )
+    def test_class_count_by_burnside(self, h, v, classes):
+        assert census_count_by_burnside(h, v) == classes
+        assert len(census_of(h, v)) == classes
+
+    @pytest.mark.parametrize("h, v", sorted(CENSUS_SHA256))
+    def test_census_bytes_are_pinned(self, h, v):
+        text = "".join(cw.serialize_complex(p) for p in census_of(h, v))
+        assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_SHA256[h, v]
 
     def test_2_2_census_is_valid_and_duplicate_free(self, census22):
         forms = {presentation_canonical_form(p) for p in census22}
