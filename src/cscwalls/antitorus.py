@@ -264,10 +264,9 @@ def overlap_gamma(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
 def periodic_candidates(presentation, klass, max_len):
     """All primitive cyclically reduced periodic words up to max_len, ordered
     by length, then by germ ids."""
-    pool = presentation.hedges if klass == HORIZONTAL else presentation.vedges
     out = []
     for n in range(1, max_len + 1):
-        for ids in itertools.product(range(2 * len(pool)), repeat=n):
+        for ids in itertools.product(range(len(presentation.germs[klass])), repeat=n):
             try:
                 out.append(PeriodicWord(_ids_word(presentation, klass, ids)))
             except WordError:  # not reduced, not cyclically reduced, or a proper power

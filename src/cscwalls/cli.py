@@ -80,13 +80,19 @@ class Run:
     def manifest(self):
         return {**self._head(), "digest": self.digest, "outputs": self.outputs}
 
-    def emit(self, payload, args, kind, default_format="json"):
+    def write(self, path, text):
+        """Write one artifact file and record its digest among the outputs."""
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        self.outputs[path] = _sha256(text.encode())
+
+    def emit(self, payload, args, kind):
         """Write the artifact (stdout or --out) plus the manifest sidecar.
 
         Every artifact embeds the manifest digest: JSON as a field, text
         formats as a leading comment line.
         """
-        fmt = getattr(args, "format", None) or default_format
+        fmt = getattr(args, "format", None) or "json"
         if fmt == "json":
             payload = dict(payload)
             payload["schema"] = f"{SCHEMA_PREFIX}/{kind}/v1"
@@ -96,9 +102,7 @@ class Run:
             text = f"# manifest: {self.digest}\n" + payload
         out = getattr(args, "out", None)
         if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            self.outputs[out] = _sha256(text.encode())
+            self.write(out, text)
         else:
             sys.stdout.write(text)
         manifest_path = getattr(args, "manifest", None)
@@ -135,9 +139,9 @@ def _check_minimums(args):
 
 
 def _parse_bounds(text):
-    k, _, j = text.partition(",")
+    k, comma, j = text.partition(",")
     try:
-        bounds = int(k), int(j or k)
+        bounds = int(k), int(j if comma else k)
     except ValueError:
         raise CscwallsError(f"--bounds must be K or K,J in integers, got {text!r}") from None
     if min(bounds) < 1:
@@ -278,16 +282,15 @@ def _cmd_staircase(args, run):
         overlap_len=args.L, shift=args.r, steps=args.steps, margin=args.margin
     )
     run.params.update(params.to_dict())
-    window = build_staircase(params)
-    graph = contact_graph(window)
-    if args.dot:
-        dot = f"// manifest: {run.digest}\n" + contact_graph_dot(graph)
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
-        run.outputs[args.dot] = _sha256(dot.encode())
     if args.p is not None:
         run.params["p"] = args.p
-        cert = nonacyl_certificate(params, args.p, window=window, graph=graph)
+    window = build_staircase(params)
+    graph = contact_graph(window)
+    # p is recorded and checked first: the DOT carries the manifest's digest, a bad p writes nothing.
+    cert = None if args.p is None else nonacyl_certificate(params, args.p, window=window, graph=graph)
+    if args.dot:
+        run.write(args.dot, f"// manifest: {run.digest}\n" + contact_graph_dot(graph))
+    if cert is not None:
         return run.emit(cert.to_dict(), args, "nonacyl")
     payload = {
         "params": params.to_dict(),
@@ -312,10 +315,9 @@ _HANDLERS = {
 }
 
 
-def _add_common(sub, out=True):
-    if out:
-        sub.add_argument("--out", help="write the artifact here instead of stdout")
-        sub.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
+def _add_common(sub):
+    sub.add_argument("--out", help="write the artifact here instead of stdout")
+    sub.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
 
 
 def _add_budgets(sub):

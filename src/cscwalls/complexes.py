@@ -90,6 +90,11 @@ class OrientedEdge:
         return f"OrientedEdge({self.token()!r})"
 
 
+def _germs(labels):
+    """The germ table of one edge class; see ``SquareComplexPresentation.germs``."""
+    return tuple(OrientedEdge(label, sign) for label in labels for sign in (1, -1))
+
+
 @dataclass(frozen=True)
 class Square:
     """One 2-cell, recorded from its SW corner.
@@ -142,8 +147,8 @@ class ValidationReport:
 class CornerTables:
     """Corner-lookup tables for development over a validated one-vertex-per-germ complex.
 
-    Germ ids encode oriented edges: letter index i with sign + is 2i, with
-    sign - is 2i+1, so inversion is ``germ ^ 1``.  Each table is a list of
+    Germs are the ids of ``SquareComplexPresentation.germs``, so inversion
+    is ``germ ^ 1``.  Each table is a list of
     ``nh`` rows of ``nv`` ints indexed ``[b][l]``: entry (b, l) holds the top
     and right germs of the unique square having the pair (b, l) at a corner,
     read in the orientation that puts that corner at the SW position, with
@@ -179,22 +184,27 @@ class SquareComplexPresentation:
         return {e.name: e for e in self.hedges + self.vedges}
 
     @cached_property
-    def _h_index(self):
-        return {e.name: i for i, e in enumerate(self.hedges)}
+    def germs(self):
+        """The germ table: ``germs[klass][g]`` is the oriented edge with germ id g.
+
+        Letter i of a class has id 2i read with its orientation and 2i+1
+        read against it, so inversion is ``g ^ 1``.  Every mapping between
+        letters and germ ids reads this table.
+        """
+        return {HORIZONTAL: _germs(self.hedges), VERTICAL: _germs(self.vedges)}
 
     @cached_property
-    def _v_index(self):
-        return {e.name: i for i, e in enumerate(self.vedges)}
+    def _germ_ids(self):
+        # Keyed by class too: a presentation built directly may reuse a name across classes.
+        return {(e.klass, e.label.name, e.sign): g for t in self.germs.values() for g, e in enumerate(t)}
 
     def germ_id(self, edge):
         """Integer id of an oriented edge inside its class."""
-        index = self._h_index if edge.klass == HORIZONTAL else self._v_index
-        return 2 * index[edge.label.name] + (0 if edge.sign > 0 else 1)
+        return self._germ_ids[edge.klass, edge.label.name, edge.sign]
 
     def germ_edge(self, klass, germ):
         """Inverse of germ_id."""
-        pool = self.hedges if klass == HORIZONTAL else self.vedges
-        return OrientedEdge(pool[germ // 2], 1 if germ % 2 == 0 else -1)
+        return self.germs[klass][germ]
 
     def _square_ids(self, sq):
         """A square's (bottom, right, top, left) as germ ids."""
@@ -216,21 +226,12 @@ class SquareComplexPresentation:
     def validation(self):
         counts = self._corner_counts
         violations = []
-        for vertex in self.vertices:
-            for he in self.hedges:
-                for hs in (1, -1):
-                    hg = OrientedEdge(he, hs)
-                    if hg.start != vertex:
-                        continue
-                    for ve in self.vedges:
-                        for vs in (1, -1):
-                            vg = OrientedEdge(ve, vs)
-                            if vg.start != vertex:
-                                continue
-                            key = (vertex, self.germ_id(hg), self.germ_id(vg))
-                            n = len(counts.get(key, ()))
-                            if n != 1:
-                                violations.append((vertex, (hg.token(), vg.token()), n))
+        for h, hg in enumerate(self.germs[HORIZONTAL]):
+            for v, vg in enumerate(self.germs[VERTICAL]):
+                if hg.start == vg.start:
+                    n = len(counts.get((hg.start, h, v), ()))
+                    if n != 1:
+                        violations.append((hg.start, (hg.token(), vg.token()), n))
         violations.sort()
         return ValidationReport(
             is_csc=not violations,
@@ -502,18 +503,10 @@ def enumerate_csc(h_count, v_count, max_nodes=2_000_000):
 
     hlabels = tuple(EdgeLabel(_H_NAMES[i], HORIZONTAL) for i in range(h_count))
     vlabels = tuple(EdgeLabel(_V_NAMES[i], VERTICAL) for i in range(v_count))
-
-    def edge(pool, germ):
-        return OrientedEdge(pool[germ // 2], 1 if germ % 2 == 0 else -1)
-
+    hgerms, vgerms = _germs(hlabels), _germs(vlabels)
     for cover in unique:
         squares = tuple(
-            Square(
-                bottom=edge(hlabels, b),
-                right=edge(vlabels, r),
-                top=edge(hlabels, t),
-                left=edge(vlabels, l),
-            )
+            Square(bottom=hgerms[b], right=vgerms[r], top=hgerms[t], left=vgerms[l])
             for b, r, t, l in (tiles[i] for i in cover)
         )
         yield SquareComplexPresentation(

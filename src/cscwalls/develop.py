@@ -292,6 +292,7 @@ def fill_rectangle(presentation, bottom, left, keep_cells=False):
 
 def _fill_cells(presentation, tables, bottom_ids, left_ids):
     sq_tab, co_tab, top_tab, right_tab = tables.square, tables.corner, tables.top, tables.right
+    hgerms, vgerms = presentation.germs[HORIZONTAL], presentation.germs[VERTICAL]
     rows = [[] for _ in left_ids]
     side = list(left_ids)
     top = []
@@ -305,10 +306,10 @@ def _fill_cells(presentation, tables, bottom_ids, left_ids):
                 Cell(
                     square=s,
                     corner=CORNERS[co_tab[b][v]],
-                    bottom=presentation.germ_edge(HORIZONTAL, b),
-                    right=presentation.germ_edge(VERTICAL, nr),
-                    top=presentation.germ_edge(HORIZONTAL, nt),
-                    left=presentation.germ_edge(VERTICAL, v),
+                    bottom=hgerms[b],
+                    right=vgerms[nr],
+                    top=hgerms[nt],
+                    left=vgerms[v],
                 )
             )
             side[j] = nr

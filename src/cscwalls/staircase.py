@@ -341,7 +341,6 @@ class ContactGraph:
     def __init__(self, window):
         self.window = window
         self.walls = walls(window)
-        self.by_id = {w.id: w for w in self.walls}
         self._edge_wall = edge_wall = [0] * len(window.edge_keys)
         for k, w in enumerate(self.walls):
             for e in w.edge_ids:
@@ -399,9 +398,9 @@ def contact_distances(graph, source):
     graph is disconnected.
     """
     start = _wall_id(source)
-    if start not in graph.by_id:
-        raise UnknownWall(f"unknown wall {start!r}")
     neighbors = graph.neighbors
+    if start not in neighbors:
+        raise UnknownWall(f"unknown wall {start!r}")
     dist = {start: 0}
     queue = deque([start])
     while queue:
@@ -419,7 +418,7 @@ def contact_distances(graph, source):
 def contact_distance(graph, a, b):
     """BFS hop count between two walls in the contact graph."""
     goal = _wall_id(b)
-    if goal not in graph.by_id:
+    if goal not in graph.neighbors:
         raise UnknownWall(f"unknown wall {goal!r}")
     return contact_distances(graph, a)[goal]
 

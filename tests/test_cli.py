@@ -134,7 +134,21 @@ class TestStaircase:
         cert = json.loads(out_path.read_text())
         assert cert["crossing_bound"] == 3 and cert["bfs_distance"] >= 3
         dot = dot_path.read_text()
-        assert dot.startswith("// manifest: ") and "graph contact {" in dot
+        assert "graph contact {" in dot
+        manifest = json.loads((tmp_path / "cert.json.manifest.json").read_text())
+        assert dot.splitlines()[0] == f"// manifest: {manifest['digest']}"
+        assert cert["manifest_digest"] == manifest["digest"]
+
+    def test_rejected_p_writes_nothing(self, capsys, tmp_path):
+        """A p above steps is an input error and leaves neither DOT, artifact nor manifest."""
+        code, out, err = run(
+            capsys,
+            "staircase", "--L", "4", "--r", "2", "--steps", "9", "--p", "12",
+            "--dot", str(tmp_path / "x.dot"), "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 1 and out == ""
+        assert err == "error: p must be in 1..steps, got 12\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_certify_requires_p(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
@@ -183,7 +197,9 @@ BAD_NUMBERS = (
     ("antitorus", "--bounds", "0"),
     ("antitorus", "--bounds", "0,0"),
     ("antitorus", "--bounds", "3,0"),
+    ("antitorus", "--bounds", "8,"),
     ("obstruct", "--bounds", "0"),
+    ("obstruct", "--bounds", "3,"),
     ("obstruct", "--nmax", "0"),
     ("gamma", "--n", "0"),
     ("gamma", "--n", "-3"),

@@ -216,6 +216,11 @@ class TestCensus:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             list(cw.enumerate_csc(4, 1))
+        # The node budget: (h, v) -> (nodes the search needs, classes).
+        for (h, v), (need, classes) in {(2, 2): (947, 98), (1, 3): (168, 22)}.items():
+            with pytest.raises(BudgetExceeded, match=f"census search exceeded {need - 1} nodes"):
+                list(cw.enumerate_csc(h, v, max_nodes=need - 1))
+            assert len(list(cw.enumerate_csc(h, v, max_nodes=need))) == classes
 
     def test_determinism(self):
         a = [cw.serialize_complex(p) for p in cw.enumerate_csc(2, 2)]
