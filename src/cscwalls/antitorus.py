@@ -15,7 +15,9 @@ the corresponding parallel geodesic with the flat is a finite segment.
 periodic word, the least number j(N) of stacked vertical periods that
 returns that prefix.  The height for exponent n is j(n*|w1|), and the
 overlap runs east as far as j(N) divides that height; the west end comes
-from the same sweep of the inverse word on the same corner tables.
+from the same sweep of the inverse word on the same corner tables.  A query
+keeps its two sweeps (``AntiTorusQuery.sweeps``), so overlaps at many
+exponents develop each column once, and every call passes its own budgets.
 
 ``find_periodic_top`` (stack periods on h^n until the top comes back) and
 ``overlap_at_height`` (stream columns at a fixed height until the first
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 from .complexes import HORIZONTAL, VERTICAL
 from .errors import BudgetExceeded, UnsupportedComplexError, WordError
@@ -67,6 +70,18 @@ class AntiTorusQuery:
             raise WordError("hword must be horizontal")
         if self.vword.klass != VERTICAL:
             raise WordError("vword must be vertical")
+
+    @cached_property
+    def sweeps(self):
+        """The (east, west) orbit sweeps of overlap_gamma: the horizontal word
+        and its inverse, each under one vertical period, developed on demand
+        and kept for the query's lifetime."""
+        p = self.complex
+        v_ids = _word_ids(p, self.vword.period)
+        return tuple(
+            _Sweep(p.tables, _word_ids(p, hword.period), v_ids)
+            for hword in (self.hword, self.hword.inverse())
+        )
 
 
 @dataclass(frozen=True)
@@ -169,79 +184,35 @@ class _Sweep:
     """j(0) = 1, j(1), j(2), ... of one orbit sweep (develop.orbit_lengths),
     developed on demand and kept.
 
-    Lengths only grow, so the sweep stops at the first one above max_j and
-    gives that one for every later column too.
+    Each read carries its own cap.  Lengths only grow, so a read develops
+    no column past the first length above its cap, and its value does not
+    depend on how far earlier reads developed the sweep.
     """
 
-    def __init__(self, tables, period_ids, side_ids, max_j, max_cols):
+    def __init__(self, tables, period_ids, side_ids):
         self._lengths = orbit_lengths(tables, period_ids, side_ids)
-        self._js = [1]
-        self._max_j, self._max_cols = max_j, max_cols
+        self.js = [1]
         self._agreement = {}
 
-    def __getitem__(self, cols):
-        js = self._js
-        while len(js) <= cols and js[-1] <= self._max_j:
+    def height(self, cols, max_j):
+        """j(cols), or a length above max_j when j(cols) exceeds max_j; no
+        column past the first length above max_j is developed."""
+        js = self.js
+        while len(js) <= cols and js[-1] <= max_j:
             js.append(next(self._lengths)[0])
         return js[min(cols, len(js) - 1)]
 
-    def agreement(self, j):
+    def agreement(self, j, max_cols):
         """Leading columns of the periodic word that j stacked periods return:
-        the largest N with j(N) dividing j, or None when N reaches max_cols."""
-        if j not in self._agreement:
+        the largest N with j(N) dividing j, or None when N reaches max_cols.
+        No column past the first length above j is developed."""
+        key = j, max_cols
+        if key not in self._agreement:
             cols = 0
-            while cols < self._max_cols and j % self[cols + 1] == 0:
+            while cols < max_cols and j % self.height(cols + 1, j) == 0:
                 cols += 1
-            self._agreement[j] = cols if cols < self._max_cols else None
-        return self._agreement[j]
-
-
-class OverlapSweep:
-    """Overlaps of one query at any exponents, from one orbit sweep per
-    direction, each developed only as far as the exponents asked need.
-
-    i_max caps the height j; k_max caps the columns of each sweep, in periods
-    of the horizontal word.  Both overlap ends depend on the height only, so
-    they are measured once per height.
-    """
-
-    def __init__(self, query, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
-        p = query.complex
-        v_ids = _word_ids(p, query.vword.period)
-        max_cols = k_max * len(query.hword)
-        self.query, self.k_max, self.i_max = query, k_max, i_max
-        self.east, self.west = (
-            _Sweep(p.tables, _word_ids(p, hword.period), v_ids, i_max, max_cols)
-            for hword in (query.hword, query.hword.inverse())
-        )
-
-    def _end(self, direction, sweep, j):
-        cols = sweep.agreement(j)
-        if cols is None:
-            raise BudgetExceeded(
-                f"no divergence {direction} of the basepoint within {self.k_max} periods",
-                diagnostic=PERIODIC_FLAT_DIAGNOSTIC,
-            )
-        return cols
-
-    def gamma(self, n):
-        """The GammaResult at exponent n.  Raises BudgetExceeded when j
-        exceeds i_max, else when the overlap reaches k_max periods east, else
-        west.  A negative n is the exponent of the inverse word, as in
-        PeriodicWord.power."""
-        j = (self.east if n >= 0 else self.west)[abs(n) * len(self.query.hword)]
-        if j > self.i_max:
-            raise BudgetExceeded(f"no repeated top within {self.i_max} developed words")
-        right_len = self._end("east", self.east, j)
-        left_len = self._end("west", self.west, j)
-        return GammaResult(
-            n=n,
-            j=j,
-            left_len=left_len,
-            right_len=right_len,
-            total_len=left_len + right_len,
-            y_offset=j * len(self.query.vword),
-        )
+            self._agreement[key] = cols if cols < max_cols else None
+        return self._agreement[key]
 
 
 def overlap_gamma(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
@@ -251,9 +222,37 @@ def overlap_gamma(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
     that returns h^n, so the overlap covers at least n horizontal periods
     east of the basepoint, which therefore lies on it.  The overlap runs east
     for the largest N with j(N) dividing j, and west likewise on the inverse
-    word's sweep (see OverlapSweep for the budgets).
+    word's sweep; both ends depend on the height only.  The two sweeps are
+    the query's own (AntiTorusQuery.sweeps), so calls at many exponents
+    develop each column once.  A negative n is the exponent of the inverse
+    word, as in PeriodicWord.power.
+
+    Raises BudgetExceeded when j exceeds i_max, else when the overlap reaches
+    k_max horizontal periods east, else west.
     """
-    return OverlapSweep(query, k_max=k_max, i_max=i_max).gamma(n)
+    east, west = query.sweeps
+    max_cols = k_max * len(query.hword)
+    j = (east if n >= 0 else west).height(abs(n) * len(query.hword), i_max)
+    if j > i_max:
+        raise BudgetExceeded(f"no repeated top within {i_max} developed words")
+    ends = []
+    for direction, sweep in (("east", east), ("west", west)):
+        cols = sweep.agreement(j, max_cols)
+        if cols is None:
+            raise BudgetExceeded(
+                f"no divergence {direction} of the basepoint within {k_max} periods",
+                diagnostic=PERIODIC_FLAT_DIAGNOSTIC,
+            )
+        ends.append(cols)
+    right_len, left_len = ends
+    return GammaResult(
+        n=n,
+        j=j,
+        left_len=left_len,
+        right_len=right_len,
+        total_len=left_len + right_len,
+        y_offset=j * len(query.vword),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +273,9 @@ def periodic_candidates(presentation, klass, max_len):
     return out
 
 
-def screen_anti_torus(presentation, max_len=2, k_bound=8, j_bound=8):
-    """Candidate pairs with no commuting powers within the bounds.
+def screen_anti_torus(presentation, max_len=2):
+    """Candidate pairs with no commuting powers within commuting_powers_search's
+    default bounds.
 
     Yields (hword, vword, query) triples in deterministic order.  A yielded
     pair is only a bounded certificate: the aperiodicity hypothesis itself is
@@ -285,5 +285,5 @@ def screen_anti_torus(presentation, max_len=2, k_bound=8, j_bound=8):
     for hw in periodic_candidates(presentation, HORIZONTAL, max_len):
         for vw in vwords:
             query = AntiTorusQuery(presentation, hw, vw)
-            if commuting_powers_search(query, k_bound, j_bound) is None:
+            if commuting_powers_search(query) is None:
                 yield hw, vw, query

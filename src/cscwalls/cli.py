@@ -4,7 +4,8 @@ Every run is deterministic (no clocks, no randomness) and emits a manifest
 recording input digests, parameters, bounds and output digests; artifacts
 embed the manifest digest so a rerun can be diffed byte for byte.
 
-Exit codes: 0 success, 1 input error, 2 budget exceeded.
+Exit codes: 0 success, 1 input error, 2 budget exceeded.  A run that fails
+removes the files it wrote, so it leaves neither artifact nor manifest.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import os
 import sys
 
 from . import __version__
@@ -414,10 +416,13 @@ def main(argv=None):
         return _HANDLERS[args.subcommand](args, run)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 2
+        status = 2
     except (CscwallsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        status = 1
+    for path in run.outputs:  # a failed run leaves no artifact
+        os.remove(path)
+    return status
 
 
 if __name__ == "__main__":

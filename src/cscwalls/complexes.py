@@ -17,6 +17,7 @@ trees, and it is what makes rectangle development deterministic.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -213,23 +214,18 @@ class SquareComplexPresentation:
     # -- validation ----------------------------------------------------
 
     @cached_property
-    def _corner_counts(self):
-        """Map (vertex, h germ, v germ) -> list of (square index, corner type)."""
-        counts = {}
-        for s, sq in enumerate(self.squares):
-            readings = zip(sq.corner_vertices(), CORNERS, _square_versions(*self._square_ids(sq)))
-            for vertex, corner, (h, _, _, v) in readings:
-                counts.setdefault((vertex, h, v), []).append((s, corner))
-        return counts
-
-    @cached_property
     def validation(self):
-        counts = self._corner_counts
+        # Squares with a corner at (vertex, h germ, v germ): exactly one each in a CSC.
+        counts = Counter(
+            (vertex, h, v)
+            for sq in self.squares
+            for vertex, (h, _, _, v) in zip(sq.corner_vertices(), _square_versions(*self._square_ids(sq)))
+        )
         violations = []
         for h, hg in enumerate(self.germs[HORIZONTAL]):
             for v, vg in enumerate(self.germs[VERTICAL]):
                 if hg.start == vg.start:
-                    n = len(counts.get((hg.start, h, v), ()))
+                    n = counts[hg.start, h, v]
                     if n != 1:
                         violations.append((hg.start, (hg.token(), vg.token()), n))
         violations.sort()

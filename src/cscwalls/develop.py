@@ -55,11 +55,6 @@ class Word:
     def __str__(self):
         return format_word(self)
 
-    def __add__(self, other):
-        if other.klass != self.klass:
-            raise WordError("cannot concatenate words of different classes")
-        return Word(self.letters + other.letters, self.klass)
-
     def power(self, k):
         if k < 0:
             return self.inverse().power(-k)

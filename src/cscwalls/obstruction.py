@@ -18,13 +18,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .antitorus import (
-    DEFAULT_I_MAX,
-    DEFAULT_K_MAX,
-    OverlapSweep,
-    commuting_powers_search,
-    overlap_gamma,
-)
+from .antitorus import DEFAULT_I_MAX, DEFAULT_K_MAX, commuting_powers_search, overlap_gamma
 from .errors import BudgetExceeded, CommutingPowersFound
 
 
@@ -79,10 +73,6 @@ class WellSeparationResult:
         return asdict(self)
 
 
-def _projection(gamma):
-    return ProjectionResult(n=gamma.n, gamma=gamma, diam=gamma.total_len, contains_basepoint=True)
-
-
 def projection_diameter(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
     """Diameter of the projection of the height-j geodesic onto the axis.
 
@@ -91,7 +81,8 @@ def projection_diameter(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
     the diameter.  Contains the basepoint by construction: j stacked periods
     return h^n, so right_len >= n*|w1|, and left_len is never negative.
     """
-    return _projection(overlap_gamma(query, n, k_max=k_max, i_max=i_max))
+    gamma = overlap_gamma(query, n, k_max=k_max, i_max=i_max)
+    return ProjectionResult(n=n, gamma=gamma, diam=gamma.total_len, contains_basepoint=True)
 
 
 def obstruction_table(
@@ -106,20 +97,19 @@ def obstruction_table(
 
     First certifies the aperiodicity hypothesis up to (k_bound, j_bound) and
     raises CommutingPowersFound when the screen fails, since a periodic flat
-    admits no obstruction.  Every row reads the same two orbit sweeps (one
-    OverlapSweep), developed once as far as row n_max needs; each row equals
-    projection_diameter at its n.  Rows that exceed their budgets are
-    recorded as failures, with the same text, instead of aborting the table.
+    admits no obstruction.  Row n is projection_diameter at n; all rows read
+    the query's two orbit sweeps, so each column is developed once, as far
+    as row n_max needs.  Rows that exceed their budgets are recorded as
+    failures, with the same text, instead of aborting the table.
     """
     found = commuting_powers_search(query, k_bound, j_bound)
     if found is not None:
         raise CommutingPowersFound(*found)
 
-    sweep = OverlapSweep(query, k_max=k_max, i_max=i_max)
     rows, failures = [], []
     for n in range(1, n_max + 1):
         try:
-            rows.append(_projection(sweep.gamma(n)))
+            rows.append(projection_diameter(query, n, k_max=k_max, i_max=i_max))
         except BudgetExceeded as exc:
             failures.append((n, str(exc)))
     return ObstructionTable(

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import cscwalls as cw
 from cscwalls.antitorus import (
+    DEFAULT_K_MAX,
     AntiTorusQuery,
     GammaResult,
-    OverlapSweep,
     commuting_powers_search,
     find_periodic_top,
     overlap_at_height,
@@ -213,14 +213,15 @@ class TestOverlap:
         a swap of the two directions fails."""
         p = census22[69]
         q = query(p, "b", "x -y")
-        sweep = OverlapSweep(q)
+        east, west = q.sweeps
+        max_cols = DEFAULT_K_MAX * len(q.hword)
         asymmetric = 0
         for j in range(1, 8):
             left, right = overlap_at_height(q, j)
             side = q.vword.power(j)
             assert periodic_agreement(p, q.hword.period, side, right + 1) == right
             assert periodic_agreement(p.mirrored, q.hword.inverse().period, side, left + 1) == left
-            assert (sweep.west.agreement(j), sweep.east.agreement(j)) == (left, right)
+            assert (west.agreement(j, max_cols), east.agreement(j, max_cols)) == (left, right)
             asymmetric += left != right
         assert asymmetric
 
@@ -317,6 +318,39 @@ class TestOverlapSweep:
             "no divergence east of the basepoint",
             "no divergence west of the basepoint",
         }, seen
+
+
+    def test_results_do_not_depend_on_earlier_calls(self, screened_pairs):
+        """A query keeps its two sweeps across calls with different budgets.
+        Every result of a random sequence of calls on one query equals the
+        result on a fresh copy of it: the value, or the BudgetExceeded type
+        and text."""
+
+        @given(st.data())
+        @settings(max_examples=100)
+        def check(data):
+            q = screened_pairs[data.draw(st.integers(0, len(screened_pairs) - 1), label="pair")]
+            shared = AntiTorusQuery(q.complex, q.hword, q.vword)
+            calls = st.tuples(st.integers(-6, 6), st.integers(1, 12), st.integers(1, 300))
+            for n, k_max, i_max in data.draw(st.lists(calls, min_size=2, max_size=8), label="calls"):
+                fresh = AntiTorusQuery(q.complex, q.hword, q.vword)
+                got = outcome(overlap_gamma, shared, n, k_max=k_max, i_max=i_max)
+                assert got == outcome(overlap_gamma, fresh, n, k_max=k_max, i_max=i_max)
+
+        check()
+
+    def test_development_stops_at_the_height_cap(self, shipped):
+        """On the shipped pair j(n) = 4*3^k for 3^(k-1) < n <= 3^k.  A call
+        whose height exceeds i_max = 100 develops the east sweep up to the
+        first length above 100 (108 = j(10)) and no further, and never
+        touches the west sweep."""
+        for n in (3**5, 3**10):
+            q = AntiTorusQuery(shipped.complex, shipped.hword, shipped.vword)
+            with pytest.raises(BudgetExceeded, match="^no repeated top within 100 developed words"):
+                overlap_gamma(q, n, i_max=100)
+            east, west = q.sweeps
+            assert max(east.js[:-1]) <= 100 < east.js[-1] == 108
+            assert len(east.js) == 11 and west.js == [1]
 
 
 class TestScreening:

@@ -238,6 +238,28 @@ def test_bad_numeric_input_is_an_input_error(capsys, aperiodic_path, tmp_path, c
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("case", ["certify --dot", "gamma --out"])
+def test_failed_write_leaves_no_artifact(capsys, aperiodic_path, tmp_path, case):
+    """A write that fails after an earlier one succeeded exits 1 with one
+    error line and removes what the run wrote: the DOT when --out cannot be
+    written, the artifact when --manifest cannot."""
+    missing = str(tmp_path / "nodir" / "x.json")
+    argv = {
+        "certify --dot": [
+            "certify", "--L", "4", "--r", "2", "--steps", "9", "--p", "9",
+            "--dot", str(tmp_path / "x.dot"), "--out", missing,
+        ],
+        "gamma --out": [
+            "gamma", "--complex", aperiodic_path, "--w1", "a", "--w2", "x", "--n", "3",
+            "--out", str(tmp_path / "g.json"), "--manifest", missing,
+        ],
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestManifest:
     def test_embedded_digest_and_reproducibility(self, capsys, aperiodic_path, tmp_path):
         out1 = tmp_path / "g1.json"
