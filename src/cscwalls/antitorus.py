@@ -5,7 +5,9 @@ vertex span a flat in the universal cover.  The flat is periodic exactly
 when some nonzero powers of the two translations commute, which shows up
 combinatorially as a rectangle whose developed top and right sides repeat
 its bottom and left sides; ``commuting_powers_search`` reads this off one
-orbit sweep.
+orbit sweep.  The census screen (``screen_anti_torus``) runs the same search
+on germ ids, once per inverse class {h^+-1} x {v^+-1} of pairs, since powers
+of h and v commute iff those of h^-1 and v do.
 
 When no such rectangle exists, widening rectangles develop tops that
 eventually diverge from the horizontal periodic word, and the overlap of
@@ -27,7 +29,6 @@ as in-package references for the tests.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -49,7 +50,16 @@ DEFAULT_I_MAX = 10**6
 #: horizontal word).
 DEFAULT_K_MAX = 10**4
 
+#: Default bound on both exponents of the commuting-powers search; the
+#: census screen uses it too.
+DEFAULT_BOUND = 8
+
 PERIODIC_FLAT_DIAGNOSTIC = "periodic flat suspected: the pair may not span an aperiodic flat"
+
+
+def _require_one_vertex(presentation):
+    if len(presentation.vertices) != 1:
+        raise UnsupportedComplexError("queries require a one-vertex complex")
 
 
 @dataclass(frozen=True)
@@ -64,8 +74,7 @@ class AntiTorusQuery:
     vword: PeriodicWord
 
     def __post_init__(self):
-        if len(self.complex.vertices) != 1:
-            raise UnsupportedComplexError("queries require a one-vertex complex")
+        _require_one_vertex(self.complex)
         if self.hword.klass != HORIZONTAL:
             raise WordError("hword must be horizontal")
         if self.vword.klass != VERTICAL:
@@ -104,7 +113,7 @@ class GammaResult:
         return asdict(self)
 
 
-def commuting_powers_search(query, k_bound=8, j_bound=8):
+def commuting_powers_search(query, k_bound=DEFAULT_BOUND, j_bound=DEFAULT_BOUND):
     """Smallest (k, j), lexicographically, with commuting k-th and j-th powers.
 
     The k x i rectangle of h^k and v^i closes up into a torus (top equals
@@ -114,11 +123,18 @@ def commuting_powers_search(query, k_bound=8, j_bound=8):
     rectangle, with right word R^(i/j(N)); that is v^i iff R = v^j(N).  So the
     least closing height for k is j(N) or none, and since j(N) never falls
     the search stops at the first j(N) above j_bound.  None certifies the
-    aperiodicity hypothesis up to the bounds (never beyond them).
+    aperiodicity hypothesis up to the bounds (never beyond them).  The search
+    itself runs on germ ids (``_commuting_powers``), as the screen calls it.
     """
-    h_ids = _word_ids(query.complex, query.hword.period)
-    v_ids = _word_ids(query.complex, query.vword.period)
-    sweep = orbit_lengths(query.complex.tables, h_ids, v_ids)
+    p = query.complex
+    h_ids, v_ids = (_word_ids(p, w.period) for w in (query.hword, query.vword))
+    return _commuting_powers(p.tables, h_ids, v_ids, k_bound, j_bound)
+
+
+def _commuting_powers(tables, h_ids, v_ids, k_bound, j_bound):
+    """commuting_powers_search on germ-id sequences (lists or tuples)."""
+    v_ids = list(v_ids)  # R is a list, and a list never equals a tuple
+    sweep = orbit_lengths(tables, h_ids, v_ids)
     for cols, (j, right) in zip(range(1, k_bound * len(h_ids) + 1), sweep):
         if j > j_bound:
             return None
@@ -260,30 +276,52 @@ def overlap_gamma(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
 # ---------------------------------------------------------------------------
 
 
+def _periodic_ids(n_germs, max_len):
+    """Germ-id tuples of the primitive cyclically reduced words up to max_len,
+    ordered by length, then by ids.  Reduced words grow letter by letter, in
+    order; a word is a proper power iff a nontrivial rotation fixes it."""
+    words = [()]
+    for n in range(1, max_len + 1):
+        words = [w + (g,) for w in words for g in range(n_germs) if not w or g != w[-1] ^ 1]
+        for w in words:
+            if w[-1] != w[0] ^ 1 and all(w[d:] + w[:d] != w for d in range(1, n)):
+                yield w
+
+
 def periodic_candidates(presentation, klass, max_len):
     """All primitive cyclically reduced periodic words up to max_len, ordered
-    by length, then by germ ids."""
-    out = []
-    for n in range(1, max_len + 1):
-        for ids in itertools.product(range(len(presentation.germs[klass])), repeat=n):
-            try:
-                out.append(PeriodicWord(_ids_word(presentation, klass, ids)))
-            except WordError:  # not reduced, not cyclically reduced, or a proper power
-                pass
-    return out
+    by length, then by germ ids: the words of the ids the screen reads."""
+    ids = _periodic_ids(len(presentation.germs[klass]), max_len)
+    return [PeriodicWord(_ids_word(presentation, klass, w)) for w in ids]
+
+
+def _inverse_class(ids):
+    """The key of {w, w^-1}: the smaller germ-id tuple (inversion is g ^ 1)."""
+    return min(ids, tuple(g ^ 1 for g in reversed(ids)))
 
 
 def screen_anti_torus(presentation, max_len=2):
-    """Candidate pairs with no commuting powers within commuting_powers_search's
-    default bounds.
+    """Candidate pairs with no commuting powers within the default bounds.
 
-    Yields (hword, vword, query) triples in deterministic order.  A yielded
-    pair is only a bounded certificate: the aperiodicity hypothesis itself is
-    not decided by this search.
+    Yields (hword, vword, query) triples lazily, horizontal words outer and
+    vertical words inner, each in periodic_candidates order.  Powers of h and
+    v commute iff those of h^-1 and v do, and likewise for v^-1, so the
+    search runs once per class {h^+-1} x {v^+-1}, on germ ids; words and a
+    query are built only for yielded pairs.  A yielded pair is only a bounded
+    certificate: the aperiodicity hypothesis itself is not decided here.
     """
-    vwords = periodic_candidates(presentation, VERTICAL, max_len)
-    for hw in periodic_candidates(presentation, HORIZONTAL, max_len):
-        for vw in vwords:
-            query = AntiTorusQuery(presentation, hw, vw)
-            if commuting_powers_search(query) is None:
-                yield hw, vw, query
+    _require_one_vertex(presentation)
+    germs, tables = presentation.germs, presentation.tables
+    vids = [(v, _inverse_class(v)) for v in _periodic_ids(len(germs[VERTICAL]), max_len)]
+    verdicts = {}
+    for h in _periodic_ids(len(germs[HORIZONTAL]), max_len):
+        h_class = _inverse_class(h)
+        for v, v_class in vids:
+            key = h_class, v_class
+            if key not in verdicts:
+                found = _commuting_powers(tables, h, v, DEFAULT_BOUND, DEFAULT_BOUND)
+                verdicts[key] = found is None
+            if verdicts[key]:
+                hw = PeriodicWord(_ids_word(presentation, HORIZONTAL, h))
+                vw = PeriodicWord(_ids_word(presentation, VERTICAL, v))
+                yield hw, vw, AntiTorusQuery(presentation, hw, vw)

@@ -173,6 +173,10 @@ def _cmd_validate(args, run):
 
 def _cmd_enumerate(args, run):
     run.params.update({"hcount": args.hcount, "vcount": args.vcount, "screen": args.screen})
+    if args.screen:
+        if args.format == "text":
+            raise CscwallsError("--screen needs --format json: text output has no candidate lists")
+        run.params.update({"screen_len": args.screen_len, "screen_limit": args.screen_limit})
     census = list(enumerate_csc(args.hcount, args.vcount))
     entries = []
     for i, p in enumerate(census):

@@ -64,6 +64,11 @@ def census31():
 
 
 @pytest.fixture(scope="session")
+def census23():
+    return tuple(cw.enumerate_csc(2, 3))
+
+
+@pytest.fixture(scope="session")
 def screened_pairs(census22, census13, census31):
     """Every screened pair with words of length <= 2 over the 2+2, 1+3 and
     3+1 census complexes (336 queries)."""

@@ -1,5 +1,6 @@
 """Commuting-power screening, the pigeonhole, and overlap measurement."""
 
+import hashlib
 from collections import Counter
 from itertools import islice
 
@@ -353,6 +354,25 @@ class TestOverlapSweep:
             assert len(east.js) == 11 and west.js == [1]
 
 
+@pytest.fixture(scope="module")
+def screen_census(census22, census13, census31, census23):
+    """A strategy over the 2+2, 1+3, 3+1 and 2+3 census entries that draws
+    half the time from the entries with a pair of single letters that
+    commuting_powers_search leaves open: only about one entry in ten yields
+    any pair."""
+    complexes = census22 + census13 + census31 + census23
+    open_entries = [
+        p
+        for p in complexes
+        if any(
+            commuting_powers_search(AntiTorusQuery(p, hw, vw)) is None
+            for hw in periodic_candidates(p, cw.HORIZONTAL, 1)
+            for vw in periodic_candidates(p, cw.VERTICAL, 1)
+        )
+    ]
+    return st.one_of(st.sampled_from(open_entries), st.sampled_from(complexes))
+
+
 class TestScreening:
     def test_candidate_enumeration_is_deterministic(self, shipped):
         p = shipped.complex
@@ -371,3 +391,73 @@ class TestScreening:
     def test_shipped_complex_screens_positive(self, shipped):
         pairs = list(screen_anti_torus(shipped.complex, max_len=1))
         assert any(str(hw.period) == "a" and str(vw.period) == "x" for hw, vw, _ in pairs)
+
+    @pytest.mark.parametrize(
+        "max_len, pairs, digest",
+        [
+            (2, 336, "07ba7eb3645aa01bf3184c02fbae30d9f2dbf39d180e7c67cf8c1cac80ea818f"),
+            (3, 3600, "1c7cf1c25679dc4271ec0cb56f185b1100ccb02b75ea436d3024fc4b14a112be"),
+        ],
+    )
+    def test_yield_order_is_pinned(self, census22, max_len, pairs, digest):
+        """Every pair the screen yields over the 2+2 census, unlimited, one
+        ``index w1 w2`` line each, in yield order."""
+        lines = [
+            f"{i} {hw.period} {vw.period}\n"
+            for i, p in enumerate(census22)
+            for hw, vw, _ in screen_anti_torus(p, max_len=max_len)
+        ]
+        assert len(lines) == pairs
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
+    def test_screen_equals_per_pair_search(self, screen_census):
+        """Derandomized sweep over the 2+2, 1+3, 3+1 and 2+3 census entries
+        with max_len 1..3: the screen yields exactly the candidate pairs, in
+        order, for which commuting_powers_search on that very pair finds no
+        commuting powers.  The screen decides one pair per inverse class, so
+        this checks that the class shares the verdict."""
+        seen = Counter()
+
+        @given(st.data())
+        @settings(max_examples=40)
+        def check(data):
+            p = data.draw(screen_census, label="complex")
+            max_len = data.draw(st.integers(1, 3), label="max_len")
+            got = [(hw, vw) for hw, vw, _ in screen_anti_torus(p, max_len=max_len)]
+            want = [
+                (hw, vw)
+                for hw in periodic_candidates(p, cw.HORIZONTAL, max_len)
+                for vw in periodic_candidates(p, cw.VERTICAL, max_len)
+                if commuting_powers_search(AntiTorusQuery(p, hw, vw)) is None
+            ]
+            assert got == want
+            seen["some yielded" if got else "none yielded"] += 1
+
+        check()
+        assert set(seen) == {"some yielded", "none yielded"}, seen
+
+    def test_inverse_words_commute_alike(self, screen_census):
+        """Derandomized sweep over the same census entries, words up to
+        length 3 and bounds 1..8: the from-scratch rectangle search finds the
+        same (k, j) for (h, v), (h^-1, v) and (h, v^-1), the invariance the
+        screen's one verdict per class rests on."""
+        seen = Counter()
+
+        @given(st.data())
+        @settings(max_examples=150)
+        def check(data):
+            p = data.draw(screen_census, label="complex")
+            hw = data.draw(st.sampled_from(periodic_candidates(p, cw.HORIZONTAL, 3)), label="h")
+            vw = data.draw(st.sampled_from(periodic_candidates(p, cw.VERTICAL, 3)), label="v")
+            bounds = [data.draw(st.integers(1, 8), label=name) for name in ("k_bound", "j_bound")]
+            found = commuting_powers_by_rectangles(AntiTorusQuery(p, hw, vw), *bounds)
+            for h, v in ((hw.inverse(), vw), (hw, vw.inverse())):
+                assert commuting_powers_by_rectangles(AntiTorusQuery(p, h, v), *bounds) == found
+            seen["none" if found is None else "commuting"] += 1
+
+        check()
+        assert set(seen) == {"none", "commuting"}, seen
+
+    def test_multi_vertex_screen_rejected(self, two_vertex):
+        with pytest.raises(UnsupportedComplexError):
+            next(screen_anti_torus(two_vertex))

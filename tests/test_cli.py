@@ -190,6 +190,33 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--hcount", "4", "--vcount", "1")
         assert code == 2 and "budget" in err
 
+    def test_screen_with_text_format_is_an_input_error(self, capsys, tmp_path):
+        """The text format has no place for candidates, so a screen would be
+        paid for and dropped: exit 1 with one error line and no file."""
+        argv = ["enumerate", "--hcount", "1", "--vcount", "1", "--screen", "--format", "text"]
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "census.txt"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--screen" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_screen_options_are_in_the_manifest(self, capsys, tmp_path):
+        """Two screen limits list different candidates, so they carry two
+        digests; an unscreened run records neither screen option."""
+        digests = []
+        for limit in ("1", "4"):
+            out_path = tmp_path / f"census{limit}.json"
+            argv = ["enumerate", "--hcount", "2", "--vcount", "2", "--screen", "--screen-limit", limit]
+            assert main(argv + ["--out", str(out_path)]) == 0
+            manifest = json.loads((tmp_path / f"census{limit}.json.manifest.json").read_text())
+            assert manifest["params"]["screen_len"] == 2
+            assert manifest["params"]["screen_limit"] == int(limit)
+            digests.append(json.loads(out_path.read_text())["manifest_digest"])
+        assert digests[0] != digests[1]
+        argv = ["enumerate", "--hcount", "1", "--vcount", "1", "--manifest", str(tmp_path / "m.json")]
+        assert run(capsys, *argv)[0] == 0
+        params = json.loads((tmp_path / "m.json").read_text())["params"]
+        assert "screen_len" not in params and "screen_limit" not in params
+
 
 BAD_NUMBERS = (
     ("antitorus", "--bounds", "x"),
