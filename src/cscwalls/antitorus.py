@@ -20,6 +20,12 @@ overlap runs east as far as j(N) divides that height; the west end comes
 from the same sweep of the inverse word on the same corner tables.  A query
 keeps its two sweeps (``AntiTorusQuery.sweeps``), so overlaps at many
 exponents develop each column once, and every call passes its own budgets.
+A sweep develops each column over the right word R in chunks, through a
+per-sweep table from (chunk, letter in) to (letter out, developed chunk),
+so a column costs one lookup per chunk of R once the table has met R's
+chunks.  The overlap readers take only j from a sweep; R is expanded only
+by the commuting-powers search, at period boundaries while j is within its
+bound.
 
 ``find_periodic_top`` (stack periods on h^n until the top comes back) and
 ``overlap_at_height`` (stream columns at a fixed height until the first
@@ -133,7 +139,7 @@ def commuting_powers_search(query, k_bound=DEFAULT_BOUND, j_bound=DEFAULT_BOUND)
 
 def _commuting_powers(tables, h_ids, v_ids, k_bound, j_bound):
     """commuting_powers_search on germ-id sequences (lists or tuples)."""
-    v_ids = list(v_ids)  # R is a list, and a list never equals a tuple
+    v_ids = list(v_ids)  # R compares as a list, and a list never equals a tuple
     sweep = orbit_lengths(tables, h_ids, v_ids)
     for cols, (j, right) in zip(range(1, k_bound * len(h_ids) + 1), sweep):
         if j > j_bound:

@@ -8,10 +8,14 @@ never revised, so tops of widening rectangles are prefix-stable.
 
 Every search develops through one loop, ``_develop``, over integer germ ids:
 ``develop_ids`` runs it once on a copy of the left word, and
-``stream_mismatch_ids`` and ``orbit_lengths`` run it one column at a time.
-``orbit_lengths`` is the one stacking algorithm: the commuting-powers screen
-and the overlap sweep both read it.  The only other loop is ``_fill_cells``,
-which also records every cell for inspection.
+``stream_mismatch_ids`` runs it one column at a time.  ``orbit_lengths`` is
+the one stacking algorithm: the commuting-powers screen and the overlap
+sweep both read it.  It develops one column at a time too, over a right word
+held in chunks of CHUNK germ ids; a per-sweep table maps (chunk, letter in)
+to (letter out, developed chunk), so ``develop_ids`` runs only on a chunk
+the table has not met with that letter, or on a right word that still fits
+in one chunk.  The only other loop is ``_fill_cells``, which also records
+every cell for inspection.
 """
 
 from __future__ import annotations
@@ -188,6 +192,17 @@ def stream_mismatch_ids(tables, period_ids, side_ids, max_cols):
     return -1
 
 
+#: Germ ids per chunk of the right word R in orbit_lengths.
+CHUNK = 8
+
+#: orbit_lengths starts its chunk table over from R's chunks when it holds
+#: more than this many chunks per chunk of R, so a sweep's memory stays
+#: O(len R).  At 4 the shipped pair's table restarts 24 times in its first
+#: 244 columns and its 729-column sweep takes over twice as long; at 16 it
+#: never restarts.
+TABLE_CHUNKS_PER_R = 16
+
+
 def orbit_lengths(tables, period_ids, side_ids):
     """Yield (j(N), R) for N = 1, 2, ...: j(N) is the orbit length of the
     length-N prefix of the periodic bottom word (period_ids repeated) under
@@ -201,22 +216,108 @@ def orbit_lengths(tables, period_ids, side_ids):
     empty prefix).  That rectangle returns its bottom, so stacking it again
     and again develops the next column over R block by block: the column's
     bottom letter comes back after some t blocks, j(N+1) = t*j(N), and the t
-    right words laid end to end are the next R.  Each block is one
-    develop_ids call of len(R) cells.  Each R is a new list.
+    right words laid end to end are the next R.
+
+    A block threads one horizontal letter up through R, so R may be cut
+    anywhere.  Once R outgrows one chunk, the sweep holds it as chunk ids:
+    runs of CHUNK germ ids, interned per sweep, every run but the last full.
+    A block then walks R's chunks through the sweep's table from (chunk,
+    letter in) to (letter out, developed chunk), and a miss develops the
+    chunk with develop_ids.  After a column of t > 1 blocks, the blocks are
+    cut again when R's last chunk is partial.  The base case is R within one
+    chunk: each block is then one develop_ids call on R, with no table, and
+    the census screen's sweeps seldom leave it.
+
+    R is yielded as a sequence of germ ids: a list while it fits in one
+    chunk, else a view that is expanded only when iterated or compared, so
+    a reader of j alone never expands it.  The sweep never changes a
+    yielded R.
     """
     plen = len(period_ids)
-    right, j = side_ids, 1
+    word, j = side_ids, 1  # R, while it fits in one chunk
+    right = None  # R as chunk ids of table, once it outgrows one chunk
     for col in itertools.count():
-        b = top = period_ids[col % plen]
-        next_right, t = [], 0
-        while True:
-            (top,), block = develop_ids(tables, (top,), right)
-            next_right += block
-            t += 1
-            if top == b:
-                break
-        right, j = next_right, j * t
-        yield j, right
+        b = period_ids[col % plen]
+        if right is None:
+            (top,), next_word = develop_ids(tables, (b,), word)
+            t = 1
+            while top != b:
+                (top,), block = develop_ids(tables, (top,), word)
+                next_word += block
+                t += 1
+            word, j = next_word, j * t
+            if len(word) <= CHUNK:
+                yield j, word
+                continue
+            table = _ChunkTable(len(tables.top))
+            right = table.cut(word)
+        else:
+            top, t, rows, blocks = b, 0, table.rows, []
+            append = blocks.append
+            while True:
+                for c in right:
+                    hit = rows[c][top]
+                    if hit is None:
+                        (out,), developed = develop_ids(tables, (top,), table.chunks[c])
+                        hit = rows[c][top] = out, table.intern(developed)
+                    top, c = hit
+                    append(c)
+                t += 1
+                if top == b:
+                    break
+            j *= t
+            if t > 1 and len(table.chunks[right[-1]]) < CHUNK:
+                blocks = table.cut(table.expand(blocks))
+            right = blocks
+            if len(table.chunks) > TABLE_CHUNKS_PER_R * len(right):
+                old, table = table, _ChunkTable(len(tables.top))
+                right = [table.intern(old.chunks[c]) for c in right]
+        yield j, _ChunkedWord(table, right)
+
+
+class _ChunkTable:
+    """One sweep's interned chunks, each with its row of the table from
+    (chunk, letter in) to (letter out, developed chunk)."""
+
+    def __init__(self, letters):
+        self.chunks = []  # chunk id -> germ ids
+        self.rows = []  # chunk id -> letter in -> (letter out, developed chunk id) or None
+        self._ids = {}
+        self._letters = letters
+
+    def intern(self, ids):
+        ids = tuple(ids)
+        c = self._ids.get(ids)
+        if c is None:
+            c = self._ids[ids] = len(self.chunks)
+            self.chunks.append(ids)
+            self.rows.append([None] * self._letters)
+        return c
+
+    def cut(self, ids):
+        """Chunk ids of a germ-id list: every chunk but the last full."""
+        return [self.intern(ids[i : i + CHUNK]) for i in range(0, len(ids), CHUNK)]
+
+    def expand(self, right):
+        """The germ ids of a list of chunk ids, as a new list."""
+        chunks = self.chunks
+        return [g for c in right for g in chunks[c]]
+
+
+class _ChunkedWord:
+    """A right word held as chunk ids of a table; iterating or comparing it
+    expands it."""
+
+    __slots__ = ("_table", "_ids")
+
+    def __init__(self, table, ids):
+        self._table, self._ids = table, ids
+
+    def __iter__(self):
+        return iter(self._table.expand(self._ids))
+
+    def __eq__(self, other):
+        return self._table.expand(self._ids) == other
 
 
 def _word_ids(presentation, word):
@@ -311,4 +412,3 @@ def _fill_cells(presentation, tables, bottom_ids, left_ids):
             b = nt
         top.append(b)
     return top, side, tuple(tuple(r) for r in rows)
-

@@ -3,14 +3,16 @@
 Everything here is deliberately written against the production code paths:
 row-major development (the engine is column-major), overlaps measured one
 exponent at a time by the pigeonhole and two divergence streams (the engine
-reads them off one orbit sweep per direction), a commuting-powers search
-that develops every rectangle from scratch instead of stacking vertical
-periods, candidate words filtered from every germ-id tuple, a census oracle
-that filters raw 4-tuples instead of running the exact-cover search, a census
-class count by Burnside's lemma that never forms a class, staircase walls and
-contact graphs built on vertex and edge tuples instead of interned ids, and
-staircase crossing counts and contact distances taken wall by wall instead of
-from the family side and one breadth-first search.
+reads them off one orbit sweep per direction), an orbit sweep that develops
+each column over the whole right word (the engine walks it in chunks through
+a table), a commuting-powers search that develops every rectangle from
+scratch instead of stacking vertical periods, candidate words filtered from
+every germ-id tuple, a census oracle that filters raw 4-tuples instead of
+running the exact-cover search, a census class count by Burnside's lemma
+that never forms a class, staircase walls and contact graphs built on vertex
+and edge tuples instead of interned ids, and staircase crossing counts and
+contact distances taken wall by wall instead of from the family side and one
+breadth-first search.
 """
 
 import functools
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 from cscwalls.antitorus import GammaResult, find_periodic_top, overlap_at_height
 from cscwalls.complexes import HORIZONTAL, VERTICAL
-from cscwalls.develop import Word
+from cscwalls.develop import Word, develop_ids
 
 
 def develop_row_major(presentation, bottom_word, left_word):
@@ -233,6 +235,26 @@ def overlap_gamma_by_streams(query, n, k_max=10**4, i_max=10**6):
         total_len=left_len + right_len,
         y_offset=j * len(query.vword),
     )
+
+
+def orbit_lengths_by_blocks(tables, period_ids, side_ids):
+    """Reference orbit sweep: yield (j(N), R) as develop.orbit_lengths does,
+    developing each column over the whole right word R one block at a time,
+    with no chunks and no table.  Each block is one develop_ids call of
+    len(R) cells, and each R is a new list."""
+    plen = len(period_ids)
+    right, j = side_ids, 1
+    for col in itertools.count():
+        b = top = period_ids[col % plen]
+        next_right, t = [], 0
+        while True:
+            (top,), block = develop_ids(tables, (top,), right)
+            next_right += block
+            t += 1
+            if top == b:
+                break
+        right, j = next_right, j * t
+        yield j, right
 
 
 def periodic_agreement(presentation, period, left_word, width):

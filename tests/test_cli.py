@@ -340,3 +340,27 @@ def test_benchmark_overlap_job(capsys, aperiodic_path, job):
         assert (a["j"], a["total_len"]) == (2916, 1458) and a["right_len"] >= int(value)
     else:
         assert a["L"] == 486 and a["facing_triple_free"] is True
+
+
+#: Budget edges of `gamma --n 244` on the shipped pair, where j = 2916 and
+#: the overlap runs 729 columns east: one budget below each edge fails with
+#: its own message, and the edge itself passes.
+BUDGET_EDGES = (
+    ("--imax", "2915", "no repeated top within 2915 developed words"),
+    ("--imax", "2916", None),
+    ("--kmax", "729", "no divergence east of the basepoint within 729 periods"),
+    ("--kmax", "730", None),
+)
+
+
+@pytest.mark.parametrize("flag, value, message", BUDGET_EDGES, ids=[" ".join(e[:2]) for e in BUDGET_EDGES])
+def test_gamma_budget_edges(capsys, aperiodic_path, flag, value, message):
+    code, out, err = run(
+        capsys, "gamma", "--complex", aperiodic_path, "--w1", "a", "--w2", "x", "--n", "244", flag, value
+    )
+    if message is not None:
+        assert code == 2 and out == "" and message in err
+    else:
+        a = json.loads(out)
+        assert code == 0, err
+        assert (a["j"], a["right_len"], a["left_len"]) == (2916, 729, 729)

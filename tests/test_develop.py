@@ -1,22 +1,44 @@
 """Development engine: determinism, algebraic laws, kernels, words."""
 
+import itertools
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cscwalls as cw
-from cscwalls.develop import BACKEND, orbit_lengths, parse_word, stream_mismatch_ids
+from cscwalls import develop
+from cscwalls.antitorus import _periodic_ids
+from cscwalls.develop import BACKEND, CHUNK, _word_ids, orbit_lengths, parse_word, stream_mismatch_ids
 from cscwalls.errors import DevelopmentError, WordError
 
 from .conftest import random_reduced_word
-from .oracles import develop_row_major
+from .oracles import develop_row_major, orbit_lengths_by_blocks
 
 
 def w(p, text, klass=None):
     return parse_word(p, text, klass)
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the main thread after `seconds`, so a sweep
+    whose column never closes fails its example instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"sweep column still open after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestWords:
@@ -176,6 +198,93 @@ class TestOracle:
                 assert j == stacks, (q.hword.period, q.vword.period, N)
                 expected = develop_row_major(p, cw.Word(prefix, cw.HORIZONTAL), q.vword.power(j))[1]
                 assert right == [p.germ_id(e) for e in expected], (q.hword.period, q.vword.period, N)
+
+
+class TestChunkedSweep:
+    """develop.orbit_lengths against the block-by-block reference sweep."""
+
+    #: Columns per drawn sweep, and the length of R past which a sweep stops
+    #: being compared (some census pairs multiply j at every column).
+    MAX_COLS = 60
+    MAX_LETTERS = 1500
+
+    @pytest.fixture(scope="class")
+    def census(self, census22, census13, census31, census23):
+        """The 2+2, 1+3, 3+1 and 2+3 census complexes, and those among them
+        whose first single-letter pair's reference sweep outgrows two chunks
+        within 20 columns: a few dozen of the 1,143."""
+        complexes = census22 + census13 + census31 + census23
+        growing = [
+            p
+            for p in complexes
+            if any(len(r) > 2 * CHUNK for _, (_, r) in zip(range(20), orbit_lengths_by_blocks(p.tables, [0], [0])))
+        ]
+        return complexes, growing
+
+    @pytest.mark.parametrize("bound", ["shipped", "restarting"])
+    def test_matches_sweep_by_blocks(self, census, shipped, monkeypatch, bound):
+        """Column by column, (j, R) equal the reference's for pairs of
+        periodic words of length <= 3 on the 2+2, 1+3, 3+1 and 2+3 census
+        complexes, and for the shipped pair in both directions, over up to 60
+        columns.  A third of the draws are on complexes whose sweeps grow,
+        since most census sweeps never leave one chunk.  Every chunk of R but
+        the last is full.  The sweep must meet right words of at least three
+        chunks with a partial last chunk (|w2| = 3 gives lengths 3j), and
+        columns of several blocks after them, whose blocks are cut again.
+        With the table bounded at zero (the "restarting" case) it starts
+        over at every column, and sweeps that meet two tables must occur.
+        A column that never closes fails its example after 5 s."""
+        if bound == "restarting":
+            monkeypatch.setattr(develop, "TABLE_CHUNKS_PER_R", 0)
+        complexes, growing = census
+        p0 = shipped.complex
+        shipped_ids = [_word_ids(p0, w.period) for w in (shipped.hword, shipped.hword.inverse())]
+        candidates = {}
+        seen = {"partial": 0, "recut": 0, "restart": 0}
+
+        @given(st.data())
+        @settings(max_examples=100)
+        def check(data):
+            source = data.draw(st.sampled_from(["shipped", "growing", "census"]), label="source")
+            if source == "shipped":
+                p = p0
+                h_ids = data.draw(st.sampled_from(shipped_ids), label="direction")
+                v_ids = _word_ids(p0, shipped.vword.period)
+            else:
+                p = data.draw(st.sampled_from(growing if source == "growing" else complexes), label="complex")
+                if id(p) not in candidates:
+                    candidates[id(p)] = [
+                        [list(w) for w in _periodic_ids(len(p.germs[k]), 3)] for k in (cw.HORIZONTAL, cw.VERTICAL)
+                    ]
+                hwords, vwords = candidates[id(p)]
+                h_ids, v_ids = data.draw(st.sampled_from(hwords), label="h"), data.draw(st.sampled_from(vwords), label="v")
+            cols = data.draw(st.integers(1, self.MAX_COLS), label="columns")
+            sweep = orbit_lengths(p.tables, h_ids, v_ids)
+            reference = orbit_lengths_by_blocks(p.tables, h_ids, v_ids)
+            partial = recut = False
+            prev_len, tables_met = len(v_ids), set()
+            for ref_j, ref_right in itertools.islice(reference, cols):
+                with deadline(5):
+                    j, right = next(sweep)
+                assert (j, list(right)) == (ref_j, ref_right)
+                letters = len(ref_right)
+                if letters > CHUNK:
+                    table, ids = right._table, right._ids
+                    assert all(len(table.chunks[c]) == CHUNK for c in ids[:-1])
+                    tables_met.add(id(table))
+                partial |= letters > 2 * CHUNK and letters % CHUNK != 0
+                recut |= prev_len > 2 * CHUNK and prev_len % CHUNK != 0 and letters > prev_len
+                if letters > self.MAX_LETTERS:
+                    break
+                prev_len = letters
+            seen["partial"] += partial
+            seen["recut"] += recut
+            seen["restart"] += len(tables_met) > 1
+
+        check()
+        assert seen["partial"] >= 20 and seen["recut"] >= 10
+        if bound == "restarting":
+            assert seen["restart"] >= 50
 
 
 class TestCells:

@@ -159,13 +159,14 @@ class TestWellSeparation:
         assert r.L == 1 and r.crossing_set_size == 1 and r.facing_triple_free
 
 
-def test_shipped_law_through_n_729(shipped):
+def test_shipped_law_through_n_2187(shipped):
     """On the shipped pair j(n) = 4*3^k and total_len = 2*3^k for
-    3^(k-1) < n <= 3^k, at every n <= 729.  One table computes all 729 rows
-    from one sweep per direction, so it costs about what its last row costs
-    alone (under a second); a sweep per row would take minutes."""
-    t = obstruction_table(shipped, 729)
-    assert not t.failures and [r.n for r in t.rows] == list(range(1, 730))
+    3^(k-1) < n <= 3^k, at every n <= 2187 = 3^7.  One table computes all
+    2187 rows from one sweep per direction, so it costs about what its last
+    row costs alone (under a second); a sweep per row would take minutes.
+    3^8 stays out: the sweep's work grows about 9x per factor of 3 in n."""
+    t = obstruction_table(shipped, 2187)
+    assert not t.failures and [r.n for r in t.rows] == list(range(1, 2188))
     for row in t.rows:
         k = 0
         while 3**k < row.n:
