@@ -33,9 +33,11 @@ from .obstruction import obstruction_table, well_separation
 from .staircase import (
     StairParams,
     build_staircase,
+    check_certifiable,
     contact_graph,
     contact_graph_dot,
     nonacyl_certificate,
+    walls,
 )
 
 SCHEMA_PREFIX = "cscwalls"
@@ -290,9 +292,9 @@ def _cmd_staircase(args, run):
     run.params.update(params.to_dict())
     if args.p is not None:
         run.params["p"] = args.p
+        check_certifiable(params, args.p)  # before the build, so a bad p costs nothing and writes nothing
     window = build_staircase(params)
-    graph = contact_graph(window)
-    # p is recorded and checked first: the DOT carries the manifest's digest, a bad p writes nothing.
+    graph = contact_graph(window) if args.p is not None or args.dot else None
     cert = None if args.p is None else nonacyl_certificate(params, args.p, window=window, graph=graph)
     if args.dot:
         run.write(args.dot, f"// manifest: {run.digest}\n" + contact_graph_dot(graph))
@@ -302,7 +304,7 @@ def _cmd_staircase(args, run):
         "params": params.to_dict(),
         "window": window.counts(),
         "euler_characteristic": window.euler_characteristic(),
-        "walls": len(graph.walls),
+        "walls": len(walls(window) if graph is None else graph.walls),
         "crossing_bound": params.crossing_bound,
     }
     return run.emit(payload, args, "staircase")

@@ -22,14 +22,17 @@ parameters give byte-identical windows, walls and certificates.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CscwallsError, InvalidParams, UnknownWall
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Rows of squares per flat block, as drawn between consecutive strips.
 FLAT_ROWS = 3
@@ -73,14 +76,19 @@ class StairParams:
         return asdict(self)
 
 
-# Vertices are (x, y, tag): tag 0 on the main sheet, tag 1 on a strip bottom
-# hanging beyond the overlap with the flat below.  CubeWindow interns them
-# once: vertex ids follow sorted (x, y, tag) order, so comparing ids compares
-# the tuples, and an edge is the pair of its endpoint ids in ascending order,
-# numbered in ascending pair order.  Validation, walls and the contact graph
-# run on these ints.  Tuples remain only at the API edge: window.vertices and
-# window.edges, Wall.dual_edges, the edges strip_wall_edge and
-# last_projection_edge name, and ContactGraph.wall_of_edge's argument.
+# Vertices are (x, y, tag) integer triples: tag 0 on the main sheet, tag 1 on
+# a strip bottom hanging beyond the overlap with the flat below.  A window
+# carries its cells as ints.  Each vertex is first encoded as its key
+# ((x - x0) * ny + y - y0) * nt + tag - t0 over the window's coordinate box,
+# so key order is tuple order: build_staircase computes the keys row by row
+# with range arithmetic, and CubeWindow(squares) encodes its tuples the same
+# way.  Both then intern the keys once.  Vertex ids follow key order, an edge
+# is the pair of its endpoint ids in ascending order, numbered in ascending
+# pair order, and walls are numbered by their least edge id, so ids compare as
+# the tuples do.  Validation, walls, the contact graph and the certificate run
+# on these ints.  Tuples, Wall objects and wall-id keyed maps are built only on
+# first use: window.squares, .vertices, .edges and .corner_ids, the items of
+# walls(window), Wall.dual_edges, and ContactGraph.neighbors and .crossings.
 
 
 class WindowSquare(NamedTuple):
@@ -101,14 +109,27 @@ def unit_square(x, y, bl_tag=0, br_tag=0):
     return WindowSquare((x, y, bl_tag), (x + 1, y, br_tag), (x, y + 1, 0), (x + 1, y + 1, 0))
 
 
-def _intern(items):
-    """The distinct items in sorted order, and a dict from each to its position
-    there.  The dict keeps first-seen order, so looking the items up again in
-    their original order stays cache-local."""
-    ids = dict.fromkeys(items)
-    ordered = sorted(ids)
-    ids.update(zip(ordered, range(len(ordered))))
-    return ordered, ids
+def _box(corners):
+    """(x0, y0, t0, ny, nt) of some vertex tuples: their least coordinates and
+    the extents of y and tag, which make the keys order-preserving."""
+    if not corners:
+        return 0, 0, 0, 1, 1
+    xs, ys, ts = zip(*corners)
+    y0, t0 = min(ys), min(ts)
+    return min(xs), y0, t0, max(ys) - y0 + 1, max(ts) - t0 + 1
+
+
+def _vertex_key(box, vertex):
+    x0, y0, t0, ny, nt = box
+    x, y, t = vertex
+    return ((x - x0) * ny + y - y0) * nt + t - t0
+
+
+def _vertex_tuple(box, key):
+    x0, y0, t0, ny, nt = box
+    xy, t = divmod(key, nt)
+    x, y = divmod(xy, ny)
+    return x + x0, y + y0, t + t0
 
 
 def _pair_keys(n, lo, hi):
@@ -139,81 +160,176 @@ def _least_members(n, xs, ys):
 _QUADRANTS = ("NE", "NW", "SE", "SW")  # the quadrant each corner sw, se, nw, ne fills
 
 
-class CubeWindow:
-    """A finite square complex with coordinatized cells.
+class _Cells(Sequence):
+    """A read-only sequence whose length is known at once and whose items are
+    built on first access.  It compares equal to the tuple of its items."""
 
-    The constructor interns every cell once.  vertices is the tuple of vertex
-    tuples in id order (sorted); corner_ids holds four vertex ids per square
-    (sw, se, nw, ne); edge_keys holds, ascending, the key a * len(vertices) + b
-    of each edge's endpoint ids a <= b, so edge e is edge_keys[e]; side_ids
-    holds four lists of edge ids (bottom, right, top, left), each indexed by
-    square.  edges, the tuple of edge tuples in id order (sorted), is built
-    on first use; edge_id maps an edge tuple back to its id.
+    def __init__(self, length, build):
+        self._length = length
+        self._build = build
+
+    @cached_property
+    def _items(self):
+        return tuple(self._build())
+
+    def __len__(self):
+        return self._length
+
+    def __getitem__(self, i):
+        return self._items[i]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __eq__(self, other):
+        return self._items == (other._items if isinstance(other, _Cells) else other)
+
+    def __repr__(self):
+        return repr(self._items)
+
+
+def _squares_of(vertices, corners):
+    vs = tuple(vertices)
+    return map(WindowSquare, *(map(vs.__getitem__, ids) for ids in corners))
+
+
+def _edges_of(vertices, edge_keys):
+    vs, n = tuple(vertices), len(vertices)
+    return ((vs[k // n], vs[k % n]) for k in edge_keys)
+
+
+class CubeWindow:
+    """A finite square complex with coordinatized cells, carried as ints.
+
+    The constructor encodes each square's corners as keys and interns them
+    once (see the comment above).  corner_quads holds four lists of vertex
+    ids (sw, se, nw, ne), each indexed by square; edge_keys holds, ascending,
+    the key a * n + b of each edge's endpoint ids a <= b among n vertices, so
+    edge e is edge_keys[e]; side_ids holds four lists of edge ids (bottom,
+    right, top, left), each indexed by square.  squares, vertices and edges
+    (in id order) and corner_ids (four vertex ids per square) are sequences
+    built on first use, whose lengths are known at once; edge_id maps an edge
+    tuple back to its id.
     """
 
     def __init__(self, squares, params=None):
+        corners = [v for sq in squares for v in sq]
+        box = _box(corners)
+        keys = list(map(partial(_vertex_key, box), corners))
+        self._intern(params, box, (keys[0::4], keys[1::4], keys[2::4], keys[3::4]))
+
+    @classmethod
+    def _from_keys(cls, params, box, corner_keys):
+        """The window whose squares have the corner keys (sw, se, nw, ne lists) over box."""
+        window = cls.__new__(cls)
+        window._intern(params, box, corner_keys)
+        return window
+
+    def _intern(self, params, box, corner_keys):
         self.params = params
-        self.squares = tuple(squares)
-        flat = [v for sq in self.squares for v in sq]
-        vertices, vertex_id = _intern(flat)
-        self.vertices = tuple(vertices)
-        n = len(vertices)
-        self.corner_ids = corners = list(map(vertex_id.__getitem__, flat))
-        sw, se, nw, ne = corners[0::4], corners[1::4], corners[2::4], corners[3::4]
+        self._box = box
+        self._vertex_keys = keys = sorted(set().union(*corner_keys))
+        n = len(keys)
+        vertex_id = dict(zip(keys, range(n)))
+        self.corner_quads = sw, se, nw, ne = [list(map(vertex_id.__getitem__, q)) for q in corner_keys]
         sides = (_pair_keys(n, sw, se), _pair_keys(n, se, ne), _pair_keys(n, nw, ne), _pair_keys(n, sw, nw))
-        self.edge_keys, edge_id = _intern(chain(*sides))
-        self.side_ids = tuple(list(map(edge_id.__getitem__, keys)) for keys in sides)
+        self.edge_keys = sorted(set().union(*sides))
+        edge_id = dict(zip(self.edge_keys, range(len(self.edge_keys))))
+        self.side_ids = tuple(list(map(edge_id.__getitem__, side)) for side in sides)
+
+    @cached_property
+    def vertices(self):
+        return _Cells(len(self._vertex_keys), partial(map, partial(_vertex_tuple, self._box), self._vertex_keys))
 
     @cached_property
     def edges(self):
-        vs, n = self.vertices, len(self.vertices)
-        return tuple((vs[k // n], vs[k % n]) for k in self.edge_keys)
+        return _Cells(len(self.edge_keys), partial(_edges_of, self.vertices, self.edge_keys))
+
+    @cached_property
+    def squares(self):
+        return _Cells(len(self.corner_quads[0]), partial(_squares_of, self.vertices, self.corner_quads))
+
+    @cached_property
+    def corner_ids(self):
+        return _Cells(4 * len(self.corner_quads[0]), partial(chain.from_iterable, zip(*self.corner_quads)))
+
+    def _vertex(self, v):
+        """The (x, y, tag) tuple of vertex id v."""
+        return _vertex_tuple(self._box, self._vertex_keys[v])
+
+    def _vertex_id(self, vertex):
+        _, y0, t0, ny, nt = self._box
+        if not (0 <= vertex[1] - y0 < ny and 0 <= vertex[2] - t0 < nt):
+            return None  # outside the box its key could be another vertex's
+        return _sorted_index(self._vertex_keys, _vertex_key(self._box, vertex))
 
     def edge_id(self, edge):
         """Id of an edge given as its (lesser, greater) vertex tuples; None if
         the window has no such edge."""
-        a, b = (_sorted_index(self.vertices, v) for v in edge)
+        a, b = (self._vertex_id(v) for v in edge)
         if a is None or b is None:
             return None
-        return _sorted_index(self.edge_keys, a * len(self.vertices) + b)
+        return _sorted_index(self.edge_keys, a * len(self._vertex_keys) + b)
 
     def counts(self):
         return {
-            "vertices": len(self.vertices),
+            "vertices": len(self._vertex_keys),
             "edges": len(self.edge_keys),
-            "squares": len(self.squares),
+            "squares": len(self.corner_quads[0]),
         }
 
     def euler_characteristic(self):
-        return len(self.vertices) - len(self.edge_keys) + len(self.squares)
+        return len(self._vertex_keys) - len(self.edge_keys) + len(self.corner_quads[0])
 
     def validate(self):
-        """Link-condition scan: each quadrant of each vertex holds at most one square.
+        """Link condition: each quadrant of each vertex holds at most one square.
 
         Also checks the window is connected and contractible (Euler number 1),
         so it embeds in a CAT(0) square complex.  Raises CscwallsError on any
         failure; returns the count summary.
         """
-        holder = [-1] * (4 * len(self.vertices))  # 4 * vertex + quadrant -> square
-        for i, v in enumerate(self.corner_ids):
-            key = 4 * v + (i & 3)
-            if holder[key] >= 0:
-                raise CscwallsError(
-                    f"link condition fails at {self.vertices[v]}: quadrant {_QUADRANTS[i & 3]} "
-                    f"held by squares {holder[key]} and {i >> 2}"
-                )
-            holder[key] = i >> 2
+        # corner q of a square fills quadrant _QUADRANTS[q] of its vertex, so
+        # the link condition holds iff no corner list repeats a vertex
+        if any(len(set(ids)) != len(ids) for ids in self.corner_quads):
+            self._link_failure()
         if self.euler_characteristic() != 1:
             raise CscwallsError(
                 f"window is not contractible: Euler characteristic {self.euler_characteristic()}"
             )
-        if not self._connected():
+        if any(_least_members(len(self._vertex_keys), *self._edge_ends)):
             raise CscwallsError("window is not connected")
         return self.counts()
 
-    def _connected(self):
-        n, keys = len(self.vertices), self.edge_keys
-        return not any(_least_members(n, [k // n for k in keys], [k % n for k in keys]))
+    def _link_failure(self):
+        """Raise for the first corner, in square order, whose quadrant an
+        earlier square already holds."""
+        holder = [-1] * (4 * len(self._vertex_keys))  # 4 * vertex + quadrant -> square
+        for i, v in enumerate(self.corner_ids):
+            key = 4 * v + (i & 3)
+            if holder[key] >= 0:
+                raise CscwallsError(
+                    f"link condition fails at {self._vertex(v)}: quadrant {_QUADRANTS[i & 3]} "
+                    f"held by squares {holder[key]} and {i >> 2}"
+                )
+            holder[key] = i >> 2
+
+    @cached_property
+    def _edge_ends(self):
+        """The lesser and the greater endpoint id of each edge, as two lists."""
+        n = len(self._vertex_keys)
+        return [k // n for k in self.edge_keys], [k % n for k in self.edge_keys]
+
+    @cached_property
+    def _partition(self):
+        """The wall number of each edge, and the least edge of each wall.
+        Union-find joins the opposite sides of every square; each class's
+        root is its least edge id, and roots first appear in ascending order,
+        so walls are numbered by their least dual edge."""
+        bottom, right, top, left = self.side_ids
+        root = _least_members(len(self.edge_keys), bottom + right, top + left)
+        least = list(dict.fromkeys(root))
+        number = dict(zip(least, range(len(least))))
+        return list(map(number.__getitem__, root)), least
 
     # -- named cells of the staircase ------------------------------------
 
@@ -251,35 +367,51 @@ def _strip_span(params, i):
     return _flat_span(params, i - 1)[0], _flat_span(params, i)[1]
 
 
+def _overlap_span(params, i):
+    """x-range [a, b] where strip i >= 1 is glued to the flat below it."""
+    a = (i - 1) * params.shift
+    return a, a + params.overlap_len
+
+
 def _strip_bottom_tag(params, i, x):
     """0 where strip i's bottom is glued to the flat below (the overlap), else 1."""
-    if i >= 1 and (i - 1) * params.shift <= x <= (i - 1) * params.shift + params.overlap_len:
-        return 0
+    if i >= 1:
+        a, b = _overlap_span(params, i)
+        if a <= x <= b:
+            return 0
     return 1
-
-
-def _row(bottom, top):
-    """The unit squares between two equally long rows of vertices, west to east."""
-    return map(WindowSquare, bottom, bottom[1:], top, top[1:])
 
 
 def build_staircase(params):
     """Assemble and validate the staircase window for the given parameters."""
-    squares = []
+    ny = _LEVEL_PITCH * params.steps + 2  # y runs over 0 .. LEVEL_PITCH * steps + 1
+    box = (_flat_span(params, 0)[0], 0, 0, ny, 2)  # tags are 0 and 1
+    stride = 2 * ny  # from the key of (x, y, tag) to that of (x + 1, y, tag)
+
+    def row(lo, hi, y, tag=0):
+        """The keys of (x, y, tag) for x in lo..hi."""
+        start = _vertex_key(box, (lo, y, tag))
+        return range(start, start + (hi - lo + 1) * stride, stride)
+
+    corners = sw, se, nw, ne = [], [], [], []
+
+    def squares_between(bottom, top):
+        sw.extend(bottom[:-1])
+        se.extend(bottom[1:])
+        nw.extend(top[:-1])
+        ne.extend(top[1:])
+
     for i in range(params.steps + 1):
         lo, hi = _strip_span(params, i)
+        a, b = _overlap_span(params, i) if i else (hi + 1, hi)  # strip 0 has no flat below
         y = _LEVEL_PITCH * i
-        xs = range(lo, hi + 1)
-        bottom = [(x, y, _strip_bottom_tag(params, i, x)) for x in xs]
-        squares += _row(bottom, [(x, y + 1, 0) for x in xs])
+        squares_between([*row(lo, a - 1, y, 1), *row(a, b, y), *row(b + 1, hi, y, 1)], row(lo, hi, y + 1))
     for i in range(params.steps):
         lo, hi = _flat_span(params, i)
         base = _LEVEL_PITCH * i + 1
-        xs = range(lo, hi + 1)
-        rows = [[(x, y, 0) for x in xs] for y in range(base, base + FLAT_ROWS + 1)]
-        for bottom, top in zip(rows, rows[1:]):
-            squares += _row(bottom, top)
-    window = CubeWindow(squares, params=params)
+        for y in range(base, base + FLAT_ROWS):
+            squares_between(row(lo, hi, y), row(lo, hi, y + 1))
+    window = CubeWindow._from_keys(params, box, corners)
     window.validate()
     return window
 
@@ -310,77 +442,107 @@ class Wall:
         return frozenset(edges[e] for e in self.edge_ids)
 
 
+def _wall_name(k):
+    return f"w{k:04d}"
+
+
 def walls(window):
     """Partition the window's edges into walls (union-find over squares).
 
     Walls are numbered by their least dual edge: edge ids ascend with the
-    edge tuples, and each class's union-find root is its least edge id.
+    edge tuples.  The Wall objects are built on first access; the number of
+    walls is known at once.
     """
-    bottom, right, top, left = window.side_ids
-    root = _least_members(len(window.edge_keys), bottom + right, top + left)
-    members = {}
-    for e, r in enumerate(root):
-        members.setdefault(r, []).append(e)
-    vertices = window.vertices
-    out = []
-    for r, edge_ids in members.items():  # roots first appear in ascending order
-        a, b = divmod(window.edge_keys[r], len(vertices))
-        orientation = "vertical" if vertices[a][1] == vertices[b][1] else "horizontal"
-        out.append(Wall(f"w{len(out):04d}", orientation, tuple(edge_ids), window))
-    return tuple(out)
+    return _Cells(len(window._partition[1]), partial(_walls_of, window))
+
+
+def _walls_of(window):
+    edge_wall, least = window._partition
+    members = [[] for _ in least]
+    for e, w in enumerate(edge_wall):
+        members[w].append(e)
+    lo, hi = window._edge_ends
+    for k, e in enumerate(least):
+        same_y = window._vertex(lo[e])[1] == window._vertex(hi[e])[1]
+        yield Wall(_wall_name(k), "vertical" if same_y else "horizontal", tuple(members[k]), window)
 
 
 class ContactGraph:
     """Walls as nodes; edges between walls whose carriers share a vertex.
 
-    crossings is the transversality subrelation: walls sharing a square.
-    Both are built on wall indices and published keyed by wall id, each
-    neighbour tuple sorted as strings.
+    crossings is the transversality subrelation: walls sharing a square.  The
+    graph is built on wall numbers, the walls' positions in walls: _adjacency
+    and _crossings hold one set of wall numbers per wall.  neighbors and
+    crossings keyed by wall id, each neighbour tuple sorted as strings, are
+    built on first use.
     """
 
     def __init__(self, window):
         self.window = window
         self.walls = walls(window)
-        self._edge_wall = edge_wall = [0] * len(window.edge_keys)
-        for k, w in enumerate(self.walls):
-            for e in w.edge_ids:
-                edge_wall[e] = k
-
+        edge_wall = window._partition[0]
         n_walls = len(self.walls)
-        crossings = [set() for _ in range(n_walls)]
+
+        self._crossings = crossings = [set() for _ in range(n_walls)]
         bottom, _, _, left = window.side_ids
-        for e, f in zip(bottom, left):
-            wv, wh = edge_wall[e], edge_wall[f]  # wv runs vertically through the square
+        # wv runs vertically through the square, wh horizontally.  Two walls of
+        # a validated window cross in one square only, so the pairs are not
+        # deduplicated first: the sets absorb repeats in any other window.
+        for wv, wh in zip(map(edge_wall.__getitem__, bottom), map(edge_wall.__getitem__, left)):
             crossings[wv].add(wh)
             crossings[wh].add(wv)
 
         # A square's two walls are dual to its two sides at each corner, and
         # every edge is a side of some square, so the walls whose carriers
         # hold a vertex are exactly the walls of the edges at that vertex.
-        n = len(window.vertices)
-        at_vertex = [[] for _ in range(n)]
-        for key, w in zip(window.edge_keys, edge_wall):
-            at_vertex[key // n].append(w)
-            at_vertex[key % n].append(w)
-        adjacency = [set() for _ in range(n_walls)]
+        at_vertex = [[] for _ in range(len(window._vertex_keys))]
+        for a, b, w in zip(*window._edge_ends, edge_wall):
+            at_vertex[a].append(w)
+            at_vertex[b].append(w)
+        self._adjacency = adjacency = [set() for _ in range(n_walls)]
         for bucket in at_vertex:
             for a in bucket:
                 adjacency[a].update(bucket)
-        names = [w.id for w in self.walls]
-        self.neighbors = {}
         for k, adj in enumerate(adjacency):
             adj.discard(k)
-            self.neighbors[names[k]] = tuple(sorted([names[j] for j in adj]))
-        self.crossings = {names[k]: frozenset([names[j] for j in c]) for k, c in enumerate(crossings)}
 
-    def wall_of_edge(self, edge):
+    @cached_property
+    def _names(self):
+        return list(map(_wall_name, range(len(self.walls))))
+
+    @cached_property
+    def _numbers(self):
+        return dict(zip(self._names, range(len(self._names))))
+
+    def _number(self, wall):
+        """The wall number of a wall or wall id; UnknownWall if the graph has none."""
+        name = _wall_id(wall)
+        k = self._numbers.get(name)
+        if k is None:
+            raise UnknownWall(f"unknown wall {name!r}")
+        return k
+
+    def _number_of_edge(self, edge):
         e = self.window.edge_id(edge)
         if e is None:
             raise UnknownWall(f"no wall is dual to edge {edge}")
-        return self.walls[self._edge_wall[e]]
+        return self.window._partition[0][e]
+
+    @cached_property
+    def neighbors(self):
+        names = self._names
+        return {names[k]: tuple(sorted([names[j] for j in adj])) for k, adj in enumerate(self._adjacency)}
+
+    @cached_property
+    def crossings(self):
+        names = self._names
+        return {names[k]: frozenset([names[j] for j in c]) for k, c in enumerate(self._crossings)}
+
+    def wall_of_edge(self, edge):
+        return self.walls[self._number_of_edge(edge)]
 
     def crosses(self, a, b):
-        return _wall_id(b) in self.crossings[_wall_id(a)]
+        return self._number(b) in self._crossings[self._number(a)]
 
 
 def _wall_id(wall):
@@ -391,36 +553,40 @@ def contact_graph(window):
     return ContactGraph(window)
 
 
+def _distances(graph, start):
+    """BFS hop counts from wall number start to every wall number, and the wall
+    numbers in the order the search reached them.  Raises CscwallsError when
+    some wall is unreachable, i.e. when the contact graph is disconnected."""
+    adjacency = graph._adjacency
+    dist = [-1] * len(adjacency)
+    dist[start] = 0
+    order = [start]
+    for cur in order:  # order grows as the search runs: it is the queue
+        d = dist[cur] + 1
+        for nxt in adjacency[cur]:
+            if dist[nxt] < 0:
+                dist[nxt] = d
+                order.append(nxt)
+    if len(order) != len(dist):
+        raise CscwallsError("contact graph is disconnected; windows never produce this")
+    return dist, order
+
+
 def contact_distances(graph, source):
-    """BFS hop counts from one wall to every wall of the contact graph.
+    """BFS hop counts from one wall to every wall of the contact graph, keyed by wall id.
 
     Raises CscwallsError when some wall is unreachable, i.e. when the contact
     graph is disconnected.
     """
-    start = _wall_id(source)
-    neighbors = graph.neighbors
-    if start not in neighbors:
-        raise UnknownWall(f"unknown wall {start!r}")
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        d = dist[cur] + 1
-        for nxt in neighbors[cur]:
-            if nxt not in dist:
-                dist[nxt] = d
-                queue.append(nxt)
-    if len(dist) != len(graph.walls):
-        raise CscwallsError("contact graph is disconnected; windows never produce this")
-    return dist
+    dist, order = _distances(graph, graph._number(source))
+    names = graph._names
+    return {names[k]: dist[k] for k in order}
 
 
 def contact_distance(graph, a, b):
     """BFS hop count between two walls in the contact graph."""
-    goal = _wall_id(b)
-    if goal not in graph.neighbors:
-        raise UnknownWall(f"unknown wall {goal!r}")
-    return contact_distances(graph, a)[goal]
+    goal = graph._number(b)
+    return _distances(graph, graph._number(a))[0][goal]
 
 
 def contact_graph_dot(graph, highlight=()):
@@ -500,13 +666,11 @@ _BOUNDS_NOTE = (
 )
 
 
-def nonacyl_certificate(params, p, window=None, graph=None):
-    """Assemble and self-validate the certificate for the p-th translate.
-
-    Requires p <= steps (the window must contain strip p) and steps at least
-    crossing_bound - 1 (otherwise the bound cannot be attained by any wall and
-    the window is too short to certify anything).
-    """
+def check_certifiable(params, p):
+    """Raise InvalidParams unless a window of these parameters can certify the
+    p-th translate: p must be in 1..steps (the window must contain strip p) and
+    steps at least crossing_bound - 1 (otherwise the bound cannot be attained
+    by any wall and the window is too short to certify anything)."""
     if p < 1 or p > params.steps:
         raise InvalidParams(f"p must be in 1..steps, got {p}")
     m = params.crossing_bound
@@ -514,22 +678,32 @@ def nonacyl_certificate(params, p, window=None, graph=None):
         raise InvalidParams(
             f"steps={params.steps} cannot attain the crossing bound {m}; need steps >= {m - 1}"
         )
+
+
+def nonacyl_certificate(params, p, window=None, graph=None):
+    """Assemble and self-validate the certificate for the p-th translate.
+
+    The parameters must pass check_certifiable.  Walls are handled by number
+    throughout and named once, in the certificate.
+    """
+    from fractions import Fraction  # here, so that importing the package loads neither it nor decimal
+
+    check_certifiable(params, p)
+    m = params.crossing_bound
     if window is None:
         window = build_staircase(params)
     if graph is None:
         graph = contact_graph(window)
 
-    family = tuple(
-        graph.wall_of_edge(window.strip_wall_edge(i)).id for i in range(params.steps + 1)
-    )
+    family = [graph._number_of_edge(window.strip_wall_edge(i)) for i in range(params.steps + 1)]
     if len(set(family)) != len(family):
         raise CscwallsError("strip walls are not pairwise distinct")
-    witness = graph.wall_of_edge(window.last_projection_edge()).id
+    witness = graph._number_of_edge(window.last_projection_edge())
 
     # family members are distinct, so each crossing of one adds exactly one
-    counts = dict(Counter(w for f in family for w in graph.crossings[f]))
+    crossings = graph._crossings
+    counts = Counter(chain.from_iterable(crossings[f] for f in family))
     max_crossing = max(counts.values(), default=0)
-    argmax = tuple(sorted(w for w, c in counts.items() if c == max_crossing))
 
     if max_crossing != m:
         raise CscwallsError(f"max crossing count {max_crossing} != bound {m}")
@@ -537,18 +711,16 @@ def nonacyl_certificate(params, p, window=None, graph=None):
         raise CscwallsError("witness wall does not attain the crossing bound")
 
     base = family[0]
-    from_base = contact_distances(graph, base)
+    from_base, _ = _distances(graph, base)
     distances = []
-    witnesses = []
     for i in range(1, p + 1):
         d = from_base[family[i]]
         distances.append((i, d))
         if i < m:
-            if not (graph.crosses(witness, base) and graph.crosses(witness, family[i])):
+            if not (base in crossings[witness] and family[i] in crossings[witness]):
                 raise CscwallsError(f"witness wall misses translate {i}")
             if d != 2:
                 raise CscwallsError(f"distance to translate {i} is {d}, expected 2")
-            witnesses.append((i, witness))
 
     bfs_distance = distances[-1][1]  # the loop above ends at translate p
     bound = Fraction(p, m)
@@ -557,17 +729,18 @@ def nonacyl_certificate(params, p, window=None, graph=None):
             f"BFS distance {bfs_distance} fell below the counting bound {bound}"
         )
 
+    names = graph._names
     return NonAcylCertificate(
         params=params,
         p=p,
         crossing_bound=m,
-        family=family,
+        family=tuple(names[k] for k in family),
         family_distances=tuple(distances),
-        witness_wall=witness,
-        witnesses=tuple(witnesses),
-        crossing_counts=counts,
+        witness_wall=names[witness],
+        witnesses=tuple((i, names[witness]) for i in range(1, min(p + 1, m))),
+        crossing_counts={names[k]: c for k, c in counts.items()},
         max_crossing=max_crossing,
-        max_crossing_walls=argmax,
+        max_crossing_walls=tuple(sorted(names[k] for k, c in counts.items() if c == max_crossing)),
         lower_bound=bound,
         bfs_distance=bfs_distance,
         bounds_note=_BOUNDS_NOTE,

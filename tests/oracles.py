@@ -9,8 +9,9 @@ a table), a commuting-powers search that develops every rectangle from
 scratch instead of stacking vertical periods, candidate words filtered from
 every germ-id tuple, a census oracle that filters raw 4-tuples instead of
 running the exact-cover search, a census class count by Burnside's lemma
-that never forms a class, staircase walls and contact graphs built on vertex
-and edge tuples instead of interned ids, and staircase crossing counts and
+that never forms a class, staircase window validation, walls and contact
+graphs on vertex and edge tuples instead of integer keys, and staircase
+crossing counts and
 contact distances taken wall by wall instead of from the family side and one
 breadth-first search.
 """
@@ -24,6 +25,7 @@ from typing import NamedTuple
 from cscwalls.antitorus import GammaResult, find_periodic_top, overlap_at_height
 from cscwalls.complexes import HORIZONTAL, VERTICAL
 from cscwalls.develop import Word, develop_ids
+from cscwalls.errors import CscwallsError
 
 
 def develop_row_major(presentation, bottom_word, left_word):
@@ -310,6 +312,42 @@ def _edge(a, b):
 def _sides(sq):
     """(bottom, right, top, left) of a window square as vertex-tuple pairs."""
     return _edge(sq.sw, sq.se), _edge(sq.se, sq.ne), _edge(sq.nw, sq.ne), _edge(sq.sw, sq.nw)
+
+
+def validate_by_tuples(squares):
+    """CubeWindow.validate on the squares' vertex tuples: a square-by-square
+    quadrant scan for the link condition, the Euler number from the sets of
+    vertices and edges, and a depth-first search for connectivity.  Returns
+    the same count summary and raises CscwallsError with the same messages."""
+    holder = {}
+    for i, sq in enumerate(squares):
+        # corners sw, se, nw, ne fill the NE, NW, SE and SW quadrants of their vertices
+        for quadrant, vertex in zip(("NE", "NW", "SE", "SW"), sq):
+            if (vertex, quadrant) in holder:
+                raise CscwallsError(
+                    f"link condition fails at {vertex}: quadrant {quadrant} "
+                    f"held by squares {holder[vertex, quadrant]} and {i}"
+                )
+            holder[vertex, quadrant] = i
+    vertices = {v for sq in squares for v in sq}
+    edges = {e for sq in squares for e in _sides(sq)}
+    euler = len(vertices) - len(edges) + len(squares)
+    if euler != 1:
+        raise CscwallsError(f"window is not contractible: Euler characteristic {euler}")
+    around = {v: [] for v in vertices}
+    for a, b in edges:
+        around[a].append(b)
+        around[b].append(a)
+    start = min(vertices)
+    seen, stack = {start}, [start]
+    while stack:
+        for nxt in around[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    if seen != vertices:
+        raise CscwallsError("window is not connected")
+    return {"vertices": len(vertices), "edges": len(edges), "squares": len(squares)}
 
 
 def walls_by_tuples(window):

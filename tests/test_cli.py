@@ -1,12 +1,15 @@
 """End-to-end CLI runs: artifacts, manifests, exit codes, formats."""
 
+import hashlib
 import json
 from importlib.resources import files
 
 import pytest
 
+import cscwalls.cli
 from cscwalls.cli import main
 from cscwalls.obstruction import obstruction_table
+from cscwalls.staircase import StairParams, build_staircase, walls
 
 
 @pytest.fixture(scope="session")
@@ -149,6 +152,43 @@ class TestStaircase:
         assert code == 1 and out == ""
         assert err == "error: p must be in 1..steps, got 12\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "shape,message",
+        [
+            (["--L", "110", "--r", "4", "--steps", "100", "--p", "101"], "p must be in 1..steps, got 101"),
+            (["--L", "110", "--r", "4", "--steps", "100", "--p", "0"], "p must be in 1..steps, got 0"),
+            (["--L", "10", "--r", "1", "--steps", "1", "--p", "1"], "steps=1 cannot attain the crossing bound 11; need steps >= 10"),
+        ],
+    )
+    def test_bad_p_is_rejected_before_the_build(self, capsys, tmp_path, monkeypatch, shape, message):
+        """A p the certificate cannot take is an input error found before any
+        window is built, with the certificate's own message."""
+
+        def no_build(params):
+            raise AssertionError("build_staircase called")
+
+        monkeypatch.setattr(cscwalls.cli, "build_staircase", no_build)
+        code, out, err = run(
+            capsys, "certify", *shape, "--dot", str(tmp_path / "x.dot"), "--out", str(tmp_path / "x.json")
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_window_summary_builds_no_contact_graph(self, capsys, monkeypatch):
+        """Without --p or --dot only the wall count is needed; the summary's
+        bytes are pinned from the run that built the whole contact graph."""
+
+        def no_graph(window):
+            raise AssertionError("contact_graph called")
+
+        monkeypatch.setattr(cscwalls.cli, "contact_graph", no_graph)
+        code, out, _ = run(capsys, "staircase", "--L", "4", "--r", "2", "--steps", "9")
+        assert code == 0
+        assert json.loads(out)["walls"] == len(walls(build_staircase(StairParams(4, 2, 9)))) == 77
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "662314acd8f715c3983778e815727e934423caede2b5237316d79f2b2286e6f0"
+        )
 
     def test_certify_requires_p(self, capsys, tmp_path):
         with pytest.raises(SystemExit):

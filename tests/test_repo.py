@@ -3,6 +3,7 @@ names the benchmark looks up stay in the package."""
 
 import ast
 import importlib
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,9 @@ from pathlib import Path
 import pytest
 
 import cscwalls
+from cscwalls.staircase import StairParams, build_staircase, contact_graph, walls
+
+from .oracles import contact_graph_by_tuples
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,6 +58,34 @@ def test_benchmark_entry_points_exist():
         for name in names:
             assert callable(getattr(mod, name, None)), f"cscwalls.{module}.{name}"
     assert isinstance(cscwalls.BACKEND, str)
+
+
+def test_benchmark_staircase_work_counts():
+    """perfbench reads the staircase work counts off what build_staircase,
+    walls and contact_graph return (INFO in perfbench/spans.py).  Those
+    results hold their cells and names as views built on first use, and
+    tier-1 does not run the benchmark, so a view that broke a count would
+    otherwise go unseen."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    params = StairParams(4, 2, 3)
+    window = build_staircase(params)
+    graph = contact_graph(window)
+    oracle = contact_graph_by_tuples(window)
+    assert spans.INFO["staircase.build_staircase"](window, params) == len(tuple(window.squares)) == 82
+    assert spans.INFO["staircase.walls"](walls(window), window) == len(oracle.walls)
+    contact_edges = sum(map(len, oracle.neighbors.values())) // 2
+    assert spans.INFO["staircase.contact_graph"](graph, window) == contact_edges > 0
+
+
+def test_import_loads_no_fractions_or_decimal():
+    """Fraction is imported where a certificate is built, so importing the
+    package, which the benchmark's setup_s times, loads neither module."""
+    src = Path(cscwalls.__file__).resolve().parent.parent
+    code = "import sys\nimport cscwalls\nprint(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_public_names_resolve():

@@ -25,6 +25,7 @@ from .oracles import (
     contact_distance_by_search,
     contact_graph_by_tuples,
     crossing_counts_by_scan,
+    validate_by_tuples,
 )
 
 
@@ -127,8 +128,32 @@ class TestWindowValidation:
     def test_link_condition_scan_catches_doubled_square(self):
         sq = unit_square(0, 0)
         window = CubeWindow([sq, unit_square(0, 0)])
-        with pytest.raises(CscwallsError):
+        with pytest.raises(CscwallsError) as err:
             window.validate()
+        assert str(err.value) == "link condition fails at (0, 0, 0): quadrant NE held by squares 0 and 1"
+
+    @settings(max_examples=300)
+    @given(unit_square_lists)
+    def test_validation_matches_tuple_oracle(self, squares):
+        """Same verdict and same message as the scan on vertex tuples, for any
+        set of unit squares: the link check on integer corner lists names its
+        failure through the square-by-square scan."""
+        try:
+            expected = validate_by_tuples(squares)
+        except CscwallsError as exc:
+            with pytest.raises(CscwallsError) as err:
+                CubeWindow(squares).validate()
+            assert str(err.value) == str(exc)
+        else:
+            assert CubeWindow(squares).validate() == expected
+
+    @settings(max_examples=40)
+    @given(stair_shapes())
+    def test_staircases_validate_like_tuple_oracle(self, params):
+        window = build_staircase(params)
+        assert validate_by_tuples(tuple(window.squares)) == window.validate() == window.counts()
+        assert len(window.squares) == len(tuple(window.squares))
+        assert len(window.vertices) == len(set(window.vertices)) == len(tuple(window.vertices))
 
     def test_annulus_is_not_contractible(self):
         window = CubeWindow(_annulus())
@@ -259,6 +284,20 @@ class TestContactGraph:
         graph = contact_graph(CubeWindow([unit_square(0, 0)]))
         with pytest.raises(UnknownWall):
             contact_distance(graph, "w9999", graph.walls[0])
+        with pytest.raises(UnknownWall):
+            contact_distance(graph, graph.walls[0], "w9999")
+        with pytest.raises(UnknownWall):
+            contact_distances(graph, "w9999")
+        with pytest.raises(UnknownWall):
+            graph.crosses("w9999", graph.walls[0])
+        with pytest.raises(UnknownWall):
+            graph.crosses(graph.walls[0], "w9999")
+        with pytest.raises(UnknownWall):
+            graph.wall_of_edge(((5, 5, 0), (6, 5, 0)))
+        # these vertices lie above the window; without a bounds check their keys
+        # would be those of (1, 0, 0) and (1, 1, 0), the square's east edge
+        with pytest.raises(UnknownWall):
+            graph.wall_of_edge(((0, 2, 0), (0, 3, 0)))
 
     def test_dot_export(self):
         graph = contact_graph(CubeWindow([unit_square(0, 0), unit_square(1, 0)]))
