@@ -45,7 +45,6 @@ from .staircase import (
     CubeWindow,
     NonAcylCertificate,
     StairParams,
-    Wall,
     build_staircase,
     contact_distance,
     contact_distances,
@@ -89,7 +88,6 @@ __all__ = [
     "CubeWindow",
     "NonAcylCertificate",
     "StairParams",
-    "Wall",
     "build_staircase",
     "contact_distance",
     "contact_distances",

@@ -4,8 +4,9 @@ Every run is deterministic (no clocks, no randomness) and emits a manifest
 recording input digests, parameters, bounds and output digests; artifacts
 embed the manifest digest so a rerun can be diffed byte for byte.
 
-Exit codes: 0 success, 1 input error, 2 budget exceeded.  A run that fails
-removes the files it wrote, so it leaves neither artifact nor manifest.
+Exit codes: 0 success, 1 input error (a malformed command line too), 2 budget
+exceeded.  A run that fails removes the files it wrote, so it leaves neither
+artifact nor manifest.
 """
 
 from __future__ import annotations
@@ -295,7 +296,7 @@ def _cmd_staircase(args, run):
         check_certifiable(params, args.p)  # before the build, so a bad p costs nothing and writes nothing
     window = build_staircase(params)
     graph = contact_graph(window) if args.p is not None or args.dot else None
-    cert = None if args.p is None else nonacyl_certificate(params, args.p, window=window, graph=graph)
+    cert = None if args.p is None else nonacyl_certificate(params, args.p, graph=graph)
     if args.dot:
         run.write(args.dot, f"// manifest: {run.digest}\n" + contact_graph_dot(graph))
     if cert is not None:
@@ -304,7 +305,7 @@ def _cmd_staircase(args, run):
         "params": params.to_dict(),
         "window": window.counts(),
         "euler_characteristic": window.euler_characteristic(),
-        "walls": len(walls(window) if graph is None else graph.walls),
+        "walls": len(walls(window)),
         "crossing_bound": params.crossing_bound,
     }
     return run.emit(payload, args, "staircase")
@@ -337,8 +338,16 @@ def _add_budgets(sub):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one error line and exit status 1,
+    like any other input error; status 2 stays reserved for budgets."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cscwalls",
         description="Complete square complexes: development, overlap certificates, staircase contact graphs",
     )

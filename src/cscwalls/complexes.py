@@ -372,8 +372,13 @@ def parse_complex(text):
 
 
 def load_complex(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_complex(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+    return parse_complex(text)
 
 
 def serialize_complex(presentation):

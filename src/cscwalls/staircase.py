@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
@@ -86,9 +86,9 @@ class StairParams:
 # is the pair of its endpoint ids in ascending order, numbered in ascending
 # pair order, and walls are numbered by their least edge id, so ids compare as
 # the tuples do.  Validation, walls, the contact graph and the certificate run
-# on these ints.  Tuples, Wall objects and wall-id keyed maps are built only on
-# first use: window.squares, .vertices, .edges and .corner_ids, the items of
-# walls(window), Wall.dual_edges, and ContactGraph.neighbors and .crossings.
+# on these ints.  A wall's one name is its id w0000, w0001, ... by number.
+# Tuples and wall-id keyed maps are built only on first use: window.squares,
+# .vertices and .edges, and ContactGraph.neighbors and .crossings.
 
 
 class WindowSquare(NamedTuple):
@@ -102,11 +102,6 @@ class WindowSquare(NamedTuple):
 
 def _edge(a, b):
     return (a, b) if a <= b else (b, a)
-
-
-def unit_square(x, y, bl_tag=0, br_tag=0):
-    """Axis-aligned unit square with optional branch tags on its bottom corners."""
-    return WindowSquare((x, y, bl_tag), (x + 1, y, br_tag), (x, y + 1, 0), (x + 1, y + 1, 0))
 
 
 def _box(corners):
@@ -207,9 +202,8 @@ class CubeWindow:
     the key a * n + b of each edge's endpoint ids a <= b among n vertices, so
     edge e is edge_keys[e]; side_ids holds four lists of edge ids (bottom,
     right, top, left), each indexed by square.  squares, vertices and edges
-    (in id order) and corner_ids (four vertex ids per square) are sequences
-    built on first use, whose lengths are known at once; edge_id maps an edge
-    tuple back to its id.
+    (in id order) are sequences built on first use, whose lengths are known at
+    once; edge_id maps an edge tuple back to its id.
     """
 
     def __init__(self, squares, params=None):
@@ -248,10 +242,6 @@ class CubeWindow:
     @cached_property
     def squares(self):
         return _Cells(len(self.corner_quads[0]), partial(_squares_of, self.vertices, self.corner_quads))
-
-    @cached_property
-    def corner_ids(self):
-        return _Cells(4 * len(self.corner_quads[0]), partial(chain.from_iterable, zip(*self.corner_quads)))
 
     def _vertex(self, v):
         """The (x, y, tag) tuple of vertex id v."""
@@ -304,14 +294,15 @@ class CubeWindow:
         """Raise for the first corner, in square order, whose quadrant an
         earlier square already holds."""
         holder = [-1] * (4 * len(self._vertex_keys))  # 4 * vertex + quadrant -> square
-        for i, v in enumerate(self.corner_ids):
-            key = 4 * v + (i & 3)
-            if holder[key] >= 0:
-                raise CscwallsError(
-                    f"link condition fails at {self._vertex(v)}: quadrant {_QUADRANTS[i & 3]} "
-                    f"held by squares {holder[key]} and {i >> 2}"
-                )
-            holder[key] = i >> 2
+        for i, corners in enumerate(zip(*self.corner_quads)):
+            for q, v in enumerate(corners):
+                key = 4 * v + q
+                if holder[key] >= 0:
+                    raise CscwallsError(
+                        f"link condition fails at {self._vertex(v)}: quadrant {_QUADRANTS[q]} "
+                        f"held by squares {holder[key]} and {i}"
+                    )
+                holder[key] = i
 
     @cached_property
     def _edge_ends(self):
@@ -321,15 +312,15 @@ class CubeWindow:
 
     @cached_property
     def _partition(self):
-        """The wall number of each edge, and the least edge of each wall.
-        Union-find joins the opposite sides of every square; each class's
-        root is its least edge id, and roots first appear in ascending order,
-        so walls are numbered by their least dual edge."""
+        """The wall number of each edge, and the number of walls.  Union-find
+        joins the opposite sides of every square; each class's root is its
+        least edge id, and roots first appear in ascending order, so walls are
+        numbered by their least dual edge."""
         bottom, right, top, left = self.side_ids
         root = _least_members(len(self.edge_keys), bottom + right, top + left)
-        least = list(dict.fromkeys(root))
+        least = dict.fromkeys(root)
         number = dict(zip(least, range(len(least))))
-        return list(map(number.__getitem__, root)), least
+        return list(map(number.__getitem__, root)), len(number)
 
     # -- named cells of the staircase ------------------------------------
 
@@ -421,60 +412,27 @@ def build_staircase(params):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Wall:
-    """An equivalence class of edges under opposite-sides-of-a-square.
-
-    orientation is the direction the wall runs: a wall dual to horizontal
-    edges runs vertically and vice versa.  edge_ids are the window's ids of
-    the dual edges, ascending; dual_edges, their vertex-tuple pairs, is built
-    on first use.
-    """
-
-    id: str
-    orientation: str  # "horizontal" or "vertical"
-    edge_ids: tuple = field(repr=False)
-    window: CubeWindow = field(repr=False, compare=False)
-
-    @cached_property
-    def dual_edges(self):
-        edges = self.window.edges
-        return frozenset(edges[e] for e in self.edge_ids)
-
-
 def _wall_name(k):
     return f"w{k:04d}"
 
 
 def walls(window):
-    """Partition the window's edges into walls (union-find over squares).
+    """The ids w0000, w0001, ... of the window's walls, in wall-number order.
 
-    Walls are numbered by their least dual edge: edge ids ascend with the
-    edge tuples.  The Wall objects are built on first access; the number of
-    walls is known at once.
+    Walls partition the edges (union-find over squares) and are numbered by
+    their least dual edge: edge ids ascend with the edge tuples.
     """
-    return _Cells(len(window._partition[1]), partial(_walls_of, window))
-
-
-def _walls_of(window):
-    edge_wall, least = window._partition
-    members = [[] for _ in least]
-    for e, w in enumerate(edge_wall):
-        members[w].append(e)
-    lo, hi = window._edge_ends
-    for k, e in enumerate(least):
-        same_y = window._vertex(lo[e])[1] == window._vertex(hi[e])[1]
-        yield Wall(_wall_name(k), "vertical" if same_y else "horizontal", tuple(members[k]), window)
+    return list(map(_wall_name, range(window._partition[1])))
 
 
 class ContactGraph:
     """Walls as nodes; edges between walls whose carriers share a vertex.
 
-    crossings is the transversality subrelation: walls sharing a square.  The
-    graph is built on wall numbers, the walls' positions in walls: _adjacency
-    and _crossings hold one set of wall numbers per wall.  neighbors and
-    crossings keyed by wall id, each neighbour tuple sorted as strings, are
-    built on first use.
+    crossings is the transversality subrelation: walls sharing a square.
+    walls is the list of wall ids, and a wall's number is its position there.
+    The graph is built on wall numbers: _adjacency and _crossings hold one set
+    of wall numbers per wall.  neighbors and crossings keyed by wall id, each
+    neighbour tuple sorted as strings, are built on first use.
     """
 
     def __init__(self, window):
@@ -507,19 +465,14 @@ class ContactGraph:
             adj.discard(k)
 
     @cached_property
-    def _names(self):
-        return list(map(_wall_name, range(len(self.walls))))
-
-    @cached_property
     def _numbers(self):
-        return dict(zip(self._names, range(len(self._names))))
+        return dict(zip(self.walls, range(len(self.walls))))
 
     def _number(self, wall):
-        """The wall number of a wall or wall id; UnknownWall if the graph has none."""
-        name = _wall_id(wall)
-        k = self._numbers.get(name)
+        """The wall number of a wall id; UnknownWall if the graph has none."""
+        k = self._numbers.get(wall)
         if k is None:
-            raise UnknownWall(f"unknown wall {name!r}")
+            raise UnknownWall(f"unknown wall {wall!r}")
         return k
 
     def _number_of_edge(self, edge):
@@ -530,23 +483,13 @@ class ContactGraph:
 
     @cached_property
     def neighbors(self):
-        names = self._names
+        names = self.walls
         return {names[k]: tuple(sorted([names[j] for j in adj])) for k, adj in enumerate(self._adjacency)}
 
     @cached_property
     def crossings(self):
-        names = self._names
+        names = self.walls
         return {names[k]: frozenset([names[j] for j in c]) for k, c in enumerate(self._crossings)}
-
-    def wall_of_edge(self, edge):
-        return self.walls[self._number_of_edge(edge)]
-
-    def crosses(self, a, b):
-        return self._number(b) in self._crossings[self._number(a)]
-
-
-def _wall_id(wall):
-    return wall.id if isinstance(wall, Wall) else wall
 
 
 def contact_graph(window):
@@ -573,36 +516,34 @@ def _distances(graph, start):
 
 
 def contact_distances(graph, source):
-    """BFS hop counts from one wall to every wall of the contact graph, keyed by wall id.
+    """BFS hop counts from wall id source to every wall of the contact graph,
+    keyed by wall id.
 
     Raises CscwallsError when some wall is unreachable, i.e. when the contact
     graph is disconnected.
     """
     dist, order = _distances(graph, graph._number(source))
-    names = graph._names
+    names = graph.walls
     return {names[k]: dist[k] for k in order}
 
 
 def contact_distance(graph, a, b):
-    """BFS hop count between two walls in the contact graph."""
+    """BFS hop count between wall ids a and b in the contact graph."""
     goal = graph._number(b)
     return _distances(graph, graph._number(a))[0][goal]
 
 
-def contact_graph_dot(graph, highlight=()):
-    """DOT rendering with deterministic ordering; highlighted walls are boxed."""
-    marked = {_wall_id(w) for w in highlight}
-    lines = ["graph contact {"]
-    for w in graph.walls:
-        attrs = ' [shape=box]' if w.id in marked else ""
-        lines.append(f'  "{w.id}"{attrs};')
-    seen = set()
-    for w in graph.walls:
-        for other in graph.neighbors[w.id]:
-            key = tuple(sorted((w.id, other)))
-            if key not in seen:
-                seen.add(key)
-                lines.append(f'  "{key[0]}" -- "{key[1]}";')
+def contact_graph_dot(graph):
+    """DOT rendering: the walls in number order, then each contact once, from
+    its lower-numbered wall, that wall's partners in string order of their ids
+    and the two ids of each line in string order."""
+    names = graph.walls
+    lines = ["graph contact {", *(f'  "{w}";' for w in names)]
+    for k, adj in enumerate(graph._adjacency):
+        w = names[k]
+        for other in sorted([names[j] for j in adj if j > k]):
+            a, b = (w, other) if w < other else (other, w)
+            lines.append(f'  "{a}" -- "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -680,20 +621,23 @@ def check_certifiable(params, p):
         )
 
 
-def nonacyl_certificate(params, p, window=None, graph=None):
+def nonacyl_certificate(params, p, graph=None):
     """Assemble and self-validate the certificate for the p-th translate.
 
-    The parameters must pass check_certifiable.  Walls are handled by number
-    throughout and named once, in the certificate.
+    The parameters must pass check_certifiable.  graph, when given, must be
+    the contact graph of the window built for params; otherwise it is built
+    here.  Walls are handled by number throughout and named once, in the
+    certificate.
     """
     from fractions import Fraction  # here, so that importing the package loads neither it nor decimal
 
     check_certifiable(params, p)
     m = params.crossing_bound
-    if window is None:
-        window = build_staircase(params)
     if graph is None:
-        graph = contact_graph(window)
+        graph = contact_graph(build_staircase(params))
+    elif graph.window.params != params:
+        raise InvalidParams(f"the contact graph was built for {graph.window.params}, not for {params}")
+    window = graph.window
 
     family = [graph._number_of_edge(window.strip_wall_edge(i)) for i in range(params.steps + 1)]
     if len(set(family)) != len(family):
@@ -729,7 +673,7 @@ def nonacyl_certificate(params, p, window=None, graph=None):
             f"BFS distance {bfs_distance} fell below the counting bound {bound}"
         )
 
-    names = graph._names
+    names = graph.walls
     return NonAcylCertificate(
         params=params,
         p=p,

@@ -10,10 +10,10 @@ scratch instead of stacking vertical periods, candidate words filtered from
 every germ-id tuple, a census oracle that filters raw 4-tuples instead of
 running the exact-cover search, a census class count by Burnside's lemma
 that never forms a class, staircase window validation, walls and contact
-graphs on vertex and edge tuples instead of integer keys, and staircase
-crossing counts and
-contact distances taken wall by wall instead of from the family side and one
-breadth-first search.
+graphs on vertex and edge tuples instead of integer keys, a contact-graph
+DOT writer that goes through wall ids and a seen-set instead of wall numbers,
+and staircase crossing counts and contact distances taken wall by wall
+instead of from the family side and one breadth-first search.
 """
 
 import functools
@@ -26,6 +26,7 @@ from cscwalls.antitorus import GammaResult, find_periodic_top, overlap_at_height
 from cscwalls.complexes import HORIZONTAL, VERTICAL
 from cscwalls.develop import Word, develop_ids
 from cscwalls.errors import CscwallsError
+from cscwalls.staircase import WindowSquare
 
 
 def develop_row_major(presentation, bottom_word, left_word):
@@ -274,9 +275,9 @@ def crossing_counts_by_scan(graph, family):
     against every family member; walls that cross none are left out."""
     counts = {}
     for w in graph.walls:
-        c = sum(1 for f in family if graph.crosses(w.id, f))
+        c = sum(1 for f in family if f in graph.crossings[w])
         if c:
-            counts[w.id] = c
+            counts[w] = c
     return counts
 
 
@@ -301,8 +302,12 @@ def contact_distance_by_search(graph, a, b):
 
 class TupleWall(NamedTuple):
     id: str
-    orientation: str
     dual_edges: frozenset
+
+
+def unit_square(x, y, bl_tag=0, br_tag=0):
+    """Axis-aligned unit square with optional branch tags on its bottom corners."""
+    return WindowSquare((x, y, bl_tag), (x + 1, y, br_tag), (x, y + 1, 0), (x + 1, y + 1, 0))
 
 
 def _edge(a, b):
@@ -378,9 +383,7 @@ def walls_by_tuples(window):
         classes.setdefault(find(e), []).append(e)
     out = []
     for members in sorted(classes.values(), key=min):
-        (_, y1, _), (_, y2, _) = members[0]
-        orientation = "vertical" if y1 == y2 else "horizontal"
-        out.append(TupleWall(f"w{len(out):04d}", orientation, frozenset(members)))
+        out.append(TupleWall(f"w{len(out):04d}", frozenset(members)))
     return tuple(out)
 
 
@@ -409,3 +412,21 @@ def contact_graph_by_tuples(window):
         neighbors={k: tuple(sorted(v)) for k, v in neighbors.items()},
         crossings={k: frozenset(v) for k, v in crossings.items()},
     )
+
+
+def contact_graph_dot_by_names(graph):
+    """contact_graph_dot through wall ids: every wall's neighbour tuple in
+    turn, each contact printed the first time one of its two ids is reached
+    and skipped after through a set of the pairs already printed."""
+    lines = ["graph contact {"]
+    for w in graph.walls:
+        lines.append(f'  "{w.id}";')
+    seen = set()
+    for w in graph.walls:
+        for other in graph.neighbors[w.id]:
+            key = tuple(sorted((w.id, other)))
+            if key not in seen:
+                seen.add(key)
+                lines.append(f'  "{key[0]}" -- "{key[1]}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

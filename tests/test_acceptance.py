@@ -136,7 +136,7 @@ def test_criterion_5_staircase_certificates():
             assert len(window.squares) <= 10**5
             graph = contact_graph(window)
             p = params.steps
-            cert = nonacyl_certificate(params, p, window=window, graph=graph)
+            cert = nonacyl_certificate(params, p, graph=graph)
             assert cert.crossing_bound == m_expected
             for i, d in cert.family_distances:
                 if i < m_expected:

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import shlex
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,8 @@ import cscwalls.cli
 from cscwalls.cli import main
 from cscwalls.obstruction import obstruction_table
 from cscwalls.staircase import StairParams, build_staircase, walls
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +42,17 @@ class TestValidate:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "--complex", "no-such-file.sqc")
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize(
+        "data,line", [(b"\x7fELF\x02\x01\x01\x00\xff\xfe", 1), (b"# one\n# two\nh: a \xe9\n", 3)]
+    )
+    def test_binary_file_is_an_input_error(self, capsys, tmp_path, data, line):
+        """A file that is not UTF-8 gives one error line naming the line of
+        the first bad byte, not a traceback."""
+        path = tmp_path / "binary.sqc"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "validate", "--complex", str(path))
+        assert (code, out, err) == (1, "", f"error: line {line}: not UTF-8 text\n")
 
 
 class TestDevelop:
@@ -191,8 +206,9 @@ class TestStaircase:
         )
 
     def test_certify_requires_p(self, capsys, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["certify", "--L", "4", "--r", "2", "--steps", "9"])
+        assert exc.value.code == 1
 
     def test_certify(self, capsys, tmp_path):
         out_path = tmp_path / "cert.json"
@@ -303,6 +319,56 @@ def test_bad_numeric_input_is_an_input_error(capsys, aperiodic_path, tmp_path, c
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--n", "foo"],
+        ["certify", "--L", "4", "--r", "2", "--steps", "x", "--p", "1"],
+        ["staircase", "--L", "4"],
+        ["validate", "--complex", "x", "--bogus"],
+        ["nosuch"],
+        [],
+    ],
+    ids=" ".join,
+)
+def test_malformed_command_line_is_an_input_error(capsys, argv):
+    """argparse's usage errors exit 1 with one error line, as other input
+    errors do: exit 2 means a budget was exceeded."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["certify", "--help"]], ids=" ".join)
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out
+
+
+def readme_command_block():
+    """The lines of the sh block under README's "Command line" heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    return section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
+    """Every example of README's Command line block runs through main and
+    exits 0, so an API or CLI change cannot leave it stale.  --complex paths
+    are read from the checkout; outputs land in tmp_path."""
+    lines = [line for line in readme_command_block() if line and not line.startswith("#")]
+    assert lines and all(line.startswith("cscwalls ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        argv = [str(ROOT / a) if flag == "--complex" else a for flag, a in zip(["", *argv], argv)]
+        assert main(argv) == 0, line
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("case", ["certify --dot", "gamma --out"])

@@ -12,19 +12,21 @@ from cscwalls.staircase import (
     CubeWindow,
     StairParams,
     build_staircase,
+    check_certifiable,
     contact_distance,
     contact_distances,
     contact_graph,
     contact_graph_dot,
     nonacyl_certificate,
-    unit_square,
     walls,
 )
 
 from .oracles import (
     contact_distance_by_search,
     contact_graph_by_tuples,
+    contact_graph_dot_by_names,
     crossing_counts_by_scan,
+    unit_square,
     validate_by_tuples,
 )
 
@@ -39,6 +41,15 @@ def certifiable(draw):
     steps = draw(st.integers(m - 1, m + 5))
     p = draw(st.integers(1, steps))
     return L, r, steps, p
+
+
+@st.composite
+def short_shapes(draw):
+    """StairParams with L <= 10, r <= L, steps <= crossing_bound and margin <= 3."""
+    L = draw(st.integers(1, 10))
+    r = draw(st.integers(1, L))
+    m = -(-L // r) + 1
+    return StairParams(L, r, draw(st.integers(1, m)), draw(st.integers(1, 3)))
 
 
 @st.composite
@@ -58,18 +69,32 @@ unit_square_lists = st.lists(
 )
 
 
+def dual_edges(window):
+    """The dual edges of each wall, by wall number, as vertex-tuple pairs:
+    window.edges grouped by the wall partition."""
+    edge_wall, n_walls = window._partition
+    members = [set() for _ in range(n_walls)]
+    for edge, w in zip(window.edges, edge_wall):
+        members[w].add(edge)
+    return list(map(frozenset, members))
+
+
+def wall_of_edge(graph, edge):
+    """The id of the wall dual to an edge given as its vertex tuples."""
+    window = graph.window
+    return graph.walls[window._partition[0][window.edge_id(edge)]]
+
+
 def assert_graph_matches_oracle(window):
     """Walls and contact graph on interned ids equal the tuple-keyed oracle."""
     graph = contact_graph(window)
     oracle = contact_graph_by_tuples(window)
-    assert [(w.id, w.orientation, w.dual_edges) for w in graph.walls] == [
-        (w.id, w.orientation, w.dual_edges) for w in oracle.walls
-    ]
-    for w in oracle.walls:
-        assert {graph.wall_of_edge(e).id for e in w.dual_edges} == {w.id}
+    assert graph.walls == walls(window) == [w.id for w in oracle.walls]
+    assert dual_edges(window) == [w.dual_edges for w in oracle.walls]
+    assert [window.edge_id(e) for e in window.edges] == list(range(len(window.edges)))
     assert graph.neighbors == oracle.neighbors
     assert graph.crossings == oracle.crossings
-    assert contact_graph_dot(graph) == contact_graph_dot(oracle)
+    assert contact_graph_dot(graph) == contact_graph_dot_by_names(oracle)
 
 
 def _annulus():
@@ -176,29 +201,25 @@ class TestWindowValidation:
 
 class TestWalls:
     def test_single_square(self):
-        ws = walls(CubeWindow([unit_square(0, 0)]))
-        assert len(ws) == 2
-        assert sorted(w.orientation for w in ws) == ["horizontal", "vertical"]
-        assert all(len(w.dual_edges) == 2 for w in ws)
+        window = CubeWindow([unit_square(0, 0)])
+        assert walls(window) == ["w0000", "w0001"]
+        assert [len(edges) for edges in dual_edges(window)] == [2, 2]
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_strip_of_squares(self, k):
         """A 1xk strip: k vertical walls of 2 edges and 1 horizontal wall of
         k+1 edges (at k=1 this is the single-square count)."""
-        ws = walls(CubeWindow([unit_square(x, 0) for x in range(k)]))
-        vertical = [w for w in ws if w.orientation == "vertical"]
-        horizontal = [w for w in ws if w.orientation == "horizontal"]
-        assert len(vertical) == k and all(len(w.dual_edges) == 2 for w in vertical)
-        assert len(horizontal) == 1 and len(horizontal[0].dual_edges) == k + 1
+        window = CubeWindow([unit_square(x, 0) for x in range(k)])
+        assert len(walls(window)) == k + 1
+        assert sorted(map(len, dual_edges(window))) == [2] * k + [k + 1]
 
     def test_partition(self):
         window = build_staircase(StairParams(4, 2, steps=3, margin=1))
-        ws = walls(window)
         union = set()
         total = 0
-        for w in ws:
-            total += len(w.dual_edges)
-            union.update(w.dual_edges)
+        for edges in dual_edges(window):
+            total += len(edges)
+            union.update(edges)
         assert union == set(window.edges) and total == len(window.edges)
 
     def test_strip_walls_distinct_and_eventually_non_adjacent(self):
@@ -206,7 +227,7 @@ class TestWalls:
         window = build_staircase(params)
         graph = contact_graph(window)
         m = params.crossing_bound
-        family = [graph.wall_of_edge(window.strip_wall_edge(i)).id for i in range(4)]
+        family = [wall_of_edge(graph, window.strip_wall_edge(i)) for i in range(4)]
         assert len(set(family)) == 4
         for i in range(4):
             for k in range(4):
@@ -235,7 +256,7 @@ class TestWalls:
             list(v) != sorted(v, key=lambda w: int(w[1:])) for v in graph.neighbors.values()
         )
         oracle = contact_graph_by_tuples(graph.window)
-        assert contact_graph_dot(graph) == contact_graph_dot(oracle)
+        assert contact_graph_dot(graph) == contact_graph_dot_by_names(oracle)
 
 
 class TestContactGraph:
@@ -244,30 +265,30 @@ class TestContactGraph:
         graph = contact_graph(window)
         a, b = graph.walls
         assert contact_distance(graph, a, b) == 1
-        assert graph.crosses(a, b)
+        assert graph.crossings == {a: {b}, b: {a}}
 
     def test_adjacency_symmetric_irreflexive(self):
         graph = contact_graph(build_staircase(StairParams(4, 2, steps=3, margin=1)))
         for w in graph.walls:
-            assert w.id not in graph.neighbors[w.id]
-            for other in graph.neighbors[w.id]:
-                assert w.id in graph.neighbors[other]
+            assert w not in graph.neighbors[w]
+            for other in graph.neighbors[w]:
+                assert w in graph.neighbors[other]
 
     def test_distance_two_witnessed(self):
         params = StairParams(4, 2, steps=3, margin=1)  # crossing bound 3
         window = build_staircase(params)
         graph = contact_graph(window)
-        base = graph.wall_of_edge(window.strip_wall_edge(0))
+        base = wall_of_edge(graph, window.strip_wall_edge(0))
         for i in (1, 2):
-            other = graph.wall_of_edge(window.strip_wall_edge(i))
+            other = wall_of_edge(graph, window.strip_wall_edge(i))
             assert contact_distance(graph, base, other) == 2
 
     def test_distance_at_twelve_steps(self):
         params = StairParams(4, 2, steps=12, margin=1)
         window = build_staircase(params)
         graph = contact_graph(window)
-        base = graph.wall_of_edge(window.strip_wall_edge(0))
-        top = graph.wall_of_edge(window.strip_wall_edge(12))
+        base = wall_of_edge(graph, window.strip_wall_edge(0))
+        top = wall_of_edge(graph, window.strip_wall_edge(12))
         d = contact_distance(graph, base, top)
         assert d >= 12 / 3
         assert d == 8  # frozen exact BFS value for this window
@@ -281,28 +302,30 @@ class TestContactGraph:
             contact_distances(graph, near)
 
     def test_unknown_wall(self):
-        graph = contact_graph(CubeWindow([unit_square(0, 0)]))
+        window = CubeWindow([unit_square(0, 0)])
+        graph = contact_graph(window)
         with pytest.raises(UnknownWall):
             contact_distance(graph, "w9999", graph.walls[0])
         with pytest.raises(UnknownWall):
             contact_distance(graph, graph.walls[0], "w9999")
         with pytest.raises(UnknownWall):
             contact_distances(graph, "w9999")
-        with pytest.raises(UnknownWall):
-            graph.crosses("w9999", graph.walls[0])
-        with pytest.raises(UnknownWall):
-            graph.crosses(graph.walls[0], "w9999")
-        with pytest.raises(UnknownWall):
-            graph.wall_of_edge(((5, 5, 0), (6, 5, 0)))
+        assert window.edge_id(((5, 5, 0), (6, 5, 0))) is None
         # these vertices lie above the window; without a bounds check their keys
         # would be those of (1, 0, 0) and (1, 1, 0), the square's east edge
-        with pytest.raises(UnknownWall):
-            graph.wall_of_edge(((0, 2, 0), (0, 3, 0)))
+        assert window.edge_id(((0, 2, 0), (0, 3, 0))) is None
+        assert window.edge_id(((1, 0, 0), (1, 1, 0))) is not None
 
     def test_dot_export(self):
+        """Two squares side by side: w0000 runs through both, w0001 and w0002
+        cross it in one square each, and each pair of the three is in contact."""
         graph = contact_graph(CubeWindow([unit_square(0, 0), unit_square(1, 0)]))
-        dot = contact_graph_dot(graph, highlight=[graph.walls[0]])
-        assert dot.startswith("graph contact {") and "--" in dot
+        assert contact_graph_dot(graph) == (
+            "graph contact {\n"
+            '  "w0000";\n  "w0001";\n  "w0002";\n'
+            '  "w0000" -- "w0001";\n  "w0000" -- "w0002";\n  "w0001" -- "w0002";\n'
+            "}\n"
+        )
 
 
 class TestCertificate:
@@ -354,16 +377,14 @@ class TestCertificate:
         params = StairParams(L, r, steps, margin)
         window = build_staircase(params)
         graph = contact_graph(window)
-        cert = nonacyl_certificate(params, p, window=window, graph=graph)
+        cert = nonacyl_certificate(params, p, graph=graph)
         assert cert.crossing_counts == crossing_counts_by_scan(graph, cert.family)
         base = cert.family[0]
         assert cert.family_distances == tuple(
             (i, contact_distance_by_search(graph, base, cert.family[i])) for i in range(1, p + 1)
         )
         from_base = contact_distances(graph, base)
-        assert from_base == {
-            w.id: contact_distance_by_search(graph, base, w.id) for w in graph.walls
-        }
+        assert from_base == {w: contact_distance_by_search(graph, base, w) for w in graph.walls}
 
     def test_growing_overlap_grows_bound(self):
         bounds = [
@@ -372,6 +393,36 @@ class TestCertificate:
         ]
         assert bounds == [3, 5, 7, 9]
         assert bounds == sorted(bounds) and len(set(bounds)) == len(bounds)
+
+    @settings(max_examples=80)
+    @given(short_shapes())
+    def test_step_guard_is_exact(self, params):
+        """check_certifiable's steps >= M - 1 guard rejects exactly the windows
+        whose strip family no wall crosses M times, by the wall-by-wall scan."""
+        m = params.crossing_bound
+        window = build_staircase(params)
+        graph = contact_graph(window)
+        family = [wall_of_edge(graph, window.strip_wall_edge(i)) for i in range(params.steps + 1)]
+        attained = max(crossing_counts_by_scan(graph, family).values(), default=0) == m
+        assert attained == (params.steps >= m - 1)
+        try:
+            check_certifiable(params, 1)
+        except InvalidParams:
+            assert not attained
+        else:
+            assert attained
+
+    def test_graph_of_another_window_is_rejected(self):
+        """A margin-1 graph with margin-2 parameters would certify distances
+        [2, 2, 3, 4, 5, 6] where the margin-2 window has [2, 2, 3, 4, 4, 6]."""
+        narrow = StairParams(3, 2, steps=6, margin=1)
+        graph = contact_graph(build_staircase(narrow))
+        cert = nonacyl_certificate(narrow, 6, graph=graph)
+        assert [d for _, d in cert.family_distances] == [2, 2, 3, 4, 5, 6]
+        with pytest.raises(InvalidParams, match="margin=1"):
+            nonacyl_certificate(StairParams(3, 2, steps=6, margin=2), 6, graph=graph)
+        with pytest.raises(InvalidParams):
+            nonacyl_certificate(narrow, 6, graph=contact_graph(CubeWindow([unit_square(0, 0)])))
 
     def test_p_beyond_steps(self):
         with pytest.raises(InvalidParams):
@@ -423,7 +474,7 @@ def test_pinned_artifact_digests(shape):
     params = StairParams(L, r, steps, margin)
     window = build_staircase(params)
     graph = contact_graph(window)
-    cert = nonacyl_certificate(params, p, window=window, graph=graph)
+    cert = nonacyl_certificate(params, p, graph=graph)
     blob = json.dumps(cert.to_dict(), sort_keys=True)
     digests = tuple(
         hashlib.sha256(text.encode()).hexdigest() for text in (blob, contact_graph_dot(graph))
