@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .complexes import HORIZONTAL, VERTICAL
-from .errors import BudgetExceeded, UnsupportedComplexError, WordError
+from .errors import DEFAULT_I_MAX, DEFAULT_K_MAX, BudgetExceeded, UnsupportedComplexError, WordError
 from .develop import (
     PeriodicWord,
     _ids_word,
@@ -48,13 +48,6 @@ from .develop import (
     orbit_lengths,
     stream_mismatch_ids,
 )
-
-#: Default cap on the height j, the orbit length of h^n (in vertical periods).
-DEFAULT_I_MAX = 10**6
-
-#: Default cap on the columns of each orbit sweep (in periods of the
-#: horizontal word).
-DEFAULT_K_MAX = 10**4
 
 #: Default bound on both exponents of the commuting-powers search; the
 #: census screen uses it too.

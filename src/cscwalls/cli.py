@@ -19,27 +19,10 @@ import os
 import sys
 
 from . import __version__
-from .antitorus import (
-    DEFAULT_I_MAX,
-    DEFAULT_K_MAX,
-    AntiTorusQuery,
-    commuting_powers_search,
-    overlap_gamma,
-    screen_anti_torus,
-)
-from .complexes import enumerate_csc, load_complex, serialize_complex, validate_csc
-from .develop import PeriodicWord, fill_rectangle, parse_word
-from .errors import BudgetExceeded, CscwallsError
-from .obstruction import obstruction_table, well_separation
-from .staircase import (
-    StairParams,
-    build_staircase,
-    check_certifiable,
-    contact_graph,
-    contact_graph_dot,
-    nonacyl_certificate,
-    walls,
-)
+from .errors import DEFAULT_I_MAX, DEFAULT_K_MAX, BudgetExceeded, CscwallsError
+
+# Each handler imports the package modules it calls, so one run loads only
+# its own subcommand's modules and building the parser loads none.
 
 SCHEMA_PREFIX = "cscwalls"
 
@@ -121,6 +104,10 @@ class Run:
 
 
 def _load_query(args, run):
+    from .antitorus import AntiTorusQuery
+    from .complexes import load_complex
+    from .develop import PeriodicWord, parse_word
+
     run.input_file("complex", args.complex)
     p = load_complex(args.complex)
     hw = PeriodicWord(parse_word(p, args.w1))
@@ -158,6 +145,8 @@ def _parse_bounds(text):
 
 
 def _cmd_validate(args, run):
+    from .complexes import load_complex, validate_csc
+
     run.input_file("complex", args.complex)
     report = validate_csc(load_complex(args.complex))
     return run.emit(
@@ -175,11 +164,14 @@ def _cmd_validate(args, run):
 
 
 def _cmd_enumerate(args, run):
+    from .complexes import enumerate_csc, serialize_complex
+
     run.params.update({"hcount": args.hcount, "vcount": args.vcount, "screen": args.screen})
     if args.screen:
         if args.format == "text":
             raise CscwallsError("--screen needs --format json: text output has no candidate lists")
         run.params.update({"screen_len": args.screen_len, "screen_limit": args.screen_limit})
+        from .antitorus import screen_anti_torus
     census = list(enumerate_csc(args.hcount, args.vcount))
     entries = []
     for i, p in enumerate(census):
@@ -198,6 +190,9 @@ def _cmd_enumerate(args, run):
 
 
 def _cmd_develop(args, run):
+    from .complexes import load_complex
+    from .develop import fill_rectangle, parse_word
+
     run.input_file("complex", args.complex)
     p = load_complex(args.complex)
     bottom = parse_word(p, args.bottom) if args.bottom else parse_word(p, "", klass="horizontal")
@@ -231,6 +226,8 @@ def _cmd_develop(args, run):
 
 
 def _cmd_antitorus(args, run):
+    from .antitorus import commuting_powers_search
+
     query = _load_query(args, run)
     k_bound, j_bound = _parse_bounds(args.bounds)
     run.bounds.update({"k_bound": k_bound, "j_bound": j_bound})
@@ -247,6 +244,8 @@ def _cmd_antitorus(args, run):
 
 
 def _cmd_gamma(args, run):
+    from .antitorus import overlap_gamma
+
     query = _load_query(args, run)
     run.params["n"] = args.n
     run.bounds.update({"k_max": args.kmax, "i_max": args.imax})
@@ -257,6 +256,8 @@ def _cmd_gamma(args, run):
 
 
 def _cmd_obstruct(args, run):
+    from .obstruction import obstruction_table
+
     query = _load_query(args, run)
     k_bound, j_bound = _parse_bounds(args.bounds)
     run.params["nmax"] = args.nmax
@@ -279,6 +280,8 @@ def _cmd_obstruct(args, run):
 
 
 def _cmd_wellsep(args, run):
+    from .obstruction import well_separation
+
     query = _load_query(args, run)
     run.params["n"] = args.n
     run.bounds.update({"k_max": args.kmax, "i_max": args.imax})
@@ -287,6 +290,16 @@ def _cmd_wellsep(args, run):
 
 
 def _cmd_staircase(args, run):
+    from .staircase import (
+        StairParams,
+        build_staircase,
+        check_certifiable,
+        contact_graph,
+        contact_graph_dot,
+        nonacyl_certificate,
+        walls,
+    )
+
     params = StairParams(
         overlap_len=args.L, shift=args.r, steps=args.steps, margin=args.margin
     )
@@ -340,7 +353,14 @@ def _add_budgets(sub):
 
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as one error line and exit status 1,
-    like any other input error; status 2 stays reserved for budgets."""
+    like any other input error; status 2 stays reserved for budgets.
+
+    Options are matched by their full names only (no abbreviations), so an
+    option added later cannot change what an existing command line means.
+    Subparsers are built from this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(1, f"error: {message}\n")

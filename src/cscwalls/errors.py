@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types and default search budgets shared across the package.
+
+The budgets live here, beside ``BudgetExceeded``, because this module imports
+nothing: the command line builds its parser from them without loading a
+kernel module.
+"""
+
+#: Default cap on the height j, the orbit length of h^n (in vertical periods).
+DEFAULT_I_MAX = 10**6
+
+#: Default cap on the columns of each orbit sweep (in periods of the
+#: horizontal word).
+DEFAULT_K_MAX = 10**4
 
 
 class CscwallsError(Exception):

@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
-import cscwalls.cli
+import cscwalls.staircase
 from cscwalls.cli import main
 from cscwalls.obstruction import obstruction_table
 from cscwalls.staircase import StairParams, build_staircase, walls
@@ -183,7 +186,7 @@ class TestStaircase:
         def no_build(params):
             raise AssertionError("build_staircase called")
 
-        monkeypatch.setattr(cscwalls.cli, "build_staircase", no_build)
+        monkeypatch.setattr(cscwalls.staircase, "build_staircase", no_build)
         code, out, err = run(
             capsys, "certify", *shape, "--dot", str(tmp_path / "x.dot"), "--out", str(tmp_path / "x.json")
         )
@@ -197,7 +200,7 @@ class TestStaircase:
         def no_graph(window):
             raise AssertionError("contact_graph called")
 
-        monkeypatch.setattr(cscwalls.cli, "contact_graph", no_graph)
+        monkeypatch.setattr(cscwalls.staircase, "contact_graph", no_graph)
         code, out, _ = run(capsys, "staircase", "--L", "4", "--r", "2", "--steps", "9")
         assert code == 0
         assert json.loads(out)["walls"] == len(walls(build_staircase(StairParams(4, 2, 9)))) == 77
@@ -330,14 +333,17 @@ def test_bad_numeric_input_is_an_input_error(capsys, aperiodic_path, tmp_path, c
         ["validate", "--complex", "x", "--bogus"],
         ["nosuch"],
         [],
+        # options match by full name only: these abbreviate --kmax and --imax
+        ["wellsep", "--complex", "SHIPPED", "--w1", "a", "--w2", "x", "--n", "4", "--k", "3"],
+        ["gamma", "--complex", "SHIPPED", "--w1", "a", "--w2", "x", "--n", "3", "--i", "100000"],
     ],
     ids=" ".join,
 )
-def test_malformed_command_line_is_an_input_error(capsys, argv):
+def test_malformed_command_line_is_an_input_error(capsys, aperiodic_path, argv):
     """argparse's usage errors exit 1 with one error line, as other input
     errors do: exit 2 means a budget was exceeded."""
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([aperiodic_path if a == "SHIPPED" else a for a in argv])
     out, err = capsys.readouterr()
     assert exc.value.code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -369,6 +375,51 @@ def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
         argv = [str(ROOT / a) if flag == "--complex" else a for flag, a in zip(["", *argv], argv)]
         assert main(argv) == 0, line
         capsys.readouterr()
+
+
+#: The package modules each handler calls, besides ``errors``, which the
+#: command line imports itself.
+HANDLER_MODULES = {
+    "validate": {"complexes"},
+    "enumerate": {"complexes"},
+    "enumerate --screen": {"complexes", "develop", "antitorus"},
+    "develop": {"complexes", "develop"},
+    "antitorus": {"complexes", "develop", "antitorus"},
+    "gamma": {"complexes", "develop", "antitorus"},
+    "obstruct": {"complexes", "develop", "antitorus", "obstruction"},
+    "wellsep": {"complexes", "develop", "antitorus", "obstruction"},
+    "staircase": {"staircase"},
+    "certify": {"staircase"},
+}
+
+PROCESS_LINES = [
+    *(line for line in readme_command_block() if line and not line.startswith("#")),
+    "cscwalls enumerate --hcount 1 --vcount 1",
+]
+
+
+@pytest.mark.parametrize("line", PROCESS_LINES)
+def test_command_lines_run_as_processes(tmp_path, line):
+    """Every README command line, and an unscreened census, runs as
+    ``python -m cscwalls.cli`` in a fresh interpreter from tmp_path: it exits
+    0, writes its stdout or --out file, and loads only the package modules
+    its handler calls (read off ``-X importtime``).  In-process runs miss a
+    handler that works only after another test's imports."""
+    argv = shlex.split(line)[1:]
+    argv = [str(ROOT / a) if flag == "--complex" else a for flag, a in zip(["", *argv], argv)]
+    env = {**os.environ, "PYTHONPATH": str(Path(cscwalls.__file__).resolve().parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cscwalls.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [row.rsplit("|", 1)[1].strip() for row in proc.stderr.splitlines() if row.startswith("import time:")]
+    if "--out" in argv:
+        assert proc.stdout == "" and (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
+    else:
+        assert proc.stdout.strip()
+    loaded = {name.removeprefix("cscwalls.") for name in imported if name.startswith("cscwalls.")}
+    assert loaded == HANDLER_MODULES[argv[0] + (" --screen" if "--screen" in argv else "")] | {"errors"}
 
 
 @pytest.mark.parametrize("case", ["certify --dot", "gamma --out"])

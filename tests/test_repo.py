@@ -4,6 +4,7 @@ names the benchmark looks up stay in the package."""
 import ast
 import importlib
 import importlib.util
+import json
 import shutil
 import subprocess
 import sys
@@ -86,6 +87,48 @@ def test_import_loads_no_fractions_or_decimal():
     code = "import sys\nimport cscwalls\nprint(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+#: Run in a fresh interpreter: which package modules ``import cscwalls`` and a
+#: first public call load, and what each lazily resolved name is.
+FOOTPRINT_SCRIPT = """\
+import importlib, json, sys
+from pathlib import Path
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("cscwalls."))
+
+import cscwalls
+on_import = loaded()
+listed = set(cscwalls.__all__) <= set(dir(cscwalls))
+cscwalls.load_complex(str(Path(cscwalls.__file__).parent / "data" / "torus.sqc"))
+on_load = loaded()
+star = {}
+exec("from cscwalls import *", star)
+mismatched = []
+for name in cscwalls.__all__:
+    module = importlib.import_module("cscwalls." + cscwalls._SOURCE[name])
+    expected = module if name == "errors" else getattr(module, name)
+    if star[name] is not expected or getattr(cscwalls, name) is not expected:
+        mismatched.append(name)
+print(json.dumps([on_import, listed, on_load, mismatched]))
+"""
+
+
+def test_import_loads_submodules_on_first_use():
+    """``import cscwalls`` loads no submodule, ``load_complex`` loads only its
+    own module and ``errors``, and every public name resolves, through
+    ``from cscwalls import *`` and attribute access, to its submodule's
+    object."""
+    src = Path(cscwalls.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT], cwd=src, capture_output=True, text=True, check=True
+    )
+    on_import, listed, on_load, mismatched = json.loads(out.stdout)
+    assert on_import == []
+    assert listed
+    assert on_load == ["cscwalls.complexes", "cscwalls.errors"]
+    assert mismatched == []
 
 
 def test_public_names_resolve():
