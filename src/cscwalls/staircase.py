@@ -21,12 +21,12 @@ parameters give byte-identical windows, walls and certificates.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, count, islice, pairwise
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CscwallsError, InvalidParams, UnknownWall
@@ -76,19 +76,28 @@ class StairParams:
         return asdict(self)
 
 
-# Vertices are (x, y, tag) integer triples: tag 0 on the main sheet, tag 1 on
-# a strip bottom hanging beyond the overlap with the flat below.  A window
-# carries its cells as ints.  Each vertex is first encoded as its key
-# ((x - x0) * ny + y - y0) * nt + tag - t0 over the window's coordinate box,
-# so key order is tuple order: build_staircase computes the keys row by row
-# with range arithmetic, and CubeWindow(squares) encodes its tuples the same
-# way.  Both then intern the keys once.  Vertex ids follow key order, an edge
-# is the pair of its endpoint ids in ascending order, numbered in ascending
-# pair order, and walls are numbered by their least edge id, so ids compare as
-# the tuples do.  Validation, walls, the contact graph and the certificate run
-# on these ints.  A wall's one name is its id w0000, w0001, ... by number.
+# A window is carried as row runs.  A run (y, a, b, bottom, top) is a row of
+# unit squares at height y, one per column x = a .. b-1, each sharing its
+# vertical sides with its neighbours; bottom and top are its two vertex rows
+# as tuples of constant-tag segments (x0, x1, tag) covering a .. b.  Vertices
+# are (x, y, tag) triples: tag 0 on the main sheet, tag 1 on a strip bottom
+# hanging beyond the overlap with the flat below.  build_staircase emits its
+# bands directly as runs; CubeWindow(squares) groups the squares it is given.
+#
+# Everything runs on runs, segments and per-row intervals (_layout):
+#   - counts, the link condition and connectivity from the overlaps of the
+#     segments in each vertex row (y, tag); the horizontal edges of a row are
+#     its edge rows (y, tag, tag) and the edges between segments of two tags;
+#   - horizontal walls: one per run, merged where runs share a vertical side;
+#   - vertical walls: each edge row holds one label per column; the rows are
+#     swept bottom-up, and each run's column pieces copy the labels of their
+#     bottom edges onto their top edges as list slices (_walls);
+#   - walls are numbered by the tuple of their least edge, so numbers follow
+#     the order of edge tuples; a wall's one name is w0000, w0001, ...
+#   - crossings come from each piece's labels; contacts add the pairs of walls
+#     that meet at a vertex without crossing (ContactGraph).
 # Tuples and wall-id keyed maps are built only on first use: window.squares,
-# .vertices and .edges, and ContactGraph.neighbors and .crossings.
+# .vertices, .edges and edge_id, and ContactGraph.neighbors and .crossings.
 
 
 class WindowSquare(NamedTuple):
@@ -102,34 +111,6 @@ class WindowSquare(NamedTuple):
 
 def _edge(a, b):
     return (a, b) if a <= b else (b, a)
-
-
-def _box(corners):
-    """(x0, y0, t0, ny, nt) of some vertex tuples: their least coordinates and
-    the extents of y and tag, which make the keys order-preserving."""
-    if not corners:
-        return 0, 0, 0, 1, 1
-    xs, ys, ts = zip(*corners)
-    y0, t0 = min(ys), min(ts)
-    return min(xs), y0, t0, max(ys) - y0 + 1, max(ts) - t0 + 1
-
-
-def _vertex_key(box, vertex):
-    x0, y0, t0, ny, nt = box
-    x, y, t = vertex
-    return ((x - x0) * ny + y - y0) * nt + t - t0
-
-
-def _vertex_tuple(box, key):
-    x0, y0, t0, ny, nt = box
-    xy, t = divmod(key, nt)
-    x, y = divmod(xy, ny)
-    return x + x0, y + y0, t + t0
-
-
-def _pair_keys(n, lo, hi):
-    """Key a * n + b of each id pair, its two ids put in ascending order."""
-    return [a * n + b if a <= b else b * n + a for a, b in zip(lo, hi)]
 
 
 def _least_members(n, xs, ys):
@@ -150,6 +131,93 @@ def _least_members(n, xs, ys):
     for e in range(n):
         parent[e] = parent[parent[e]]
     return parent
+
+
+def _sweep(spans):
+    """Sort the inclusive ranges (lo, hi, ...) in spans by lo; return how many
+    integers they cover together, in how many separate stretches, and the
+    pairs of ranges that share an integer."""
+    spans.sort(key=itemgetter(0))
+    covered = stretches = 0
+    end = None
+    pairs = []
+    for i, first in enumerate(spans):
+        lo, hi = first[0], first[1]
+        if end is None or lo > end:
+            covered += hi - lo + 1
+            stretches += 1
+            end = hi
+        elif hi > end:
+            covered += hi - end
+            end = hi
+        for second in spans[i + 1:]:
+            if second[0] > hi:
+                break
+            pairs.append((first, second))
+    return covered, stretches, pairs
+
+
+def _segments(a, tags):
+    """The maximal constant-tag segments (x0, x1, tag) of tags at x = a, a+1, ..."""
+    out = []
+    x0 = a
+    for x, (t, u) in enumerate(pairwise(tags), a):
+        if t != u:
+            out.append((x0, x, t))
+            x0 = x + 1
+    out.append((x0, a + len(tags) - 1, tags[-1]))
+    return tuple(out)
+
+
+def _tags(segments):
+    """The tag of each vertex x0, x0+1, ... of a run's row of segments."""
+    return [t for x0, x1, t in segments for _ in range(x1 - x0 + 1)]
+
+
+def _unit_square(i, square):
+    """square as a WindowSquare; CscwallsError unless its corners are
+    (x, y, .), (x+1, y, .), (x, y+1, .) and (x+1, y+1, .) for integers x, y."""
+    try:
+        sq = WindowSquare(*square)
+        (x, y, _), (x1, y1, _), (x2, y2, _), (x3, y3, _) = sq
+        unit = isinstance(x, int) and isinstance(y, int)
+        unit = unit and (x1, y1, x2, y2, x3, y3) == (x + 1, y, x, y + 1, x + 1, y + 1)
+    except (TypeError, ValueError):
+        unit = False
+    if not unit:
+        raise CscwallsError(f"square {i} is not a unit square: {square!r}")
+    return sq
+
+
+def _runs_of(squares):
+    """Runs holding the given unit squares: sorted by row and column, each
+    square extends the run before it when it continues that run's row."""
+    runs = []
+    y = b = None
+    for (x, row, sw), (_, _, se), (_, _, nw), (_, _, ne) in sorted(squares, key=_row_major):
+        if row == y and x == b and sw == bottom[-1] and nw == top[-1]:
+            bottom.append(se)
+            top.append(ne)
+            b += 1
+            continue
+        if y is not None:
+            runs.append((y, a, b, _segments(a, bottom), _segments(a, top)))
+        y, a, b, bottom, top = row, x, x + 1, [sw, se], [nw, ne]
+    if y is not None:
+        runs.append((y, a, b, _segments(a, bottom), _segments(a, top)))
+    return runs
+
+
+def _row_major(sq):
+    return sq.sw[1], sq.sw[0], sq.sw[2], sq.nw[2], sq.se[2], sq.ne[2]
+
+
+def _squares_of(runs):
+    for y, a, b, bottom, top in runs:
+        tb, tt = _tags(bottom), _tags(top)
+        for i, x in enumerate(range(a, b)):
+            sw, se, nw, ne = tb[i], tb[i + 1], tt[i], tt[i + 1]
+            yield WindowSquare((x, y, sw), (x + 1, y, se), (x, y + 1, nw), (x + 1, y + 1, ne))
 
 
 _QUADRANTS = ("NE", "NW", "SE", "SW")  # the quadrant each corner sw, se, nw, ne fills
@@ -183,93 +251,275 @@ class _Cells(Sequence):
         return repr(self._items)
 
 
-def _squares_of(vertices, corners):
-    vs = tuple(vertices)
-    return map(WindowSquare, *(map(vs.__getitem__, ids) for ids in corners))
+class _Layout(NamedTuple):
+    """A window's cells as intervals per row, read off its runs."""
+
+    vertex_rows: dict  # (y, tag) -> [(x0, x1, run, side, tag at x0-1, tag at x1+1)]; side 0 bottom, 1 top
+    edge_rows: dict  # (y, tag, tag) -> (first, last) column of the horizontal edges in that row
+    vertical_rows: dict  # (y, bottom tag, top tag) -> [(x0, x1, run)]: vertical edges at x0..x1
+    pieces: list  # per run, [(c0, c1, bottom edge row, top edge row)] over columns c0 .. c1-1
+    touching: list  # (run, run): pairs of runs that share a vertex
+    shared_sides: list  # (run, run): pairs of runs that share a vertical edge
+    corners: set  # ((y, tag), x): vertices whose walls are not all paired by the rules in ContactGraph
+    counts: dict
+    link_holds: bool
+    connected: bool
 
 
-def _edges_of(vertices, edge_keys):
-    vs, n = tuple(vertices), len(vertices)
-    return ((vs[k // n], vs[k % n]) for k in edge_keys)
+def _layout(runs):
+    vertex_rows, vertical_rows = defaultdict(list), defaultdict(list)
+    switches = set()  # (y, tag, tag, column) of each horizontal edge whose ends have different tags
+    pieces = []
+    for k, (y, a, b, bottom, top) in enumerate(runs):
+        for side, segments in ((0, bottom), (1, top)):
+            before = None
+            for i, (x0, x1, t) in enumerate(segments, 1):
+                after = segments[i][2] if i < len(segments) else None
+                if after is not None:
+                    switches.add((y + side, t, after, x1))
+                vertex_rows[y + side, t].append((x0, x1, k, side, before, after))
+                before = t
+        # vertex ranges of constant (bottom tag, top tag); the columns inside
+        # one are a piece, and so is each column between two of them
+        own = []
+        i = j = 0
+        x = a
+        while True:
+            s1, tb = bottom[i][1:]
+            u1, tt = top[j][1:]
+            e = s1 if s1 < u1 else u1
+            vertical_rows[y, tb, tt].append((x, e, k))
+            if x > a:
+                own.append((x - 1, x, (y, pb, tb), (y + 1, pt, tt)))
+            if e > x:
+                own.append((x, e, (y, tb, tb), (y + 1, tt, tt)))
+            if e == b:
+                break
+            i += e == s1
+            j += e == u1
+            x, pb, pt = e + 1, tb, tt
+        pieces.append(own)
+
+    # per vertex row: its vertices, its edges with both ends in the row's tag
+    # (each stretch of overlapping segments has one fewer than vertices), the
+    # runs sharing a vertex, and two segments on one side holding a square in
+    # the same quadrant of some vertex
+    touching, corners = [], set()
+    edge_rows = {}
+    link_holds = True
+    n_vertices = n_edges = 0
+    for (y, t), entries in vertex_rows.items():
+        if len(entries) == 1:
+            x0, x1 = entries[0][:2]
+            covered, stretches, pairs = x1 - x0 + 1, 1, ()
+            lo, hi = x0, x1
+        else:
+            covered, stretches, pairs = _sweep(entries)
+            lo, hi = entries[0][0], max(map(itemgetter(1), entries))
+        n_vertices += covered
+        n_edges += covered - stretches
+        if hi > lo:
+            edge_rows[y, t, t] = (lo, hi - 1)
+        # Crossings, runs sharing a vertex and neighbouring edges of one edge
+        # row pair up the walls at a vertex, unless a segment has two edges
+        # there not both in tag t (at an end next to a segment of another
+        # tag), or two segments have different edges there (at an end of
+        # their overlap).
+        for x0, x1, _, _, before, after in entries:
+            if before is not None and (x0 < x1 or after is not None):
+                corners.add(((y, t), x0))
+            if after is not None and (x0 < x1 or before is not None):
+                corners.add(((y, t), x1))
+        for e, f in pairs:
+            touching.append((e[2], f[2]))
+            if link_holds and e[3] == f[3] and _corners_meet(runs, e, f):
+                link_holds = False
+            if e[:2] != f[:2] or e[4:] != f[4:]:
+                for x in (f[0], min(e[1], f[1])):
+                    if _edges_at(e, t, x) != _edges_at(f, t, x):
+                        corners.add(((y, t), x))
+    for y, t1, t2, c in switches:
+        lo, hi = edge_rows.get((y, t1, t2), (c, c))
+        edge_rows[y, t1, t2] = (min(lo, c), max(hi, c))
+    n_edges += len(switches)
+
+    shared = []
+    for spans in vertical_rows.values():
+        if len(spans) == 1:
+            n_edges += spans[0][1] - spans[0][0] + 1
+        else:
+            covered, _, pairs = _sweep(spans)
+            n_edges += covered
+            shared.extend((e[2], f[2]) for e, f in pairs)
+
+    n = len(runs)
+    classes = _least_members(n, [j for j, _ in touching], [k for _, k in touching])
+    counts = {"vertices": n_vertices, "edges": n_edges, "squares": sum(b - a for _, a, b, _, _ in runs)}
+    return _Layout(
+        vertex_rows, edge_rows, vertical_rows, pieces, touching, shared, corners, counts,
+        link_holds, not any(classes),
+    )
+
+
+def _edges_at(e, t, x):
+    """The tags of the edges west and east of vertex x that the segment e of
+    a vertex row in tag t has there, None where it has none."""
+    return t if x > e[0] else e[4], t if x < e[1] else e[5]
+
+
+def _corners_meet(runs, e, f):
+    """Whether two overlapping segments on one side of a vertex row put a
+    square in the same quadrant of a common vertex x: a run has a square east
+    of x when x < b, and west of x when x > a."""
+    (a1, b1), (a2, b2) = runs[e[2]][1:3], runs[f[2]][1:3]
+    lo, hi = max(e[0], f[0]), min(e[1], f[1])
+    return lo <= min(hi, b1 - 1, b2 - 1) or max(lo, a1 + 1, a2 + 1) <= hi
+
+
+class _Walls(NamedTuple):
+    """A window's wall partition, on numbers."""
+
+    count: int
+    labels: dict  # edge row (y, tag, tag) -> (c0, [label of the edge at column c0, c0+1, ...; -1 if none])
+    vertical: list  # label -> wall number
+    horizontal: list  # run -> wall number
+
+
+def _walls(runs, layout):
+    """Horizontal walls merge runs that share a vertical edge.  Vertical walls
+    are labels: rows are swept bottom-up, a piece takes the labels of its
+    bottom edges (fresh ones where there are none yet) and copies them onto
+    its top edges, merging where those already hold others.  A label is born
+    at its least edge, so a wall's least edge is the least birth among its
+    labels."""
+    # one more -1 past the last column, so that no two rows chained end to end
+    # make neighbours of their edges
+    labels = {key: (lo, [-1] * (hi - lo + 2)) for key, (lo, hi) in layout.edge_rows.items()}
+    births = []  # (count, edge row, first column): labels born together, one per column
+    merged = []  # label pairs of one wall: two squares on one side of an edge, so not CAT(0)
+    n = 0
+    for k in sorted(range(len(runs)), key=lambda k: runs[k][0]):
+        for c0, c1, kb, kt in layout.pieces[k]:
+            lo, row = labels[kb]
+            own = row[c0 - lo:c1 - lo]
+            if -1 in own:
+                if own.count(-1) == len(own):
+                    own = list(range(n, n + len(own)))
+                    births.append((len(own), kb, c0))
+                    n += len(own)
+                else:
+                    for i, label in enumerate(own):
+                        if label < 0:
+                            own[i] = n
+                            births.append((1, kb, c0 + i))
+                            n += 1
+                row[c0 - lo:c1 - lo] = own
+            lo, row = labels[kt]
+            above = row[c0 - lo:c1 - lo]
+            if above.count(-1) != len(above):
+                merged += [(old, new) for old, new in zip(above, own) if old >= 0]
+            row[c0 - lo:c1 - lo] = own
+
+    # a wall is a root label, or n + the least run of a class of runs, keyed
+    # by its least edge
+    keys = dict(enumerate(
+        ((c, y, t1), (c + 1, y, t2)) for count, (y, t1, t2), c0 in births for c in range(c0, c0 + count)
+    ))
+    root = _least_members(n, [j for j, _ in merged], [k for _, k in merged])
+    for label, r in enumerate(root):
+        if r != label:
+            keys[r] = min(keys[r], keys.pop(label))
+    shared = layout.shared_sides
+    run_root = _least_members(len(runs), [j for j, _ in shared], [k for _, k in shared])
+    for k, (y, a, _, bottom, top) in enumerate(runs):
+        first = ((a, y, bottom[0][2]), (a, y + 1, top[0][2]))
+        i = n + run_root[k]
+        if i not in keys or first < keys[i]:
+            keys[i] = first
+    number = dict(zip(sorted(keys, key=keys.__getitem__), range(len(keys))))
+    return _Walls(len(keys), labels, list(map(number.__getitem__, root)), [number[n + r] for r in run_root])
 
 
 class CubeWindow:
-    """A finite square complex with coordinatized cells, carried as ints.
+    """A finite square complex of unit squares, carried as row runs.
 
-    The constructor encodes each square's corners as keys and interns them
-    once (see the comment above).  corner_quads holds four lists of vertex
-    ids (sw, se, nw, ne), each indexed by square; edge_keys holds, ascending,
-    the key a * n + b of each edge's endpoint ids a <= b among n vertices, so
-    edge e is edge_keys[e]; side_ids holds four lists of edge ids (bottom,
-    right, top, left), each indexed by square.  squares, vertices and edges
-    (in id order) are sequences built on first use, whose lengths are known at
-    once; edge_id maps an edge tuple back to its id.
+    CubeWindow(squares) takes any unit squares (see _unit_square) and groups
+    them into runs; build_staircase makes its runs directly.  squares (in the
+    order given, or run by run), vertices and edges (both sorted) are
+    sequences built on first use, whose lengths are known at once; edge_id
+    maps an edge tuple to its position in edges.
     """
 
     def __init__(self, squares, params=None):
-        corners = [v for sq in squares for v in sq]
-        box = _box(corners)
-        keys = list(map(partial(_vertex_key, box), corners))
-        self._intern(params, box, (keys[0::4], keys[1::4], keys[2::4], keys[3::4]))
+        squares = tuple(map(_unit_square, count(), squares))
+        self._init(params, _runs_of(squares))
+        self.squares = squares
 
     @classmethod
-    def _from_keys(cls, params, box, corner_keys):
-        """The window whose squares have the corner keys (sw, se, nw, ne lists) over box."""
+    def _from_runs(cls, params, runs):
         window = cls.__new__(cls)
-        window._intern(params, box, corner_keys)
+        window._init(params, runs)
         return window
 
-    def _intern(self, params, box, corner_keys):
+    def _init(self, params, runs):
         self.params = params
-        self._box = box
-        self._vertex_keys = keys = sorted(set().union(*corner_keys))
-        n = len(keys)
-        vertex_id = dict(zip(keys, range(n)))
-        self.corner_quads = sw, se, nw, ne = [list(map(vertex_id.__getitem__, q)) for q in corner_keys]
-        sides = (_pair_keys(n, sw, se), _pair_keys(n, se, ne), _pair_keys(n, nw, ne), _pair_keys(n, sw, nw))
-        self.edge_keys = sorted(set().union(*sides))
-        edge_id = dict(zip(self.edge_keys, range(len(self.edge_keys))))
-        self.side_ids = tuple(list(map(edge_id.__getitem__, side)) for side in sides)
+        self._runs = runs
 
     @cached_property
-    def vertices(self):
-        return _Cells(len(self._vertex_keys), partial(map, partial(_vertex_tuple, self._box), self._vertex_keys))
+    def _layout(self):
+        return _layout(self._runs)
 
     @cached_property
-    def edges(self):
-        return _Cells(len(self.edge_keys), partial(_edges_of, self.vertices, self.edge_keys))
+    def _walls(self):
+        return _walls(self._runs, self._layout)
 
     @cached_property
     def squares(self):
-        return _Cells(len(self.corner_quads[0]), partial(_squares_of, self.vertices, self.corner_quads))
+        return _Cells(self._layout.counts["squares"], partial(_squares_of, self._runs))
 
-    def _vertex(self, v):
-        """The (x, y, tag) tuple of vertex id v."""
-        return _vertex_tuple(self._box, self._vertex_keys[v])
+    @cached_property
+    def vertices(self):
+        return _Cells(self._layout.counts["vertices"], self._vertex_tuples)
 
-    def _vertex_id(self, vertex):
-        _, y0, t0, ny, nt = self._box
-        if not (0 <= vertex[1] - y0 < ny and 0 <= vertex[2] - t0 < nt):
-            return None  # outside the box its key could be another vertex's
-        return _sorted_index(self._vertex_keys, _vertex_key(self._box, vertex))
+    @cached_property
+    def edges(self):
+        return _Cells(self.counts()["edges"], self._edge_tuples)
+
+    def _vertex_tuples(self):
+        rows = self._layout.vertex_rows.items()
+        return sorted({(x, y, t) for (y, t), spans in rows for s in spans for x in range(s[0], s[1] + 1)})
+
+    def _edge_tuples(self):
+        layout = self._layout
+        horizontal = {
+            ((c, y, t), (c + 1, y, t if c < e[1] else e[5]))
+            for (y, t), entries in layout.vertex_rows.items()
+            for e in entries
+            for c in range(e[0], e[1] if e[5] is None else e[1] + 1)
+        }
+        vertical = {
+            ((x, y, tb), (x, y + 1, tt))
+            for (y, tb, tt), spans in layout.vertical_rows.items()
+            for x0, x1, _ in spans
+            for x in range(x0, x1 + 1)
+        }
+        return sorted(horizontal | vertical)
+
+    @cached_property
+    def _edge_ids(self):
+        return dict(zip(self.edges, count()))
 
     def edge_id(self, edge):
-        """Id of an edge given as its (lesser, greater) vertex tuples; None if
-        the window has no such edge."""
-        a, b = (self._vertex_id(v) for v in edge)
-        if a is None or b is None:
-            return None
-        return _sorted_index(self.edge_keys, a * len(self._vertex_keys) + b)
+        """Position in edges of an edge given as its (lesser, greater) vertex
+        tuples; None if the window has no such edge."""
+        return self._edge_ids.get(edge)
 
     def counts(self):
-        return {
-            "vertices": len(self._vertex_keys),
-            "edges": len(self.edge_keys),
-            "squares": len(self.corner_quads[0]),
-        }
+        return dict(self._layout.counts)
 
     def euler_characteristic(self):
-        return len(self._vertex_keys) - len(self.edge_keys) + len(self.corner_quads[0])
+        c = self._layout.counts
+        return c["vertices"] - c["edges"] + c["squares"]
 
     def validate(self):
         """Link condition: each quadrant of each vertex holds at most one square.
@@ -278,49 +528,45 @@ class CubeWindow:
         so it embeds in a CAT(0) square complex.  Raises CscwallsError on any
         failure; returns the count summary.
         """
-        # corner q of a square fills quadrant _QUADRANTS[q] of its vertex, so
-        # the link condition holds iff no corner list repeats a vertex
-        if any(len(set(ids)) != len(ids) for ids in self.corner_quads):
+        layout = self._layout
+        if not layout.link_holds:
             self._link_failure()
         if self.euler_characteristic() != 1:
             raise CscwallsError(
                 f"window is not contractible: Euler characteristic {self.euler_characteristic()}"
             )
-        if any(_least_members(len(self._vertex_keys), *self._edge_ends)):
+        if not layout.connected:
             raise CscwallsError("window is not connected")
         return self.counts()
 
     def _link_failure(self):
         """Raise for the first corner, in square order, whose quadrant an
         earlier square already holds."""
-        holder = [-1] * (4 * len(self._vertex_keys))  # 4 * vertex + quadrant -> square
-        for i, corners in enumerate(zip(*self.corner_quads)):
-            for q, v in enumerate(corners):
-                key = 4 * v + q
-                if holder[key] >= 0:
+        holder = {}
+        for i, square in enumerate(self.squares):
+            for q, vertex in zip(_QUADRANTS, square):
+                if (vertex, q) in holder:
                     raise CscwallsError(
-                        f"link condition fails at {self._vertex(v)}: quadrant {_QUADRANTS[q]} "
-                        f"held by squares {holder[key]} and {i}"
+                        f"link condition fails at {vertex}: quadrant {q} "
+                        f"held by squares {holder[vertex, q]} and {i}"
                     )
-                holder[key] = i
+                holder[vertex, q] = i
+        raise AssertionError("the corner intervals overlap but no quadrant is held twice")
 
-    @cached_property
-    def _edge_ends(self):
-        """The lesser and the greater endpoint id of each edge, as two lists."""
-        n = len(self._vertex_keys)
-        return [k // n for k in self.edge_keys], [k % n for k in self.edge_keys]
-
-    @cached_property
-    def _partition(self):
-        """The wall number of each edge, and the number of walls.  Union-find
-        joins the opposite sides of every square; each class's root is its
-        least edge id, and roots first appear in ascending order, so walls are
-        numbered by their least dual edge."""
-        bottom, right, top, left = self.side_ids
-        root = _least_members(len(self.edge_keys), bottom + right, top + left)
-        least = dict.fromkeys(root)
-        number = dict(zip(least, range(len(least))))
-        return list(map(number.__getitem__, root)), len(number)
+    def _wall_of_edge(self, edge):
+        """The wall number of an edge given as its (lesser, greater) vertex
+        tuples, from its edge row or its run; None if the window has no such edge."""
+        (x, y, t), (x2, y2, t2) = edge
+        walls = self._walls
+        if (x2, y2) == (x + 1, y):
+            lo, row = walls.labels.get((y, t, t2), (0, ()))
+            if 0 <= x - lo < len(row) and row[x - lo] >= 0:
+                return walls.vertical[row[x - lo]]
+        elif (x2, y2) == (x, y + 1):
+            for x0, x1, k in self._layout.vertical_rows.get((y, t, t2), ()):
+                if x0 <= x <= x1:
+                    return walls.horizontal[k]
+        return None
 
     # -- named cells of the staircase ------------------------------------
 
@@ -335,12 +581,6 @@ class CubeWindow:
         """The easternmost edge of the level-0 overlap segment, on the base axis."""
         p = self.params
         return _edge((p.overlap_len - 1, 1, 0), (p.overlap_len, 1, 0))
-
-
-def _sorted_index(seq, item):
-    """Position of item in the sorted sequence seq, or None if absent."""
-    i = bisect_left(seq, item)
-    return i if i < len(seq) and seq[i] == item else None
 
 
 def _flat_span(params, i):
@@ -374,35 +614,24 @@ def _strip_bottom_tag(params, i, x):
 
 
 def build_staircase(params):
-    """Assemble and validate the staircase window for the given parameters."""
-    ny = _LEVEL_PITCH * params.steps + 2  # y runs over 0 .. LEVEL_PITCH * steps + 1
-    box = (_flat_span(params, 0)[0], 0, 0, ny, 2)  # tags are 0 and 1
-    stride = 2 * ny  # from the key of (x, y, tag) to that of (x + 1, y, tag)
-
-    def row(lo, hi, y, tag=0):
-        """The keys of (x, y, tag) for x in lo..hi."""
-        start = _vertex_key(box, (lo, y, tag))
-        return range(start, start + (hi - lo + 1) * stride, stride)
-
-    corners = sw, se, nw, ne = [], [], [], []
-
-    def squares_between(bottom, top):
-        sw.extend(bottom[:-1])
-        se.extend(bottom[1:])
-        nw.extend(top[:-1])
-        ne.extend(top[1:])
-
+    """Assemble and validate the staircase window for the given parameters:
+    strips 0..steps, then each flat's rows, each one run.  A strip's bottom
+    is tagged 1 outside its overlap with the flat below (all of strip 0's)."""
+    runs = []
     for i in range(params.steps + 1):
         lo, hi = _strip_span(params, i)
-        a, b = _overlap_span(params, i) if i else (hi + 1, hi)  # strip 0 has no flat below
-        y = _LEVEL_PITCH * i
-        squares_between([*row(lo, a - 1, y, 1), *row(a, b, y), *row(b + 1, hi, y, 1)], row(lo, hi, y + 1))
+        if i:
+            a, b = _overlap_span(params, i)  # lo < a and b < hi: the flats reach margin >= 1 beyond
+            bottom = ((lo, a - 1, 1), (a, b, 0), (b + 1, hi, 1))
+        else:
+            bottom = ((lo, hi, 1),)
+        runs.append((_LEVEL_PITCH * i, lo, hi, bottom, ((lo, hi, 0),)))
     for i in range(params.steps):
         lo, hi = _flat_span(params, i)
+        row = ((lo, hi, 0),)
         base = _LEVEL_PITCH * i + 1
-        for y in range(base, base + FLAT_ROWS):
-            squares_between(row(lo, hi, y), row(lo, hi, y + 1))
-    window = CubeWindow._from_keys(params, box, corners)
+        runs.extend((y, lo, hi, row, row) for y in range(base, base + FLAT_ROWS))
+    window = CubeWindow._from_runs(params, runs)
     window.validate()
     return window
 
@@ -419,10 +648,9 @@ def _wall_name(k):
 def walls(window):
     """The ids w0000, w0001, ... of the window's walls, in wall-number order.
 
-    Walls partition the edges (union-find over squares) and are numbered by
-    their least dual edge: edge ids ascend with the edge tuples.
+    Walls are numbered by their least dual edge, in the order of edge tuples.
     """
-    return list(map(_wall_name, range(window._partition[1])))
+    return list(map(_wall_name, range(window._walls.count)))
 
 
 class ContactGraph:
@@ -438,29 +666,38 @@ class ContactGraph:
     def __init__(self, window):
         self.window = window
         self.walls = walls(window)
-        edge_wall = window._partition[0]
-        n_walls = len(self.walls)
+        layout, part = window._layout, window._walls
+        vertical, horizontal = part.vertical, part.horizontal
 
-        self._crossings = crossings = [set() for _ in range(n_walls)]
-        bottom, _, _, left = window.side_ids
-        # wv runs vertically through the square, wh horizontally.  Two walls of
-        # a validated window cross in one square only, so the pairs are not
-        # deduplicated first: the sets absorb repeats in any other window.
-        for wv, wh in zip(map(edge_wall.__getitem__, bottom), map(edge_wall.__getitem__, left)):
-            crossings[wv].add(wh)
-            crossings[wh].add(wv)
+        # each square of a run: the run's wall crosses the wall of its bottom edge
+        self._crossings = crossings = [set() for _ in range(part.count)]
+        for k, pieces in enumerate(layout.pieces):
+            h = horizontal[k]
+            for c0, c1, kb, _ in pieces:
+                lo, row = part.labels[kb]
+                across = list(map(vertical.__getitem__, islice(row, c0 - lo, c1 - lo)))
+                crossings[h].update(across)
+                for c in map(crossings.__getitem__, across):
+                    c.add(h)
 
-        # A square's two walls are dual to its two sides at each corner, and
-        # every edge is a side of some square, so the walls whose carriers
-        # hold a vertex are exactly the walls of the edges at that vertex.
-        at_vertex = [[] for _ in range(len(window._vertex_keys))]
-        for a, b, w in zip(*window._edge_ends, edge_wall):
-            at_vertex[a].append(w)
-            at_vertex[b].append(w)
-        self._adjacency = adjacency = [set() for _ in range(n_walls)]
-        for bucket in at_vertex:
-            for a in bucket:
-                adjacency[a].update(bucket)
+        # The walls at a vertex are the walls of its edges.  Two walls that
+        # cross meet at the square's corners; the other pairs are two runs
+        # sharing a vertex, the walls of two neighbouring edges in one edge row,
+        # and the walls at a vertex where the segments through it differ.
+        self._adjacency = adjacency = [set(c) for c in crossings]
+        for j, k in layout.touching:
+            adjacency[horizontal[j]].add(horizontal[k])
+            adjacency[horizontal[k]].add(horizontal[j])
+        pure = [row for (_, t1, t2), (_, row) in part.labels.items() if t1 == t2]
+        for a, b in set(zip(chain.from_iterable(pure), islice(chain.from_iterable(pure), 1, None))):
+            if a >= 0 and b >= 0:
+                adjacency[vertical[a]].add(vertical[b])
+                adjacency[vertical[b]].add(vertical[a])
+        rows = layout.vertex_rows
+        for (y, t), x in layout.corners:
+            met = _walls_at(part, y, t, x, rows[y, t])
+            for w in met:
+                adjacency[w].update(met)
         for k, adj in enumerate(adjacency):
             adj.discard(k)
 
@@ -476,10 +713,10 @@ class ContactGraph:
         return k
 
     def _number_of_edge(self, edge):
-        e = self.window.edge_id(edge)
-        if e is None:
+        k = self.window._wall_of_edge(edge)
+        if k is None:
             raise UnknownWall(f"no wall is dual to edge {edge}")
-        return self.window._partition[0][e]
+        return k
 
     @cached_property
     def neighbors(self):
@@ -490,6 +727,22 @@ class ContactGraph:
     def crossings(self):
         names = self.walls
         return {names[k]: frozenset([names[j] for j in c]) for k, c in enumerate(self._crossings)}
+
+
+def _walls_at(part, y, t, x, entries):
+    """The walls at vertex (x, y, t), given the segments of its vertex row."""
+    met = set()
+    for e in entries:
+        if e[0] <= x <= e[1]:
+            met.add(part.horizontal[e[2]])
+            west, east = _edges_at(e, t, x)
+            if west is not None:
+                lo, row = part.labels[y, west, t]
+                met.add(part.vertical[row[x - 1 - lo]])
+            if east is not None:
+                lo, row = part.labels[y, t, east]
+                met.add(part.vertical[row[x - lo]])
+    return met
 
 
 def contact_graph(window):

@@ -9,8 +9,8 @@ a table), a commuting-powers search that develops every rectangle from
 scratch instead of stacking vertical periods, candidate words filtered from
 every germ-id tuple, a census oracle that filters raw 4-tuples instead of
 running the exact-cover search, a census class count by Burnside's lemma
-that never forms a class, staircase window validation, walls and contact
-graphs on vertex and edge tuples instead of integer keys, a contact-graph
+that never forms a class, staircase window counts, validation, walls and contact
+graphs on vertex and edge tuples instead of row runs, a contact-graph
 DOT writer that goes through wall ids and a seen-set instead of wall numbers,
 and staircase crossing counts and contact distances taken wall by wall
 instead of from the family side and one breadth-first search.
@@ -317,6 +317,14 @@ def _edge(a, b):
 def _sides(sq):
     """(bottom, right, top, left) of a window square as vertex-tuple pairs."""
     return _edge(sq.sw, sq.se), _edge(sq.se, sq.ne), _edge(sq.nw, sq.ne), _edge(sq.sw, sq.nw)
+
+
+def counts_by_tuples(squares):
+    """Vertex, edge and square counts of any list of squares, from the sets of
+    their corner tuples and side tuples."""
+    vertices = {v for sq in squares for v in sq}
+    edges = {e for sq in squares for e in _sides(sq)}
+    return {"vertices": len(vertices), "edges": len(edges), "squares": len(squares)}
 
 
 def validate_by_tuples(squares):

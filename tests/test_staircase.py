@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from cscwalls.staircase import (
     ContactGraph,
     CubeWindow,
     StairParams,
+    WindowSquare,
     build_staircase,
     check_certifiable,
     contact_distance,
@@ -25,6 +27,7 @@ from .oracles import (
     contact_distance_by_search,
     contact_graph_by_tuples,
     contact_graph_dot_by_names,
+    counts_by_tuples,
     crossing_counts_by_scan,
     unit_square,
     validate_by_tuples,
@@ -69,24 +72,46 @@ unit_square_lists = st.lists(
 )
 
 
+@st.composite
+def run_rows(draw):
+    """Unit squares laid out as rows: up to 6 rows of 1-15 squares at heights
+    0..5, each with its own bottom tags (and, now and then, top tags) switching
+    along the row.  Rows may overlap, and a row may repeat an earlier one;
+    the squares come row by row or shuffled."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if rows and draw(st.integers(0, 3)) == 0:
+            rows.append(draw(st.sampled_from(rows)))
+            continue
+        width = draw(st.integers(1, 15))
+        tags = st.lists(st.integers(0, 1), min_size=width + 1, max_size=width + 1)
+        bottom = draw(tags)
+        top = draw(tags) if draw(st.integers(0, 3)) == 0 else [0] * (width + 1)
+        rows.append((draw(st.integers(-3, 8)), draw(st.integers(0, 5)), bottom, top))
+    squares = [
+        WindowSquare((c, y, bottom[i]), (c + 1, y, bottom[i + 1]), (c, y + 1, top[i]), (c + 1, y + 1, top[i + 1]))
+        for x, y, bottom, top in rows
+        for i, c in enumerate(range(x, x + len(bottom) - 1))
+    ]
+    return draw(st.permutations(squares)) if draw(st.booleans()) else squares
+
+
 def dual_edges(window):
     """The dual edges of each wall, by wall number, as vertex-tuple pairs:
-    window.edges grouped by the wall partition."""
-    edge_wall, n_walls = window._partition
-    members = [set() for _ in range(n_walls)]
-    for edge, w in zip(window.edges, edge_wall):
-        members[w].add(edge)
+    window.edges grouped by the engine's per-edge wall lookup."""
+    members = [set() for _ in walls(window)]
+    for edge in window.edges:
+        members[window._wall_of_edge(edge)].add(edge)
     return list(map(frozenset, members))
 
 
 def wall_of_edge(graph, edge):
     """The id of the wall dual to an edge given as its vertex tuples."""
-    window = graph.window
-    return graph.walls[window._partition[0][window.edge_id(edge)]]
+    return graph.walls[graph.window._wall_of_edge(edge)]
 
 
 def assert_graph_matches_oracle(window):
-    """Walls and contact graph on interned ids equal the tuple-keyed oracle."""
+    """Walls and contact graph of the run engine equal the tuple-keyed oracle."""
     graph = contact_graph(window)
     oracle = contact_graph_by_tuples(window)
     assert graph.walls == walls(window) == [w.id for w in oracle.walls]
@@ -171,6 +196,45 @@ class TestWindowValidation:
             assert str(err.value) == str(exc)
         else:
             assert CubeWindow(squares).validate() == expected
+
+    @settings(max_examples=200)
+    @given(run_rows())
+    def test_run_rows_match_tuple_oracles(self, squares):
+        """Long rows with tag switches, overlapping and repeated: the counts,
+        the verdict with its message, the walls and the contact graph equal
+        the tuple oracles', valid window or not."""
+        window = CubeWindow(squares)
+        assert window.counts() == counts_by_tuples(squares)
+        try:
+            expected = validate_by_tuples(squares)
+        except CscwallsError as exc:
+            with pytest.raises(CscwallsError) as err:
+                window.validate()
+            assert str(err.value) == str(exc)
+        else:
+            assert window.validate() == expected
+        assert_graph_matches_oracle(window)
+
+    @pytest.mark.parametrize(
+        "square",
+        [
+            ((0, 0, 0), (2, 0, 0), (0, 1, 0), (2, 1, 0)),  # two columns wide
+            ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)),  # corners out of order
+            ((0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 2, 0)),  # two rows high
+            ((0.5, 0, 0), (1.5, 0, 0), (0.5, 1, 0), (1.5, 1, 0)),  # not on the integer grid
+            ((0, 0, 0), (1, 0, 0), (0, 1, 0)),  # three corners
+            ((0, 0), (1, 0), (0, 1), (1, 1)),  # corners without tags
+        ],
+    )
+    def test_non_unit_square_is_rejected(self, square):
+        with pytest.raises(CscwallsError) as err:
+            CubeWindow([unit_square(0, 0), square])
+        assert str(err.value) == f"square 1 is not a unit square: {square!r}"
+
+    def test_benchmark_scale_counts(self):
+        window = build_staircase(StairParams(110, 4, 100))
+        assert window.counts() == {"vertices": 46418, "edges": 91725, "squares": 45308}
+        assert len(walls(window)) == 1109
 
     @settings(max_examples=40)
     @given(stair_shapes())
@@ -368,6 +432,21 @@ class TestCertificate:
         assert len({(c.crossing_bound, c.max_crossing, c.lower_bound) for c in certs}) == 1
         assert all(c.bfs_distance >= c.lower_bound for c in certs)
 
+    @settings(max_examples=40)
+    @given(certifiable())
+    def test_family_distances_settle_at_margin_r(self, shape):
+        """Window distances never increase with the margin, and margins r,
+        r+1 and 2r+L give the same ones."""
+        L, r, steps, p = shape
+        margins = [*range(1, r + 2), 2 * r + L]
+        distances = [
+            [d for _, d in nonacyl_certificate(StairParams(L, r, steps, margin), p).family_distances]
+            for margin in margins
+        ]
+        for wider, narrower in pairwise(distances):
+            assert all(a >= b for a, b in zip(wider, narrower))
+        assert distances[r - 1] == distances[r] == distances[-1]
+
     @settings(max_examples=60)
     @given(certifiable(), st.integers(1, 4))
     def test_fast_paths_match_oracles(self, shape, margin):
@@ -446,8 +525,10 @@ class TestCertificate:
         assert a.to_dict() == b.to_dict()
 
 
-#: SHA-256 of the certificate JSON and of the contact-graph DOT text, frozen
-#: from the tuple-keyed implementation the interned one replaced.
+#: SHA-256 of the certificate JSON and of the contact-graph DOT text.  The
+#: first four were frozen from the tuple-keyed implementation, the last three
+#: (the benchmark's largest wide and tall jobs and a wide one at r = 6) from
+#: the per-cell one that the run engine replaced.
 PINNED_DIGESTS = {
     (10, 3, 15, 15, 1): (
         "c98308b6cc50a5fa8808f3400db4ef39985fe4d4f057862208159beb4199ee7c",
@@ -464,6 +545,18 @@ PINNED_DIGESTS = {
     (3, 2, 6, 6, 2): (
         "48837169e306090267c11dedeab132ba87510fbc9fc77b7118b00945a25219ac",
         "4441d3f3f684d46e2d6c0c0bfd8b71969e67df1b140980b783ec745ed075ff13",
+    ),
+    (110, 4, 100, 100, 1): (
+        "8891850dd2f3687f90880b36b1cd3c9db26af579e2251faff3a149d351780b14",
+        "d14db250315066ed645b93e9e8e47d592bced924b085d5c68c1d0643491b8829",
+    ),
+    (90, 6, 100, 100, 1): (
+        "24caac281a76558414fdf77376f3f791ca5ea4242c0f25a725e108afabefa1bd",
+        "b550ab13248d199961f3a1ec49a0605442dda4b031488bb6b4484af8a91508b1",
+    ),
+    (3, 2, 420, 420, 1): (
+        "5b950b2cd24e4e20178bb33d32c4ef049207dfbc5b2125d211d911d6dd14f3a6",
+        "2acc9dd2855596c07706222f6aab9bf8e9a7af50104d2c5c6c3fcf7021c8fd97",
     ),
 }
 
