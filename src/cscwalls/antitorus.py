@@ -7,7 +7,10 @@ combinatorially as a rectangle whose developed top and right sides repeat
 its bottom and left sides; ``commuting_powers_search`` reads this off one
 orbit sweep.  The census screen (``screen_anti_torus``) runs the same search
 on germ ids, once per inverse class {h^+-1} x {v^+-1} of pairs, since powers
-of h and v commute iff those of h^-1 and v do.
+of h and v commute iff those of h^-1 and v do.  All verdicts on one complex
+share one dict of the columns their sweeps develop over a right word within
+one chunk, so a column met again costs one lookup, and a census run builds
+the candidate word lists once for all its entries (``screen_words``).
 
 When no such rectangle exists, widening rectangles develop tops that
 eventually diverge from the horizontal periodic word, and the overlap of
@@ -130,10 +133,12 @@ def commuting_powers_search(query, k_bound=DEFAULT_BOUND, j_bound=DEFAULT_BOUND)
     return _commuting_powers(p.tables, h_ids, v_ids, k_bound, j_bound)
 
 
-def _commuting_powers(tables, h_ids, v_ids, k_bound, j_bound):
-    """commuting_powers_search on germ-id sequences (lists or tuples)."""
+def _commuting_powers(tables, h_ids, v_ids, k_bound, j_bound, columns=None):
+    """commuting_powers_search on germ-id sequences (lists or tuples);
+    ``columns`` is passed to orbit_lengths, so verdicts on one complex may
+    share the columns they develop."""
     v_ids = list(v_ids)  # R compares as a list, and a list never equals a tuple
-    sweep = orbit_lengths(tables, h_ids, v_ids)
+    sweep = orbit_lengths(tables, h_ids, v_ids, columns)
     for cols, (j, right) in zip(range(1, k_bound * len(h_ids) + 1), sweep):
         if j > j_bound:
             return None
@@ -299,26 +304,42 @@ def _inverse_class(ids):
     return min(ids, tuple(g ^ 1 for g in reversed(ids)))
 
 
-def screen_anti_torus(presentation, max_len=2):
+def screen_words(presentation, max_len):
+    """The candidate words that screen_anti_torus reads: a (horizontal,
+    vertical) pair of lists of (germ ids, inverse-class key), each in
+    periodic_candidates order.  They depend only on the edge counts and
+    max_len, so a census run builds them once for all its entries."""
+    germs = presentation.germs
+    return tuple(
+        [(w, _inverse_class(w)) for w in _periodic_ids(len(germs[klass]), max_len)]
+        for klass in (HORIZONTAL, VERTICAL)
+    )
+
+
+def screen_anti_torus(presentation, max_len=2, words=None):
     """Candidate pairs with no commuting powers within the default bounds.
 
     Yields (hword, vword, query) triples lazily, horizontal words outer and
     vertical words inner, each in periodic_candidates order.  Powers of h and
     v commute iff those of h^-1 and v do, and likewise for v^-1, so the
     search runs once per class {h^+-1} x {v^+-1}, on germ ids; words and a
-    query are built only for yielded pairs.  A yielded pair is only a bounded
-    certificate: the aperiodicity hypothesis itself is not decided here.
+    query are built only for yielded pairs.  All verdicts on the complex
+    share one dict of developed columns (see develop.orbit_lengths), so a
+    column that an earlier verdict met costs one lookup.  ``words`` is
+    screen_words(presentation, max_len), built here when not given; a caller
+    that screens many complexes with the same edge counts passes it once
+    built.  A yielded pair is only a bounded certificate: the aperiodicity
+    hypothesis itself is not decided here.
     """
     _require_one_vertex(presentation)
-    germs, tables = presentation.germs, presentation.tables
-    vids = [(v, _inverse_class(v)) for v in _periodic_ids(len(germs[VERTICAL]), max_len)]
-    verdicts = {}
-    for h in _periodic_ids(len(germs[HORIZONTAL]), max_len):
-        h_class = _inverse_class(h)
-        for v, v_class in vids:
+    tables = presentation.tables
+    hwords, vwords = screen_words(presentation, max_len) if words is None else words
+    verdicts, columns = {}, {}
+    for h, h_class in hwords:
+        for v, v_class in vwords:
             key = h_class, v_class
             if key not in verdicts:
-                found = _commuting_powers(tables, h, v, DEFAULT_BOUND, DEFAULT_BOUND)
+                found = _commuting_powers(tables, h, v, DEFAULT_BOUND, DEFAULT_BOUND, columns)
                 verdicts[key] = found is None
             if verdicts[key]:
                 hw = PeriodicWord(_ids_word(presentation, HORIZONTAL, h))

@@ -171,13 +171,16 @@ def _cmd_enumerate(args, run):
         if args.format == "text":
             raise CscwallsError("--screen needs --format json: text output has no candidate lists")
         run.params.update({"screen_len": args.screen_len, "screen_limit": args.screen_limit})
-        from .antitorus import screen_anti_torus
+        from .antitorus import screen_anti_torus, screen_words
     census = list(enumerate_csc(args.hcount, args.vcount))
     entries = []
+    words = None  # every entry has the same edge counts, so one set of candidate words serves all
     for i, p in enumerate(census):
         entry = {"index": i, "text": serialize_complex(p)}
         if args.screen:
-            screened = screen_anti_torus(p, max_len=args.screen_len)
+            if words is None:
+                words = screen_words(p, args.screen_len)
+            screened = screen_anti_torus(p, max_len=args.screen_len, words=words)
             entry["anti_torus_candidates"] = [
                 {"w1": str(hw.period), "w2": str(vw.period)}
                 for hw, vw, _ in itertools.islice(screened, args.screen_limit)

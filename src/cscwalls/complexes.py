@@ -411,13 +411,15 @@ _H_NAMES = "abc"
 _V_NAMES = "xyz"
 
 
-def _signed_maps(n):
-    """All relabelings of n letters: permutations composed with per-letter inversion."""
+def _generators(n):
+    """Generators of the signed relabelings of n letters, as maps on germ ids:
+    the swap of letters i and i+1 for each i, and the inversion of letter 0."""
     maps = []
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((0, 1), repeat=n):
-            maps.append(tuple(2 * perm[i] + (e ^ signs[i]) for i in range(n) for e in (0, 1)))
-    return maps
+    for i in range(n - 1):
+        swap = list(range(2 * n))
+        swap[2 * i : 2 * i + 4] = 2 * i + 2, 2 * i + 3, 2 * i, 2 * i + 1
+        maps.append(swap)
+    return maps + [[1, 0, *range(2, 2 * n)]]
 
 
 def _canonical_square(four):
@@ -432,11 +434,13 @@ def enumerate_csc(h_count, v_count, max_nodes=2_000_000):
     (2*h_count)*(2*v_count) pairs exactly once.  The usable squares, each in
     its least reading, are numbered in sorted order as tile ids, and every
     cover is a sorted tuple of tile ids.  Each signed relabeling of the edges
-    permutes the tile ids; each cover not yet seen is expanded once into its
-    orbit under those permutations, every member is marked as seen, and the
-    least member stands for the class.  Sorted id tuples compare like the
-    sorted square tuples, so that is the least relabeling of the squares,
-    and the classes come out in that sorted order.
+    permutes the tile ids.  The relabelings of a class of n letters are
+    generated by the n-1 swaps of adjacent letters and the inversion of one
+    letter, so only those n tile maps per class are built: each cover not
+    yet seen is closed under them into its orbit, every member is marked as
+    seen, and the least member stands for the class.  Sorted id tuples
+    compare like the sorted square tuples, so that is the least relabeling
+    of the squares, and the classes come out in that sorted order.
 
     Raises BudgetExceeded when the edge counts exceed desk scale (3) or the
     backtracking search exceeds max_nodes nodes.
@@ -487,17 +491,25 @@ def enumerate_csc(h_count, v_count, max_nodes=2_000_000):
     # A relabeling maps usable squares to usable squares, so each row is a
     # permutation of the tile ids.
     tile_id = {four: i for i, four in enumerate(tiles)}
+    generators = [(g, list(range(nv))) for g in _generators(h_count)]
+    generators += [(list(range(nh)), g) for g in _generators(v_count)]
     actions = [
         [tile_id[_canonical_square((hm[b], vm[r], hm[t], vm[l]))] for b, r, t, l in tiles]
-        for hm in _signed_maps(h_count)
-        for vm in _signed_maps(v_count)
+        for hm, vm in generators
     ]
     seen = set()
     unique = []
     for cover in covers:
         if cover in seen:
             continue
-        orbit = {tuple(sorted(a[t] for t in cover)) for a in actions}
+        orbit, todo = {cover}, [cover]
+        while todo:
+            member = todo.pop()
+            for a in actions:
+                image = tuple(sorted([a[t] for t in member]))
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
         seen |= orbit
         unique.append(min(orbit))
     unique.sort()

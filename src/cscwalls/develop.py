@@ -14,8 +14,11 @@ sweep both read it.  It develops one column at a time too, over a right word
 held in chunks of CHUNK germ ids; a per-sweep table maps (chunk, letter in)
 to (letter out, developed chunk), so ``develop_ids`` runs only on a chunk
 the table has not met with that letter, or on a right word that still fits
-in one chunk.  The only other loop is ``_fill_cells``, which also records
-every cell for inspection.
+in one chunk.  A column over a right word within one chunk is stored in a
+dict that the caller may share among sweeps on one complex, so the census
+screen develops such a column once per complex however many of its verdicts
+meet it.  The only other loop is ``_fill_cells``, which also records every
+cell for inspection.
 """
 
 from __future__ import annotations
@@ -203,7 +206,7 @@ CHUNK = 8
 TABLE_CHUNKS_PER_R = 16
 
 
-def orbit_lengths(tables, period_ids, side_ids):
+def orbit_lengths(tables, period_ids, side_ids, columns=None):
     """Yield (j(N), R) for N = 1, 2, ...: j(N) is the orbit length of the
     length-N prefix of the periodic bottom word (period_ids repeated) under
     stacking one copy of side_ids, the least j whose rectangle of height j
@@ -228,24 +231,47 @@ def orbit_lengths(tables, period_ids, side_ids):
     chunk: each block is then one develop_ids call on R, with no table, and
     the census screen's sweeps seldom leave it.
 
+    A base-case column depends only on the tables, its bottom letter b and
+    R, so it is stored in ``columns``, a dict from (b, R as a tuple) to (t,
+    next R), and a later sweep on the same tables that meets the same b and
+    R reads it back instead of developing t blocks.  The caller may pass one
+    dict to several sweeps on one complex (the census screen passes one per
+    entry); by default each sweep has its own.  Its keys never exceed CHUNK
+    ids: a side word longer than one chunk starts in the chunk table, and R
+    only grows (its length is j*len(side_ids)), so a sweep that has left the
+    base case never returns to it.  Longer columns go through the chunk
+    table, whose memory is bounded per sweep, so a dict shared by many
+    sweeps holds only short words.
+
     R is yielded as a sequence of germ ids: a list while it fits in one
     chunk, else a view that is expanded only when iterated or compared, so
-    a reader of j alone never expands it.  The sweep never changes a
-    yielded R.
+    a reader of j alone never expands it.  Neither the sweep nor the dict
+    ever changes a yielded R; a list R may be shared with other sweeps of
+    the same dict, so the caller must not change it either.
     """
+    if columns is None:
+        columns = {}
     plen = len(period_ids)
     word, j = side_ids, 1  # R, while it fits in one chunk
     right = None  # R as chunk ids of table, once it outgrows one chunk
+    if len(word) > CHUNK:
+        table = _ChunkTable(len(tables.top))
+        right = table.cut(word)
     for col in itertools.count():
         b = period_ids[col % plen]
         if right is None:
-            (top,), next_word = develop_ids(tables, (b,), word)
-            t = 1
-            while top != b:
-                (top,), block = develop_ids(tables, (top,), word)
-                next_word += block
-                t += 1
-            word, j = next_word, j * t
+            key = b, tuple(word)
+            hit = columns.get(key)
+            if hit is None:
+                (top,), next_word = develop_ids(tables, (b,), word)
+                t = 1
+                while top != b:
+                    (top,), block = develop_ids(tables, (top,), word)
+                    next_word += block
+                    t += 1
+                hit = columns[key] = t, next_word
+            t, word = hit
+            j *= t
             if len(word) <= CHUNK:
                 yield j, word
                 continue

@@ -5,15 +5,17 @@ row-major development (the engine is column-major), overlaps measured one
 exponent at a time by the pigeonhole and two divergence streams (the engine
 reads them off one orbit sweep per direction), an orbit sweep that develops
 each column over the whole right word (the engine walks it in chunks through
-a table), a commuting-powers search that develops every rectangle from
-scratch instead of stacking vertical periods, candidate words filtered from
-every germ-id tuple, a census oracle that filters raw 4-tuples instead of
-running the exact-cover search, a census class count by Burnside's lemma
-that never forms a class, staircase window counts, validation, walls and contact
-graphs on vertex and edge tuples instead of row runs, a contact-graph
-DOT writer that goes through wall ids and a seen-set instead of wall numbers,
-and staircase crossing counts and contact distances taken wall by wall
-instead of from the family side and one breadth-first search.
+a table and keeps short columns in a dict shared by one complex's verdicts),
+commuting-powers searches that develop every rectangle from scratch instead
+of stacking vertical periods or read that block-by-block sweep, candidate
+words filtered from every germ-id tuple, a census oracle that filters raw
+4-tuples instead of running the exact-cover search, a census class count by
+Burnside's lemma that never forms a class, staircase window counts,
+validation, walls and contact graphs on vertex and edge tuples instead of
+row runs, a contact-graph DOT writer that goes through wall ids and a
+seen-set instead of wall numbers, and staircase crossing counts and contact
+distances taken wall by wall instead of from the family side and one
+breadth-first search.
 """
 
 import functools
@@ -258,6 +260,20 @@ def orbit_lengths_by_blocks(tables, period_ids, side_ids):
                 break
         right, j = next_right, j * t
         yield j, right
+
+
+def commuting_powers_by_blocks(tables, h_ids, v_ids, k_bound=8, j_bound=8):
+    """Reference commuting-powers verdict on germ ids: the least (k, j) read
+    off orbit_lengths_by_blocks at each period boundary, stopping at the
+    first j above j_bound; no chunk table and no dict of developed columns."""
+    v_ids = list(v_ids)
+    sweep = orbit_lengths_by_blocks(tables, h_ids, v_ids)
+    for cols, (j, right) in zip(range(1, k_bound * len(h_ids) + 1), sweep):
+        if j > j_bound:
+            return None
+        if cols % len(h_ids) == 0 and right == v_ids * j:
+            return (cols // len(h_ids), j)
+    return None
 
 
 def periodic_agreement(presentation, period, left_word, width):

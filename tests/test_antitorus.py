@@ -12,18 +12,22 @@ from cscwalls.antitorus import (
     DEFAULT_K_MAX,
     AntiTorusQuery,
     GammaResult,
+    _commuting_powers,
     commuting_powers_search,
     find_periodic_top,
     overlap_at_height,
     overlap_gamma,
     periodic_candidates,
     screen_anti_torus,
+    screen_words,
 )
-from cscwalls.develop import parse_word
+from cscwalls.develop import CHUNK, _word_ids, parse_word
 from cscwalls.errors import BudgetExceeded, UnsupportedComplexError, WordError
 
 from .oracles import (
+    commuting_powers_by_blocks,
     commuting_powers_by_rectangles,
+    orbit_lengths_by_blocks,
     overlap_gamma_by_streams,
     periodic_agreement,
     periodic_ids_by_filtering,
@@ -413,9 +417,10 @@ class TestScreening:
     def test_screen_equals_per_pair_search(self, screen_census):
         """Derandomized sweep over the 2+2, 1+3, 3+1 and 2+3 census entries
         with max_len 1..3: the screen yields exactly the candidate pairs, in
-        order, for which commuting_powers_search on that very pair finds no
-        commuting powers.  The screen decides one pair per inverse class, so
-        this checks that the class shares the verdict."""
+        order, for which the block-by-block reference search on that very
+        pair finds no commuting powers.  The screen decides one pair per
+        inverse class, so this checks that the class shares the verdict; the
+        reference shares no developed column, as the screen's verdicts do."""
         seen = Counter()
 
         @given(st.data())
@@ -428,13 +433,50 @@ class TestScreening:
                 (hw, vw)
                 for hw in periodic_candidates(p, cw.HORIZONTAL, max_len)
                 for vw in periodic_candidates(p, cw.VERTICAL, max_len)
-                if commuting_powers_search(AntiTorusQuery(p, hw, vw)) is None
+                if commuting_powers_by_blocks(p.tables, _word_ids(p, hw.period), _word_ids(p, vw.period)) is None
             ]
             assert got == want
             seen["some yielded" if got else "none yielded"] += 1
 
         check()
         assert set(seen) == {"some yielded", "none yielded"}, seen
+
+    def test_verdicts_sharing_columns_match_blocks(self, screen_census):
+        """Derandomized sweep over the same census entries, words up to length
+        3 and bounds 1..12, so that R outgrows one chunk: _commuting_powers
+        with one dict of developed columns per complex, shared by every draw
+        on it and interleaved with the draws on a second complex, finds the
+        same (k, j) as the block-by-block reference.  Some draws must reuse
+        a dict that earlier draws filled, and some must meet an R longer than
+        one chunk."""
+        seen = Counter()
+
+        @given(st.data())
+        @settings(max_examples=60)
+        def check(data):
+            pair = [data.draw(screen_census, label=f"complex {i}") for i in range(2)]
+            words = [screen_words(p, 3) for p in pair]
+            columns = [{}, {}]
+            for _ in range(data.draw(st.integers(2, 16), label="verdicts")):
+                i = data.draw(st.integers(0, 1), label="complex")
+                tables = pair[i].tables
+                h, v = (data.draw(st.sampled_from(ws), label=klass)[0] for ws, klass in zip(words[i], "hv"))
+                bounds = [data.draw(st.integers(1, 12), label=name) for name in ("k_bound", "j_bound")]
+                filled = len(columns[i])
+                found = _commuting_powers(tables, h, v, *bounds, columns[i])
+                assert found == commuting_powers_by_blocks(tables, h, v, *bounds)
+                seen["reused"] += filled > 0
+                cols = (found[0] if found else bounds[0]) * len(h)
+                for j, right in islice(orbit_lengths_by_blocks(tables, h, list(v)), cols):
+                    if len(right) > CHUNK:
+                        seen["long R"] += 1
+                        break
+                    if j > bounds[1]:
+                        break
+                seen["none" if found is None else "commuting"] += 1
+
+        check()
+        assert min(seen["reused"], seen["long R"], seen["none"], seen["commuting"]) >= 20, seen
 
     def test_inverse_words_commute_alike(self, screen_census):
         """Derandomized sweep over the same census entries, words up to

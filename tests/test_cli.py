@@ -258,6 +258,24 @@ class TestEnumerate:
         assert err.startswith("error: ") and err.count("\n") == 1 and "--screen" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "h, v, screen, digest",
+        [
+            (2, 2, True, "4d64126135a3c609740d3bebc4e875c8e220793859176c6516ed7613622eef09"),
+            (1, 3, True, "8f3c1f6b7f6e9cf2e94dbf55876adb3a584c4eea12bbeff8cda2f9785d7f0516"),
+            (3, 1, True, "ec442c288a3ea8d17e4a6ff8a35ed42b3c25727e6fc4666c0347ee5aae3ae351"),
+            (2, 2, False, "c2494059e2a581ddb848bb338e4a6ba21b22326509258d1700a16d6c70204e81"),
+            (2, 3, True, "5cabe4decd953f4d99c9f48e476ee03d5bef97fcc154ce2dface454885d699bf"),
+        ],
+    )
+    def test_artifact_bytes_are_pinned(self, tmp_path, h, v, screen, digest):
+        """SHA-256 of the --out artifact, which embeds the manifest digest but
+        not the output path."""
+        out = tmp_path / "census.json"
+        argv = ["enumerate", "--hcount", str(h), "--vcount", str(v), "--out", str(out)]
+        assert main(argv + ["--screen"] * screen) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_screen_options_are_in_the_manifest(self, capsys, tmp_path):
         """Two screen limits list different candidates, so they carry two
         digests; an unscreened run records neither screen option."""

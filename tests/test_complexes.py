@@ -153,10 +153,14 @@ class TestCornerTableProperties:
 
 #: SHA-256 of the concatenated serialized census entries, per (h, v).
 CENSUS_SHA256 = {
+    (1, 1): "a67b90c6f96460399afcea8518668e445b68a243f16e6248c10a9125d6176519",
+    (1, 2): "70897941f3f95b727dc7285e1b64e728decfbe37bb39ddc0ef7c214f1424d31a",
+    (2, 1): "0111152732ff94362d9e9fbcbe0b7d92e2213ea354abf66059c645fb8dd70b1f",
     (2, 2): "3791d8f862b6a0d779c836784bb18b5d785f3ad61287936ebb1a2678a3b1b1f2",
     (1, 3): "0735f9ad8965a3102021b2dfd6db9d894b4b8edc2e45804b69b4590fe3281589",
     (3, 1): "9bd6276bc9e443304fb4cb387c5f109648a44063268eb294e090aba5ac574bad",
     (2, 3): "a17997d925b67e78f4d5e7ae2380bb958c5d6962954633bb60bdc60b8e204f72",
+    (3, 2): "b4527dba9d6b82ef52a5a8fe4c48d0a43ae67c608bfc260e3fd4648bd07443df",
 }
 
 

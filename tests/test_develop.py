@@ -286,6 +286,31 @@ class TestChunkedSweep:
         if bound == "restarting":
             assert seen["restart"] >= 50
 
+    def test_long_side_words_and_shared_columns(self, census, rng):
+        """Side words of 1 to 20 letters, many longer than one chunk, under
+        horizontal words of 1 to 3 letters on census complexes: over up to
+        12 columns, (j, R) equal the reference's while one dict of developed
+        columns per complex is shared by all its sweeps, and no key of that
+        dict holds more than CHUNK ids."""
+        complexes, growing = census
+        long_sides = stored = 0
+        for p in rng.sample(complexes, 40) + growing[:10]:
+            columns = {}
+            for _ in range(5):
+                h_ids = _word_ids(p, random_reduced_word(p, cw.HORIZONTAL, rng.randint(1, 3), rng))
+                v_ids = _word_ids(p, random_reduced_word(p, cw.VERTICAL, rng.randint(1, 20), rng))
+                long_sides += len(v_ids) > CHUNK
+                sweep = orbit_lengths(p.tables, h_ids, v_ids, columns)
+                for ref_j, ref_right in itertools.islice(orbit_lengths_by_blocks(p.tables, h_ids, v_ids), 12):
+                    with deadline(5):
+                        j, right = next(sweep)
+                    assert (j, list(right)) == (ref_j, ref_right)
+                    if len(ref_right) > self.MAX_LETTERS:
+                        break
+            assert all(len(side) <= CHUNK for _, side in columns)
+            stored += len(columns)
+        assert long_sides >= 50 and stored >= 100
+
 
 class TestCells:
     def test_grid_shares_interior_edges(self, shipped):
