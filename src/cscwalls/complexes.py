@@ -17,7 +17,6 @@ trees, and it is what makes rectangle development deterministic.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -214,21 +213,33 @@ class SquareComplexPresentation:
     # -- validation ----------------------------------------------------
 
     @cached_property
+    def _corners(self):
+        """One pass over the four readings of every square: the corner tables,
+        and hits[h][v], the number of readings with the germ pair (h, v) at
+        their SW corner.  That corner is the start vertex of h, so hits counts
+        the squares with a corner at (start of h, h, v)."""
+        nh, nv = 2 * len(self.hedges), 2 * len(self.vedges)
+        top, right, square, corner = ([[-1] * nv for _ in range(nh)] for _ in range(4))
+        hits = [[0] * nv for _ in range(nh)]
+        for s, sq in enumerate(self.squares):
+            for code, (b, r, t, l) in enumerate(_square_versions(*self._square_ids(sq))):
+                top[b][l] = t
+                right[b][l] = r
+                square[b][l] = s
+                corner[b][l] = code
+                hits[b][l] += 1
+        return CornerTables(nh, nv, top, right, square, corner), hits
+
+    @cached_property
     def validation(self):
         # Squares with a corner at (vertex, h germ, v germ): exactly one each in a CSC.
-        counts = Counter(
-            (vertex, h, v)
-            for sq in self.squares
-            for vertex, (h, _, _, v) in zip(sq.corner_vertices(), _square_versions(*self._square_ids(sq)))
+        hits = self._corners[1]
+        violations = sorted(
+            (hg.start, (hg.token(), vg.token()), hits[h][v])
+            for h, hg in enumerate(self.germs[HORIZONTAL])
+            for v, vg in enumerate(self.germs[VERTICAL])
+            if hg.start == vg.start and hits[h][v] != 1
         )
-        violations = []
-        for h, hg in enumerate(self.germs[HORIZONTAL]):
-            for v, vg in enumerate(self.germs[VERTICAL]):
-                if hg.start == vg.start:
-                    n = counts[hg.start, h, v]
-                    if n != 1:
-                        violations.append((hg.start, (hg.token(), vg.token()), n))
-        violations.sort()
         return ValidationReport(
             is_csc=not violations,
             violations=tuple(violations),
@@ -246,15 +257,7 @@ class SquareComplexPresentation:
             raise NotCSCError(
                 f"not a complete square complex: {len(self.validation.violations)} corner violations"
             )
-        nh, nv = 2 * len(self.hedges), 2 * len(self.vedges)
-        top, right, square, corner = ([[-1] * nv for _ in range(nh)] for _ in range(4))
-        for s, sq in enumerate(self.squares):
-            for code, (b, r, t, l) in enumerate(_square_versions(*self._square_ids(sq))):
-                top[b][l] = t
-                right[b][l] = r
-                square[b][l] = s
-                corner[b][l] = code
-        return CornerTables(nh, nv, top, right, square, corner)
+        return self._corners[0]
 
     @cached_property
     def mirrored(self):

@@ -22,9 +22,8 @@ parameters give byte-identical windows, walls and certificates.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, count, islice, pairwise
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
@@ -91,13 +90,16 @@ class StairParams:
 #   - horizontal walls: one per run, merged where runs share a vertical side;
 #   - vertical walls: each edge row holds one label per column; the rows are
 #     swept bottom-up, and each run's column pieces copy the labels of their
-#     bottom edges onto their top edges as list slices (_walls);
+#     bottom edges onto their top edges as list slices (_walls); walls need
+#     the link condition, under which each label is one wall;
 #   - walls are numbered by the tuple of their least edge, so numbers follow
 #     the order of edge tuples; a wall's one name is w0000, w0001, ...
-#   - crossings come from each piece's labels; contacts add the pairs of walls
+#   - crossings are kept once, as the vertical walls each horizontal wall
+#     crosses, read off each piece's labels; contacts add the pairs of walls
 #     that meet at a vertex without crossing (ContactGraph).
-# Tuples and wall-id keyed maps are built only on first use: window.squares,
-# .vertices, .edges and edge_id, and ContactGraph.neighbors and .crossings.
+# A window holds no vertex or edge tuples.  Its squares are the tuple it was
+# given, or one built from its runs on first use; ContactGraph.neighbors and
+# .crossings, keyed by wall id, are also built on first use.
 
 
 class WindowSquare(NamedTuple):
@@ -221,34 +223,6 @@ def _squares_of(runs):
 
 
 _QUADRANTS = ("NE", "NW", "SE", "SW")  # the quadrant each corner sw, se, nw, ne fills
-
-
-class _Cells(Sequence):
-    """A read-only sequence whose length is known at once and whose items are
-    built on first access.  It compares equal to the tuple of its items."""
-
-    def __init__(self, length, build):
-        self._length = length
-        self._build = build
-
-    @cached_property
-    def _items(self):
-        return tuple(self._build())
-
-    def __len__(self):
-        return self._length
-
-    def __getitem__(self, i):
-        return self._items[i]
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __eq__(self, other):
-        return self._items == (other._items if isinstance(other, _Cells) else other)
-
-    def __repr__(self):
-        return repr(self._items)
 
 
 class _Layout(NamedTuple):
@@ -389,46 +363,29 @@ def _walls(runs, layout):
     """Horizontal walls merge runs that share a vertical edge.  Vertical walls
     are labels: rows are swept bottom-up, a piece takes the labels of its
     bottom edges (fresh ones where there are none yet) and copies them onto
-    its top edges, merging where those already hold others.  A label is born
-    at its least edge, so a wall's least edge is the least birth among its
-    labels."""
+    its top edges.  The window must satisfy the link condition: then no other
+    square lies below those top edges, so no two labels meet and each label
+    is one wall, whose least edge is the one it was born at."""
     # one more -1 past the last column, so that no two rows chained end to end
     # make neighbours of their edges
     labels = {key: (lo, [-1] * (hi - lo + 2)) for key, (lo, hi) in layout.edge_rows.items()}
-    births = []  # (count, edge row, first column): labels born together, one per column
-    merged = []  # label pairs of one wall: two squares on one side of an edge, so not CAT(0)
-    n = 0
+    keys = {}  # wall -> its least edge; a label's is the edge it was born at
     for k in sorted(range(len(runs)), key=lambda k: runs[k][0]):
         for c0, c1, kb, kt in layout.pieces[k]:
             lo, row = labels[kb]
             own = row[c0 - lo:c1 - lo]
             if -1 in own:
-                if own.count(-1) == len(own):
-                    own = list(range(n, n + len(own)))
-                    births.append((len(own), kb, c0))
-                    n += len(own)
-                else:
-                    for i, label in enumerate(own):
-                        if label < 0:
-                            own[i] = n
-                            births.append((1, kb, c0 + i))
-                            n += 1
+                y, t1, t2 = kb
+                for i, label in enumerate(own):
+                    if label < 0:
+                        own[i] = n = len(keys)
+                        keys[n] = ((c0 + i, y, t1), (c0 + i + 1, y, t2))
                 row[c0 - lo:c1 - lo] = own
             lo, row = labels[kt]
-            above = row[c0 - lo:c1 - lo]
-            if above.count(-1) != len(above):
-                merged += [(old, new) for old, new in zip(above, own) if old >= 0]
             row[c0 - lo:c1 - lo] = own
 
-    # a wall is a root label, or n + the least run of a class of runs, keyed
-    # by its least edge
-    keys = dict(enumerate(
-        ((c, y, t1), (c + 1, y, t2)) for count, (y, t1, t2), c0 in births for c in range(c0, c0 + count)
-    ))
-    root = _least_members(n, [j for j, _ in merged], [k for _, k in merged])
-    for label, r in enumerate(root):
-        if r != label:
-            keys[r] = min(keys[r], keys.pop(label))
+    # a wall is a label, or n + the least run of a class of runs
+    n = len(keys)
     shared = layout.shared_sides
     run_root = _least_members(len(runs), [j for j, _ in shared], [k for _, k in shared])
     for k, (y, a, _, bottom, top) in enumerate(runs):
@@ -437,17 +394,18 @@ def _walls(runs, layout):
         if i not in keys or first < keys[i]:
             keys[i] = first
     number = dict(zip(sorted(keys, key=keys.__getitem__), range(len(keys))))
-    return _Walls(len(keys), labels, list(map(number.__getitem__, root)), [number[n + r] for r in run_root])
+    return _Walls(len(keys), labels, [number[i] for i in range(n)], [number[n + r] for r in run_root])
 
 
 class CubeWindow:
     """A finite square complex of unit squares, carried as row runs.
 
     CubeWindow(squares) takes any unit squares (see _unit_square) and groups
-    them into runs; build_staircase makes its runs directly.  squares (in the
-    order given, or run by run), vertices and edges (both sorted) are
-    sequences built on first use, whose lengths are known at once; edge_id
-    maps an edge tuple to its position in edges.
+    them into runs; build_staircase makes its runs directly.  squares is the
+    tuple given, or for a built window one made run by run on first use.
+    Counts, validate and euler_characteristic take any window; its walls, and
+    so its contact graph, need the link condition and raise validate's error
+    without it.
     """
 
     def __init__(self, squares, params=None):
@@ -471,48 +429,13 @@ class CubeWindow:
 
     @cached_property
     def _walls(self):
+        if not self._layout.link_holds:
+            self._link_failure()
         return _walls(self._runs, self._layout)
 
     @cached_property
     def squares(self):
-        return _Cells(self._layout.counts["squares"], partial(_squares_of, self._runs))
-
-    @cached_property
-    def vertices(self):
-        return _Cells(self._layout.counts["vertices"], self._vertex_tuples)
-
-    @cached_property
-    def edges(self):
-        return _Cells(self.counts()["edges"], self._edge_tuples)
-
-    def _vertex_tuples(self):
-        rows = self._layout.vertex_rows.items()
-        return sorted({(x, y, t) for (y, t), spans in rows for s in spans for x in range(s[0], s[1] + 1)})
-
-    def _edge_tuples(self):
-        layout = self._layout
-        horizontal = {
-            ((c, y, t), (c + 1, y, t if c < e[1] else e[5]))
-            for (y, t), entries in layout.vertex_rows.items()
-            for e in entries
-            for c in range(e[0], e[1] if e[5] is None else e[1] + 1)
-        }
-        vertical = {
-            ((x, y, tb), (x, y + 1, tt))
-            for (y, tb, tt), spans in layout.vertical_rows.items()
-            for x0, x1, _ in spans
-            for x in range(x0, x1 + 1)
-        }
-        return sorted(horizontal | vertical)
-
-    @cached_property
-    def _edge_ids(self):
-        return dict(zip(self.edges, count()))
-
-    def edge_id(self, edge):
-        """Position in edges of an edge given as its (lesser, greater) vertex
-        tuples; None if the window has no such edge."""
-        return self._edge_ids.get(edge)
+        return tuple(_squares_of(self._runs))
 
     def counts(self):
         return dict(self._layout.counts)
@@ -658,9 +581,11 @@ class ContactGraph:
 
     crossings is the transversality subrelation: walls sharing a square.
     walls is the list of wall ids, and a wall's number is its position there.
-    The graph is built on wall numbers: _adjacency and _crossings hold one set
-    of wall numbers per wall.  neighbors and crossings keyed by wall id, each
-    neighbour tuple sorted as strings, are built on first use.
+    The graph is built on wall numbers: _adjacency holds one set of wall
+    numbers per wall, and _across holds each crossing once, as the set of
+    vertical walls each horizontal wall crosses.  neighbors and crossings
+    keyed by wall id, each neighbour tuple sorted as strings, are built on
+    first use.  The window must satisfy the link condition.
     """
 
     def __init__(self, window):
@@ -670,21 +595,22 @@ class ContactGraph:
         vertical, horizontal = part.vertical, part.horizontal
 
         # each square of a run: the run's wall crosses the wall of its bottom edge
-        self._crossings = crossings = [set() for _ in range(part.count)]
+        self._across = across = {h: set() for h in horizontal}
         for k, pieces in enumerate(layout.pieces):
-            h = horizontal[k]
+            crossed = across[horizontal[k]]
             for c0, c1, kb, _ in pieces:
                 lo, row = part.labels[kb]
-                across = list(map(vertical.__getitem__, islice(row, c0 - lo, c1 - lo)))
-                crossings[h].update(across)
-                for c in map(crossings.__getitem__, across):
-                    c.add(h)
+                crossed.update(map(vertical.__getitem__, islice(row, c0 - lo, c1 - lo)))
 
         # The walls at a vertex are the walls of its edges.  Two walls that
         # cross meet at the square's corners; the other pairs are two runs
         # sharing a vertex, the walls of two neighbouring edges in one edge row,
         # and the walls at a vertex where the segments through it differ.
-        self._adjacency = adjacency = [set(c) for c in crossings]
+        self._adjacency = adjacency = [set() for _ in range(part.count)]
+        for h, crossed in across.items():
+            adjacency[h].update(crossed)
+            for v in crossed:
+                adjacency[v].add(h)
         for j, k in layout.touching:
             adjacency[horizontal[j]].add(horizontal[k])
             adjacency[horizontal[k]].add(horizontal[j])
@@ -725,8 +651,13 @@ class ContactGraph:
 
     @cached_property
     def crossings(self):
+        crossed = [set() for _ in self.walls]
+        for h, vertical in self._across.items():
+            crossed[h].update(vertical)
+            for v in vertical:
+                crossed[v].add(h)
         names = self.walls
-        return {names[k]: frozenset([names[j] for j in c]) for k, c in enumerate(self._crossings)}
+        return {names[k]: frozenset([names[j] for j in c]) for k, c in enumerate(crossed)}
 
 
 def _walls_at(part, y, t, x, entries):
@@ -897,9 +828,10 @@ def nonacyl_certificate(params, p, graph=None):
         raise CscwallsError("strip walls are not pairwise distinct")
     witness = graph._number_of_edge(window.last_projection_edge())
 
-    # family members are distinct, so each crossing of one adds exactly one
-    crossings = graph._crossings
-    counts = Counter(chain.from_iterable(crossings[f] for f in family))
+    # family members are distinct horizontal walls, so each crossing of one
+    # adds exactly one
+    across = graph._across
+    counts = Counter(chain.from_iterable(across[f] for f in family))
     max_crossing = max(counts.values(), default=0)
 
     if max_crossing != m:
@@ -914,7 +846,7 @@ def nonacyl_certificate(params, p, graph=None):
         d = from_base[family[i]]
         distances.append((i, d))
         if i < m:
-            if not (base in crossings[witness] and family[i] in crossings[witness]):
+            if not (witness in across[base] and witness in across[family[i]]):
                 raise CscwallsError(f"witness wall misses translate {i}")
             if d != 2:
                 raise CscwallsError(f"distance to translate {i} is {d}, expected 2")

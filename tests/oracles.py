@@ -10,12 +10,13 @@ commuting-powers searches that develop every rectangle from scratch instead
 of stacking vertical periods or read that block-by-block sweep, candidate
 words filtered from every germ-id tuple, a census oracle that filters raw
 4-tuples instead of running the exact-cover search, a census class count by
-Burnside's lemma that never forms a class, staircase window counts,
-validation, walls and contact graphs on vertex and edge tuples instead of
-row runs, a contact-graph DOT writer that goes through wall ids and a
-seen-set instead of wall numbers, and staircase crossing counts and contact
-distances taken wall by wall instead of from the family side and one
-breadth-first search.
+Burnside's lemma that never forms a class, staircase window vertices,
+edges, counts, validation, walls and contact graphs on vertex and edge tuples
+instead of row runs (the engine keeps no vertex or edge tuples, and its walls
+need the link condition, where these take any squares), a contact-graph DOT
+writer that goes through wall ids and a seen-set instead of wall numbers,
+and staircase crossing counts and contact distances taken wall by wall
+instead of from the family side and one breadth-first search.
 """
 
 import functools
@@ -335,12 +336,24 @@ def _sides(sq):
     return _edge(sq.sw, sq.se), _edge(sq.se, sq.ne), _edge(sq.nw, sq.ne), _edge(sq.sw, sq.nw)
 
 
+def vertices_by_tuples(squares):
+    """The set of the squares' corner tuples."""
+    return {v for sq in squares for v in sq}
+
+
+def edges_by_tuples(squares):
+    """The set of the squares' sides, each as its (lesser, greater) vertex tuples."""
+    return {e for sq in squares for e in _sides(sq)}
+
+
 def counts_by_tuples(squares):
     """Vertex, edge and square counts of any list of squares, from the sets of
     their corner tuples and side tuples."""
-    vertices = {v for sq in squares for v in sq}
-    edges = {e for sq in squares for e in _sides(sq)}
-    return {"vertices": len(vertices), "edges": len(edges), "squares": len(squares)}
+    return {
+        "vertices": len(vertices_by_tuples(squares)),
+        "edges": len(edges_by_tuples(squares)),
+        "squares": len(squares),
+    }
 
 
 def validate_by_tuples(squares):
@@ -358,8 +371,7 @@ def validate_by_tuples(squares):
                     f"held by squares {holder[vertex, quadrant]} and {i}"
                 )
             holder[vertex, quadrant] = i
-    vertices = {v for sq in squares for v in sq}
-    edges = {e for sq in squares for e in _sides(sq)}
+    vertices, edges = vertices_by_tuples(squares), edges_by_tuples(squares)
     euler = len(vertices) - len(edges) + len(squares)
     if euler != 1:
         raise CscwallsError(f"window is not contractible: Euler characteristic {euler}")

@@ -1,5 +1,6 @@
-"""Repository hygiene: generated files stay out of version control, and the
-names the benchmark looks up stay in the package."""
+"""Repository hygiene: generated files stay out of version control, the
+names the benchmark looks up stay in the package, the package imports no
+name it does not use, and a failing test does not stop the run."""
 
 import ast
 import importlib
@@ -64,8 +65,8 @@ def test_benchmark_entry_points_exist():
 def test_benchmark_staircase_work_counts():
     """perfbench reads the staircase work counts off what build_staircase,
     walls and contact_graph return (INFO in perfbench/spans.py).  Those
-    results hold their cells and names as views built on first use, and
-    tier-1 does not run the benchmark, so a view that broke a count would
+    results build their squares and wall-id maps on first use, and tier-1
+    does not run the benchmark, so a change there that broke a count would
     otherwise go unseen."""
     spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
@@ -74,7 +75,7 @@ def test_benchmark_staircase_work_counts():
     window = build_staircase(params)
     graph = contact_graph(window)
     oracle = contact_graph_by_tuples(window)
-    assert spans.INFO["staircase.build_staircase"](window, params) == len(tuple(window.squares)) == 82
+    assert spans.INFO["staircase.build_staircase"](window, params) == window.counts()["squares"] == 82
     assert spans.INFO["staircase.walls"](walls(window), window) == len(oracle.walls)
     contact_edges = sum(map(len, oracle.neighbors.values())) // 2
     assert spans.INFO["staircase.contact_graph"](graph, window) == contact_edges > 0
@@ -153,3 +154,70 @@ def test_setup_probe_prints_one_float():
     lines = out.stdout.splitlines()
     assert len(lines) == 1
     float(lines[0])
+
+
+def _unused_imports(source):
+    """Names that source imports, at any depth, and never reads as a name;
+    ``__future__`` imports and the names in ``__all__`` do not count."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+        for elt in getattr(node.value, "elts", ())
+    }
+    return sorted(imported - read - exported)
+
+
+def test_unused_import_check_catches_one():
+    source = "from collections import Counter, defaultdict\nimport os.path\n\n\ndef f():\n    return defaultdict()\n"
+    assert _unused_imports(source) == ["Counter", "os"]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in (ROOT / "src" / "cscwalls").glob("*.py"))
+)
+def test_package_module_imports_only_what_it_uses(module):
+    assert _unused_imports((ROOT / "src" / "cscwalls" / module).read_text()) == []
+
+
+#: A failing Hypothesis test followed by a passing one.
+TWO_TESTS = """\
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
+    """Under this repository's warning filters, the module Hypothesis loads to
+    report a failing example must not turn a warning into an internal error
+    that ends the run before the next test."""
+    (tmp_path / "test_two.py").write_text(TWO_TESTS)
+    out = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_two.py",
+        ],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout
