@@ -5,8 +5,8 @@ recording input digests, parameters, bounds and output digests; artifacts
 embed the manifest digest so a rerun can be diffed byte for byte.
 
 Exit codes: 0 success, 1 input error (a malformed command line too), 2 budget
-exceeded.  A run that fails removes the files it wrote, so it leaves neither
-artifact nor manifest.
+exceeded.  A run that fails removes the regular files it wrote, so it leaves
+neither artifact nor manifest, and never unlinks a symlink or device.
 """
 
 from __future__ import annotations
@@ -458,8 +458,9 @@ def main(argv=None):
     except (CscwallsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = 1
-    for path in run.outputs:  # a failed run leaves no artifact
-        os.remove(path)
+    for path in run.outputs:  # a failed run leaves no artifact, and unlinks no symlink or device
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
     return status
 
 

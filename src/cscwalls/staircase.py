@@ -84,9 +84,10 @@ class StairParams:
 # bands directly as runs; CubeWindow(squares) groups the squares it is given.
 #
 # Everything runs on runs, segments and per-row intervals (_layout):
-#   - counts, the link condition and connectivity from the overlaps of the
-#     segments in each vertex row (y, tag); the horizontal edges of a row are
-#     its edge rows (y, tag, tag) and the edges between segments of two tags;
+#   - counts and connectivity from the overlaps of the segments in each vertex
+#     row (y, tag); the horizontal edges of a row are its edge rows
+#     (y, tag, tag) and the edges between segments of two tags;
+#   - the link condition from one scan of given squares; built windows need none;
 #   - horizontal walls: one per run, merged where runs share a vertical side;
 #   - vertical walls: each edge row holds one label per column; the rows are
 #     swept bottom-up, and each run's column pieces copy the labels of their
@@ -109,10 +110,6 @@ class WindowSquare(NamedTuple):
     se: tuple
     nw: tuple
     ne: tuple
-
-
-def _edge(a, b):
-    return (a, b) if a <= b else (b, a)
 
 
 def _least_members(n, xs, ys):
@@ -228,7 +225,7 @@ _QUADRANTS = ("NE", "NW", "SE", "SW")  # the quadrant each corner sw, se, nw, ne
 class _Layout(NamedTuple):
     """A window's cells as intervals per row, read off its runs."""
 
-    vertex_rows: dict  # (y, tag) -> [(x0, x1, run, side, tag at x0-1, tag at x1+1)]; side 0 bottom, 1 top
+    vertex_rows: dict  # (y, tag) -> [(x0, x1, run, tag at x0-1, tag at x1+1)]
     edge_rows: dict  # (y, tag, tag) -> (first, last) column of the horizontal edges in that row
     vertical_rows: dict  # (y, bottom tag, top tag) -> [(x0, x1, run)]: vertical edges at x0..x1
     pieces: list  # per run, [(c0, c1, bottom edge row, top edge row)] over columns c0 .. c1-1
@@ -236,7 +233,6 @@ class _Layout(NamedTuple):
     shared_sides: list  # (run, run): pairs of runs that share a vertical edge
     corners: set  # ((y, tag), x): vertices whose walls are not all paired by the rules in ContactGraph
     counts: dict
-    link_holds: bool
     connected: bool
 
 
@@ -251,7 +247,7 @@ def _layout(runs):
                 after = segments[i][2] if i < len(segments) else None
                 if after is not None:
                     switches.add((y + side, t, after, x1))
-                vertex_rows[y + side, t].append((x0, x1, k, side, before, after))
+                vertex_rows[y + side, t].append((x0, x1, k, before, after))
                 before = t
         # vertex ranges of constant (bottom tag, top tag); the columns inside
         # one are a piece, and so is each column between two of them
@@ -275,12 +271,10 @@ def _layout(runs):
         pieces.append(own)
 
     # per vertex row: its vertices, its edges with both ends in the row's tag
-    # (each stretch of overlapping segments has one fewer than vertices), the
-    # runs sharing a vertex, and two segments on one side holding a square in
-    # the same quadrant of some vertex
+    # (each stretch of overlapping segments has one fewer than vertices) and
+    # the runs sharing a vertex
     touching, corners = [], set()
     edge_rows = {}
-    link_holds = True
     n_vertices = n_edges = 0
     for (y, t), entries in vertex_rows.items():
         if len(entries) == 1:
@@ -299,16 +293,14 @@ def _layout(runs):
         # there not both in tag t (at an end next to a segment of another
         # tag), or two segments have different edges there (at an end of
         # their overlap).
-        for x0, x1, _, _, before, after in entries:
+        for x0, x1, _, before, after in entries:
             if before is not None and (x0 < x1 or after is not None):
                 corners.add(((y, t), x0))
             if after is not None and (x0 < x1 or before is not None):
                 corners.add(((y, t), x1))
         for e, f in pairs:
             touching.append((e[2], f[2]))
-            if link_holds and e[3] == f[3] and _corners_meet(runs, e, f):
-                link_holds = False
-            if e[:2] != f[:2] or e[4:] != f[4:]:
+            if e[:2] != f[:2] or e[3:] != f[3:]:
                 for x in (f[0], min(e[1], f[1])):
                     if _edges_at(e, t, x) != _edges_at(f, t, x):
                         corners.add(((y, t), x))
@@ -330,24 +322,14 @@ def _layout(runs):
     classes = _least_members(n, [j for j, _ in touching], [k for _, k in touching])
     counts = {"vertices": n_vertices, "edges": n_edges, "squares": sum(b - a for _, a, b, _, _ in runs)}
     return _Layout(
-        vertex_rows, edge_rows, vertical_rows, pieces, touching, shared, corners, counts,
-        link_holds, not any(classes),
+        vertex_rows, edge_rows, vertical_rows, pieces, touching, shared, corners, counts, not any(classes)
     )
 
 
 def _edges_at(e, t, x):
     """The tags of the edges west and east of vertex x that the segment e of
     a vertex row in tag t has there, None where it has none."""
-    return t if x > e[0] else e[4], t if x < e[1] else e[5]
-
-
-def _corners_meet(runs, e, f):
-    """Whether two overlapping segments on one side of a vertex row put a
-    square in the same quadrant of a common vertex x: a run has a square east
-    of x when x < b, and west of x when x > a."""
-    (a1, b1), (a2, b2) = runs[e[2]][1:3], runs[f[2]][1:3]
-    lo, hi = max(e[0], f[0]), min(e[1], f[1])
-    return lo <= min(hi, b1 - 1, b2 - 1) or max(lo, a1 + 1, a2 + 1) <= hi
+    return t if x > e[0] else e[3], t if x < e[1] else e[4]
 
 
 class _Walls(NamedTuple):
@@ -400,28 +382,27 @@ def _walls(runs, layout):
 class CubeWindow:
     """A finite square complex of unit squares, carried as row runs.
 
-    CubeWindow(squares) takes any unit squares (see _unit_square) and groups
-    them into runs; build_staircase makes its runs directly.  squares is the
-    tuple given, or for a built window one made run by run on first use.
-    Counts, validate and euler_characteristic take any window; its walls, and
-    so its contact graph, need the link condition and raise validate's error
-    without it.
+    CubeWindow(squares) takes any unit squares (see _unit_square), groups
+    them into runs and checks the link condition by one scan of them on first
+    use; build_staircase makes its runs directly, and its windows alone carry
+    params and need no scan.  squares is the tuple given, or for a built
+    window one made run by run on first use.  Counts, validate and
+    euler_characteristic take any window; its walls, and so its contact
+    graph, need the link condition and raise validate's error without it.
     """
 
-    def __init__(self, squares, params=None):
-        squares = tuple(map(_unit_square, count(), squares))
-        self._init(params, _runs_of(squares))
-        self.squares = squares
+    params = None
+
+    def __init__(self, squares):
+        self.squares = tuple(map(_unit_square, count(), squares))
+        self._runs = _runs_of(self.squares)
 
     @classmethod
     def _from_runs(cls, params, runs):
         window = cls.__new__(cls)
-        window._init(params, runs)
+        window.params = params
+        window._runs = runs
         return window
-
-    def _init(self, params, runs):
-        self.params = params
-        self._runs = runs
 
     @cached_property
     def _layout(self):
@@ -429,8 +410,8 @@ class CubeWindow:
 
     @cached_property
     def _walls(self):
-        if not self._layout.link_holds:
-            self._link_failure()
+        if self._link_failure is not None:
+            raise CscwallsError(self._link_failure)
         return _walls(self._runs, self._layout)
 
     @cached_property
@@ -451,9 +432,9 @@ class CubeWindow:
         so it embeds in a CAT(0) square complex.  Raises CscwallsError on any
         failure; returns the count summary.
         """
+        if self._link_failure is not None:
+            raise CscwallsError(self._link_failure)
         layout = self._layout
-        if not layout.link_holds:
-            self._link_failure()
         if self.euler_characteristic() != 1:
             raise CscwallsError(
                 f"window is not contractible: Euler characteristic {self.euler_characteristic()}"
@@ -462,19 +443,20 @@ class CubeWindow:
             raise CscwallsError("window is not connected")
         return self.counts()
 
+    @cached_property
     def _link_failure(self):
-        """Raise for the first corner, in square order, whose quadrant an
-        earlier square already holds."""
+        """validate's message for the first corner, in square order, whose
+        quadrant an earlier square already holds; None if there is none."""
         holder = {}
         for i, square in enumerate(self.squares):
             for q, vertex in zip(_QUADRANTS, square):
                 if (vertex, q) in holder:
-                    raise CscwallsError(
+                    return (
                         f"link condition fails at {vertex}: quadrant {q} "
                         f"held by squares {holder[vertex, q]} and {i}"
                     )
                 holder[vertex, q] = i
-        raise AssertionError("the corner intervals overlap but no quadrant is held twice")
+        return None
 
     def _wall_of_edge(self, edge):
         """The wall number of an edge given as its (lesser, greater) vertex
@@ -490,20 +472,6 @@ class CubeWindow:
                 if x0 <= x <= x1:
                     return walls.horizontal[k]
         return None
-
-    # -- named cells of the staircase ------------------------------------
-
-    def strip_wall_edge(self, i):
-        """A vertical edge surely dual to strip i's wall: its westmost one."""
-        p = self.params
-        lo, _ = _strip_span(p, i)
-        y = _LEVEL_PITCH * i  # the row of strip i's squares
-        return _edge((lo, y, _strip_bottom_tag(p, i, lo)), (lo, y + 1, 0))
-
-    def last_projection_edge(self):
-        """The easternmost edge of the level-0 overlap segment, on the base axis."""
-        p = self.params
-        return _edge((p.overlap_len - 1, 1, 0), (p.overlap_len, 1, 0))
 
 
 def _flat_span(params, i):
@@ -527,19 +495,13 @@ def _overlap_span(params, i):
     return a, a + params.overlap_len
 
 
-def _strip_bottom_tag(params, i, x):
-    """0 where strip i's bottom is glued to the flat below (the overlap), else 1."""
-    if i >= 1:
-        a, b = _overlap_span(params, i)
-        if a <= x <= b:
-            return 0
-    return 1
-
-
 def build_staircase(params):
     """Assemble and validate the staircase window for the given parameters:
-    strips 0..steps, then each flat's rows, each one run.  A strip's bottom
-    is tagged 1 outside its overlap with the flat below (all of strip 0's)."""
+    strips 0..steps, then each flat's rows, each one run, so run i is strip i.
+    A strip's bottom is tagged 1 outside its overlap with the flat below (all
+    of strip 0's).  Each row is one run, so no two squares share a row and
+    column, no quadrant of a vertex holds two squares, and the window
+    satisfies the link condition by construction."""
     runs = []
     for i in range(params.steps + 1):
         lo, hi = _strip_span(params, i)
@@ -555,6 +517,7 @@ def build_staircase(params):
         base = _LEVEL_PITCH * i + 1
         runs.extend((y, lo, hi, row, row) for y in range(base, base + FLAT_ROWS))
     window = CubeWindow._from_runs(params, runs)
+    window._link_failure = None
     window.validate()
     return window
 
@@ -636,12 +599,6 @@ class ContactGraph:
         k = self._numbers.get(wall)
         if k is None:
             raise UnknownWall(f"unknown wall {wall!r}")
-        return k
-
-    def _number_of_edge(self, edge):
-        k = self.window._wall_of_edge(edge)
-        if k is None:
-            raise UnknownWall(f"no wall is dual to edge {edge}")
         return k
 
     @cached_property
@@ -810,8 +767,9 @@ def nonacyl_certificate(params, p, graph=None):
 
     The parameters must pass check_certifiable.  graph, when given, must be
     the contact graph of the window built for params; otherwise it is built
-    here.  Walls are handled by number throughout and named once, in the
-    certificate.
+    here.  The family is the walls of runs 0..steps, the build's strips; the
+    witness is the wall of column L-1 in edge row (1, 0, 0), the last edge of
+    the level-0 overlap.  Walls are numbers until the certificate names them.
     """
     from fractions import Fraction  # here, so that importing the package loads neither it nor decimal
 
@@ -821,12 +779,13 @@ def nonacyl_certificate(params, p, graph=None):
         graph = contact_graph(build_staircase(params))
     elif graph.window.params != params:
         raise InvalidParams(f"the contact graph was built for {graph.window.params}, not for {params}")
-    window = graph.window
+    part = graph.window._walls
 
-    family = [graph._number_of_edge(window.strip_wall_edge(i)) for i in range(params.steps + 1)]
+    family = part.horizontal[:params.steps + 1]
     if len(set(family)) != len(family):
         raise CscwallsError("strip walls are not pairwise distinct")
-    witness = graph._number_of_edge(window.last_projection_edge())
+    lo, row = part.labels[1, 0, 0]
+    witness = part.vertical[row[params.overlap_len - 1 - lo]]
 
     # family members are distinct horizontal walls, so each crossing of one
     # adds exactly one

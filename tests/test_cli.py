@@ -440,17 +440,22 @@ def test_command_lines_run_as_processes(tmp_path, line):
     assert loaded == HANDLER_MODULES[argv[0] + (" --screen" if "--screen" in argv else "")] | {"errors"}
 
 
-@pytest.mark.parametrize("case", ["certify --dot", "gamma --out"])
+@pytest.mark.parametrize("case", ["certify --dot", "certify --dot symlink", "gamma --out"])
 def test_failed_write_leaves_no_artifact(capsys, aperiodic_path, tmp_path, case):
     """A write that fails after an earlier one succeeded exits 1 with one
     error line and removes what the run wrote: the DOT when --out cannot be
-    written, the artifact when --manifest cannot."""
+    written, the artifact when --manifest cannot.  A symlink the run wrote
+    through, here one to the null device, is left in place."""
     missing = str(tmp_path / "nodir" / "x.json")
+    link = tmp_path / "link.dot"
+    kept = []
+    if case == "certify --dot symlink":
+        link.symlink_to(os.devnull)
+        kept = [link]
+    certify = ["certify", "--L", "4", "--r", "2", "--steps", "9", "--p", "9", "--out", missing]
     argv = {
-        "certify --dot": [
-            "certify", "--L", "4", "--r", "2", "--steps", "9", "--p", "9",
-            "--dot", str(tmp_path / "x.dot"), "--out", missing,
-        ],
+        "certify --dot": [*certify, "--dot", str(tmp_path / "x.dot")],
+        "certify --dot symlink": [*certify, "--dot", str(link)],
         "gamma --out": [
             "gamma", "--complex", aperiodic_path, "--w1", "a", "--w2", "x", "--n", "3",
             "--out", str(tmp_path / "g.json"), "--manifest", missing,
@@ -459,7 +464,7 @@ def test_failed_write_leaves_no_artifact(capsys, aperiodic_path, tmp_path, case)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == kept
 
 
 class TestManifest:

@@ -1,6 +1,7 @@
 """Repository hygiene: generated files stay out of version control, the
 names the benchmark looks up stay in the package, the package imports no
-name it does not use, and a failing test does not stop the run."""
+name it does not use and defines no private helper it does not call, and a
+failing test does not stop the run."""
 
 import ast
 import importlib
@@ -186,6 +187,44 @@ def test_unused_import_check_catches_one():
 )
 def test_package_module_imports_only_what_it_uses(module):
     assert _unused_imports((ROOT / "src" / "cscwalls" / module).read_text()) == []
+
+
+def _unused_helpers(sources):
+    """The module-level private functions and classes of sources that no other
+    top-level statement of any of them reads, as a name, an attribute or an
+    imported name; dunders do not count."""
+    statements = []  # (private name the statement defines or None, names it reads)
+    for source in sources:
+        for node in ast.parse(source).body:
+            read = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    read.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    read.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    read.update(alias.name for alias in sub.names)
+            name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else ""
+            private = name.startswith("_") and not name.endswith("__")
+            statements.append((name if private else None, read))
+    return sorted(
+        name
+        for i, (name, _) in enumerate(statements)
+        if name and not any(name in read for j, (_, read) in enumerate(statements) if j != i)
+    )
+
+
+def test_unused_helper_check_catches_one():
+    kept = "def _used():\n    pass\n\n\ndef __getattr__(name):\n    return _used\n"
+    other = "from .kept import _imported\n\n\nclass _Orphan:\n    pass\n\n\ndef _alone():\n    return _alone()\n"
+    imported = "def _imported():\n    pass\n"
+    assert _unused_helpers([kept, other, imported]) == ["_Orphan", "_alone"]
+
+
+def test_package_private_helpers_are_used_in_the_package():
+    """A private helper that only tests call is dead code in the package."""
+    sources = [path.read_text() for path in sorted((ROOT / "src" / "cscwalls").glob("*.py"))]
+    assert _unused_helpers(sources) == []
 
 
 #: A failing Hypothesis test followed by a passing one.

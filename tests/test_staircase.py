@@ -5,7 +5,7 @@ import json
 from itertools import pairwise
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cscwalls.errors import CscwallsError, InvalidParams, UnknownWall
 from cscwalls.staircase import (
@@ -110,6 +110,21 @@ def dual_edges(window):
 def wall_of_edge(graph, edge):
     """The id of the wall dual to an edge given as its vertex tuples."""
     return graph.walls[graph.window._wall_of_edge(edge)]
+
+
+def strip_wall_edge(params, i):
+    """Strip i's westmost vertical edge, from the shape alone.  Strip i's
+    squares sit at height 4i, one strip row above three flat rows per level;
+    it spans the flats below and above it, so its west end is flat
+    max(i - 1, 0)'s, and there its bottom hangs beyond the overlap (tag 1)."""
+    x = max(i - 1, 0) * params.shift - params.margin
+    return (x, 4 * i, 1), (x, 4 * i + 1, 0)
+
+
+def base_axis_edge(params):
+    """The easternmost edge of the level-0 overlap segment, on the base axis."""
+    L = params.overlap_len
+    return (L - 1, 1, 0), (L, 1, 0)
 
 
 def assert_graph_matches_oracle(window):
@@ -311,7 +326,7 @@ class TestWalls:
         window = build_staircase(params)
         graph = contact_graph(window)
         m = params.crossing_bound
-        family = [wall_of_edge(graph, window.strip_wall_edge(i)) for i in range(4)]
+        family = [wall_of_edge(graph, strip_wall_edge(params, i)) for i in range(4)]
         assert len(set(family)) == 4
         for i in range(4):
             for k in range(4):
@@ -363,17 +378,17 @@ class TestContactGraph:
         params = StairParams(4, 2, steps=3, margin=1)  # crossing bound 3
         window = build_staircase(params)
         graph = contact_graph(window)
-        base = wall_of_edge(graph, window.strip_wall_edge(0))
+        base = wall_of_edge(graph, strip_wall_edge(params, 0))
         for i in (1, 2):
-            other = wall_of_edge(graph, window.strip_wall_edge(i))
+            other = wall_of_edge(graph, strip_wall_edge(params, i))
             assert contact_distance(graph, base, other) == 2
 
     def test_distance_at_twelve_steps(self):
         params = StairParams(4, 2, steps=12, margin=1)
         window = build_staircase(params)
         graph = contact_graph(window)
-        base = wall_of_edge(graph, window.strip_wall_edge(0))
-        top = wall_of_edge(graph, window.strip_wall_edge(12))
+        base = wall_of_edge(graph, strip_wall_edge(params, 0))
+        top = wall_of_edge(graph, strip_wall_edge(params, 12))
         d = contact_distance(graph, base, top)
         assert d >= 12 / 3
         assert d == 8  # frozen exact BFS value for this window
@@ -502,7 +517,7 @@ class TestCertificate:
         m = params.crossing_bound
         window = build_staircase(params)
         graph = contact_graph(window)
-        family = [wall_of_edge(graph, window.strip_wall_edge(i)) for i in range(params.steps + 1)]
+        family = [wall_of_edge(graph, strip_wall_edge(params, i)) for i in range(params.steps + 1)]
         attained = max(crossing_counts_by_scan(graph, family).values(), default=0) == m
         assert attained == (params.steps >= m - 1)
         try:
@@ -511,6 +526,31 @@ class TestCertificate:
             assert not attained
         else:
             assert attained
+
+    @settings(max_examples=60)
+    @given(stair_shapes())
+    def test_family_and_witness_are_the_named_edges_walls(self, params):
+        """The family the certificate reads off the build's runs, and its
+        witness read off an edge row, are the walls of the strips' westmost
+        edges and of the base axis's last overlap edge, located from the
+        shape alone."""
+        assume(params.steps >= params.crossing_bound - 1)
+        graph = contact_graph(build_staircase(params))
+        cert = nonacyl_certificate(params, params.steps, graph=graph)
+        assert cert.family == tuple(
+            wall_of_edge(graph, strip_wall_edge(params, i)) for i in range(params.steps + 1)
+        )
+        assert cert.witness_wall == wall_of_edge(graph, base_axis_edge(params))
+
+    def test_benchmark_scale_certificate_scans_no_squares(self):
+        """Validation, walls, contact graph and certificate of a built window
+        work on runs: none of them builds the window's 45,308 squares."""
+        params = StairParams(110, 4, 100)
+        window = build_staircase(params)
+        window.validate()
+        graph = contact_graph(window)
+        nonacyl_certificate(params, 100, graph)
+        assert "squares" not in graph.window.__dict__
 
     def test_graph_of_another_window_is_rejected(self):
         """A margin-1 graph with margin-2 parameters would certify distances
