@@ -23,6 +23,9 @@ overlap runs east as far as j(N) divides that height; the west end comes
 from the same sweep of the inverse word on the same corner tables.  A query
 keeps its two sweeps (``AntiTorusQuery.sweeps``), so overlaps at many
 exponents develop each column once, and every call passes its own budgets.
+j(N) divides j(N+1), so the N with j(N) dividing a height are a prefix, and
+a sweep keeps only the columns where j rises: on the shipped pair, the rows
+of ``obstruct --nmax 32`` develop 82 columns per direction and keep 7 rises.
 A sweep develops each column over the right word R in chunks, through a
 per-sweep table from (chunk, letter in) to (letter out, developed chunk),
 so a column costs one lookup per chunk of R once the table has met R's
@@ -202,37 +205,42 @@ def overlap_at_height(query, j, k_max=DEFAULT_K_MAX):
 
 class _Sweep:
     """j(0) = 1, j(1), j(2), ... of one orbit sweep (develop.orbit_lengths),
-    developed on demand and kept.
+    developed on demand and kept as the columns where j rises.
 
-    Each read carries its own cap.  Lengths only grow, so a read develops
+    j(N) divides j(N+1), so j only grows, the N with j(N) dividing a given
+    height are a prefix, and the sweep keeps no column where j stays: cols
+    counts the developed columns and rises holds one (first column, j) pair
+    per value of j, from (0, 1).  Each read carries its own cap; it develops
     no column past the first length above its cap, and its value does not
     depend on how far earlier reads developed the sweep.
     """
 
     def __init__(self, tables, period_ids, side_ids):
         self._lengths = orbit_lengths(tables, period_ids, side_ids)
-        self.js = [1]
-        self._agreement = {}
+        self.cols = 0
+        self.rises = [(0, 1)]
+
+    def _develop(self):
+        j = next(self._lengths)[0]
+        self.cols += 1
+        if j != self.rises[-1][1]:
+            self.rises.append((self.cols, j))
 
     def height(self, cols, max_j):
         """j(cols), or a length above max_j when j(cols) exceeds max_j; no
         column past the first length above max_j is developed."""
-        js = self.js
-        while len(js) <= cols and js[-1] <= max_j:
-            js.append(next(self._lengths)[0])
-        return js[min(cols, len(js) - 1)]
+        while self.cols < cols and self.rises[-1][1] <= max_j:
+            self._develop()
+        return next(j for first, j in reversed(self.rises) if first <= cols)
 
     def agreement(self, j, max_cols):
         """Leading columns of the periodic word that j stacked periods return:
         the largest N with j(N) dividing j, or None when N reaches max_cols.
-        No column past the first length above j is developed."""
-        key = j, max_cols
-        if key not in self._agreement:
-            cols = 0
-            while cols < max_cols and j % self.height(cols + 1, j) == 0:
-                cols += 1
-            self._agreement[key] = cols if cols < max_cols else None
-        return self._agreement[key]
+        No column past the first length that does not divide j is developed."""
+        while self.cols < max_cols and j % self.rises[-1][1] == 0:
+            self._develop()
+        end = next((first for first, rise in self.rises if j % rise), None)
+        return end - 1 if end is not None and end <= max_cols else None
 
 
 def overlap_gamma(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):

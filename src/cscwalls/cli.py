@@ -345,6 +345,12 @@ def _add_common(sub):
     sub.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
 
 
+def _add_query(sub):
+    sub.add_argument("--complex", required=True)
+    sub.add_argument("--w1", required=True, help="horizontal periodic word")
+    sub.add_argument("--w2", required=True, help="vertical periodic word")
+
+
 def _add_budgets(sub):
     sub.add_argument(
         "--kmax", type=int, default=DEFAULT_K_MAX, help="cap on the columns of each orbit sweep, in periods of w1"
@@ -398,24 +404,18 @@ def build_parser():
     _add_common(s)
 
     s = subs.add_parser("antitorus", help="bounded search for commuting powers")
-    s.add_argument("--complex", required=True)
-    s.add_argument("--w1", required=True, help="horizontal periodic word")
-    s.add_argument("--w2", required=True, help="vertical periodic word")
+    _add_query(s)
     s.add_argument("--bounds", default="8,8", help="K,J power bounds")
     _add_common(s)
 
     s = subs.add_parser("gamma", help="overlap of the pigeonhole geodesic with the flat")
-    s.add_argument("--complex", required=True)
-    s.add_argument("--w1", required=True)
-    s.add_argument("--w2", required=True)
+    _add_query(s)
     s.add_argument("--n", type=int, required=True)
     _add_budgets(s)
     _add_common(s)
 
     s = subs.add_parser("obstruct", help="projection-diameter table over n = 1..nmax")
-    s.add_argument("--complex", required=True)
-    s.add_argument("--w1", required=True)
-    s.add_argument("--w2", required=True)
+    _add_query(s)
     s.add_argument("--nmax", type=int, required=True)
     s.add_argument("--bounds", default="8,8")
     s.add_argument("--format", choices=("json", "csv"), default="json")
@@ -423,9 +423,7 @@ def build_parser():
     _add_common(s)
 
     s = subs.add_parser("wellsep", help="well-separation numbers at exponent n")
-    s.add_argument("--complex", required=True)
-    s.add_argument("--w1", required=True)
-    s.add_argument("--w2", required=True)
+    _add_query(s)
     s.add_argument("--n", type=int, required=True)
     _add_budgets(s)
     _add_common(s)

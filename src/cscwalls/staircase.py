@@ -277,13 +277,8 @@ def _layout(runs):
     edge_rows = {}
     n_vertices = n_edges = 0
     for (y, t), entries in vertex_rows.items():
-        if len(entries) == 1:
-            x0, x1 = entries[0][:2]
-            covered, stretches, pairs = x1 - x0 + 1, 1, ()
-            lo, hi = x0, x1
-        else:
-            covered, stretches, pairs = _sweep(entries)
-            lo, hi = entries[0][0], max(map(itemgetter(1), entries))
+        covered, stretches, pairs = _sweep(entries)
+        lo, hi = entries[0][0], max(map(itemgetter(1), entries))
         n_vertices += covered
         n_edges += covered - stretches
         if hi > lo:
@@ -311,12 +306,9 @@ def _layout(runs):
 
     shared = []
     for spans in vertical_rows.values():
-        if len(spans) == 1:
-            n_edges += spans[0][1] - spans[0][0] + 1
-        else:
-            covered, _, pairs = _sweep(spans)
-            n_edges += covered
-            shared.extend((e[2], f[2]) for e, f in pairs)
+        covered, _, pairs = _sweep(spans)
+        n_edges += covered
+        shared.extend((e[2], f[2]) for e, f in pairs)
 
     n = len(runs)
     classes = _least_members(n, [j for j, _ in touching], [k for _, k in touching])
@@ -456,21 +448,6 @@ class CubeWindow:
                         f"held by squares {holder[vertex, q]} and {i}"
                     )
                 holder[vertex, q] = i
-        return None
-
-    def _wall_of_edge(self, edge):
-        """The wall number of an edge given as its (lesser, greater) vertex
-        tuples, from its edge row or its run; None if the window has no such edge."""
-        (x, y, t), (x2, y2, t2) = edge
-        walls = self._walls
-        if (x2, y2) == (x + 1, y):
-            lo, row = walls.labels.get((y, t, t2), (0, ()))
-            if 0 <= x - lo < len(row) and row[x - lo] >= 0:
-                return walls.vertical[row[x - lo]]
-        elif (x2, y2) == (x, y + 1):
-            for x0, x1, k in self._layout.vertical_rows.get((y, t, t2), ()):
-                if x0 <= x <= x1:
-                    return walls.horizontal[k]
         return None
 
 

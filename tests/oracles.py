@@ -6,6 +6,8 @@ exponent at a time by the pigeonhole and two divergence streams (the engine
 reads them off one orbit sweep per direction), an orbit sweep that develops
 each column over the whole right word (the engine walks it in chunks through
 a table and keeps short columns in a dict shared by one complex's verdicts),
+overlap ends read by scanning a per-column list of orbit lengths (the engine
+keeps only the columns where the length rises),
 commuting-powers searches that develop every rectangle from scratch instead
 of stacking vertical periods or read that block-by-block sweep, candidate
 words filtered from every germ-id tuple, a census oracle that filters raw
@@ -261,6 +263,33 @@ def orbit_lengths_by_blocks(tables, period_ids, side_ids):
                 break
         right, j = next_right, j * t
         yield j, right
+
+
+class SweepByScan:
+    """Reference for the overlap readers' sweep (antitorus._Sweep): j(0) = 1,
+    j(1), ... of orbit_lengths_by_blocks kept one per developed column, with
+    every agreement read scanning the columns one by one from the first.
+    Each read develops columns while its cap allows, as the engine's does."""
+
+    def __init__(self, tables, period_ids, side_ids):
+        self._lengths = orbit_lengths_by_blocks(tables, period_ids, side_ids)
+        self.js = [1]
+
+    @property
+    def cols(self):
+        return len(self.js) - 1
+
+    def height(self, cols, max_j):
+        js = self.js
+        while len(js) <= cols and js[-1] <= max_j:
+            js.append(next(self._lengths)[0])
+        return js[min(cols, len(js) - 1)]
+
+    def agreement(self, j, max_cols):
+        cols = 0
+        while cols < max_cols and j % self.height(cols + 1, j) == 0:
+            cols += 1
+        return cols if cols < max_cols else None
 
 
 def commuting_powers_by_blocks(tables, h_ids, v_ids, k_bound=8, j_bound=8):

@@ -2,7 +2,7 @@
 
 import hashlib
 from collections import Counter
-from itertools import islice
+from itertools import islice, pairwise
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +13,7 @@ from cscwalls.antitorus import (
     AntiTorusQuery,
     GammaResult,
     _commuting_powers,
+    _Sweep,
     commuting_powers_search,
     find_periodic_top,
     overlap_at_height,
@@ -25,6 +26,7 @@ from cscwalls.develop import CHUNK, _word_ids, parse_word
 from cscwalls.errors import BudgetExceeded, UnsupportedComplexError, WordError
 
 from .oracles import (
+    SweepByScan,
     commuting_powers_by_blocks,
     commuting_powers_by_rectangles,
     orbit_lengths_by_blocks,
@@ -354,8 +356,81 @@ class TestOverlapSweep:
             with pytest.raises(BudgetExceeded, match="^no repeated top within 100 developed words"):
                 overlap_gamma(q, n, i_max=100)
             east, west = q.sweeps
-            assert max(east.js[:-1]) <= 100 < east.js[-1] == 108
-            assert len(east.js) == 11 and west.js == [1]
+            assert east.cols == 10 and east.rises[-1] == (10, 108)
+            assert max(j for _, j in east.rises[:-1]) <= 100
+            assert west.cols == 0 and west.rises == [(0, 1)]
+
+    def test_sweep_reads_match_a_column_scan(self, screened_pairs):
+        """Derandomized sweep over the screened pairs: on one sweep per draw,
+        east or west, a random sequence of height and agreement reads returns
+        what a column-by-column scan of the block-by-block reference sweep
+        returns, and leaves the same number of columns developed after every
+        read.  Heights are drawn on the chain j(0), j(1), ... and off it, and
+        caps at the columns where j rises, next to them and elsewhere.  The
+        sweep's rises are the scan's lengths where they change."""
+        seen = Counter()
+
+        @given(st.data())
+        @settings(max_examples=120)
+        def check(data):
+            q = screened_pairs[data.draw(st.integers(0, len(screened_pairs) - 1), label="pair")]
+            p = q.complex
+            hword = data.draw(st.sampled_from([q.hword, q.hword.inverse()]), label="direction")
+            args = p.tables, _word_ids(p, hword.period), _word_ids(p, q.vword.period)
+            sweep, scan, probe = _Sweep(*args), SweepByScan(*args), SweepByScan(*args)
+            probe.height(SCAN_COLS, SCAN_J)
+            chain = probe.js
+            edges = [c for c, (a, b) in enumerate(pairwise(chain), 1) if a != b] or [0]
+            heights = st.one_of(st.sampled_from(chain), st.integers(1, 2 * SCAN_J))
+            caps = st.one_of(
+                st.sampled_from(edges).flatmap(lambda c: st.sampled_from([max(c - 1, 0), c, c + 1])),
+                st.integers(0, SCAN_COLS),
+            )
+            max_js = st.one_of(heights, st.sampled_from(chain).map(lambda j: j - 1))
+            reads = st.one_of(
+                st.tuples(st.just("height"), caps, max_js),
+                st.tuples(st.just("agreement"), heights, caps),
+            )
+            for read, x, cap in data.draw(st.lists(reads, min_size=1, max_size=10), label="reads"):
+                got = getattr(sweep, read)(x, cap)
+                assert got == getattr(scan, read)(x, cap)
+                assert sweep.cols == scan.cols
+                if read == "height":
+                    seen["height above cap" if got > cap else "height"] += 1
+                else:
+                    seen["agreement at cap" if got is None else "agreement"] += 1
+                    seen["height off the chain"] += x not in chain
+            js = scan.js
+            assert sweep.rises == [(c, j) for c, j in enumerate(js) if c == 0 or j != js[c - 1]]
+
+        check()
+        want = {"height", "height above cap", "agreement", "agreement at cap", "height off the chain"}
+        assert set(seen) == want and min(seen.values()) >= 10, seen
+
+    def test_pigeonhole_heights_divide_the_next(self, screened_pairs):
+        """The lemma the sweep keeps its rises by, on the pigeonhole, which
+        stacks periods on each w1^n from scratch: for every screened pair
+        with a one-letter w1, j(n) divides j(n+1) for n = 1..12 while j
+        stays within i_max = 400.  Some heights must stay and some rise."""
+        seen = Counter()
+        for q in screened_pairs:
+            if len(q.hword) != 1:
+                continue
+            heights = []
+            for n in range(1, 13):
+                try:
+                    heights.append(find_periodic_top(q, n, i_max=400)[0])
+                except BudgetExceeded:
+                    break
+            for a, b in pairwise(heights):
+                assert b % a == 0, (str(q.hword.period), str(q.vword.period), heights)
+                seen["rises" if b > a else "stays"] += 1
+        assert min(seen["rises"], seen["stays"]) >= 10, seen
+
+
+#: Column and height caps of the probe that draws the sweep reads' heights
+#: and caps; reads draw heights up to twice SCAN_J.
+SCAN_COLS, SCAN_J = 40, 300
 
 
 @pytest.fixture(scope="module")

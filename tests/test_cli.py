@@ -374,6 +374,16 @@ def test_help_and_version_exit_zero(capsys, argv):
     assert exc.value.code == 0 and capsys.readouterr().out
 
 
+@pytest.mark.parametrize("subcommand", ["antitorus", "gamma", "obstruct", "wellsep"])
+def test_query_options_are_described(capsys, subcommand):
+    """Every subcommand that takes a query describes its two words alike."""
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert exc.value.code == 0
+    assert "--w1 W1 horizontal periodic word" in out and "--w2 W2 vertical periodic word" in out
+
+
 def readme_command_block():
     """The lines of the sh block under README's "Command line" heading."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")

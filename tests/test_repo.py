@@ -1,7 +1,7 @@
 """Repository hygiene: generated files stay out of version control, the
 names the benchmark looks up stay in the package, the package imports no
-name it does not use and defines no private helper it does not call, and a
-failing test does not stop the run."""
+name it does not use and defines no private helper or method it does not
+call, and a failing test does not stop the run."""
 
 import ast
 import importlib
@@ -189,28 +189,46 @@ def test_package_module_imports_only_what_it_uses(module):
     assert _unused_imports((ROOT / "src" / "cscwalls" / module).read_text()) == []
 
 
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _reads(nodes):
+    """The names that nodes read, as a name, an attribute or an imported name."""
+    read = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                read.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                read.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                read.update(alias.name for alias in sub.names)
+    return read
+
+
 def _unused_helpers(sources):
-    """The module-level private functions and classes of sources that no other
-    top-level statement of any of them reads, as a name, an attribute or an
-    imported name; dunders do not count."""
+    """The module-level private functions and classes, and the private methods
+    of module-level classes, of sources that no other top-level statement or
+    method of any of them reads, as a name, an attribute or an imported name;
+    dunders do not count.  A class's private methods are statements of their
+    own, so one that only calls itself is unused too; methods are reported as
+    Class._method."""
     statements = []  # (private name the statement defines or None, names it reads)
     for source in sources:
         for node in ast.parse(source).body:
-            read = set()
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    read.add(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    read.add(sub.attr)
-                elif isinstance(sub, ast.ImportFrom):
-                    read.update(alias.name for alias in sub.names)
             name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else ""
-            private = name.startswith("_") and not name.endswith("__")
-            statements.append((name if private else None, read))
+            rest = [node]
+            if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef) and _private(m.name)]
+                statements.extend((f"{name}.{m.name}", _reads([m])) for m in methods)
+                rest = [sub for sub in ast.iter_child_nodes(node) if sub not in methods]
+            statements.append((name if _private(name) else None, _reads(rest)))
     return sorted(
         name
         for i, (name, _) in enumerate(statements)
-        if name and not any(name in read for j, (_, read) in enumerate(statements) if j != i)
+        if name
+        and not any(name.rpartition(".")[2] in read for j, (_, read) in enumerate(statements) if j != i)
     )
 
 
@@ -218,7 +236,13 @@ def test_unused_helper_check_catches_one():
     kept = "def _used():\n    pass\n\n\ndef __getattr__(name):\n    return _used\n"
     other = "from .kept import _imported\n\n\nclass _Orphan:\n    pass\n\n\ndef _alone():\n    return _alone()\n"
     imported = "def _imported():\n    pass\n"
-    assert _unused_helpers([kept, other, imported]) == ["_Orphan", "_alone"]
+    methods = (
+        "class Kept:\n"
+        "    def __init__(self):\n        self._called()\n\n"
+        "    def _called(self):\n        pass\n\n"
+        "    def _dead(self):\n        return self._dead()\n"
+    )
+    assert _unused_helpers([kept, other, imported, methods]) == ["Kept._dead", "_Orphan", "_alone"]
 
 
 def test_package_private_helpers_are_used_in_the_package():

@@ -98,18 +98,35 @@ def run_rows(draw):
     return draw(st.permutations(squares)) if draw(st.booleans()) else squares
 
 
+def wall_number_of_edge(window, edge):
+    """The wall number of an edge given as its (lesser, greater) vertex
+    tuples, read off the engine's labels per edge row and walls per run;
+    None if the window has no such edge."""
+    (x, y, t), (x2, y2, t2) = edge
+    part = window._walls
+    if (x2, y2) == (x + 1, y):
+        lo, row = part.labels.get((y, t, t2), (0, ()))
+        if 0 <= x - lo < len(row) and row[x - lo] >= 0:
+            return part.vertical[row[x - lo]]
+    elif (x2, y2) == (x, y + 1):
+        for x0, x1, k in window._layout.vertical_rows.get((y, t, t2), ()):
+            if x0 <= x <= x1:
+                return part.horizontal[k]
+    return None
+
+
 def dual_edges(window):
     """The dual edges of each wall, by wall number, as vertex-tuple pairs:
     the oracle's edges grouped by the engine's per-edge wall lookup."""
     members = [set() for _ in walls(window)]
     for edge in edges_by_tuples(window.squares):
-        members[window._wall_of_edge(edge)].add(edge)
+        members[wall_number_of_edge(window, edge)].add(edge)
     return list(map(frozenset, members))
 
 
 def wall_of_edge(graph, edge):
     """The id of the wall dual to an edge given as its vertex tuples."""
-    return graph.walls[graph.window._wall_of_edge(edge)]
+    return graph.walls[wall_number_of_edge(graph.window, edge)]
 
 
 def strip_wall_edge(params, i):
@@ -410,11 +427,11 @@ class TestContactGraph:
             contact_distance(graph, graph.walls[0], "w9999")
         with pytest.raises(UnknownWall):
             contact_distances(graph, "w9999")
-        assert window._wall_of_edge(((5, 5, 0), (6, 5, 0))) is None
+        assert wall_number_of_edge(window, ((5, 5, 0), (6, 5, 0))) is None
         # a vertical edge in the square's column but above the window, then
         # the square's east edge
-        assert window._wall_of_edge(((0, 2, 0), (0, 3, 0))) is None
-        assert window._wall_of_edge(((1, 0, 0), (1, 1, 0))) is not None
+        assert wall_number_of_edge(window, ((0, 2, 0), (0, 3, 0))) is None
+        assert wall_number_of_edge(window, ((1, 0, 0), (1, 1, 0))) is not None
 
     def test_dot_export(self):
         """Two squares side by side: w0000 runs through both, w0001 and w0002
