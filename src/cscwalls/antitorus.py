@@ -39,12 +39,10 @@ mismatch) compute the same quantities one exponent at a time; they are kept
 as in-package references for the tests.
 """
 
-from __future__ import annotations
-
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from functools import cached_property
 
-from .complexes import HORIZONTAL, VERTICAL
+from .complexes import HORIZONTAL, VERTICAL, _Frozen
 from .errors import DEFAULT_I_MAX, DEFAULT_K_MAX, BudgetExceeded, UnsupportedComplexError, WordError
 from .develop import (
     PeriodicWord,
@@ -67,23 +65,22 @@ def _require_one_vertex(presentation):
         raise UnsupportedComplexError("queries require a one-vertex complex")
 
 
-@dataclass(frozen=True)
-class AntiTorusQuery:
-    """A complex with a horizontal/vertical pair of primitive periodic words.
+class AntiTorusQuery(_Frozen):
+    """A complex (a SquareComplexPresentation) with a horizontal/vertical
+    pair of primitive periodic words.
 
     The base vertex is implicit (one-vertex complexes only).
     """
 
-    complex: object  # SquareComplexPresentation
-    hword: PeriodicWord
-    vword: PeriodicWord
+    _fields = ("complex", "hword", "vword")
 
-    def __post_init__(self):
-        _require_one_vertex(self.complex)
-        if self.hword.klass != HORIZONTAL:
+    def __init__(self, complex, hword, vword):
+        _require_one_vertex(complex)
+        if hword.klass != HORIZONTAL:
             raise WordError("hword must be horizontal")
-        if self.vword.klass != VERTICAL:
+        if vword.klass != VERTICAL:
             raise WordError("vword must be vertical")
+        self.__dict__.update(complex=complex, hword=hword, vword=vword)
 
     @cached_property
     def sweeps(self):
@@ -98,8 +95,7 @@ class AntiTorusQuery:
         )
 
 
-@dataclass(frozen=True)
-class GammaResult:
+class GammaResult(namedtuple("GammaResult", "n j left_len right_len total_len y_offset")):
     """The finite overlap of a parallel horizontal geodesic with the flat.
 
     Lengths count edges.  The overlap spans left_len edges west and right_len
@@ -107,15 +103,10 @@ class GammaResult:
     (the j-th power of the vertical word).
     """
 
-    n: int
-    j: int
-    left_len: int
-    right_len: int
-    total_len: int
-    y_offset: int
+    __slots__ = ()
 
     def to_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def commuting_powers_search(query, k_bound=DEFAULT_BOUND, j_bound=DEFAULT_BOUND):

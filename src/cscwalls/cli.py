@@ -9,8 +9,6 @@ exceeded.  A run that fails removes the regular files it wrote, so it leaves
 neither artifact nor manifest, and never unlinks a symlink or device.
 """
 
-from __future__ import annotations
-
 import argparse
 import hashlib
 import itertools
@@ -327,19 +325,6 @@ def _cmd_staircase(args, run):
     return run.emit(payload, args, "staircase")
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "enumerate": _cmd_enumerate,
-    "develop": _cmd_develop,
-    "antitorus": _cmd_antitorus,
-    "gamma": _cmd_gamma,
-    "obstruct": _cmd_obstruct,
-    "wellsep": _cmd_wellsep,
-    "staircase": _cmd_staircase,
-    "certify": _cmd_staircase,
-}
-
-
 def _add_common(sub):
     sub.add_argument("--out", help="write the artifact here instead of stdout")
     sub.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
@@ -360,6 +345,74 @@ def _add_budgets(sub):
     )
 
 
+def _args_validate(s):
+    s.add_argument("--complex", required=True)
+
+
+def _args_enumerate(s):
+    s.add_argument("--hcount", type=int, required=True)
+    s.add_argument("--vcount", type=int, required=True)
+    s.add_argument("--screen", action="store_true", help="screen each entry for anti-torus candidate pairs")
+    s.add_argument("--screen-len", type=int, default=2, help="max candidate word length")
+    s.add_argument("--screen-limit", type=int, default=4, help="candidates reported per entry")
+    s.add_argument("--format", choices=("json", "text"), default="json")
+
+
+def _args_develop(s):
+    s.add_argument("--complex", required=True)
+    s.add_argument("--bottom", default="")
+    s.add_argument("--left", default="")
+    s.add_argument("--dump-cells", action="store_true")
+
+
+def _args_antitorus(s):
+    _add_query(s)
+    s.add_argument("--bounds", default="8,8", help="K,J power bounds")
+
+
+def _args_exponent(s):
+    """gamma and wellsep: a query at one exponent n."""
+    _add_query(s)
+    s.add_argument("--n", type=int, required=True)
+    _add_budgets(s)
+
+
+def _args_obstruct(s):
+    _add_query(s)
+    s.add_argument("--nmax", type=int, required=True)
+    s.add_argument("--bounds", default="8,8")
+    s.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_budgets(s)
+
+
+def _args_staircase(s, p_required=False):
+    s.add_argument("--L", type=int, required=True, help="overlap length")
+    s.add_argument("--r", type=int, required=True, help="step shift")
+    s.add_argument("--steps", type=int, required=True)
+    s.add_argument("--margin", type=int, default=1)
+    s.add_argument("--p", type=int, default=None, required=p_required)
+    s.add_argument("--dot", help="also write the contact graph in DOT format")
+
+
+def _args_certify(s):
+    _args_staircase(s, p_required=True)
+
+
+#: Each subcommand, in help order: its help line, the function that adds its
+#: arguments (--out and --manifest are added to all), and its handler.
+_SUBCOMMANDS = {
+    "validate": ("check the completeness condition of a presentation", _args_validate, _cmd_validate),
+    "enumerate": ("census of one-vertex complete square complexes", _args_enumerate, _cmd_enumerate),
+    "develop": ("fill a rectangle from its bottom and left words", _args_develop, _cmd_develop),
+    "antitorus": ("bounded search for commuting powers", _args_antitorus, _cmd_antitorus),
+    "gamma": ("overlap of the pigeonhole geodesic with the flat", _args_exponent, _cmd_gamma),
+    "obstruct": ("projection-diameter table over n = 1..nmax", _args_obstruct, _cmd_obstruct),
+    "wellsep": ("well-separation numbers at exponent n", _args_exponent, _cmd_wellsep),
+    "staircase": ("build a staircase window; with --p also emit the certificate", _args_staircase, _cmd_staircase),
+    "certify": ("emit the non-acylindricity certificate for the p-th translate", _args_certify, _cmd_staircase),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as one error line and exit status 1,
     like any other input error; status 2 stays reserved for budgets.
@@ -375,81 +428,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def build_parser():
+def build_parser(name=None):
+    """The command-line parser with every subcommand, or with subcommand
+    name alone.  Everything after a subcommand's name is parsed by that
+    subcommand's parser, so for a command line that starts with the name the
+    two give the same result, help text and error lines; the one-subcommand
+    parser spares the argument set-up of the others."""
     parser = _Parser(
         prog="cscwalls",
         description="Complete square complexes: development, overlap certificates, staircase contact graphs",
     )
     parser.add_argument("--version", action="version", version=f"cscwalls {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    s = subs.add_parser("validate", help="check the completeness condition of a presentation")
-    s.add_argument("--complex", required=True)
-    _add_common(s)
-
-    s = subs.add_parser("enumerate", help="census of one-vertex complete square complexes")
-    s.add_argument("--hcount", type=int, required=True)
-    s.add_argument("--vcount", type=int, required=True)
-    s.add_argument("--screen", action="store_true", help="screen each entry for anti-torus candidate pairs")
-    s.add_argument("--screen-len", type=int, default=2, help="max candidate word length")
-    s.add_argument("--screen-limit", type=int, default=4, help="candidates reported per entry")
-    s.add_argument("--format", choices=("json", "text"), default="json")
-    _add_common(s)
-
-    s = subs.add_parser("develop", help="fill a rectangle from its bottom and left words")
-    s.add_argument("--complex", required=True)
-    s.add_argument("--bottom", default="")
-    s.add_argument("--left", default="")
-    s.add_argument("--dump-cells", action="store_true")
-    _add_common(s)
-
-    s = subs.add_parser("antitorus", help="bounded search for commuting powers")
-    _add_query(s)
-    s.add_argument("--bounds", default="8,8", help="K,J power bounds")
-    _add_common(s)
-
-    s = subs.add_parser("gamma", help="overlap of the pigeonhole geodesic with the flat")
-    _add_query(s)
-    s.add_argument("--n", type=int, required=True)
-    _add_budgets(s)
-    _add_common(s)
-
-    s = subs.add_parser("obstruct", help="projection-diameter table over n = 1..nmax")
-    _add_query(s)
-    s.add_argument("--nmax", type=int, required=True)
-    s.add_argument("--bounds", default="8,8")
-    s.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_budgets(s)
-    _add_common(s)
-
-    s = subs.add_parser("wellsep", help="well-separation numbers at exponent n")
-    _add_query(s)
-    s.add_argument("--n", type=int, required=True)
-    _add_budgets(s)
-    _add_common(s)
-
-    for name, help_text in (
-        ("staircase", "build a staircase window; with --p also emit the certificate"),
-        ("certify", "emit the non-acylindricity certificate for the p-th translate"),
-    ):
-        s = subs.add_parser(name, help=help_text)
-        s.add_argument("--L", type=int, required=True, help="overlap length")
-        s.add_argument("--r", type=int, required=True, help="step shift")
-        s.add_argument("--steps", type=int, required=True)
-        s.add_argument("--margin", type=int, default=1)
-        s.add_argument("--p", type=int, default=None, required=(name == "certify"))
-        s.add_argument("--dot", help="also write the contact graph in DOT format")
-        _add_common(s)
-
+    for sub_name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
+        if name is None or sub_name == name:
+            s = subs.add_parser(sub_name, help=help_text)
+            add_arguments(s)
+            _add_common(s)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run one command line (default: sys.argv[1:]) and return its exit status."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
+    _, _, handler = _SUBCOMMANDS[args.subcommand]
     run = Run(args.subcommand)
     try:
         _check_minimums(args)
-        return _HANDLERS[args.subcommand](args, run)
+        return handler(args, run)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         status = 2

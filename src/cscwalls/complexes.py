@@ -14,10 +14,8 @@ is the finite criterion for the universal cover being a product of two
 trees, and it is what makes rectangle development deterministic.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import (
@@ -51,22 +49,49 @@ def _square_versions(b, r, t, l):
     )
 
 
-@dataclass(frozen=True)
-class EdgeLabel:
-    """A named oriented edge of the quotient complex."""
+class _Frozen:
+    """Equality with instances of the same class, hash, a
+    ``Name(field=value, ...)`` repr and immutability, all over the fields
+    named in ``_fields``.  It serves the records that cannot be named
+    tuples: those with a cached property, which needs an instance dict, or
+    with their own ``__len__``.  ``__init__`` stores the fields through
+    ``self.__dict__``."""
 
-    name: str
-    klass: str  # HORIZONTAL or VERTICAL
-    origin: str = BASE_VERTEX
-    terminus: str = BASE_VERTEX
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class OrientedEdge:
+class EdgeLabel(namedtuple("EdgeLabel", "name klass origin terminus", defaults=(BASE_VERTEX, BASE_VERTEX))):
+    """A named oriented edge of the quotient complex; klass is HORIZONTAL or VERTICAL."""
+
+    __slots__ = ()
+
+
+class OrientedEdge(namedtuple("OrientedEdge", "label sign", defaults=(1,))):
     """An edge label traversed with (+1) or against (-1) its orientation."""
 
-    label: EdgeLabel
-    sign: int = 1
+    __slots__ = ()
 
     @property
     def klass(self):
@@ -95,20 +120,16 @@ def _germs(labels):
     return tuple(OrientedEdge(label, sign) for label in labels for sign in (1, -1))
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(namedtuple("Square", "bottom right top left")):
     """One 2-cell, recorded from its SW corner.
 
     bottom and top are horizontal (west to east), left and right vertical
     (south to north).  The other three corner orientations are derived by
     reflection when the corner table is built, so each geometric square is
-    stored exactly once.
+    stored exactly once.  Each side is an OrientedEdge.
     """
 
-    bottom: OrientedEdge
-    right: OrientedEdge
-    top: OrientedEdge
-    left: OrientedEdge
+    __slots__ = ()
 
     def flip_h(self):
         """The same square read from its SE corner (west-east mirror)."""
@@ -130,21 +151,17 @@ class Square:
         return sw1, se1, nw1, ne1
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(namedtuple("ValidationReport", "is_csc violations corner_count")):
     """Outcome of the completeness check.
 
     violations lists (vertex, (horizontal germ token, vertical germ token),
     count) for every germ pair covered a number of times other than one.
     """
 
-    is_csc: bool
-    violations: tuple
-    corner_count: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CornerTables:
+class CornerTables(namedtuple("CornerTables", "nh nv top right square corner")):
     """Corner-lookup tables for development over a validated one-vertex-per-germ complex.
 
     Germs are the ids of ``SquareComplexPresentation.germs``, so inversion
@@ -156,26 +173,22 @@ class CornerTables:
     Missing entries (multi-vertex complexes only) hold -1.
     """
 
-    nh: int
-    nv: int
-    top: list
-    right: list
-    square: list
-    corner: list
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SquareComplexPresentation:
+class SquareComplexPresentation(_Frozen):
     """A finite VH square complex with labeled oriented edges.
 
     Immutable after construction; validation and the corner tables are
     computed lazily and cached, so presentations are cheap to share.
+    hedges and vedges are tuples of EdgeLabel, of class HORIZONTAL and
+    VERTICAL; squares is a tuple of Square.
     """
 
-    vertices: tuple
-    hedges: tuple  # EdgeLabel, class HORIZONTAL
-    vedges: tuple  # EdgeLabel, class VERTICAL
-    squares: tuple
+    _fields = ("vertices", "hedges", "vedges", "squares")
+
+    def __init__(self, vertices, hedges, vedges, squares):
+        self.__dict__.update(vertices=vertices, hedges=hedges, vedges=vedges, squares=squares)
 
     # -- label and germ bookkeeping ------------------------------------
 

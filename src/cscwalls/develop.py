@@ -21,12 +21,10 @@ meet it.  The only other loop is ``_fill_cells``, which also records every
 cell for inspection.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .complexes import CORNERS, HORIZONTAL, VERTICAL, OrientedEdge
+from .complexes import CORNERS, HORIZONTAL, VERTICAL, OrientedEdge, _Frozen
 from .errors import DevelopmentError, WordError
 
 #: The development kernel in use; there is one, and it is pure Python.
@@ -38,23 +36,23 @@ BACKEND = "python"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Word:
-    """A reduced edge-label word, all letters in one class."""
+class Word(_Frozen):
+    """A reduced edge-label word, all letters in one class: letters is a
+    tuple of OrientedEdge."""
 
-    letters: tuple
-    klass: str
+    _fields = ("letters", "klass")
 
-    def __post_init__(self):
-        if self.klass not in (HORIZONTAL, VERTICAL):
-            raise WordError(f"bad word class {self.klass!r}")
+    def __init__(self, letters, klass):
+        if klass not in (HORIZONTAL, VERTICAL):
+            raise WordError(f"bad word class {klass!r}")
         prev = None
-        for e in self.letters:
-            if e.klass != self.klass:
-                raise WordError(f"{e.klass} letter {e.token()!r} in a {self.klass} word")
+        for e in letters:
+            if e.klass != klass:
+                raise WordError(f"{e.klass} letter {e.token()!r} in a {klass} word")
             if prev is not None and e == prev.inverse():
                 raise WordError(f"word not reduced at {prev.token()!r} {e.token()!r}")
             prev = e
+        self.__dict__.update(letters=letters, klass=klass)
 
     def __len__(self):
         return len(self.letters)
@@ -74,18 +72,17 @@ class Word:
         return [e.token() for e in self.letters]
 
 
-@dataclass(frozen=True)
-class PeriodicWord:
+class PeriodicWord(_Frozen):
     """A cyclically reduced primitive word: the period of a bi-infinite label line.
 
     Rejects proper powers, since the translation it models must be along a
     primitive axis.
     """
 
-    period: Word
+    _fields = ("period",)
 
-    def __post_init__(self):
-        w = self.period
+    def __init__(self, period):
+        w = period
         n = len(w)
         if n == 0:
             raise WordError("periodic word must be nonempty")
@@ -96,6 +93,7 @@ class PeriodicWord:
                 continue
             if all(w.letters[i] == w.letters[(i + d) % n] for i in range(n)):
                 raise WordError(f"{format_word(w)!r} is a proper power (cyclic period {d})")
+        self.__dict__["period"] = period
 
     def __len__(self):
         return len(self.period)
@@ -359,27 +357,19 @@ def _ids_word(presentation, klass, ids):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One filled cell: the quotient square it develops and the reading orientation."""
+class Cell(namedtuple("Cell", "square corner bottom right top left")):
+    """One filled cell: the quotient square it develops and the reading
+    orientation.  corner names the corner of the stored square that sits at
+    this cell's SW; the four sides are OrientedEdges."""
 
-    square: int
-    corner: str  # which corner of the stored square sits at this cell's SW
-    bottom: OrientedEdge
-    right: OrientedEdge
-    top: OrientedEdge
-    left: OrientedEdge
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    width: int
-    height: int
-    bottom: Word
-    top: Word
-    left: Word
-    right: Word
-    cells: tuple | None = None  # rows bottom-to-top, each a tuple of Cells
+class Rectangle(namedtuple("Rectangle", "width height bottom top left right cells", defaults=(None,))):
+    """A filled rectangle: its size and its four boundary Words; cells, when
+    kept, holds the rows bottom-to-top, each a tuple of Cells."""
+
+    __slots__ = ()
 
 
 def fill_rectangle(presentation, bottom, left, keep_cells=False):

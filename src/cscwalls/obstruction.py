@@ -14,32 +14,26 @@ with any uniform bound on projection diameters coexisting with any uniform
 bound on membership multiplicity at a vertex.
 """
 
-from __future__ import annotations
-
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .antitorus import DEFAULT_I_MAX, DEFAULT_K_MAX, commuting_powers_search, overlap_gamma
 from .errors import BudgetExceeded, CommutingPowersFound
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    """Diameter of one projection, with its overlap witness."""
+class ProjectionResult(namedtuple("ProjectionResult", "n gamma diam contains_basepoint")):
+    """Diameter of one projection, with its overlap witness gamma, a GammaResult."""
 
-    n: int
-    gamma: object  # GammaResult
-    diam: int
-    contains_basepoint: bool
+    __slots__ = ()
 
     def to_dict(self):
-        return asdict(self)
+        return {**self._asdict(), "gamma": self.gamma.to_dict()}
 
 
-@dataclass(frozen=True)
-class ObstructionTable:
-    rows: tuple
-    failures: tuple  # (n, reason) for rows that ran out of budget
-    bounds_used: dict
+class ObstructionTable(namedtuple("ObstructionTable", "rows failures bounds_used")):
+    """The ProjectionResult rows, and the (n, reason) failures of the rows
+    that ran out of budget."""
+
+    __slots__ = ()
 
     def max_diam(self):
         return max((r.diam for r in self.rows), default=0)
@@ -53,8 +47,7 @@ class ObstructionTable:
         }
 
 
-@dataclass(frozen=True)
-class WellSeparationResult:
+class WellSeparationResult(namedtuple("WellSeparationResult", "n L crossing_set_size facing_triple_free")):
     """Separation data for the two strip walls over one overlap segment.
 
     The walls transverse to both strip walls are exactly the walls dual to
@@ -64,13 +57,10 @@ class WellSeparationResult:
     outer two, so facing_triple_free is always True.
     """
 
-    n: int
-    L: int
-    crossing_set_size: int
-    facing_triple_free: bool
+    __slots__ = ()
 
     def to_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def projection_diameter(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):

@@ -19,19 +19,12 @@ Coordinates are deterministic functions of the parameters, so identical
 parameters give byte-identical windows, walls and certificates.
 """
 
-from __future__ import annotations
-
-from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass
+from collections import Counter, defaultdict, namedtuple
 from functools import cached_property
 from itertools import chain, count, islice, pairwise
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CscwallsError, InvalidParams, UnknownWall
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 #: Rows of squares per flat block, as drawn between consecutive strips.
 FLAT_ROWS = 3
@@ -39,8 +32,7 @@ FLAT_ROWS = 3
 _LEVEL_PITCH = FLAT_ROWS + 1  # one strip row plus one flat block per level
 
 
-@dataclass(frozen=True)
-class StairParams:
+class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
     """Staircase shape: overlap length L, step depth r, level count, margin.
 
     steps is the number of flat levels; strips are indexed 0..steps, so the
@@ -49,22 +41,18 @@ class StairParams:
     lower_bound do not depend on it, but its BFS distances can.
     """
 
-    overlap_len: int
-    shift: int
-    steps: int
-    margin: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.shift <= 0:
+    def __new__(cls, overlap_len, shift, steps, margin=1):
+        if shift <= 0:
             raise InvalidParams("shift must be positive")
-        if self.shift > self.overlap_len:
-            raise InvalidParams(
-                f"shift {self.shift} exceeds overlap length {self.overlap_len}: not a staircase"
-            )
-        if self.steps < 1:
+        if shift > overlap_len:
+            raise InvalidParams(f"shift {shift} exceeds overlap length {overlap_len}: not a staircase")
+        if steps < 1:
             raise InvalidParams("need at least one level")
-        if self.margin < 1:
+        if margin < 1:
             raise InvalidParams("margin must be at least 1")
+        return super().__new__(cls, overlap_len, shift, steps, margin)
 
     @property
     def crossing_bound(self):
@@ -72,7 +60,7 @@ class StairParams:
         return -(-self.overlap_len // self.shift) + 1
 
     def to_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 # A window is carried as row runs.  A run (y, a, b, bottom, top) is a row of
@@ -103,13 +91,10 @@ class StairParams:
 # .crossings, keyed by wall id, are also built on first use.
 
 
-class WindowSquare(NamedTuple):
+class WindowSquare(namedtuple("WindowSquare", "sw se nw ne")):
     """A square by its four corner vertices."""
 
-    sw: tuple
-    se: tuple
-    nw: tuple
-    ne: tuple
+    __slots__ = ()
 
 
 def _least_members(n, xs, ys):
@@ -222,18 +207,25 @@ def _squares_of(runs):
 _QUADRANTS = ("NE", "NW", "SE", "SW")  # the quadrant each corner sw, se, nw, ne fills
 
 
-class _Layout(NamedTuple):
-    """A window's cells as intervals per row, read off its runs."""
+class _Layout(
+    namedtuple(
+        "_Layout",
+        "vertex_rows edge_rows vertical_rows pieces touching shared_sides corners counts connected",
+    )
+):
+    """A window's cells as intervals per row, read off its runs.
 
-    vertex_rows: dict  # (y, tag) -> [(x0, x1, run, tag at x0-1, tag at x1+1)]
-    edge_rows: dict  # (y, tag, tag) -> (first, last) column of the horizontal edges in that row
-    vertical_rows: dict  # (y, bottom tag, top tag) -> [(x0, x1, run)]: vertical edges at x0..x1
-    pieces: list  # per run, [(c0, c1, bottom edge row, top edge row)] over columns c0 .. c1-1
-    touching: list  # (run, run): pairs of runs that share a vertex
-    shared_sides: list  # (run, run): pairs of runs that share a vertical edge
-    corners: set  # ((y, tag), x): vertices whose walls are not all paired by the rules in ContactGraph
-    counts: dict
-    connected: bool
+    vertex_rows: (y, tag) -> [(x0, x1, run, tag at x0-1, tag at x1+1)]
+    edge_rows: (y, tag, tag) -> (first, last) column of the horizontal edges in that row
+    vertical_rows: (y, bottom tag, top tag) -> [(x0, x1, run)]: vertical edges at x0..x1
+    pieces: per run, [(c0, c1, bottom edge row, top edge row)] over columns c0 .. c1-1
+    touching: (run, run) pairs of runs that share a vertex
+    shared_sides: (run, run) pairs of runs that share a vertical edge
+    corners: ((y, tag), x) vertices whose walls are not all paired by the rules in ContactGraph
+    counts: the dict of window.counts(); connected: a bool
+    """
+
+    __slots__ = ()
 
 
 def _layout(runs):
@@ -324,13 +316,16 @@ def _edges_at(e, t, x):
     return t if x > e[0] else e[3], t if x < e[1] else e[4]
 
 
-class _Walls(NamedTuple):
-    """A window's wall partition, on numbers."""
+class _Walls(namedtuple("_Walls", "count labels vertical horizontal")):
+    """A window's wall partition, on numbers.
 
-    count: int
-    labels: dict  # edge row (y, tag, tag) -> (c0, [label of the edge at column c0, c0+1, ...; -1 if none])
-    vertical: list  # label -> wall number
-    horizontal: list  # run -> wall number
+    count: the number of walls
+    labels: edge row (y, tag, tag) -> (c0, [label of the edge at column c0, c0+1, ...; -1 if none])
+    vertical: label -> wall number
+    horizontal: run -> wall number
+    """
+
+    __slots__ = ()
 
 
 def _walls(runs, layout):
@@ -671,8 +666,13 @@ def contact_graph_dot(graph):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonAcylCertificate:
+class NonAcylCertificate(
+    namedtuple(
+        "NonAcylCertificate",
+        "params p crossing_bound family family_distances witness_wall witnesses"
+        " crossing_counts max_crossing max_crossing_walls lower_bound bfs_distance bounds_note",
+    )
+):
     """Self-validated contact-graph certificate over one staircase window.
 
     family holds the strip-wall ids 0..steps.  All of family_distances at
@@ -680,21 +680,14 @@ class NonAcylCertificate:
     both ends; no wall crosses more than crossing_bound strip walls and
     witness_wall attains the bound; the p-th translate sits at BFS distance
     at least p/crossing_bound.
+
+    params is the StairParams; family_distances holds (i, distance) pairs and
+    witnesses (i, middle wall id) pairs for 1 <= i < crossing_bound;
+    crossing_counts maps each wall id to the strip walls it crosses (nonzero
+    only); lower_bound is a Fraction.
     """
 
-    params: StairParams
-    p: int
-    crossing_bound: int
-    family: tuple
-    family_distances: tuple  # (i, distance)
-    witness_wall: str
-    witnesses: tuple  # (i, middle wall id) for 1 <= i < crossing_bound
-    crossing_counts: dict  # wall id -> strip walls crossed (nonzero only)
-    max_crossing: int
-    max_crossing_walls: tuple
-    lower_bound: Fraction
-    bfs_distance: int
-    bounds_note: str
+    __slots__ = ()
 
     def to_dict(self):
         return {

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cscwalls.staircase
-from cscwalls.cli import main
+from cscwalls.cli import build_parser, main
 from cscwalls.obstruction import obstruction_table
 from cscwalls.staircase import StairParams, build_staircase, walls
 
@@ -372,6 +372,51 @@ def test_help_and_version_exit_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0 and capsys.readouterr().out
+
+
+SUBCOMMANDS = ["validate", "enumerate", "develop", "antitorus", "gamma", "obstruct", "wellsep", "staircase", "certify"]
+
+
+def exit_output(capsys, parse, argv):
+    """Exit status, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([name, "--help"] for name in SUBCOMMANDS),
+        ["--help"],
+        ["--version"],
+        ["nosuch"],
+        [],
+        ["certify", "--L", "3"],
+        ["validate", "--complex", "x", "--bogus"],
+        ["--out", "x", "validate"],
+    ],
+    ids=" ".join,
+)
+def test_help_and_usage_match_the_full_parser(capsys, argv):
+    """main builds only the parser of the subcommand it is given; its help
+    text and error lines are those of the parser with every subcommand."""
+    assert exit_output(capsys, main, argv) == exit_output(capsys, build_parser().parse_args, argv)
+
+
+def test_top_level_lists_every_subcommand(capsys):
+    code, out, _ = exit_output(capsys, main, ["--help"])
+    assert code == 0 and "{" + ",".join(SUBCOMMANDS) + "}" in out
+    code, _, err = exit_output(capsys, main, ["nosuch"])
+    assert code == 1 and all(name in err for name in SUBCOMMANDS)
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch, torus_path):
+    """The console script calls main() with no arguments."""
+    monkeypatch.setattr(sys, "argv", ["cscwalls", "validate", "--complex", torus_path])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["is_csc"] is True
 
 
 @pytest.mark.parametrize("subcommand", ["antitorus", "gamma", "obstruct", "wellsep"])

@@ -91,6 +91,44 @@ def test_import_loads_no_fractions_or_decimal():
     assert out.stdout.strip() == "[]"
 
 
+#: Run under ``python -S`` with the source directory as argv[1]: one small job
+#: per subcommand through the CLI, then the heavy start-up modules loaded.
+COLD_START_SCRIPT = """\
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from cscwalls.cli import main
+
+data = sys.argv[1] + "/cscwalls/data/"
+pair = ["--complex", data + "aperiodic22.sqc", "--w1", "a", "--w2", "x"]
+jobs = [
+    ["validate", "--complex", data + "torus.sqc"],
+    ["enumerate", "--hcount", "1", "--vcount", "2", "--screen"],
+    ["develop", "--complex", data + "torus.sqc", "--bottom", "a", "--left", "x", "--dump-cells"],
+    ["antitorus", *pair],
+    ["gamma", *pair, "--n", "2"],
+    ["obstruct", *pair, "--nmax", "2"],
+    ["wellsep", *pair, "--n", "2"],
+    ["staircase", "--L", "3", "--r", "2", "--steps", "2"],
+    ["certify", "--L", "3", "--r", "2", "--steps", "2", "--p", "2"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(job) for job in jobs]
+print(json.dumps([codes, sorted({"dataclasses", "inspect", "typing"} & set(sys.modules))]))
+"""
+
+
+def test_cold_start_loads_no_dataclasses_inspect_or_typing():
+    """Every subcommand runs without ``dataclasses``, ``inspect`` or ``typing``,
+    whose import and per-class code generation cost a fresh process more
+    than the package's own modules; ``-S`` keeps site hooks from loading
+    them first."""
+    src = Path(cscwalls.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_START_SCRIPT, str(src)], capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout) == [[0] * 9, []]
+
+
 #: Run in a fresh interpreter: which package modules ``import cscwalls`` and a
 #: first public call load, and what each lazily resolved name is.
 FOOTPRINT_SCRIPT = """\
