@@ -9,8 +9,9 @@ orbit sweep.  The census screen (``screen_anti_torus``) runs the same search
 on germ ids, once per inverse class {h^+-1} x {v^+-1} of pairs, since powers
 of h and v commute iff those of h^-1 and v do.  All verdicts on one complex
 share one dict of the columns their sweeps develop over a right word within
-one chunk, so a column met again costs one lookup, and a census run builds
-the candidate word lists once for all its entries (``screen_words``).
+one chunk, so a column met again costs one lookup.  The candidate words
+depend only on the germ count and the length, so a process builds them once
+for each such pair, whatever complexes it screens.
 
 When no such rectangle exists, widening rectangles develop tops that
 eventually diverge from the horizontal periodic word, and the overlap of
@@ -40,10 +41,10 @@ as in-package references for the tests.
 """
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cache, cached_property
 
 from .complexes import HORIZONTAL, VERTICAL, _Frozen
-from .errors import DEFAULT_I_MAX, DEFAULT_K_MAX, BudgetExceeded, UnsupportedComplexError, WordError
+from .errors import DEFAULT_BOUND, DEFAULT_I_MAX, DEFAULT_K_MAX, BudgetExceeded, UnsupportedComplexError, WordError
 from .develop import (
     PeriodicWord,
     _ids_word,
@@ -52,10 +53,6 @@ from .develop import (
     orbit_lengths,
     stream_mismatch_ids,
 )
-
-#: Default bound on both exponents of the commuting-powers search; the
-#: census screen uses it too.
-DEFAULT_BOUND = 8
 
 PERIODIC_FLAT_DIAGNOSTIC = "periodic flat suspected: the pair may not span an aperiodic flat"
 
@@ -279,43 +276,34 @@ def overlap_gamma(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
 # ---------------------------------------------------------------------------
 
 
-def _periodic_ids(n_germs, max_len):
-    """Germ-id tuples of the primitive cyclically reduced words up to max_len,
-    ordered by length, then by ids.  Reduced words grow letter by letter, in
-    order; a word is a proper power iff a nontrivial rotation fixes it."""
-    words = [()]
+@cache
+def _candidates(n_germs, max_len):
+    """The candidate words over n_germs germ ids: one (ids, key) pair of
+    tuples per primitive cyclically reduced word up to max_len, ordered by
+    length, then by ids.  Reduced words grow letter by letter, in order; a
+    word is a proper power iff a nontrivial rotation fixes it.  key names the
+    inverse class {w, w^-1}: the smaller id tuple (inversion is g ^ 1).  The
+    words depend on nothing else, so each (n_germs, max_len) is built once
+    per process."""
+    words, found = [()], []
     for n in range(1, max_len + 1):
         words = [w + (g,) for w in words for g in range(n_germs) if not w or g != w[-1] ^ 1]
-        for w in words:
-            if w[-1] != w[0] ^ 1 and all(w[d:] + w[:d] != w for d in range(1, n)):
-                yield w
+        found += [
+            (w, min(w, tuple(g ^ 1 for g in reversed(w))))
+            for w in words
+            if w[-1] != w[0] ^ 1 and all(w[d:] + w[:d] != w for d in range(1, n))
+        ]
+    return tuple(found)
 
 
 def periodic_candidates(presentation, klass, max_len):
     """All primitive cyclically reduced periodic words up to max_len, ordered
     by length, then by germ ids: the words of the ids the screen reads."""
-    ids = _periodic_ids(len(presentation.germs[klass]), max_len)
-    return [PeriodicWord(_ids_word(presentation, klass, w)) for w in ids]
+    ids = _candidates(len(presentation.germs[klass]), max_len)
+    return [PeriodicWord(_ids_word(presentation, klass, w)) for w, _ in ids]
 
 
-def _inverse_class(ids):
-    """The key of {w, w^-1}: the smaller germ-id tuple (inversion is g ^ 1)."""
-    return min(ids, tuple(g ^ 1 for g in reversed(ids)))
-
-
-def screen_words(presentation, max_len):
-    """The candidate words that screen_anti_torus reads: a (horizontal,
-    vertical) pair of lists of (germ ids, inverse-class key), each in
-    periodic_candidates order.  They depend only on the edge counts and
-    max_len, so a census run builds them once for all its entries."""
-    germs = presentation.germs
-    return tuple(
-        [(w, _inverse_class(w)) for w in _periodic_ids(len(germs[klass]), max_len)]
-        for klass in (HORIZONTAL, VERTICAL)
-    )
-
-
-def screen_anti_torus(presentation, max_len=2, words=None):
+def screen_anti_torus(presentation, max_len=2):
     """Candidate pairs with no commuting powers within the default bounds.
 
     Yields (hword, vword, query) triples lazily, horizontal words outer and
@@ -324,15 +312,13 @@ def screen_anti_torus(presentation, max_len=2, words=None):
     search runs once per class {h^+-1} x {v^+-1}, on germ ids; words and a
     query are built only for yielded pairs.  All verdicts on the complex
     share one dict of developed columns (see develop.orbit_lengths), so a
-    column that an earlier verdict met costs one lookup.  ``words`` is
-    screen_words(presentation, max_len), built here when not given; a caller
-    that screens many complexes with the same edge counts passes it once
-    built.  A yielded pair is only a bounded certificate: the aperiodicity
-    hypothesis itself is not decided here.
+    column that an earlier verdict met costs one lookup.  A yielded pair is
+    only a bounded certificate: the aperiodicity hypothesis itself is not
+    decided here.
     """
     _require_one_vertex(presentation)
-    tables = presentation.tables
-    hwords, vwords = screen_words(presentation, max_len) if words is None else words
+    tables, germs = presentation.tables, presentation.germs
+    hwords, vwords = (_candidates(len(germs[klass]), max_len) for klass in (HORIZONTAL, VERTICAL))
     verdicts, columns = {}, {}
     for h, h_class in hwords:
         for v, v_class in vwords:

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import DEFAULT_I_MAX, DEFAULT_K_MAX, BudgetExceeded, CscwallsError
+from .errors import DEFAULT_BOUND, DEFAULT_I_MAX, DEFAULT_K_MAX, BudgetExceeded, CscwallsError
 
 # Each handler imports the package modules it calls, so one run loads only
 # its own subcommand's modules and building the parser loads none.
@@ -169,16 +169,13 @@ def _cmd_enumerate(args, run):
         if args.format == "text":
             raise CscwallsError("--screen needs --format json: text output has no candidate lists")
         run.params.update({"screen_len": args.screen_len, "screen_limit": args.screen_limit})
-        from .antitorus import screen_anti_torus, screen_words
+        from .antitorus import screen_anti_torus
     census = list(enumerate_csc(args.hcount, args.vcount))
     entries = []
-    words = None  # every entry has the same edge counts, so one set of candidate words serves all
     for i, p in enumerate(census):
         entry = {"index": i, "text": serialize_complex(p)}
         if args.screen:
-            if words is None:
-                words = screen_words(p, args.screen_len)
-            screened = screen_anti_torus(p, max_len=args.screen_len, words=words)
+            screened = screen_anti_torus(p, max_len=args.screen_len)
             entry["anti_torus_candidates"] = [
                 {"w1": str(hw.period), "w2": str(vw.period)}
                 for hw, vw, _ in itertools.islice(screened, args.screen_limit)
@@ -336,6 +333,10 @@ def _add_query(sub):
     sub.add_argument("--w2", required=True, help="vertical periodic word")
 
 
+def _add_bounds(sub):
+    sub.add_argument("--bounds", default=f"{DEFAULT_BOUND},{DEFAULT_BOUND}", help="K,J power bounds")
+
+
 def _add_budgets(sub):
     sub.add_argument(
         "--kmax", type=int, default=DEFAULT_K_MAX, help="cap on the columns of each orbit sweep, in periods of w1"
@@ -367,7 +368,7 @@ def _args_develop(s):
 
 def _args_antitorus(s):
     _add_query(s)
-    s.add_argument("--bounds", default="8,8", help="K,J power bounds")
+    _add_bounds(s)
 
 
 def _args_exponent(s):
@@ -380,7 +381,7 @@ def _args_exponent(s):
 def _args_obstruct(s):
     _add_query(s)
     s.add_argument("--nmax", type=int, required=True)
-    s.add_argument("--bounds", default="8,8")
+    _add_bounds(s)
     s.add_argument("--format", choices=("json", "csv"), default="json")
     _add_budgets(s)
 

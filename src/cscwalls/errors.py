@@ -5,6 +5,10 @@ nothing: the command line builds its parser from them without loading a
 kernel module.
 """
 
+#: Default bound on both exponents of the commuting-powers search, for the
+#: census screen, the obstruction table and the command line alike.
+DEFAULT_BOUND = 8
+
 #: Default cap on the height j, the orbit length of h^n (in vertical periods).
 DEFAULT_I_MAX = 10**6
 

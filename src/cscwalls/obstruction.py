@@ -16,8 +16,8 @@ bound on membership multiplicity at a vertex.
 
 from collections import namedtuple
 
-from .antitorus import DEFAULT_I_MAX, DEFAULT_K_MAX, commuting_powers_search, overlap_gamma
-from .errors import BudgetExceeded, CommutingPowersFound
+from .antitorus import commuting_powers_search, overlap_gamma
+from .errors import DEFAULT_BOUND, DEFAULT_I_MAX, DEFAULT_K_MAX, BudgetExceeded, CommutingPowersFound
 
 
 class ProjectionResult(namedtuple("ProjectionResult", "n gamma diam contains_basepoint")):
@@ -78,8 +78,8 @@ def projection_diameter(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
 def obstruction_table(
     query,
     n_max,
-    k_bound=8,
-    j_bound=8,
+    k_bound=DEFAULT_BOUND,
+    j_bound=DEFAULT_BOUND,
     k_max=DEFAULT_K_MAX,
     i_max=DEFAULT_I_MAX,
 ):

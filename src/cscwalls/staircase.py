@@ -54,6 +54,11 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
             raise InvalidParams("margin must be at least 1")
         return super().__new__(cls, overlap_len, shift, steps, margin)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Through the constructor, so _make and _replace validate too."""
+        return cls(*iterable)
+
     @property
     def crossing_bound(self):
         """ceil(L/r) + 1: the exact maximum number of strip walls any one wall crosses."""
@@ -624,7 +629,7 @@ def _distances(graph, start):
                 dist[nxt] = d
                 order.append(nxt)
     if len(order) != len(dist):
-        raise CscwallsError("contact graph is disconnected; windows never produce this")
+        raise CscwallsError("contact graph is disconnected")
     return dist, order
 
 
@@ -633,7 +638,8 @@ def contact_distances(graph, source):
     keyed by wall id.
 
     Raises CscwallsError when some wall is unreachable, i.e. when the contact
-    graph is disconnected.
+    graph is disconnected, as it is for a window of two squares that share no
+    vertex.
     """
     dist, order = _distances(graph, graph._number(source))
     names = graph.walls

@@ -12,6 +12,7 @@ from cscwalls.antitorus import (
     DEFAULT_K_MAX,
     AntiTorusQuery,
     GammaResult,
+    _candidates,
     _commuting_powers,
     _Sweep,
     commuting_powers_search,
@@ -20,7 +21,6 @@ from cscwalls.antitorus import (
     overlap_gamma,
     periodic_candidates,
     screen_anti_torus,
-    screen_words,
 )
 from cscwalls.develop import CHUNK, _word_ids, parse_word
 from cscwalls.errors import BudgetExceeded, UnsupportedComplexError, WordError
@@ -467,6 +467,24 @@ class TestScreening:
                 ids = [tuple(p.germ_id(e) for e in x.period.letters) for x in words]
                 assert ids == periodic_ids_by_filtering(2 * len(pool), 3)
 
+    def test_candidates_are_one_cached_table_of_tuples(self):
+        """A repeated (germ count, length) gets the same tuple object, and
+        every id word and inverse-class key in it is a tuple."""
+        for n_germs in (2, 4, 6):
+            for max_len in (1, 2, 3):
+                table = _candidates(n_germs, max_len)
+                assert _candidates(n_germs, max_len) is table and type(table) is tuple
+                assert all(type(ids) is tuple and type(key) is tuple for ids, key in table)
+
+    def test_same_edge_counts_build_candidates_once(self, census22):
+        """The screen of a second complex with the same edge counts misses no
+        cache entry; on 2+2 both classes share one key."""
+        _candidates.cache_clear()
+        list(screen_anti_torus(census22[0], max_len=2))
+        assert _candidates.cache_info().misses == 1
+        list(screen_anti_torus(census22[1], max_len=2))
+        assert _candidates.cache_info().misses == 1
+
     def test_shipped_complex_screens_positive(self, shipped):
         pairs = list(screen_anti_torus(shipped.complex, max_len=1))
         assert any(str(hw.period) == "a" and str(vw.period) == "x" for hw, vw, _ in pairs)
@@ -530,7 +548,7 @@ class TestScreening:
         @settings(max_examples=60)
         def check(data):
             pair = [data.draw(screen_census, label=f"complex {i}") for i in range(2)]
-            words = [screen_words(p, 3) for p in pair]
+            words = [[_candidates(len(p.germs[k]), 3) for k in (cw.HORIZONTAL, cw.VERTICAL)] for p in pair]
             columns = [{}, {}]
             for _ in range(data.draw(st.integers(2, 16), label="verdicts")):
                 i = data.draw(st.integers(0, 1), label="complex")

@@ -421,12 +421,14 @@ def test_main_reads_sys_argv(capsys, monkeypatch, torus_path):
 
 @pytest.mark.parametrize("subcommand", ["antitorus", "gamma", "obstruct", "wellsep"])
 def test_query_options_are_described(capsys, subcommand):
-    """Every subcommand that takes a query describes its two words alike."""
+    """Every subcommand that takes a query describes its two words alike, and
+    each that takes power bounds describes them alike."""
     with pytest.raises(SystemExit) as exc:
         main([subcommand, "--help"])
     out = " ".join(capsys.readouterr().out.split())
     assert exc.value.code == 0
     assert "--w1 W1 horizontal periodic word" in out and "--w2 W2 vertical periodic word" in out
+    assert ("--bounds BOUNDS K,J power bounds" in out) == (subcommand in ("antitorus", "obstruct"))
 
 
 def readme_command_block():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import cscwalls as cw
 from cscwalls import develop
-from cscwalls.antitorus import _periodic_ids
+from cscwalls.antitorus import _candidates
 from cscwalls.develop import BACKEND, CHUNK, _word_ids, orbit_lengths, parse_word, stream_mismatch_ids
 from cscwalls.errors import DevelopmentError, WordError
 
@@ -254,7 +254,7 @@ class TestChunkedSweep:
                 p = data.draw(st.sampled_from(growing if source == "growing" else complexes), label="complex")
                 if id(p) not in candidates:
                     candidates[id(p)] = [
-                        [list(w) for w in _periodic_ids(len(p.germs[k]), 3)] for k in (cw.HORIZONTAL, cw.VERTICAL)
+                        [list(w) for w, _ in _candidates(len(p.germs[k]), 3)] for k in (cw.HORIZONTAL, cw.VERTICAL)
                     ]
                 hwords, vwords = candidates[id(p)]
                 h_ids, v_ids = data.draw(st.sampled_from(hwords), label="h"), data.draw(st.sampled_from(vwords), label="v")

@@ -187,6 +187,29 @@ def test_stair_params_messages(shape):
     assert str(exc.value) == message
 
 
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3), st.integers(1, 3)),
+    field=st.sampled_from(TUPLE_RECORDS[StairParams]),
+    value=st.integers(-3, 6),
+)
+def test_stair_params_replace_and_make_validate(shape, field, value):
+    """_replace and _make go through the constructor: a field value it
+    refuses raises its exact message, and any other gives its record."""
+    L, r, steps, margin = shape
+    params = StairParams(max(L, r), min(L, r), steps, margin)
+    fields = {**params._asdict(), field: value}
+    builds = (lambda: params._replace(**{field: value}), lambda: StairParams._make(fields.values()))
+    try:
+        want = StairParams(**fields)
+    except InvalidParams as exc:
+        for build in builds:
+            with pytest.raises(InvalidParams) as got:
+                build()
+            assert str(got.value) == str(exc)
+    else:
+        assert all(build() == want and type(build()) is StairParams for build in builds)
+
+
 A, B = EdgeLabel("a", HORIZONTAL), EdgeLabel("b", HORIZONTAL)
 X = EdgeLabel("x", VERTICAL)
 a, b, x = OrientedEdge(A), OrientedEdge(B), OrientedEdge(X)

@@ -1,7 +1,8 @@
 """Repository hygiene: generated files stay out of version control, the
 names the benchmark looks up stay in the package, the package imports no
 name it does not use and defines no private helper or method it does not
-call, and a failing test does not stop the run."""
+call, every source file parses on the oldest declared Python, and a failing
+test does not stop the run."""
 
 import ast
 import importlib
@@ -245,20 +246,36 @@ def _reads(nodes):
     return read
 
 
+#: The namedtuple methods that a subclass may override; the base class calls them.
+NAMEDTUPLE_API = {"_make", "_replace", "_asdict"}
+
+
+def _on_namedtuple(node):
+    """Whether class node has a ``namedtuple(...)`` call among its bases."""
+    return any(
+        isinstance(base, ast.Call) and getattr(base.func, "id", getattr(base.func, "attr", None)) == "namedtuple"
+        for base in node.bases
+    )
+
+
 def _unused_helpers(sources):
     """The module-level private functions and classes, and the private methods
     of module-level classes, of sources that no other top-level statement or
     method of any of them reads, as a name, an attribute or an imported name;
-    dunders do not count.  A class's private methods are statements of their
-    own, so one that only calls itself is unused too; methods are reported as
-    Class._method."""
+    dunders do not count, and neither does a namedtuple method overridden in
+    a class built on a ``namedtuple(...)`` base.  A class's private methods
+    are statements of their own, so one that only calls itself is unused too;
+    methods are reported as Class._method."""
     statements = []  # (private name the statement defines or None, names it reads)
     for source in sources:
         for node in ast.parse(source).body:
             name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else ""
             rest = [node]
             if isinstance(node, ast.ClassDef):
-                methods = [m for m in node.body if isinstance(m, ast.FunctionDef) and _private(m.name)]
+                api = NAMEDTUPLE_API if _on_namedtuple(node) else set()
+                methods = [
+                    m for m in node.body if isinstance(m, ast.FunctionDef) and _private(m.name) and m.name not in api
+                ]
                 statements.extend((f"{name}.{m.name}", _reads([m])) for m in methods)
                 rest = [sub for sub in ast.iter_child_nodes(node) if sub not in methods]
             statements.append((name if _private(name) else None, _reads(rest)))
@@ -281,12 +298,43 @@ def test_unused_helper_check_catches_one():
         "    def _dead(self):\n        return self._dead()\n"
     )
     assert _unused_helpers([kept, other, imported, methods]) == ["Kept._dead", "_Orphan", "_alone"]
+    record = (
+        "from collections import namedtuple\n\n\n"
+        "class Record(namedtuple('Record', 'a')):\n"
+        "    @classmethod\n    def _make(cls, iterable):\n        return cls(*iterable)\n\n"
+        "    def _dead(self):\n        pass\n"
+    )
+    assert _unused_helpers([record]) == ["Record._dead"]
+    assert _unused_helpers([record.replace("namedtuple('Record', 'a')", "tuple")]) == ["Record._dead", "Record._make"]
 
 
 def test_package_private_helpers_are_used_in_the_package():
     """A private helper that only tests call is dead code in the package."""
     sources = [path.read_text() for path in sorted((ROOT / "src" / "cscwalls").glob("*.py"))]
     assert _unused_helpers(sources) == []
+
+
+#: The oldest Python that pyproject.toml declares.
+OLDEST_PYTHON = (3, 10)
+
+
+def test_oldest_python_is_declared():
+    text = (ROOT / "pyproject.toml").read_text()
+    assert f'requires-python = ">={OLDEST_PYTHON[0]}.{OLDEST_PYTHON[1]}"' in text
+
+
+def test_oldest_python_parse_check_catches_one():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=OLDEST_PYTHON)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(str(p.relative_to(ROOT)) for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+)
+def test_source_parses_on_oldest_python(path):
+    """Every source and test file uses only syntax that the oldest declared
+    Python accepts."""
+    ast.parse((ROOT / path).read_text(), filename=path, feature_version=OLDEST_PYTHON)
 
 
 #: A failing Hypothesis test followed by a passing one.
