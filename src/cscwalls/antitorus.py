@@ -32,12 +32,11 @@ per-sweep table from (chunk, letter in) to (letter out, developed chunk),
 so a column costs one lookup per chunk of R once the table has met R's
 chunks.  The overlap readers take only j from a sweep; R is expanded only
 by the commuting-powers search, at period boundaries while j is within its
-bound.
-
-``find_periodic_top`` (stack periods on h^n until the top comes back) and
-``overlap_at_height`` (stream columns at a fixed height until the first
-mismatch) compute the same quantities one exponent at a time; they are kept
-as in-package references for the tests.
+bound.  ``overlap_gamma`` reads the query's sweeps in two steps: the height
+(``find_periodic_top``), then the ends at that height
+(``overlap_at_height``).  The test oracles measure both one exponent at a
+time, stacking periods on h^n and streaming columns through
+``develop.stream_mismatch_ids``, the germ-level stream they share.
 """
 
 from collections import namedtuple
@@ -45,14 +44,7 @@ from functools import cache, cached_property
 
 from .complexes import HORIZONTAL, VERTICAL, _Frozen
 from .errors import DEFAULT_BOUND, DEFAULT_I_MAX, DEFAULT_K_MAX, BudgetExceeded, UnsupportedComplexError, WordError
-from .develop import (
-    PeriodicWord,
-    _ids_word,
-    _word_ids,
-    develop_ids,
-    orbit_lengths,
-    stream_mismatch_ids,
-)
+from .develop import PeriodicWord, _ids_word, _word_ids, orbit_lengths
 
 PERIODIC_FLAT_DIAGNOSTIC = "periodic flat suspected: the pair may not span an aperiodic flat"
 
@@ -138,59 +130,6 @@ def _commuting_powers(tables, h_ids, v_ids, k_bound, j_bound, columns=None):
     return None
 
 
-def find_periodic_top(query, n, i_max=DEFAULT_I_MAX):
-    """Stack vertical periods on the n-th power of the horizontal word until
-    the developed top returns to the bottom.
-
-    Returns (j, first_repeat) with first_repeat == j: the least j with
-    fill_rectangle(h^n, v^j).top == h^n.  No earlier top needs remembering.  In a
-    CSC every cell is determined by its SW corner pair and equally by its NW
-    corner pair, so stacking one vertical period is a bijection on the finite
-    set of words of length n*|w1|; the orbit of the bottom is purely periodic
-    and the first repeated top is the bottom itself.  i_max caps the number
-    of stacked periods.  Development is unique, so the tall rectangle of
-    height j periods has the same top as the stack and is not developed
-    again.
-    """
-    tables = query.complex.tables
-    v_ids = _word_ids(query.complex, query.vword.period)
-    bottom = _word_ids(query.complex, query.hword.power(n))
-    top = bottom
-    for j in range(1, i_max + 1):
-        top, _ = develop_ids(tables, top, v_ids)
-        if top == bottom:
-            return j, j
-    raise BudgetExceeded(f"no repeated top within {i_max} developed words")
-
-
-def overlap_at_height(query, j, k_max=DEFAULT_K_MAX):
-    """Agreement lengths (west, east) between the horizontal periodic line and
-    the flat's label line at height j vertical periods.
-
-    Each direction streams columns of the rectangle of height j periods,
-    bottom extended by a horizontal period, until the developed top first
-    diverges from the periodic word: eastward with the horizontal word,
-    westward with its inverse.  Reading a square from its SE corner is one of
-    the four readings the corner tables store, so the mirror image of the
-    flat develops on the same tables and no mirrored complex is built.  East
-    runs first.  Raises BudgetExceeded with a periodic-flat diagnostic when
-    either direction fails to diverge within k_max periods.
-    """
-    p = query.complex
-    side = _word_ids(p, query.vword.period) * j
-    max_cols = k_max * len(query.hword)
-    lengths = {}
-    for direction, hword in (("east", query.hword), ("west", query.hword.inverse())):
-        cols = stream_mismatch_ids(p.tables, _word_ids(p, hword.period), side, max_cols)
-        if cols < 0:
-            raise BudgetExceeded(
-                f"no divergence {direction} of the basepoint within {k_max} periods",
-                diagnostic=PERIODIC_FLAT_DIAGNOSTIC,
-            )
-        lengths[direction] = cols
-    return lengths["west"], lengths["east"]
-
-
 class _Sweep:
     """j(0) = 1, j(1), j(2), ... of one orbit sweep (develop.orbit_lengths),
     developed on demand and kept as the columns where j rises.
@@ -231,28 +170,37 @@ class _Sweep:
         return end - 1 if end is not None and end <= max_cols else None
 
 
-def overlap_gamma(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
-    """The finite overlap of the height-j parallel geodesic with the flat.
+def find_periodic_top(query, n, i_max=DEFAULT_I_MAX):
+    """The least number j of vertical periods that, stacked on the n-th power
+    of the horizontal word, develop a top equal to the bottom.
 
-    The height j = j(n*|w1|) is the least number of stacked vertical periods
-    that returns h^n, so the overlap covers at least n horizontal periods
-    east of the basepoint, which therefore lies on it.  The overlap runs east
-    for the largest N with j(N) dividing j, and west likewise on the inverse
-    word's sweep; both ends depend on the height only.  The two sweeps are
-    the query's own (AntiTorusQuery.sweeps), so calls at many exponents
-    develop each column once.  A negative n is the exponent of the inverse
-    word, as in PeriodicWord.power.
-
-    Raises BudgetExceeded when j exceeds i_max, else when the overlap reaches
-    k_max horizontal periods east, else west.
+    Returns (j, first_repeat) with first_repeat == j: no earlier top repeats.
+    In a CSC every cell is determined by its SW corner pair and equally by
+    its NW corner pair, so stacking one vertical period is a bijection on the
+    finite set of words of length n*|w1|; the orbit of the bottom is purely
+    periodic and the first repeated top is the bottom itself.  j is
+    j(n*|w1|) on the query's east sweep, or on its west sweep for n < 0, the
+    exponent of the inverse word as in PeriodicWord.power.  Raises
+    BudgetExceeded when j exceeds i_max; no column past the first length
+    above i_max is developed.
     """
     east, west = query.sweeps
-    max_cols = k_max * len(query.hword)
     j = (east if n >= 0 else west).height(abs(n) * len(query.hword), i_max)
     if j > i_max:
         raise BudgetExceeded(f"no repeated top within {i_max} developed words")
+    return j, j
+
+
+def overlap_at_height(query, j, k_max=DEFAULT_K_MAX):
+    """Agreement lengths (west, east) between the horizontal periodic line and
+    the flat's label line at height j vertical periods: the largest N with
+    j(N) dividing j on the query's east sweep, and likewise on its west
+    sweep, the inverse word's.  East is read first; raises BudgetExceeded
+    with a periodic-flat diagnostic when a direction agrees for k_max
+    periods."""
+    max_cols = k_max * len(query.hword)
     ends = []
-    for direction, sweep in (("east", east), ("west", west)):
+    for direction, sweep in zip(("east", "west"), query.sweeps):
         cols = sweep.agreement(j, max_cols)
         if cols is None:
             raise BudgetExceeded(
@@ -260,7 +208,26 @@ def overlap_gamma(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
                 diagnostic=PERIODIC_FLAT_DIAGNOSTIC,
             )
         ends.append(cols)
-    right_len, left_len = ends
+    east, west = ends
+    return west, east
+
+
+def overlap_gamma(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
+    """The finite overlap of the height-j parallel geodesic with the flat.
+
+    The height j = j(n*|w1|) is the least number of stacked vertical periods
+    that returns h^n (find_periodic_top), so the overlap covers at least n
+    horizontal periods east of the basepoint, which therefore lies on it.
+    Both ends depend on the height only (overlap_at_height).  The two sweeps
+    are the query's own (AntiTorusQuery.sweeps), so calls at many exponents
+    develop each column once.  A negative n is the exponent of the inverse
+    word, as in PeriodicWord.power.
+
+    Raises BudgetExceeded when j exceeds i_max, else when the overlap reaches
+    k_max horizontal periods east, else west.
+    """
+    j, _ = find_periodic_top(query, n, i_max)
+    left_len, right_len = overlap_at_height(query, j, k_max)
     return GammaResult(
         n=n,
         j=j,

@@ -91,14 +91,20 @@ class Run:
             self.write(out, text)
         else:
             sys.stdout.write(text)
-        manifest_path = getattr(args, "manifest", None)
-        if manifest_path is None and out:
-            manifest_path = out + ".manifest.json"
+        manifest_path = _manifest_path(args)
         if manifest_path:
             mtext = json.dumps(self.manifest(), sort_keys=True, indent=2) + "\n"
             with open(manifest_path, "w", encoding="utf-8") as fh:
                 fh.write(mtext)
         return 0
+
+
+def _manifest_path(args):
+    """--manifest, by default <out>.manifest.json; no manifest is written when
+    it is empty or None."""
+    out = getattr(args, "out", None)
+    manifest = getattr(args, "manifest", None)
+    return out + ".manifest.json" if manifest is None and out else manifest
 
 
 def _load_query(args, run):
@@ -126,6 +132,25 @@ def _check_minimums(args):
         value = getattr(args, dest, None)
         if value is not None and value < low:
             raise CscwallsError(f"--{dest.replace('_', '-')} must be at least {low}, got {value}")
+
+
+def _check_paths(args):
+    """Refuse two path options that name one file (after symlinks), before
+    anything is read or written: an output written over the input or over
+    another output would leave a corrupted file behind a run that succeeds."""
+    paths = {
+        "--complex": getattr(args, "complex", None),
+        "--out": getattr(args, "out", None),
+        "the manifest": _manifest_path(args),
+        "--dot": getattr(args, "dot", None),
+    }
+    seen = {}
+    for role, path in paths.items():
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise CscwallsError(f"{seen[real]} and {role} name the same file {path!r}")
+            seen[real] = role
 
 
 def _parse_bounds(text):
@@ -458,6 +483,7 @@ def main(argv=None):
     run = Run(args.subcommand)
     try:
         _check_minimums(args)
+        _check_paths(args)
         return handler(args, run)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

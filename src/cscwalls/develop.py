@@ -8,17 +8,18 @@ never revised, so tops of widening rectangles are prefix-stable.
 
 Every search develops through one loop, ``_develop``, over integer germ ids:
 ``develop_ids`` runs it once on a copy of the left word, and
-``stream_mismatch_ids`` runs it one column at a time.  ``orbit_lengths`` is
-the one stacking algorithm: the commuting-powers screen and the overlap
-sweep both read it.  It develops one column at a time too, over a right word
-held in chunks of CHUNK germ ids; a per-sweep table maps (chunk, letter in)
-to (letter out, developed chunk), so ``develop_ids`` runs only on a chunk
-the table has not met with that letter, or on a right word that still fits
-in one chunk.  A column over a right word within one chunk is stored in a
-dict that the caller may share among sweeps on one complex, so the census
-screen develops such a column once per complex however many of its verdicts
-meet it.  The only other loop is ``_fill_cells``, which also records every
-cell for inspection.
+``stream_mismatch_ids`` runs it one column at a time; no package search
+calls the latter, which is the germ-level stream of the test oracles'
+divergence references.  ``orbit_lengths`` is the one stacking algorithm: the
+commuting-powers screen and the overlap sweep both read it.  It develops one
+column at a time too, over a right word held in chunks of CHUNK germ ids; a
+per-sweep table maps (chunk, letter in) to (letter out, developed chunk), so
+``develop_ids`` runs only on a chunk the table has not met with that letter,
+or on a right word that still fits in one chunk.  A column over a right
+word within one chunk is stored in a dict that the caller may share among
+sweeps on one complex, so the census screen develops such a column once per
+complex however many of its verdicts meet it.  The only other loop is
+``_fill_cells``, which also records every cell for inspection.
 """
 
 import itertools

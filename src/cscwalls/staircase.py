@@ -696,24 +696,16 @@ class NonAcylCertificate(
     __slots__ = ()
 
     def to_dict(self):
+        """The fields as JSON takes them: json.dumps makes the tuples arrays,
+        and with sort_keys orders crossing_counts by wall id."""
         return {
+            **self._asdict(),
             "params": self.params.to_dict(),
-            "p": self.p,
-            "crossing_bound": self.crossing_bound,
-            "family": list(self.family),
-            "family_distances": [list(t) for t in self.family_distances],
-            "witness_wall": self.witness_wall,
-            "witnesses": [list(t) for t in self.witnesses],
-            "crossing_counts": dict(sorted(self.crossing_counts.items())),
-            "max_crossing": self.max_crossing,
-            "max_crossing_walls": list(self.max_crossing_walls),
             "lower_bound": {
                 "numerator": self.lower_bound.numerator,
                 "denominator": self.lower_bound.denominator,
                 "value": float(self.lower_bound),
             },
-            "bfs_distance": self.bfs_distance,
-            "bounds_note": self.bounds_note,
         }
 
 

@@ -2,12 +2,12 @@
 
 Everything here is deliberately written against the production code paths:
 row-major development (the engine is column-major), overlaps measured one
-exponent at a time by the pigeonhole and two divergence streams (the engine
-reads them off one orbit sweep per direction), an orbit sweep that develops
-each column over the whole right word (the engine walks it in chunks through
-a table and keeps short columns in a dict shared by one complex's verdicts),
-overlap ends read by scanning a per-column list of orbit lengths (the engine
-keeps only the columns where the length rises),
+exponent at a time by stacking periods on h^n and by two divergence streams
+(the engine reads them off one orbit sweep per direction), an orbit sweep
+that develops each column over the whole right word (the engine walks it in
+chunks through a table and keeps short columns in a dict shared by one
+complex's verdicts), overlap ends read by scanning a per-column list of
+orbit lengths (the engine keeps only the columns where the length rises),
 commuting-powers searches that develop every rectangle from scratch instead
 of stacking vertical periods or read that block-by-block sweep, candidate
 words filtered from every germ-id tuple, a census oracle that filters raw
@@ -27,10 +27,10 @@ from collections import deque
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from cscwalls.antitorus import GammaResult, find_periodic_top, overlap_at_height
+from cscwalls.antitorus import PERIODIC_FLAT_DIAGNOSTIC, GammaResult
 from cscwalls.complexes import HORIZONTAL, VERTICAL
-from cscwalls.develop import Word, develop_ids
-from cscwalls.errors import CscwallsError
+from cscwalls.develop import Word, _word_ids, develop_ids, stream_mismatch_ids
+from cscwalls.errors import DEFAULT_I_MAX, DEFAULT_K_MAX, BudgetExceeded, CscwallsError
 from cscwalls.staircase import WindowSquare
 
 
@@ -229,12 +229,68 @@ def pigeonhole_by_memory(query, n, i_max=10**6):
     raise AssertionError(f"no repeated top within {i_max} developed words")
 
 
+def find_periodic_top_by_stacking(query, n, i_max=DEFAULT_I_MAX):
+    """Reference height at exponent n: stack vertical periods on the n-th
+    power of the horizontal word until the developed top returns to the
+    bottom (the engine reads j(n*|w1|) off the query's sweep).
+
+    Returns (j, first_repeat) with first_repeat == j: the least j with
+    fill_rectangle(h^n, v^j).top == h^n.  No earlier top needs remembering.  In a
+    CSC every cell is determined by its SW corner pair and equally by its NW
+    corner pair, so stacking one vertical period is a bijection on the finite
+    set of words of length n*|w1|; the orbit of the bottom is purely periodic
+    and the first repeated top is the bottom itself.  i_max caps the number
+    of stacked periods.  Development is unique, so the tall rectangle of
+    height j periods has the same top as the stack and is not developed
+    again.
+    """
+    tables = query.complex.tables
+    v_ids = _word_ids(query.complex, query.vword.period)
+    bottom = _word_ids(query.complex, query.hword.power(n))
+    top = bottom
+    for j in range(1, i_max + 1):
+        top, _ = develop_ids(tables, top, v_ids)
+        if top == bottom:
+            return j, j
+    raise BudgetExceeded(f"no repeated top within {i_max} developed words")
+
+
+def overlap_at_height_by_streaming(query, j, k_max=DEFAULT_K_MAX):
+    """Reference agreement lengths (west, east) between the horizontal
+    periodic line and the flat's label line at height j vertical periods (the
+    engine reads them off the query's sweeps).
+
+    Each direction streams columns of the rectangle of height j periods,
+    bottom extended by a horizontal period, until the developed top first
+    diverges from the periodic word: eastward with the horizontal word,
+    westward with its inverse.  Reading a square from its SE corner is one of
+    the four readings the corner tables store, so the mirror image of the
+    flat develops on the same tables and no mirrored complex is built.  East
+    runs first.  Raises BudgetExceeded with a periodic-flat diagnostic when
+    either direction fails to diverge within k_max periods.
+    """
+    p = query.complex
+    side = _word_ids(p, query.vword.period) * j
+    max_cols = k_max * len(query.hword)
+    lengths = {}
+    for direction, hword in (("east", query.hword), ("west", query.hword.inverse())):
+        cols = stream_mismatch_ids(p.tables, _word_ids(p, hword.period), side, max_cols)
+        if cols < 0:
+            raise BudgetExceeded(
+                f"no divergence {direction} of the basepoint within {k_max} periods",
+                diagnostic=PERIODIC_FLAT_DIAGNOSTIC,
+            )
+        lengths[direction] = cols
+    return lengths["west"], lengths["east"]
+
+
 def overlap_gamma_by_streams(query, n, k_max=10**4, i_max=10**6):
     """Reference overlap at exponent n: stack vertical periods on h^n until
-    the top comes back (find_periodic_top), then stream columns east and west
-    at that height until the first mismatch (overlap_at_height)."""
-    j, _ = find_periodic_top(query, n, i_max=i_max)
-    left_len, right_len = overlap_at_height(query, j, k_max=k_max)
+    the top comes back (find_periodic_top_by_stacking), then stream columns
+    east and west at that height until the first mismatch
+    (overlap_at_height_by_streaming)."""
+    j, _ = find_periodic_top_by_stacking(query, n, i_max=i_max)
+    left_len, right_len = overlap_at_height_by_streaming(query, j, k_max=k_max)
     return GammaResult(
         n=n,
         j=j,

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import cscwalls as cw
 from cscwalls.antitorus import (
-    DEFAULT_K_MAX,
     AntiTorusQuery,
     GammaResult,
     _candidates,
@@ -29,7 +28,9 @@ from .oracles import (
     SweepByScan,
     commuting_powers_by_blocks,
     commuting_powers_by_rectangles,
+    find_periodic_top_by_stacking,
     orbit_lengths_by_blocks,
+    overlap_at_height_by_streaming,
     overlap_gamma_by_streams,
     periodic_agreement,
     periodic_ids_by_filtering,
@@ -213,22 +214,20 @@ class TestOverlap:
         assert found is not None
 
     def test_ends_at_fixed_height_match_row_major(self, census22):
-        """At heights j = 1..7 the streams and the orbit sweeps measure the
-        ends that row-major development finds: east with the horizontal
-        word, west with its inverse on the mirrored complex.  The pair's west
-        end lies further out than its east end at some of these heights, so
-        a swap of the two directions fails."""
+        """At heights j = 1..7 the orbit sweeps and the divergence streams
+        measure the ends that row-major development finds: east with the
+        horizontal word, west with its inverse on the mirrored complex.  The
+        pair's west end lies further out than its east end at some of these
+        heights, so a swap of the two directions fails."""
         p = census22[69]
         q = query(p, "b", "x -y")
-        east, west = q.sweeps
-        max_cols = DEFAULT_K_MAX * len(q.hword)
         asymmetric = 0
         for j in range(1, 8):
             left, right = overlap_at_height(q, j)
             side = q.vword.power(j)
             assert periodic_agreement(p, q.hword.period, side, right + 1) == right
             assert periodic_agreement(p.mirrored, q.hword.inverse().period, side, left + 1) == left
-            assert (west.agreement(j, max_cols), east.agreement(j, max_cols)) == (left, right)
+            assert overlap_at_height_by_streaming(q, j) == (left, right)
             asymmetric += left != right
         assert asymmetric
 
@@ -408,9 +407,9 @@ class TestOverlapSweep:
         assert set(seen) == want and min(seen.values()) >= 10, seen
 
     def test_pigeonhole_heights_divide_the_next(self, screened_pairs):
-        """The lemma the sweep keeps its rises by, on the pigeonhole, which
-        stacks periods on each w1^n from scratch: for every screened pair
-        with a one-letter w1, j(n) divides j(n+1) for n = 1..12 while j
+        """The lemma the sweep keeps its rises by, on the stacking reference,
+        which stacks periods on each w1^n from scratch: for every screened
+        pair with a one-letter w1, j(n) divides j(n+1) for n = 1..12 while j
         stays within i_max = 400.  Some heights must stay and some rise."""
         seen = Counter()
         for q in screened_pairs:
@@ -419,7 +418,7 @@ class TestOverlapSweep:
             heights = []
             for n in range(1, 13):
                 try:
-                    heights.append(find_periodic_top(q, n, i_max=400)[0])
+                    heights.append(find_periodic_top_by_stacking(q, n, i_max=400)[0])
                 except BudgetExceeded:
                     break
             for a, b in pairwise(heights):

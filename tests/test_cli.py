@@ -524,6 +524,42 @@ def test_failed_write_leaves_no_artifact(capsys, aperiodic_path, tmp_path, case)
     assert list(tmp_path.iterdir()) == kept
 
 
+CERTIFY = "certify --L 4 --r 2 --steps 3 --p 3"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "validate --complex in.sqc --out in.sqc",
+        "validate --complex in.sqc --out ./in.sqc",
+        "validate --complex in.sqc --out link.sqc",
+        "validate --complex in.sqc --manifest in.sqc",
+        "validate --complex a.manifest.json --out a",
+        "validate --complex in.sqc --out v.json --manifest v.json",
+        f"{CERTIFY} --out c.json --manifest c.json",
+        f"{CERTIFY} --out c.json --dot c.json",
+        f"{CERTIFY} --out c.json --manifest m.json --dot m.json",
+        f"{CERTIFY} --out c.json --dot c.json.manifest.json",
+        f"{CERTIFY} --manifest d.dot --dot d.dot",
+    ],
+)
+def test_colliding_paths_are_an_input_error(capsys, tmp_path, monkeypatch, line):
+    """Two of --complex, --out, the manifest (given, or <out>.manifest.json)
+    and --dot that name one file, by the same name, another spelling or a
+    symlink, exit 1 with one error line before anything is read or written:
+    no file is created and every file keeps its bytes."""
+    monkeypatch.chdir(tmp_path)
+    text = files("cscwalls.data").joinpath("torus.sqc").read_bytes()
+    (tmp_path / "in.sqc").write_bytes(text)
+    (tmp_path / "a.manifest.json").write_bytes(text)
+    (tmp_path / "link.sqc").symlink_to("in.sqc")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    code, out, err = run(capsys, *line.split())
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "name the same file" in err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 class TestManifest:
     def test_embedded_digest_and_reproducibility(self, capsys, aperiodic_path, tmp_path):
         out1 = tmp_path / "g1.json"

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import cscwalls
+from cscwalls import antitorus
 from cscwalls.staircase import StairParams, build_staircase, contact_graph, walls
 
 from .oracles import contact_graph_by_tuples
@@ -64,15 +65,21 @@ def test_benchmark_entry_points_exist():
     assert isinstance(cscwalls.BACKEND, str)
 
 
+def _spans():
+    """perfbench/spans.py, loaded from its file without changing it."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_benchmark_staircase_work_counts():
     """perfbench reads the staircase work counts off what build_staircase,
     walls and contact_graph return (INFO in perfbench/spans.py).  Those
     results build their squares and wall-id maps on first use, and tier-1
     does not run the benchmark, so a change there that broke a count would
     otherwise go unseen."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _spans()
     params = StairParams(4, 2, 3)
     window = build_staircase(params)
     graph = contact_graph(window)
@@ -81,6 +88,20 @@ def test_benchmark_staircase_work_counts():
     assert spans.INFO["staircase.walls"](walls(window), window) == len(oracle.walls)
     contact_edges = sum(map(len, oracle.neighbors.values())) // 2
     assert spans.INFO["staircase.contact_graph"](graph, window) == contact_edges > 0
+
+
+def test_benchmark_overlap_metrics_are_live(shipped):
+    """perfbench reads the pigeonhole and stream metrics off the spans of
+    find_periodic_top and overlap_at_height, so overlap_gamma must reach the
+    overlap through both: a refactor that bypassed them would make these
+    metrics read 0 with no test failing.  On the shipped pair j(5) = 36."""
+    spans = _spans()
+    q = antitorus.AntiTorusQuery(shipped.complex, shipped.hword, shipped.vword)
+    with spans.Tracer().installed() as tracer:
+        gamma = antitorus.overlap_gamma(q, 5)
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["antitorus.pigeonhole_steps"] == gamma.j == 36
+    assert metrics["antitorus.stream_s"] > 0
 
 
 def test_import_loads_no_fractions_or_decimal():
