@@ -68,11 +68,21 @@ def projection_diameter(query, n, k_max=DEFAULT_K_MAX, i_max=DEFAULT_I_MAX):
 
     Equals the overlap length: the projection maps the overlap isometrically
     and everything beyond it to the overlap's endpoints, which add nothing to
-    the diameter.  Contains the basepoint by construction: j stacked periods
-    return h^n, so right_len >= n*|w1|, and left_len is never negative.
+    the diameter.  contains_basepoint is read off the overlap (see
+    _contains_basepoint); j stacked periods return h^n, so it holds.
     """
     gamma = overlap_gamma(query, n, k_max=k_max, i_max=i_max)
-    return ProjectionResult(n=n, gamma=gamma, diam=gamma.total_len, contains_basepoint=True)
+    return ProjectionResult(
+        n=n, gamma=gamma, diam=gamma.total_len, contains_basepoint=_contains_basepoint(gamma, len(query.hword))
+    )
+
+
+def _contains_basepoint(gamma, width):
+    """Whether the overlap gamma reaches the basepoint and covers the
+    |n|*width edges its height was chosen for: east of the basepoint
+    (right_len) for n > 0, west (left_len) for n < 0.  width is |w1|."""
+    covered = gamma.right_len if gamma.n > 0 else gamma.left_len
+    return min(gamma.left_len, gamma.right_len) >= 0 and covered >= abs(gamma.n) * width
 
 
 def obstruction_table(

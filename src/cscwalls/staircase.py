@@ -88,12 +88,16 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
 #     the link condition, under which each label is one wall;
 #   - walls are numbered by the tuple of their least edge, so numbers follow
 #     the order of edge tuples; a wall's one name is w0000, w0001, ...
-#   - crossings are kept once, as the vertical walls each horizontal wall
-#     crosses, read off each piece's labels; contacts add the pairs of walls
-#     that meet at a vertex without crossing (ContactGraph).
-# A window holds no vertex or edge tuples.  Its squares are the tuple it was
-# given, or one built from its runs on first use; ContactGraph.neighbors and
-# .crossings, keyed by wall id, are also built on first use.
+#   - crossings sit in one list per wall: a horizontal wall's holds the
+#     vertical walls it crosses, read off each piece's labels, and a vertical
+#     wall's the horizontal walls that cross it, so each square is one entry
+#     on each side; the contacts that are not crossings (runs that touch,
+#     neighbouring edges of one edge row, the corner rule) sit in one small
+#     set per wall (ContactGraph).
+# A window holds no vertex or edge tuples, and its graph no hashed entry per
+# crossing.  Its squares are the tuple it was given, or one built from its
+# runs on first use; ContactGraph.neighbors and .crossings, keyed by wall id,
+# are also built on first use.
 
 
 class WindowSquare(namedtuple("WindowSquare", "sw se nw ne")):
@@ -521,11 +525,17 @@ class ContactGraph:
 
     crossings is the transversality subrelation: walls sharing a square.
     walls is the list of wall ids, and a wall's number is its position there.
-    The graph is built on wall numbers: _adjacency holds one set of wall
-    numbers per wall, and _across holds each crossing once, as the set of
-    vertical walls each horizontal wall crosses.  neighbors and crossings
-    keyed by wall id, each neighbour tuple sorted as strings, are built on
-    first use.  The window must satisfy the link condition.
+    The graph is built on wall numbers, as one list and one set per wall:
+    _across[k] lists the walls that cross wall k, and _contacts[k] holds the
+    walls that meet it at a vertex without crossing it.  A horizontal wall's
+    list is the vertical walls of its squares, read off the labels of their
+    bottom edges; a vertical wall's list is filled from those, so each
+    crossing is one entry on each side.  Under the link condition a
+    horizontal wall lies in one row of squares and a vertical one in one
+    column, with at most one square in each row, so two walls share at most
+    one square: no list repeats a wall.  neighbors and crossings keyed by
+    wall id, each neighbour tuple sorted as strings, are built on first use.
+    The window must satisfy the link condition.
     """
 
     def __init__(self, window):
@@ -535,37 +545,43 @@ class ContactGraph:
         vertical, horizontal = part.vertical, part.horizontal
 
         # each square of a run: the run's wall crosses the wall of its bottom edge
-        self._across = across = {h: set() for h in horizontal}
+        self._across = across = [[] for _ in range(part.count)]
         for k, pieces in enumerate(layout.pieces):
             crossed = across[horizontal[k]]
             for c0, c1, kb, _ in pieces:
                 lo, row = part.labels[kb]
-                crossed.update(map(vertical.__getitem__, islice(row, c0 - lo, c1 - lo)))
+                crossed.extend(map(vertical.__getitem__, islice(row, c0 - lo, c1 - lo)))
+        for h in dict.fromkeys(horizontal):
+            for v in across[h]:
+                across[v].append(h)
 
         # The walls at a vertex are the walls of its edges.  Two walls that
-        # cross meet at the square's corners; the other pairs are two runs
-        # sharing a vertex, the walls of two neighbouring edges in one edge row,
-        # and the walls at a vertex where the segments through it differ.
-        self._adjacency = adjacency = [set() for _ in range(part.count)]
-        for h, crossed in across.items():
-            adjacency[h].update(crossed)
-            for v in crossed:
-                adjacency[v].add(h)
+        # cross meet at the square's corners and are listed above; the
+        # contacts are the other pairs: two runs sharing a vertex, the walls
+        # of two neighbouring edges in one edge row, and the walls at a vertex
+        # where the segments through it differ.
+        self._contacts = contacts = [set() for _ in range(part.count)]
         for j, k in layout.touching:
-            adjacency[horizontal[j]].add(horizontal[k])
-            adjacency[horizontal[k]].add(horizontal[j])
+            a, b = horizontal[j], horizontal[k]
+            if a != b:
+                contacts[a].add(b)
+                contacts[b].add(a)
         pure = [row for (_, t1, t2), (_, row) in part.labels.items() if t1 == t2]
         for a, b in set(zip(chain.from_iterable(pure), islice(chain.from_iterable(pure), 1, None))):
             if a >= 0 and b >= 0:
-                adjacency[vertical[a]].add(vertical[b])
-                adjacency[vertical[b]].add(vertical[a])
+                contacts[vertical[a]].add(vertical[b])
+                contacts[vertical[b]].add(vertical[a])
         rows = layout.vertex_rows
+        cornered = set()
         for (y, t), x in layout.corners:
             met = _walls_at(part, y, t, x, rows[y, t])
+            cornered.update(met)
             for w in met:
-                adjacency[w].update(met)
-        for k, adj in enumerate(adjacency):
-            adj.discard(k)
+                contacts[w].update(met)
+        # only the corner rule pairs a wall with itself or with a wall it crosses
+        for w in cornered:
+            contacts[w].discard(w)
+            contacts[w].difference_update(across[w])
 
     @cached_property
     def _numbers(self):
@@ -581,17 +597,15 @@ class ContactGraph:
     @cached_property
     def neighbors(self):
         names = self.walls
-        return {names[k]: tuple(sorted([names[j] for j in adj])) for k, adj in enumerate(self._adjacency)}
+        return {
+            names[k]: tuple(sorted([names[j] for j in chain(crossed, near)]))
+            for k, (crossed, near) in enumerate(zip(self._across, self._contacts))
+        }
 
     @cached_property
     def crossings(self):
-        crossed = [set() for _ in self.walls]
-        for h, vertical in self._across.items():
-            crossed[h].update(vertical)
-            for v in vertical:
-                crossed[v].add(h)
         names = self.walls
-        return {names[k]: frozenset([names[j] for j in c]) for k, c in enumerate(crossed)}
+        return {names[k]: frozenset([names[j] for j in crossed]) for k, crossed in enumerate(self._across)}
 
 
 def _walls_at(part, y, t, x, entries):
@@ -618,16 +632,17 @@ def _distances(graph, start):
     """BFS hop counts from wall number start to every wall number, and the wall
     numbers in the order the search reached them.  Raises CscwallsError when
     some wall is unreachable, i.e. when the contact graph is disconnected."""
-    adjacency = graph._adjacency
-    dist = [-1] * len(adjacency)
+    across, contacts = graph._across, graph._contacts
+    dist = [-1] * len(across)
     dist[start] = 0
     order = [start]
     for cur in order:  # order grows as the search runs: it is the queue
         d = dist[cur] + 1
-        for nxt in adjacency[cur]:
-            if dist[nxt] < 0:
-                dist[nxt] = d
-                order.append(nxt)
+        for near in (across[cur], contacts[cur]):
+            for nxt in near:
+                if dist[nxt] < 0:
+                    dist[nxt] = d
+                    order.append(nxt)
     if len(order) != len(dist):
         raise CscwallsError("contact graph is disconnected")
     return dist, order
@@ -635,7 +650,9 @@ def _distances(graph, start):
 
 def contact_distances(graph, source):
     """BFS hop counts from wall id source to every wall of the contact graph,
-    keyed by wall id.
+    keyed by wall id, the keys in the order the search reached the walls: a
+    wall's crossing list first, then its contact set.  That order is not
+    part of any artifact.
 
     Raises CscwallsError when some wall is unreachable, i.e. when the contact
     graph is disconnected, as it is for a window of two squares that share no
@@ -658,9 +675,9 @@ def contact_graph_dot(graph):
     and the two ids of each line in string order."""
     names = graph.walls
     lines = ["graph contact {", *(f'  "{w}";' for w in names)]
-    for k, adj in enumerate(graph._adjacency):
+    for k, (crossed, near) in enumerate(zip(graph._across, graph._contacts)):
         w = names[k]
-        for other in sorted([names[j] for j in adj if j > k]):
+        for other in sorted([names[j] for j in chain(crossed, near) if j > k]):
             a, b = (w, other) if w < other else (other, w)
             lines.append(f'  "{a}" -- "{b}";')
     lines.append("}")
@@ -767,13 +784,14 @@ def nonacyl_certificate(params, p, graph=None):
         raise CscwallsError("witness wall does not attain the crossing bound")
 
     base = family[0]
+    crossers = set(across[witness])  # the horizontal walls that cross the witness
     from_base, _ = _distances(graph, base)
     distances = []
     for i in range(1, p + 1):
         d = from_base[family[i]]
         distances.append((i, d))
         if i < m:
-            if not (witness in across[base] and witness in across[family[i]]):
+            if not (base in crossers and family[i] in crossers):
                 raise CscwallsError(f"witness wall misses translate {i}")
             if d != 2:
                 raise CscwallsError(f"distance to translate {i} is {d}, expected 2")

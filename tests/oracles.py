@@ -17,8 +17,10 @@ edges, counts, validation, walls and contact graphs on vertex and edge tuples
 instead of row runs (the engine keeps no vertex or edge tuples, and its walls
 need the link condition, where these take any squares), a contact-graph DOT
 writer that goes through wall ids and a seen-set instead of wall numbers,
-and staircase crossing counts and contact distances taken wall by wall
-instead of from the family side and one breadth-first search.
+staircase crossing counts and contact distances taken wall by wall
+instead of from the family side and one breadth-first search, and all
+contact distances from one wall by a breadth-first search over a neighbour
+map keyed by wall id instead of the engine's per-wall lists.
 """
 
 import functools
@@ -400,6 +402,20 @@ def contact_distance_by_search(graph, a, b):
                 return dist[nxt]
             queue.append(nxt)
     raise AssertionError(f"wall {b} is unreachable from {a}")
+
+
+def contact_distances_by_search(neighbors, source):
+    """Hop counts from wall id source to every wall it reaches, by a
+    breadth-first search over a neighbour map keyed by wall id."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        cur = queue.popleft()
+        for nxt in neighbors[cur]:
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                queue.append(nxt)
+    return dist
 
 
 class TupleWall(NamedTuple):

@@ -8,9 +8,9 @@ import pytest
 import cscwalls as cw
 from hypothesis import given, settings, strategies as st
 
-from cscwalls.antitorus import AntiTorusQuery, overlap_gamma, screen_anti_torus
+from cscwalls.antitorus import AntiTorusQuery, GammaResult, overlap_gamma, screen_anti_torus
 from cscwalls.errors import BudgetExceeded, CommutingPowersFound
-from cscwalls.obstruction import obstruction_table, projection_diameter, well_separation
+from cscwalls.obstruction import _contains_basepoint, obstruction_table, projection_diameter, well_separation
 
 from .oracles import overlap_gamma_by_streams, periodic_agreement
 
@@ -34,6 +34,25 @@ class TestProjectionDiameter:
         )
         assert (west, east) == (r.gamma.left_len, r.gamma.right_len)
         assert west + east == r.diam
+
+    @settings(max_examples=40)
+    @given(st.integers(-40, 40).filter(bool))
+    def test_basepoint_is_covered_at_every_exponent(self, shipped, n):
+        """The overlap reaches the basepoint and covers the |n|*|w1| edges
+        on the side of h^n, west of it for negative n."""
+        assert projection_diameter(shipped, n).contains_basepoint
+
+    @pytest.mark.parametrize("n", [3, -3])
+    def test_overlap_one_edge_short_misses_the_basepoint(self, n):
+        """|w1| = 2: covering 6 edges on the side of h^n contains the
+        basepoint; 5, or a negative length on the other side, does not."""
+        def gamma(covered, other):
+            left, right = (other, covered) if n > 0 else (covered, other)
+            return GammaResult(n, 1, left, right, left + right, 1)
+
+        assert _contains_basepoint(gamma(6, 0), 2)
+        assert not _contains_basepoint(gamma(5, 0), 2)
+        assert not _contains_basepoint(gamma(6, -1), 2)
 
     def test_n5_bound(self, shipped):
         assert projection_diameter(shipped, 5).diam >= 5 * len(shipped.hword)

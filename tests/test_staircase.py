@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from itertools import pairwise
 
 import pytest
@@ -25,6 +26,7 @@ from cscwalls.staircase import (
 
 from .oracles import (
     contact_distance_by_search,
+    contact_distances_by_search,
     contact_graph_by_tuples,
     contact_graph_dot_by_names,
     counts_by_tuples,
@@ -145,7 +147,8 @@ def base_axis_edge(params):
 
 
 def assert_graph_matches_oracle(window):
-    """Walls and contact graph of the run engine equal the tuple-keyed oracle."""
+    """Walls and contact graph of the run engine equal the tuple-keyed oracle,
+    and its per-wall lists hold what the engine assumes of them."""
     graph = contact_graph(window)
     oracle = contact_graph_by_tuples(window)
     assert graph.walls == walls(window) == [w.id for w in oracle.walls]
@@ -153,6 +156,34 @@ def assert_graph_matches_oracle(window):
     assert graph.neighbors == oracle.neighbors
     assert graph.crossings == oracle.crossings
     assert contact_graph_dot(graph) == contact_graph_dot_by_names(oracle)
+    assert_lists_match_oracle(graph, oracle)
+
+
+def assert_lists_match_oracle(graph, oracle):
+    """Each square is one crossing entry on each side; no wall lists a wall
+    twice, itself included, across its crossing list and its contact set;
+    and one BFS over those lists gives the oracle's distances, in BFS order:
+    from every wall of a window of at most 50 walls, from 8 walls spread
+    over the walls of a larger one."""
+    window = graph.window
+    horizontal = set(window._walls.horizontal)
+    entries = [0, 0]  # on the vertical side, on the horizontal side
+    for k, (crossed, near) in enumerate(zip(graph._across, graph._contacts)):
+        entries[k in horizontal] += len(crossed)
+        listed = [*crossed, *near, k]
+        assert len(set(listed)) == len(listed), graph.walls[k]
+    assert entries == [window.counts()["squares"]] * 2
+    names = graph.walls
+    sources = names if len(names) <= 50 else names[:: -(-len(names) // 8)]
+    for source in sources:
+        expected = contact_distances_by_search(oracle.neighbors, source)
+        if len(expected) < len(names):
+            with pytest.raises(CscwallsError, match="disconnected"):
+                contact_distances(graph, source)
+            continue
+        found = contact_distances(graph, source)
+        assert found == expected
+        assert list(found.values()) == sorted(found.values())
 
 
 def assert_walls_match_oracle(window):
@@ -374,6 +405,7 @@ class TestWalls:
         )
         oracle = contact_graph_by_tuples(graph.window)
         assert contact_graph_dot(graph) == contact_graph_dot_by_names(oracle)
+        assert_lists_match_oracle(graph, oracle)
 
 
 class TestContactGraph:
@@ -568,6 +600,19 @@ class TestCertificate:
         graph = contact_graph(window)
         nonacyl_certificate(params, 100, graph)
         assert "squares" not in graph.window.__dict__
+
+    def test_benchmark_scale_heap_budget(self):
+        """Build, contact graph and certificate of the wide benchmark window
+        peak below 6 MiB of traced heap: its 45,308 crossings sit in plain
+        lists, and no hashed set holds an entry per crossing."""
+        params = StairParams(110, 4, 100)
+        tracemalloc.start()
+        try:
+            nonacyl_certificate(params, 100, contact_graph(build_staircase(params)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, f"traced heap peak {peak / 2**20:.2f} MiB"
 
     def test_graph_of_another_window_is_rejected(self):
         """A margin-1 graph with margin-2 parameters would certify distances
