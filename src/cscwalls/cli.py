@@ -43,10 +43,6 @@ class Run:
         self.bounds = {}
         self.outputs = {}
 
-    def input_file(self, role, path):
-        with open(path, "rb") as fh:
-            self.inputs[role] = _sha256(fh.read())
-
     def _head(self):
         """The manifest fields covered by the digest."""
         return {
@@ -107,13 +103,21 @@ def _manifest_path(args):
     return out + ".manifest.json" if manifest is None and out else manifest
 
 
+def _load_complex(args, run):
+    """Read --complex once: the manifest's digest is of the bytes parsed."""
+    from .complexes import _parse_bytes
+
+    with open(args.complex, "rb") as fh:
+        data = fh.read()
+    run.inputs["complex"] = _sha256(data)
+    return _parse_bytes(data)
+
+
 def _load_query(args, run):
     from .antitorus import AntiTorusQuery
-    from .complexes import load_complex
     from .develop import PeriodicWord, parse_word
 
-    run.input_file("complex", args.complex)
-    p = load_complex(args.complex)
+    p = _load_complex(args, run)
     hw = PeriodicWord(parse_word(p, args.w1))
     vw = PeriodicWord(parse_word(p, args.w2))
     run.params.update({"w1": args.w1, "w2": args.w2})
@@ -168,10 +172,9 @@ def _parse_bounds(text):
 
 
 def _cmd_validate(args, run):
-    from .complexes import load_complex, validate_csc
+    from .complexes import validate_csc
 
-    run.input_file("complex", args.complex)
-    report = validate_csc(load_complex(args.complex))
+    report = validate_csc(_load_complex(args, run))
     return run.emit(
         {
             "is_csc": report.is_csc,
@@ -213,11 +216,9 @@ def _cmd_enumerate(args, run):
 
 
 def _cmd_develop(args, run):
-    from .complexes import load_complex
     from .develop import fill_rectangle, parse_word
 
-    run.input_file("complex", args.complex)
-    p = load_complex(args.complex)
+    p = _load_complex(args, run)
     bottom = parse_word(p, args.bottom) if args.bottom else parse_word(p, "", klass="horizontal")
     left = parse_word(p, args.left) if args.left else parse_word(p, "", klass="vertical")
     run.params.update({"bottom": args.bottom, "left": args.left, "dump_cells": args.dump_cells})

@@ -300,7 +300,7 @@ def validate_csc(presentation):
 # ---------------------------------------------------------------------------
 #
 #   # comment
-#   vertex: P Q            (optional; one-vertex is implied when absent)
+#   vertex: P Q            (optional, and first; one-vertex is implied when absent)
 #   hedges: a b            (tokens are names, or name=origin:terminus when
 #   vedges: x y             vertices were declared)
 #   square: a x a -x       (bottom right top left; '-' reverses orientation)
@@ -324,7 +324,8 @@ def parse_complex(text):
     """Parse a presentation file; see the format sketch above.
 
     Raises ParseError (with DuplicateLabel / ClassError subtypes) on malformed
-    input.  Edges must be declared before the squares that use them.
+    input.  Vertices must be declared before edges, and edges before the
+    squares that use them.
     """
     vertices = []
     hedges, vedges = [], []
@@ -350,6 +351,8 @@ def parse_complex(text):
             raise ParseError(lineno, f"expected 'directive: ...', got {line!r}")
         tokens = rest.split()
         if directive == "vertex":
+            if seen:
+                raise ParseError(lineno, "vertex: must come before the edges")
             for tok in tokens:
                 if tok in vertices:
                     raise ParseError(lineno, f"duplicate vertex {tok!r}")
@@ -389,7 +392,11 @@ def parse_complex(text):
 
 def load_complex(path):
     with open(path, "rb") as fh:
-        data = fh.read()
+        return _parse_bytes(fh.read())
+
+
+def _parse_bytes(data):
+    """parse_complex on a file's bytes; a byte not UTF-8 is a ParseError at its line."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -6,20 +6,20 @@ particular determines the top and right boundary words.  Development runs
 column-major from the SW corner: columns are computed left to right and
 never revised, so tops of widening rectangles are prefix-stable.
 
-Every search develops through one loop, ``_develop``, over integer germ ids:
-``develop_ids`` runs it once on a copy of the left word, and
-``stream_mismatch_ids`` runs it one column at a time; no package search
-calls the latter, which is the germ-level stream of the test oracles'
-divergence references.  ``orbit_lengths`` is the one stacking algorithm: the
-commuting-powers screen and the overlap sweep both read it.  It develops one
-column at a time too, over a right word held in chunks of CHUNK germ ids; a
-per-sweep table maps (chunk, letter in) to (letter out, developed chunk), so
-``develop_ids`` runs only on a chunk the table has not met with that letter,
-or on a right word that still fits in one chunk.  A column over a right
-word within one chunk is stored in a dict that the caller may share among
-sweeps on one complex, so the census screen develops such a column once per
-complex however many of its verdicts meet it.  The only other loop is
-``_fill_cells``, which also records every cell for inspection.
+Every development goes through one loop, ``_develop``, over integer germ
+ids: ``develop_ids`` runs it once on a copy of the left word,
+``stream_mismatch_ids`` one column at a time, and ``_fill_cells`` one cell
+at a time, recording each cell for inspection.  No package search calls
+``stream_mismatch_ids``, which is the germ-level stream of the test
+oracles' divergence references.  ``orbit_lengths`` is the one stacking
+algorithm: the commuting-powers screen and the overlap sweep both read it.
+It develops one column at a time too, over a right word held in chunks of
+CHUNK germ ids; a per-sweep table maps (chunk, letter in) to (letter out,
+developed chunk), so ``develop_ids`` runs only on a chunk the table has not
+met with that letter, or on a right word that still fits in one chunk.  A
+column over a right word within one chunk is stored in a dict that the
+caller may share among sweeps on one complex, so the census screen develops
+such a column once per complex however many of its verdicts meet it.
 """
 
 import itertools
@@ -404,28 +404,18 @@ def fill_rectangle(presentation, bottom, left, keep_cells=False):
 
 
 def _fill_cells(presentation, tables, bottom_ids, left_ids):
-    sq_tab, co_tab, top_tab, right_tab = tables.square, tables.corner, tables.top, tables.right
+    """develop_ids one cell at a time, recording each cell."""
     hgerms, vgerms = presentation.germs[HORIZONTAL], presentation.germs[VERTICAL]
     rows = [[] for _ in left_ids]
     side = list(left_ids)
     top = []
     for b in bottom_ids:
         for j, v in enumerate(side):
-            s = sq_tab[b][v]
-            if s < 0:
-                raise DevelopmentError("development hit a missing corner")
-            nt, nr = top_tab[b][v], right_tab[b][v]
-            rows[j].append(
-                Cell(
-                    square=s,
-                    corner=CORNERS[co_tab[b][v]],
-                    bottom=hgerms[b],
-                    right=vgerms[nr],
-                    top=hgerms[nt],
-                    left=vgerms[v],
-                )
-            )
-            side[j] = nr
-            b = nt
+            cell = [v]
+            (t,) = _develop(tables, (b,), cell)
+            side[j] = r = cell[0]
+            corner = CORNERS[tables.corner[b][v]]
+            rows[j].append(Cell(tables.square[b][v], corner, hgerms[b], vgerms[r], hgerms[t], vgerms[v]))
+            b = t
         top.append(b)
-    return top, side, tuple(tuple(r) for r in rows)
+    return top, side, tuple(map(tuple, rows))

@@ -92,8 +92,8 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
 #     vertical walls it crosses, read off each piece's labels, and a vertical
 #     wall's the horizontal walls that cross it, so each square is one entry
 #     on each side; the contacts that are not crossings (runs that touch,
-#     neighbouring edges of one edge row, the corner rule) sit in one small
-#     set per wall (ContactGraph).
+#     consecutive squares of one run, the corner rule) sit in one small set
+#     per wall (ContactGraph).
 # A window holds no vertex or edge tuples, and its graph no hashed entry per
 # crossing.  Its squares are the tuple it was given, or one built from its
 # runs on first use; ContactGraph.neighbors and .crossings, keyed by wall id,
@@ -284,11 +284,11 @@ def _layout(runs):
         n_edges += covered - stretches
         if hi > lo:
             edge_rows[y, t, t] = (lo, hi - 1)
-        # Crossings, runs sharing a vertex and neighbouring edges of one edge
-        # row pair up the walls at a vertex, unless a segment has two edges
-        # there not both in tag t (at an end next to a segment of another
-        # tag), or two segments have different edges there (at an end of
-        # their overlap).
+        # Crossings, runs sharing a vertex and consecutive squares of one run
+        # pair up the walls at a vertex, unless a segment has two edges there
+        # not both in tag t (at an end next to a segment of another tag), or
+        # two segments have different edges there (at an end of their
+        # overlap).
         for x0, x1, _, before, after in entries:
             if before is not None and (x0 < x1 or after is not None):
                 corners.add(((y, t), x0))
@@ -344,9 +344,7 @@ def _walls(runs, layout):
     its top edges.  The window must satisfy the link condition: then no other
     square lies below those top edges, so no two labels meet and each label
     is one wall, whose least edge is the one it was born at."""
-    # one more -1 past the last column, so that no two rows chained end to end
-    # make neighbours of their edges
-    labels = {key: (lo, [-1] * (hi - lo + 2)) for key, (lo, hi) in layout.edge_rows.items()}
+    labels = {key: (lo, [-1] * (hi - lo + 1)) for key, (lo, hi) in layout.edge_rows.items()}
     keys = {}  # wall -> its least edge; a label's is the edge it was born at
     for k in sorted(range(len(runs)), key=lambda k: runs[k][0]):
         for c0, c1, kb, kt in layout.pieces[k]:
@@ -527,7 +525,8 @@ class ContactGraph:
     walls is the list of wall ids, and a wall's number is its position there.
     The graph is built on wall numbers, as one list and one set per wall:
     _across[k] lists the walls that cross wall k, and _contacts[k] holds the
-    walls that meet it at a vertex without crossing it.  A horizontal wall's
+    walls that meet it at a vertex without crossing it: runs that touch,
+    consecutive squares of one run, the corner rule.  A horizontal wall's
     list is the vertical walls of its squares, read off the labels of their
     bottom edges; a vertical wall's list is filled from those, so each
     crossing is one entry on each side.  Under the link condition a
@@ -544,33 +543,32 @@ class ContactGraph:
         layout, part = window._layout, window._walls
         vertical, horizontal = part.vertical, part.horizontal
 
-        # each square of a run: the run's wall crosses the wall of its bottom edge
+        # a run's wall crosses its squares' bottom-edge walls; consecutive ones meet
         self._across = across = [[] for _ in range(part.count)]
+        self._contacts = contacts = [set() for _ in range(part.count)]
         for k, pieces in enumerate(layout.pieces):
-            crossed = across[horizontal[k]]
+            own = []
             for c0, c1, kb, _ in pieces:
                 lo, row = part.labels[kb]
-                crossed.extend(map(vertical.__getitem__, islice(row, c0 - lo, c1 - lo)))
+                own.extend(map(vertical.__getitem__, islice(row, c0 - lo, c1 - lo)))
+            across[horizontal[k]].extend(own)
+            for a, b in pairwise(own):
+                contacts[a].add(b)
+                contacts[b].add(a)
         for h in dict.fromkeys(horizontal):
             for v in across[h]:
                 across[v].append(h)
 
         # The walls at a vertex are the walls of its edges.  Two walls that
-        # cross meet at the square's corners and are listed above; the
-        # contacts are the other pairs: two runs sharing a vertex, the walls
-        # of two neighbouring edges in one edge row, and the walls at a vertex
-        # where the segments through it differ.
-        self._contacts = contacts = [set() for _ in range(part.count)]
+        # cross meet at the square's corners and are listed above; so are
+        # consecutive squares of one run, whose top edges carry their bottom
+        # edges' walls.  The other contacts: runs sharing a vertex, and the
+        # walls at a vertex where the segments through it differ.
         for j, k in layout.touching:
             a, b = horizontal[j], horizontal[k]
             if a != b:
                 contacts[a].add(b)
                 contacts[b].add(a)
-        pure = [row for (_, t1, t2), (_, row) in part.labels.items() if t1 == t2]
-        for a, b in set(zip(chain.from_iterable(pure), islice(chain.from_iterable(pure), 1, None))):
-            if a >= 0 and b >= 0:
-                contacts[vertical[a]].add(vertical[b])
-                contacts[vertical[b]].add(vertical[a])
         rows = layout.vertex_rows
         cornered = set()
         for (y, t), x in layout.corners:

@@ -57,6 +57,42 @@ class TestValidate:
         code, out, err = run(capsys, "validate", "--complex", str(path))
         assert (code, out, err) == (1, "", f"error: line {line}: not UTF-8 text\n")
 
+    def test_vertex_after_edges_is_an_input_error(self, capsys, tmp_path):
+        """A vertex: line after the edges is rejected, not parsed as a
+        complete square complex whose declared vertices carry no edge."""
+        path = tmp_path / "late.sqc"
+        path.write_text("hedges: a\nvedges: x\nvertex: P Q\nsquare: a x a x\n")
+        code, out, err = run(capsys, "validate", "--complex", str(path), "--out", str(tmp_path / "v.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 3: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["late.sqc"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["develop", "--bottom", "ab", "--left", "xy"], ["gamma", "--w1", "a", "--w2", "x", "--n", "5"]],
+    ids=lambda argv: argv[0],
+)
+def test_complex_is_read_once(capsys, tmp_path, monkeypatch, aperiodic_path, argv):
+    """--complex is opened once, and the manifest digests the bytes read."""
+    data = Path(aperiodic_path).read_bytes()
+    path = tmp_path / "in.sqc"
+    path.write_bytes(data)
+    opens = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code = main([argv[0], "--complex", str(path), *argv[1:], "--out", str(tmp_path / "a.json")])
+    monkeypatch.undo()
+    assert code == 0, capsys.readouterr().err
+    assert opens.count(str(path)) == 1
+    manifest = json.loads((tmp_path / "a.json.manifest.json").read_text())
+    assert manifest["inputs"]["complex"] == hashlib.sha256(data).hexdigest()
+
 
 class TestDevelop:
     def test_basic(self, capsys, aperiodic_path):
@@ -367,14 +403,15 @@ def test_malformed_command_line_is_an_input_error(capsys, aperiodic_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["certify", "--help"]], ids=" ".join)
+SUBCOMMANDS = ["validate", "enumerate", "develop", "antitorus", "gamma", "obstruct", "wellsep", "staircase", "certify"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], *([name, "--help"] for name in SUBCOMMANDS)], ids=" ".join)
 def test_help_and_version_exit_zero(capsys, argv):
+    """The status and a nonempty text only: argparse's text differs across Python versions."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0 and capsys.readouterr().out
-
-
-SUBCOMMANDS = ["validate", "enumerate", "develop", "antitorus", "gamma", "obstruct", "wellsep", "staircase", "certify"]
 
 
 def exit_output(capsys, parse, argv):

@@ -15,6 +15,7 @@ from cscwalls.errors import (
     ParseError,
 )
 
+from .conftest import TWO_VERTEX_TEXT
 from .oracles import census_by_filtering, census_count_by_burnside, presentation_canonical_form
 
 
@@ -68,6 +69,22 @@ class TestParse:
     def test_endpoints_require_vertices(self):
         with pytest.raises(ParseError):
             cw.parse_complex("hedges: a=P:Q\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("hedges: a\nvedges: x\nvertex: P Q\nsquare: a x a x\n", 3),
+            (TWO_VERTEX_TEXT + "vertex: R\n", 6),
+        ],
+        ids=["after-one-vertex-edges", "after-a-multi-vertex-file"],
+    )
+    def test_vertices_come_before_edges(self, text, line):
+        """A vertex declared after the edges would leave edges on vertices
+        that no longer describe the file, and serialize_complex could not
+        write the result back."""
+        with pytest.raises(ParseError) as exc:
+            cw.parse_complex(text)
+        assert exc.value.line == line and "vertex:" in exc.value.reason
 
 
 class TestRoundTrip:

@@ -14,6 +14,7 @@ from cscwalls.staircase import (
     CubeWindow,
     StairParams,
     WindowSquare,
+    _overlap_span,
     build_staircase,
     check_certifiable,
     contact_distance,
@@ -385,6 +386,25 @@ class TestWalls:
     @given(stair_shapes())
     def test_staircases_match_tuple_oracle(self, params):
         assert_graph_matches_oracle(build_staircase(params))
+
+    @settings(max_examples=60)
+    @given(stair_shapes())
+    def test_consecutive_strip_walls_share_the_overlap_walls(self, params):
+        """Exactly L walls cross both strip walls i and i+1: the walls of
+        strip i+1's L overlap edges, the crossing set that well_separation
+        sizes as L by definition.  The tuple oracle's crossings agree."""
+        window = build_staircase(params)
+        graph = contact_graph(window)
+        oracle = contact_graph_by_tuples(window)
+        part, names = window._walls, graph.walls
+        f = part.horizontal[: params.steps + 1]
+        for i in range(params.steps):
+            both = set(graph._across[f[i]]) & set(graph._across[f[i + 1]])
+            a, b = _overlap_span(params, i + 1)
+            lo, row = part.labels[4 * (i + 1), 0, 0]
+            assert len(both) == params.overlap_len
+            assert both == {part.vertical[row[x - lo]] for x in range(a, b)}
+            assert {names[k] for k in both} == oracle.crossings[names[f[i]]] & oracle.crossings[names[f[i + 1]]]
 
     @settings(max_examples=150)
     @given(unit_square_lists)
