@@ -8,10 +8,10 @@ its bottom and left sides; ``commuting_powers_search`` reads this off one
 orbit sweep.  The census screen (``screen_anti_torus``) runs the same search
 on germ ids, once per inverse class {h^+-1} x {v^+-1} of pairs, since powers
 of h and v commute iff those of h^-1 and v do.  All verdicts on one complex
-share one dict of the columns their sweeps develop over a right word within
-one chunk, so a column met again costs one lookup.  The candidate words
-depend only on the germ count and the length, so a process builds them once
-for each such pair, whatever complexes it screens.
+share one memo of the work their sweeps develop, so a column met again
+costs one lookup.  The candidate words depend only on the germ count and
+the length, so a process builds them once for each such pair, whatever
+complexes it screens.
 
 When no such rectangle exists, widening rectangles develop tops that
 eventually diverge from the horizontal periodic word, and the overlap of
@@ -28,12 +28,13 @@ j(N) divides j(N+1), so the N with j(N) dividing a height are a prefix, and
 a sweep keeps only the columns where j rises: on the shipped pair, the rows
 of ``obstruct --nmax 32`` develop 82 columns per direction and keep 7 rises.
 A sweep develops each column over the right word R in chunks, through a
-per-sweep table from (chunk, letter in) to (letter out, developed chunk),
-so a column costs one lookup per chunk of R once the table has met R's
-chunks.  The overlap readers take only j from a sweep; R is expanded only
-by the commuting-powers search, at period boundaries while j is within its
-bound.  ``overlap_gamma`` reads the query's sweeps in two steps: the height
-(``find_periodic_top``), then the ends at that height
+table from (chunk, letter in) to (letter out, developed chunk), so a column
+costs one lookup per chunk of R once the table has met R's chunks.  A
+query's two sweeps share one table: on the shipped pair the second adds 2
+chunks to the first's 766.  The overlap readers take only j from a sweep;
+R is expanded only by the commuting-powers search, at period boundaries
+while j is within its bound.  ``overlap_gamma`` reads the query's sweeps in
+two steps: the height (``find_periodic_top``), then the ends at that height
 (``overlap_at_height``).  The test oracles measure both one exponent at a
 time, stacking periods on h^n and streaming columns through
 ``develop.stream_mismatch_ids``, the germ-level stream they share.
@@ -44,7 +45,7 @@ from functools import cache, cached_property
 
 from .complexes import HORIZONTAL, VERTICAL, _Frozen
 from .errors import DEFAULT_BOUND, DEFAULT_I_MAX, DEFAULT_K_MAX, BudgetExceeded, UnsupportedComplexError, WordError
-from .develop import PeriodicWord, _ids_word, _word_ids, orbit_lengths
+from .develop import PeriodicWord, _ids_word, _Memo, _word_ids, orbit_lengths
 
 PERIODIC_FLAT_DIAGNOSTIC = "periodic flat suspected: the pair may not span an aperiodic flat"
 
@@ -75,11 +76,13 @@ class AntiTorusQuery(_Frozen):
     def sweeps(self):
         """The (east, west) orbit sweeps of overlap_gamma: the horizontal word
         and its inverse, each under one vertical period, developed on demand
-        and kept for the query's lifetime."""
+        and kept for the query's lifetime.  Both sweeps share one memo
+        (develop.orbit_lengths), so a chunk that one direction developed is
+        a lookup for the other."""
         p = self.complex
-        v_ids = _word_ids(p, self.vword.period)
+        v_ids, memo = _word_ids(p, self.vword.period), _Memo()
         return tuple(
-            _Sweep(p.tables, _word_ids(p, hword.period), v_ids)
+            _Sweep(p.tables, _word_ids(p, hword.period), v_ids, memo)
             for hword in (self.hword, self.hword.inverse())
         )
 
@@ -116,12 +119,12 @@ def commuting_powers_search(query, k_bound=DEFAULT_BOUND, j_bound=DEFAULT_BOUND)
     return _commuting_powers(p.tables, h_ids, v_ids, k_bound, j_bound)
 
 
-def _commuting_powers(tables, h_ids, v_ids, k_bound, j_bound, columns=None):
+def _commuting_powers(tables, h_ids, v_ids, k_bound, j_bound, memo=None):
     """commuting_powers_search on germ-id sequences (lists or tuples);
-    ``columns`` is passed to orbit_lengths, so verdicts on one complex may
-    share the columns they develop."""
+    ``memo`` is passed to orbit_lengths, so verdicts on one complex may
+    share the work they develop."""
     v_ids = list(v_ids)  # R compares as a list, and a list never equals a tuple
-    sweep = orbit_lengths(tables, h_ids, v_ids, columns)
+    sweep = orbit_lengths(tables, h_ids, v_ids, memo)
     for cols, (j, right) in zip(range(1, k_bound * len(h_ids) + 1), sweep):
         if j > j_bound:
             return None
@@ -142,8 +145,8 @@ class _Sweep:
     depend on how far earlier reads developed the sweep.
     """
 
-    def __init__(self, tables, period_ids, side_ids):
-        self._lengths = orbit_lengths(tables, period_ids, side_ids)
+    def __init__(self, tables, period_ids, side_ids, memo=None):
+        self._lengths = orbit_lengths(tables, period_ids, side_ids, memo)
         self.cols = 0
         self.rises = [(0, 1)]
 
@@ -278,7 +281,7 @@ def screen_anti_torus(presentation, max_len=2):
     v commute iff those of h^-1 and v do, and likewise for v^-1, so the
     search runs once per class {h^+-1} x {v^+-1}, on germ ids; words and a
     query are built only for yielded pairs.  All verdicts on the complex
-    share one dict of developed columns (see develop.orbit_lengths), so a
+    share one memo of developed work (see develop.orbit_lengths), so a
     column that an earlier verdict met costs one lookup.  A yielded pair is
     only a bounded certificate: the aperiodicity hypothesis itself is not
     decided here.
@@ -286,12 +289,12 @@ def screen_anti_torus(presentation, max_len=2):
     _require_one_vertex(presentation)
     tables, germs = presentation.tables, presentation.germs
     hwords, vwords = (_candidates(len(germs[klass]), max_len) for klass in (HORIZONTAL, VERTICAL))
-    verdicts, columns = {}, {}
+    verdicts, memo = {}, _Memo()
     for h, h_class in hwords:
         for v, v_class in vwords:
             key = h_class, v_class
             if key not in verdicts:
-                found = _commuting_powers(tables, h, v, DEFAULT_BOUND, DEFAULT_BOUND, columns)
+                found = _commuting_powers(tables, h, v, DEFAULT_BOUND, DEFAULT_BOUND, memo)
                 verdicts[key] = found is None
             if verdicts[key]:
                 hw = PeriodicWord(_ids_word(presentation, HORIZONTAL, h))

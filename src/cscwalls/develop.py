@@ -14,12 +14,11 @@ at a time, recording each cell for inspection.  No package search calls
 oracles' divergence references.  ``orbit_lengths`` is the one stacking
 algorithm: the commuting-powers screen and the overlap sweep both read it.
 It develops one column at a time too, over a right word held in chunks of
-CHUNK germ ids; a per-sweep table maps (chunk, letter in) to (letter out,
-developed chunk), so ``develop_ids`` runs only on a chunk the table has not
-met with that letter, or on a right word that still fits in one chunk.  A
-column over a right word within one chunk is stored in a dict that the
-caller may share among sweeps on one complex, so the census screen develops
-such a column once per complex however many of its verdicts meet it.
+CHUNK germ ids; a table maps (chunk, letter in) to (letter out, developed
+chunk), so ``develop_ids`` runs only on a chunk the table has not met with
+that letter, or on a right word within one chunk, whose column is stored in
+a dict.  Table and dict make one memo, shared by a query's two directions
+and by all census screen verdicts on one complex.
 """
 
 import itertools
@@ -197,15 +196,16 @@ def stream_mismatch_ids(tables, period_ids, side_ids, max_cols):
 #: Germ ids per chunk of the right word R in orbit_lengths.
 CHUNK = 8
 
-#: orbit_lengths starts its chunk table over from R's chunks when it holds
-#: more than this many chunks per chunk of R, so a sweep's memory stays
-#: O(len R).  At 4 the shipped pair's table restarts 24 times in its first
-#: 244 columns and its 729-column sweep takes over twice as long; at 16 it
-#: never restarts.
+#: A sweep of orbit_lengths starts a fresh chunk table from R's chunks once
+#: it has added more than this many chunks per chunk of R to its table, so
+#: what it adds stays O(len R).  At 4 the shipped pair's east sweep restarts
+#: 24 times in its first 244 columns and its 731-column sweep takes twice as
+#: long; the west sweep, run after it, takes its last table and never
+#: restarts.  At 16 neither restarts.
 TABLE_CHUNKS_PER_R = 16
 
 
-def orbit_lengths(tables, period_ids, side_ids, columns=None):
+def orbit_lengths(tables, period_ids, side_ids, memo=None):
     """Yield (j(N), R) for N = 1, 2, ...: j(N) is the orbit length of the
     length-N prefix of the periodic bottom word (period_ids repeated) under
     stacking one copy of side_ids, the least j whose rectangle of height j
@@ -222,40 +222,41 @@ def orbit_lengths(tables, period_ids, side_ids, columns=None):
 
     A block threads one horizontal letter up through R, so R may be cut
     anywhere.  Once R outgrows one chunk, the sweep holds it as chunk ids:
-    runs of CHUNK germ ids, interned per sweep, every run but the last full.
-    A block then walks R's chunks through the sweep's table from (chunk,
+    runs of CHUNK germ ids, interned in a chunk table, every run but the
+    last full.  A block then walks R's chunks through the table from (chunk,
     letter in) to (letter out, developed chunk), and a miss develops the
     chunk with develop_ids.  After a column of t > 1 blocks, the blocks are
     cut again when R's last chunk is partial.  The base case is R within one
     chunk: each block is then one develop_ids call on R, with no table, and
     the census screen's sweeps seldom leave it.
 
-    A base-case column depends only on the tables, its bottom letter b and
-    R, so it is stored in ``columns``, a dict from (b, R as a tuple) to (t,
-    next R), and a later sweep on the same tables that meets the same b and
-    R reads it back instead of developing t blocks.  The caller may pass one
-    dict to several sweeps on one complex (the census screen passes one per
-    entry); by default each sweep has its own.  Its keys never exceed CHUNK
-    ids: a side word longer than one chunk starts in the chunk table, and R
-    only grows (its length is j*len(side_ids)), so a sweep that has left the
-    base case never returns to it.  Longer columns go through the chunk
-    table, whose memory is bounded per sweep, so a dict shared by many
-    sweeps holds only short words.
+    ``memo`` (a _Memo) holds the work developed on the tables, for every
+    sweep given it; by default a sweep has its own.  A base-case column
+    depends only on the tables, its bottom letter b and R, so memo.columns
+    maps (b, R as a tuple) to (t, next R), and a sweep that meets the same b
+    and R reads it back instead of developing t blocks.  Its keys never
+    exceed CHUNK ids: a side word longer than one chunk starts in the chunk
+    table, and R only grows (its length is j*len(side_ids)), so a sweep that
+    has left the base case never returns to it.  memo.table is the chunk
+    table that a sweep takes when its R outgrows one chunk, so the two
+    directions of one query fill each other's rows.  A sweep that restarts
+    puts its fresh table in the memo; another sweep keeps the table that its
+    R indexes, and tables only grow, so every yielded R stays valid.
 
     R is yielded as a sequence of germ ids: a list while it fits in one
     chunk, else a view that is expanded only when iterated or compared, so
-    a reader of j alone never expands it.  Neither the sweep nor the dict
+    a reader of j alone never expands it.  Neither the sweep nor the memo
     ever changes a yielded R; a list R may be shared with other sweeps of
-    the same dict, so the caller must not change it either.
+    the same memo, so the caller must not change it either.
     """
-    if columns is None:
-        columns = {}
+    if memo is None:
+        memo = _Memo()
+    columns = memo.columns
     plen = len(period_ids)
     word, j = side_ids, 1  # R, while it fits in one chunk
     right = None  # R as chunk ids of table, once it outgrows one chunk
     if len(word) > CHUNK:
-        table = _ChunkTable(len(tables.top))
-        right = table.cut(word)
+        table, right, added = memo.enter(len(tables.top), word)
     for col in itertools.count():
         b = period_ids[col % plen]
         if right is None:
@@ -274,10 +275,10 @@ def orbit_lengths(tables, period_ids, side_ids, columns=None):
             if len(word) <= CHUNK:
                 yield j, word
                 continue
-            table = _ChunkTable(len(tables.top))
-            right = table.cut(word)
+            table, right, added = memo.enter(len(tables.top), word)
         else:
             top, t, rows, blocks = b, 0, table.rows, []
+            size = len(table.chunks)
             append = blocks.append
             while True:
                 for c in right:
@@ -294,15 +295,32 @@ def orbit_lengths(tables, period_ids, side_ids, columns=None):
             if t > 1 and len(table.chunks[right[-1]]) < CHUNK:
                 blocks = table.cut(table.expand(blocks))
             right = blocks
-            if len(table.chunks) > TABLE_CHUNKS_PER_R * len(right):
-                old, table = table, _ChunkTable(len(tables.top))
-                right = [table.intern(old.chunks[c]) for c in right]
+            added += len(table.chunks) - size
+            if added > TABLE_CHUNKS_PER_R * len(right):
+                memo.table = None
+                table, right, added = memo.enter(len(tables.top), table.expand(right))
         yield j, _ChunkedWord(table, right)
 
 
+class _Memo:
+    """The work developed on one complex's tables: base-case columns, and
+    the chunk table that the next sweep to outgrow one chunk takes."""
+
+    def __init__(self):
+        self.columns, self.table = {}, None
+
+    def enter(self, letters, word):
+        """The memo's table, made when there is none, the chunk ids of word
+        in it, and how many chunks that added."""
+        if self.table is None:
+            self.table = _ChunkTable(letters)
+        size = len(self.table.chunks)
+        return self.table, self.table.cut(word), len(self.table.chunks) - size
+
+
 class _ChunkTable:
-    """One sweep's interned chunks, each with its row of the table from
-    (chunk, letter in) to (letter out, developed chunk)."""
+    """Interned chunks, each with its row of the table from (chunk, letter
+    in) to (letter out, developed chunk).  Chunks are only appended."""
 
     def __init__(self, letters):
         self.chunks = []  # chunk id -> germ ids

@@ -2,12 +2,14 @@
 
 import hashlib
 from collections import Counter
+from importlib.resources import files
 from itertools import islice, pairwise
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cscwalls as cw
+from cscwalls import develop
 from cscwalls.antitorus import (
     AntiTorusQuery,
     GammaResult,
@@ -21,7 +23,8 @@ from cscwalls.antitorus import (
     periodic_candidates,
     screen_anti_torus,
 )
-from cscwalls.develop import CHUNK, _word_ids, parse_word
+from cscwalls.cli import main
+from cscwalls.develop import CHUNK, _Memo, _word_ids, develop_ids, parse_word
 from cscwalls.errors import BudgetExceeded, UnsupportedComplexError, WordError
 
 from .oracles import (
@@ -260,6 +263,19 @@ class TestOverlap:
 ORACLE_I_MAX = 5000
 
 
+@pytest.fixture
+def develop_calls(monkeypatch):
+    """A Counter whose "develop_ids" entry counts develop.develop_ids calls."""
+    calls = Counter()
+
+    def counted(*args):
+        calls["develop_ids"] += 1
+        return develop_ids(*args)
+
+    monkeypatch.setattr(develop, "develop_ids", counted)
+    return calls
+
+
 def outcome(fn, *args, **kwargs):
     """The result of fn, or the type and text of the BudgetExceeded it raised."""
     try:
@@ -358,6 +374,30 @@ class TestOverlapSweep:
             assert east.cols == 10 and east.rises[-1] == (10, 108)
             assert max(j for _, j in east.rises[:-1]) <= 100
             assert west.cols == 0 and west.rises == [(0, 1)]
+
+    def test_directions_share_one_chunk_table(self, shipped, develop_calls):
+        """On the shipped pair the two directions meet almost the same
+        chunks, so overlap_gamma(q, 500), whose sweeps each develop 730
+        columns, makes at most 52% of the 3,650 develop_ids calls of two
+        sweeps with a table each (1,870 with one table), and both sweeps'
+        right words index one table."""
+        q = AntiTorusQuery(shipped.complex, shipped.hword, shipped.vword)
+        assert overlap_gamma(q, 500).total_len == 1458
+        assert [s.cols for s in q.sweeps] == [730, 730]
+        assert develop_calls["develop_ids"] <= 0.52 * 3650, develop_calls
+        east_table, west_table = (next(s._lengths)[1]._table for s in q.sweeps)
+        assert east_table is west_table
+
+    def test_no_developed_work_outlives_a_command(self, develop_calls, tmp_path):
+        """Two gamma commands in one process make the same develop_ids calls:
+        the memo lives on the command's query, not in the process."""
+        path = str(files("cscwalls.data").joinpath("aperiodic22.sqc"))
+        counts = []
+        for i in range(2):
+            argv = ["gamma", "--complex", path, "--w1", "a", "--w2", "x", "--n", "300", "--out", str(tmp_path / f"{i}.json")]
+            assert main(argv) == 0
+            counts.append(develop_calls.pop("develop_ids"))
+        assert counts[0] == counts[1] > 0, counts
 
     def test_sweep_reads_match_a_column_scan(self, screened_pairs):
         """Derandomized sweep over the screened pairs: on one sweep per draw,
@@ -536,11 +576,11 @@ class TestScreening:
     def test_verdicts_sharing_columns_match_blocks(self, screen_census):
         """Derandomized sweep over the same census entries, words up to length
         3 and bounds 1..12, so that R outgrows one chunk: _commuting_powers
-        with one dict of developed columns per complex, shared by every draw
-        on it and interleaved with the draws on a second complex, finds the
-        same (k, j) as the block-by-block reference.  Some draws must reuse
-        a dict that earlier draws filled, and some must meet an R longer than
-        one chunk."""
+        with one memo per complex, shared by every draw on it and interleaved
+        with the draws on a second complex, finds the same (k, j) as the
+        block-by-block reference.  Some draws must reuse base-case columns
+        that earlier draws filled, and some must meet an R longer than one
+        chunk."""
         seen = Counter()
 
         @given(st.data())
@@ -548,14 +588,14 @@ class TestScreening:
         def check(data):
             pair = [data.draw(screen_census, label=f"complex {i}") for i in range(2)]
             words = [[_candidates(len(p.germs[k]), 3) for k in (cw.HORIZONTAL, cw.VERTICAL)] for p in pair]
-            columns = [{}, {}]
+            memos = [_Memo(), _Memo()]
             for _ in range(data.draw(st.integers(2, 16), label="verdicts")):
                 i = data.draw(st.integers(0, 1), label="complex")
                 tables = pair[i].tables
                 h, v = (data.draw(st.sampled_from(ws), label=klass)[0] for ws, klass in zip(words[i], "hv"))
                 bounds = [data.draw(st.integers(1, 12), label=name) for name in ("k_bound", "j_bound")]
-                filled = len(columns[i])
-                found = _commuting_powers(tables, h, v, *bounds, columns[i])
+                filled = len(memos[i].columns)
+                found = _commuting_powers(tables, h, v, *bounds, memos[i])
                 assert found == commuting_powers_by_blocks(tables, h, v, *bounds)
                 seen["reused"] += filled > 0
                 cols = (found[0] if found else bounds[0]) * len(h)

@@ -4,6 +4,7 @@ import itertools
 import signal
 import subprocess
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -286,29 +287,109 @@ class TestChunkedSweep:
         if bound == "restarting":
             assert seen["restart"] >= 50
 
+    @pytest.mark.parametrize("bound", ["shipped", "restarting"])
+    def test_sweeps_sharing_a_memo_match_sweep_by_blocks(self, census, shipped, monkeypatch, bound):
+        """Two or three sweeps on one memo, stepped in a drawn interleaving:
+        on the shipped pair its two directions and one more drawn pair, on
+        census complexes pairs of words of length <= 3.  Column by column,
+        (j, R) equal the reference's, and at the end every yielded R still
+        equals the reference's R of its column.  Some table must be indexed
+        by two sweeps.  With the table bounded at zero (the "restarting"
+        case) sweeps restart, some sweep meets two tables, some R yielded
+        before another sweep restarted is checked at the end, and no sweep
+        restarts more often than the same sweep alone on a private memo."""
+        if bound == "restarting":
+            monkeypatch.setattr(develop, "TABLE_CHUNKS_PER_R", 0)
+        complexes, growing = census
+        p0 = shipped.complex
+        shipped_v = _word_ids(p0, shipped.vword.period)
+        shipped_pairs = [(_word_ids(p0, w.period), shipped_v) for w in (shipped.hword, shipped.hword.inverse())]
+        candidates = {}
+        seen = Counter()
+
+        def run(p, pairs, steps, memo):
+            """Step the sweeps of pairs on memo in the order steps, checking
+            each (j, R); returns per sweep the tables its R's index, in yield
+            order, the chunked R's as (sweep, R, reference R), and the
+            restarts as (index of the first R on the new table, sweep)."""
+            sweeps = [orbit_lengths(p.tables, h, v, memo) for h, v in pairs]
+            references = [orbit_lengths_by_blocks(p.tables, h, v) for h, v in pairs]
+            tables, log, restarts, cols = [[] for _ in pairs], [], [], [0] * len(pairs)
+            for i in steps:
+                if cols[i] == self.MAX_COLS:
+                    continue
+                ref_j, ref_right = next(references[i])
+                with deadline(5):
+                    j, right = next(sweeps[i])
+                assert (j, list(right)) == (ref_j, ref_right)
+                cols[i] = self.MAX_COLS if len(ref_right) > self.MAX_LETTERS else cols[i] + 1
+                if len(ref_right) > CHUNK:
+                    if not tables[i] or tables[i][-1] is not right._table:
+                        if tables[i]:
+                            restarts.append((len(log), i))
+                        tables[i].append(right._table)
+                    log.append((i, right, ref_right))
+            return tables, log, restarts
+
+        @given(st.data())
+        @settings(max_examples=80)
+        def check(data):
+            source = data.draw(st.sampled_from(["shipped", "growing", "census"]), label="source")
+            p = p0
+            if source != "shipped":
+                p = data.draw(st.sampled_from(growing if source == "growing" else complexes), label="complex")
+            if id(p) not in candidates:
+                candidates[id(p)] = [
+                    [list(w) for w, _ in _candidates(len(p.germs[k]), 3)] for k in (cw.HORIZONTAL, cw.VERTICAL)
+                ]
+            hwords, vwords = candidates[id(p)]
+            drawn = st.tuples(st.sampled_from(hwords), st.sampled_from(vwords))
+            if source == "shipped":
+                pairs = shipped_pairs + [data.draw(drawn, label="third pair")]
+            else:
+                pairs = data.draw(st.lists(drawn, min_size=2, max_size=3), label="pairs")
+            order = data.draw(st.randoms(use_true_random=False), label="interleaving")
+            steps = [order.randrange(len(pairs)) for _ in range(len(pairs) * self.MAX_COLS)]
+            tables, log, restarts = run(p, pairs, steps, develop._Memo())
+            for _, right, ref_right in log:
+                assert list(right) == ref_right
+            met = [{id(t) for t in ts} for ts in tables]
+            seen["shared"] += any(a & b for a, b in itertools.combinations(met, 2))
+            seen["two tables"] += any(len(ts) > 1 for ts in tables)
+            seen["kept"] += any(i != j for k, j in restarts for i, _, _ in log[:k])
+            if bound == "restarting":
+                for i, pair in enumerate(pairs):
+                    alone, _, _ = run(p, [pair], [0] * steps.count(i), develop._Memo())
+                    assert len(tables[i]) <= len(alone[0])
+
+        check()
+        assert seen["shared"] >= 20, seen
+        if bound == "restarting":
+            assert seen["two tables"] >= 20 and seen["kept"] >= 20, seen
+
     def test_long_side_words_and_shared_columns(self, census, rng):
         """Side words of 1 to 20 letters, many longer than one chunk, under
         horizontal words of 1 to 3 letters on census complexes: over up to
-        12 columns, (j, R) equal the reference's while one dict of developed
-        columns per complex is shared by all its sweeps, and no key of that
-        dict holds more than CHUNK ids."""
+        12 columns, (j, R) equal the reference's while one memo per complex
+        is shared by all its sweeps, and no key of its dict of base-case
+        columns holds more than CHUNK ids."""
         complexes, growing = census
         long_sides = stored = 0
         for p in rng.sample(complexes, 40) + growing[:10]:
-            columns = {}
+            memo = develop._Memo()
             for _ in range(5):
                 h_ids = _word_ids(p, random_reduced_word(p, cw.HORIZONTAL, rng.randint(1, 3), rng))
                 v_ids = _word_ids(p, random_reduced_word(p, cw.VERTICAL, rng.randint(1, 20), rng))
                 long_sides += len(v_ids) > CHUNK
-                sweep = orbit_lengths(p.tables, h_ids, v_ids, columns)
+                sweep = orbit_lengths(p.tables, h_ids, v_ids, memo)
                 for ref_j, ref_right in itertools.islice(orbit_lengths_by_blocks(p.tables, h_ids, v_ids), 12):
                     with deadline(5):
                         j, right = next(sweep)
                     assert (j, list(right)) == (ref_j, ref_right)
                     if len(ref_right) > self.MAX_LETTERS:
                         break
-            assert all(len(side) <= CHUNK for _, side in columns)
-            stored += len(columns)
+            assert all(len(side) <= CHUNK for _, side in memo.columns)
+            stored += len(memo.columns)
         assert long_sides >= 50 and stored >= 100
 
 

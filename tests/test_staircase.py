@@ -3,7 +3,7 @@
 import hashlib
 import json
 import tracemalloc
-from itertools import pairwise
+from itertools import combinations, pairwise
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -405,6 +405,57 @@ class TestWalls:
             assert len(both) == params.overlap_len
             assert both == {part.vertical[row[x - lo]] for x in range(a, b)}
             assert {names[k] for k in both} == oracle.crossings[names[f[i]]] & oracle.crossings[names[f[i + 1]]]
+
+    @settings(max_examples=40)
+    @given(stair_shapes().filter(lambda params: params.overlap_len <= 6))
+    def test_overlap_walls_have_no_facing_triple(self, params):
+        """The halfspaces of a wall are the components of the window's
+        1-skeleton without the wall's dual edges, from the tuple oracles
+        alone.  Every wall has exactly two.  Of the L walls that cross strip
+        walls i and i+1, all vertical and so ordered by column, the middle
+        wall of every triple puts the outer two in different halfspaces:
+        no three of them face each other, the facing_triple_free that
+        well_separation states."""
+        window = build_staircase(params)
+        oracle = contact_graph_by_tuples(window)
+        edges = edges_by_tuples(window.squares)
+        dual = {w.id: w.dual_edges for w in oracle.walls}
+        edge_wall = {e: w for w, es in dual.items() for e in es}
+
+        def halfspaces(wall):
+            """Vertex -> component number once wall's dual edges are gone,
+            and the number of components."""
+            around = {}
+            for a, b in edges:
+                if edge_wall[a, b] != wall:
+                    around.setdefault(a, []).append(b)
+                    around.setdefault(b, []).append(a)
+            side, count = {}, 0
+            for start in vertices:
+                if start not in side:
+                    side[start], stack = count, [start]
+                    while stack:
+                        for nxt in around.get(stack.pop(), ()):
+                            if nxt not in side:
+                                side[nxt] = count
+                                stack.append(nxt)
+                    count += 1
+            return side, count
+
+        vertices = vertices_by_tuples(window.squares)
+        sides = {}
+        for w in dual:
+            sides[w], count = halfspaces(w)
+            assert count == 2, w
+        strip = [edge_wall[strip_wall_edge(params, i)] for i in range(params.steps + 1)]
+        for i in range(params.steps):
+            both = oracle.crossings[strip[i]] & oracle.crossings[strip[i + 1]]
+            columns = {w: {a[0] for a, _ in dual[w]} for w in both}
+            assert len(both) == params.overlap_len and all(len(xs) == 1 for xs in columns.values())
+            ordered = sorted(both, key=lambda w: min(columns[w]))
+            for a, b, c in combinations(ordered, 3):
+                (sa,), (sc,) = ({sides[b][v] for e in dual[w] for v in e} for w in (a, c))
+                assert sa != sc, (i, a, b, c)
 
     @settings(max_examples=150)
     @given(unit_square_lists)
