@@ -27,15 +27,17 @@ exponents develop each column once, and every call passes its own budgets.
 j(N) divides j(N+1), so the N with j(N) dividing a height are a prefix, and
 a sweep keeps only the columns where j rises: on the shipped pair, the rows
 of ``obstruct --nmax 32`` develop 82 columns per direction and keep 7 rises.
-A sweep develops each column over the right word R in chunks, through a
-table from (chunk, letter in) to (letter out, developed chunk), so a column
-costs one lookup per chunk of R once the table has met R's chunks.  A
-query's two sweeps share one table: on the shipped pair the second adds 2
-chunks to the first's 766.  The overlap readers take only j from a sweep;
-R is expanded only by the commuting-powers search, at period boundaries
-while j is within its bound.  ``overlap_gamma`` reads the query's sweeps in
-two steps: the height (``find_periodic_top``), then the ends at that height
-(``overlap_at_height``).  The test oracles measure both one exponent at a
+A sweep develops columns over the right word R in chunks, through a table
+from (chunk, letter or pair in) to (letter or pair out, developed chunk),
+so once the table has met R's chunks one walk up R costs one lookup per
+chunk and develops two columns.  A query's two sweeps share one table: on
+the shipped pair the second adds 4 chunks to the first's 766.  The overlap
+readers take only j from a sweep; R is read only by the commuting-powers
+search, at period boundaries while j is within its bound, and chunk by
+chunk up to the first that differs from v^j, so the R of the first column
+of a walk of two develops only as far as it is read.  ``overlap_gamma``
+reads the query's sweeps in two steps: the height (``find_periodic_top``),
+then the ends at that height (``overlap_at_height``).  The test oracles measure both one exponent at a
 time, stacking periods on h^n and streaming columns through
 ``develop.stream_mismatch_ids``, the germ-level stream they share.
 """
@@ -122,13 +124,14 @@ def commuting_powers_search(query, k_bound=DEFAULT_BOUND, j_bound=DEFAULT_BOUND)
 def _commuting_powers(tables, h_ids, v_ids, k_bound, j_bound, memo=None):
     """commuting_powers_search on germ-id sequences (lists or tuples);
     ``memo`` is passed to orbit_lengths, so verdicts on one complex may
-    share the work they develop."""
-    v_ids = list(v_ids)  # R compares as a list, and a list never equals a tuple
+    share the work they develop.  A chunked R is compared with v^j chunk by
+    chunk (develop._ChunkedWord.repeats), without building v^j."""
+    v_ids = list(v_ids)  # a list R compares as a list, and a list never equals a tuple
     sweep = orbit_lengths(tables, h_ids, v_ids, memo)
     for cols, (j, right) in zip(range(1, k_bound * len(h_ids) + 1), sweep):
         if j > j_bound:
             return None
-        if cols % len(h_ids) == 0 and right == v_ids * j:
+        if cols % len(h_ids) == 0 and (right == v_ids * j if type(right) is list else right.repeats(v_ids)):
             return (cols // len(h_ids), j)
     return None
 
@@ -140,9 +143,12 @@ class _Sweep:
     j(N) divides j(N+1), so j only grows, the N with j(N) dividing a given
     height are a prefix, and the sweep keeps no column where j stays: cols
     counts the developed columns and rises holds one (first column, j) pair
-    per value of j, from (0, 1).  Each read carries its own cap; it develops
-    no column past the first length above its cap, and its value does not
-    depend on how far earlier reads developed the sweep.
+    per value of j, from (0, 1).  Each read carries its own cap and its
+    value does not depend on how far earlier reads developed the sweep.  A
+    read yields no column past the first length above its cap; up to that
+    column the walk takes exactly the steps of a walk of that column alone,
+    and when the column is the first of a walk of two, the partner column's
+    chunks are filled alongside (develop.orbit_lengths).
     """
 
     def __init__(self, tables, period_ids, side_ids, memo=None):
@@ -158,7 +164,7 @@ class _Sweep:
 
     def height(self, cols, max_j):
         """j(cols), or a length above max_j when j(cols) exceeds max_j; no
-        column past the first length above max_j is developed."""
+        column past the first length above max_j is yielded."""
         while self.cols < cols and self.rises[-1][1] <= max_j:
             self._develop()
         return next(j for first, j in reversed(self.rises) if first <= cols)
@@ -166,7 +172,7 @@ class _Sweep:
     def agreement(self, j, max_cols):
         """Leading columns of the periodic word that j stacked periods return:
         the largest N with j(N) dividing j, or None when N reaches max_cols.
-        No column past the first length that does not divide j is developed."""
+        No column past the first length that does not divide j is yielded."""
         while self.cols < max_cols and j % self.rises[-1][1] == 0:
             self._develop()
         end = next((first for first, rise in self.rises if j % rise), None)
@@ -185,7 +191,8 @@ def find_periodic_top(query, n, i_max=DEFAULT_I_MAX):
     j(n*|w1|) on the query's east sweep, or on its west sweep for n < 0, the
     exponent of the inverse word as in PeriodicWord.power.  Raises
     BudgetExceeded when j exceeds i_max; no column past the first length
-    above i_max is developed.
+    above i_max is yielded, and the walk up to it takes the steps of that
+    column alone (_Sweep).
     """
     east, west = query.sweeps
     j = (east if n >= 0 else west).height(abs(n) * len(query.hword), i_max)

@@ -13,11 +13,13 @@ at a time, recording each cell for inspection.  No package search calls
 ``stream_mismatch_ids``, which is the germ-level stream of the test
 oracles' divergence references.  ``orbit_lengths`` is the one stacking
 algorithm: the commuting-powers screen and the overlap sweep both read it.
-It develops one column at a time too, over a right word held in chunks of
-CHUNK germ ids; a table maps (chunk, letter in) to (letter out, developed
-chunk), so ``develop_ids`` runs only on a chunk the table has not met with
-that letter, or on a right word within one chunk, whose column is stored in
-a dict.  Table and dict make one memo, shared by a query's two directions
+It develops columns over a right word held in chunks of CHUNK germ ids,
+through a table whose rows map (chunk, letter in) to (letter out, developed
+chunk) and (chunk, pair in) to (pair out, chunk after both columns): while
+the table is warm, one walk up the right word develops two columns.  So
+``develop_ids`` runs only on a chunk the table has not met with that
+letter, or on a right word within one chunk, whose column is stored in a
+dict.  Table and dict make one memo, shared by a query's two directions
 and by all census screen verdicts on one complex.
 """
 
@@ -199,9 +201,9 @@ CHUNK = 8
 #: A sweep of orbit_lengths starts a fresh chunk table from R's chunks once
 #: it has added more than this many chunks per chunk of R to its table, so
 #: what it adds stays O(len R).  At 4 the shipped pair's east sweep restarts
-#: 24 times in its first 244 columns and its 731-column sweep takes twice as
-#: long; the west sweep, run after it, takes its last table and never
-#: restarts.  At 16 neither restarts.
+#: 24 times in its first 244 columns and its 731-column sweep takes three
+#: times as long; the west sweep, run after it, takes its last table and
+#: never restarts.  At 16 neither restarts.
 TABLE_CHUNKS_PER_R = 16
 
 
@@ -221,14 +223,34 @@ def orbit_lengths(tables, period_ids, side_ids, memo=None):
     right words laid end to end are the next R.
 
     A block threads one horizontal letter up through R, so R may be cut
-    anywhere.  Once R outgrows one chunk, the sweep holds it as chunk ids:
-    runs of CHUNK germ ids, interned in a chunk table, every run but the
-    last full.  A block then walks R's chunks through the table from (chunk,
-    letter in) to (letter out, developed chunk), and a miss develops the
-    chunk with develop_ids.  After a column of t > 1 blocks, the blocks are
-    cut again when R's last chunk is partial.  The base case is R within one
-    chunk: each block is then one develop_ids call on R, with no table, and
-    the census screen's sweeps seldom leave it.
+    anywhere.  The base case is R within one chunk: each block is then one
+    develop_ids call on R, with no table, and the census screen's sweeps
+    seldom leave it.  Once R outgrows one chunk, the sweep holds it as chunk
+    ids: runs of CHUNK germ ids, interned in a chunk table, every run but
+    the last full.  A walk threads a letter code up R's chunks block by
+    block, one table lookup per chunk (_ChunkTable): a letter b1 develops
+    column N+1 alone, and a pair (b1, b2) develops columns N+1 and N+2
+    together, from (chunk, pair in) to (pair out, chunk after both
+    columns).  A pair miss resolves through the two single-letter slots,
+    and a single-letter miss develops the chunk with develop_ids.  The
+    first letter of the top pair is column N+1's top, so it comes back to
+    b1 first after s1 blocks and the pair comes back to (b1, b2) after s
+    blocks: j(N+1) = s1*j(N), j(N+2) = s*j(N), and s1 divides s.  Column
+    N+1 is yielded after block s1, so up to that yield the walk takes
+    exactly the steps of a walk of column N+1 alone, filling column N+2's
+    chunks alongside; it goes on to block s only when the sweep is read
+    again.  The chunks of the walk's last column are the next R, its tail
+    cut again when there are several blocks and R's last chunk is partial:
+    the first block's chunks stay, and from its last chunk on the ids are
+    cut afresh.
+
+    A walk takes a pair only when the step before it added no chunk to the
+    table (entering or restarting a table counts as a step).  A walk that
+    meets new chunks meets empty pair slots, and resolving those costs more
+    than the lookups that pairs save: with a pair at every walk, census
+    sweeps (8,568 of them: both directions of the first 6 x 6 candidate
+    pairs of length <= 2 on every 2+2 and every 50th 2+3 entry, to 120
+    columns) made 17% more develop_ids calls and took 13% longer.
 
     ``memo`` (a _Memo) holds the work developed on the tables, for every
     sweep given it; by default a sweep has its own.  A base-case column
@@ -244,61 +266,87 @@ def orbit_lengths(tables, period_ids, side_ids, memo=None):
     R indexes, and tables only grow, so every yielded R stays valid.
 
     R is yielded as a sequence of germ ids: a list while it fits in one
-    chunk, else a view that is expanded only when iterated or compared, so
-    a reader of j alone never expands it.  Neither the sweep nor the memo
-    ever changes a yielded R; a list R may be shared with other sweeps of
-    the same memo, so the caller must not change it either.
+    chunk, else a _ChunkedWord, expanded only when iterated or compared, so
+    a reader of j alone never expands it.  The R of the first column of a
+    walk of two is pending: R's chunk ids with the letter b1 and the count
+    s1, developed over the single-letter slots that the walk filled, and
+    only as far as it is read (``_ChunkedWord.repeats`` stops at the first
+    chunk that differs).  Neither the sweep nor the memo ever changes a
+    yielded R; a list R may be shared with other sweeps of the same memo,
+    so the caller must not change it either.
     """
     if memo is None:
         memo = _Memo()
     columns = memo.columns
     plen = len(period_ids)
-    word, j = side_ids, 1  # R, while it fits in one chunk
-    right = None  # R as chunk ids of table, once it outgrows one chunk
-    if len(word) > CHUNK:
-        table, right, added = memo.enter(len(tables.top), word)
-    for col in itertools.count():
+    word, j, col = side_ids, 1, 0
+    while len(word) <= CHUNK:
         b = period_ids[col % plen]
-        if right is None:
-            key = b, tuple(word)
-            hit = columns.get(key)
-            if hit is None:
-                (top,), next_word = develop_ids(tables, (b,), word)
-                t = 1
-                while top != b:
-                    (top,), block = develop_ids(tables, (top,), word)
-                    next_word += block
-                    t += 1
-                hit = columns[key] = t, next_word
-            t, word = hit
-            j *= t
-            if len(word) <= CHUNK:
-                yield j, word
-                continue
-            table, right, added = memo.enter(len(tables.top), word)
-        else:
-            top, t, rows, blocks = b, 0, table.rows, []
-            size = len(table.chunks)
-            append = blocks.append
-            while True:
-                for c in right:
-                    hit = rows[c][top]
-                    if hit is None:
-                        (out,), developed = develop_ids(tables, (top,), table.chunks[c])
-                        hit = rows[c][top] = out, table.intern(developed)
-                    top, c = hit
-                    append(c)
+        col += 1
+        key = b, tuple(word)
+        hit = columns.get(key)
+        if hit is None:
+            (top,), next_word = develop_ids(tables, (b,), word)
+            t = 1
+            while top != b:
+                (top,), block = develop_ids(tables, (top,), word)
+                next_word += block
                 t += 1
-                if top == b:
-                    break
-            j *= t
-            if t > 1 and len(table.chunks[right[-1]]) < CHUNK:
-                blocks = table.cut(table.expand(blocks))
-            right = blocks
-            added += len(table.chunks) - size
-            if added > TABLE_CHUNKS_PER_R * len(right):
-                memo.table = None
-                table, right, added = memo.enter(len(tables.top), table.expand(right))
+            hit = columns[key] = t, next_word
+        t, word = hit
+        j *= t
+        if len(word) <= CHUNK:
+            yield j, word
+    table, right, added = memo.enter(tables, word)
+    if col:  # the column that left the base case
+        yield j, _ChunkedWord(table, right)
+    letters, grown = len(tables.top), added
+    while True:
+        b1 = period_ids[col % plen]
+        if grown:  # the last step added chunks: walk one column
+            start = b1
+            col += 1
+        else:
+            start = (b1 + 1) * letters + period_ids[(col + 1) % plen]
+            col += 2
+        first = (b1 + 1) * letters  # the pair codes from first to first + letters start with b1
+        code, s, s1, grown, blocks = start, 0, 0, 0, []
+        rows, chunks, fill, pairs = table.rows, table.chunks, table.fill, table.pairs
+        size = len(chunks)
+        append = blocks.append
+        while True:
+            for c in right:
+                hit = rows[c][code]
+                if hit is None:
+                    if code < letters:  # table.fill, inline: walks of one column are the cold ones
+                        (out,), developed = develop_ids(tables, (code,), chunks[c])
+                        hit = rows[c][code] = out, table.intern(developed)
+                    else:  # through the two single-letter slots
+                        g1, g2 = pairs[code]
+                        h1, c1 = rows[c][g1] or fill(c, g1)
+                        h2, c2 = rows[c1][g2] or fill(c1, g2)
+                        hit = rows[c][code] = (h1 + 1) * letters + h2, c2
+                code, c = hit
+                append(c)
+            s += 1
+            if not s1 and first <= code < first + letters:
+                s1 = s
+                grown += len(chunks) - size
+                yield j * s, _ChunkedWord(table, right, b1, s)
+                size = len(chunks)
+            if code == start:
+                break
+        j *= s
+        if s > 1 and len(chunks[right[-1]]) < CHUNK:
+            tail = len(right) - 1
+            blocks[tail:] = table.cut(table.expand(blocks[tail:]))
+        right = blocks
+        grown += len(chunks) - size
+        added += grown
+        if added > TABLE_CHUNKS_PER_R * len(right):
+            memo.table = None
+            table, right, added = memo.enter(tables, table.expand(right))
+            grown = added
         yield j, _ChunkedWord(table, right)
 
 
@@ -309,24 +357,30 @@ class _Memo:
     def __init__(self):
         self.columns, self.table = {}, None
 
-    def enter(self, letters, word):
+    def enter(self, tables, word):
         """The memo's table, made when there is none, the chunk ids of word
         in it, and how many chunks that added."""
         if self.table is None:
-            self.table = _ChunkTable(letters)
+            self.table = _ChunkTable(tables)
         size = len(self.table.chunks)
         return self.table, self.table.cut(word), len(self.table.chunks) - size
 
 
 class _ChunkTable:
-    """Interned chunks, each with its row of the table from (chunk, letter
-    in) to (letter out, developed chunk).  Chunks are only appended."""
+    """Interned chunks, each with its row of developed columns.  A row is
+    indexed by a letter code: g for the horizontal germ g, L + g1*L + g2 for
+    the pair (g1, g2), where L is the number of horizontal germs.  Slot g
+    holds (letter out, developed chunk id), slot (g1, g2) holds (pair out,
+    chunk id after both columns), and an empty slot holds None.  Chunks are
+    only appended."""
 
-    def __init__(self, letters):
+    def __init__(self, tables):
+        self.tables = tables
+        self.letters = letters = len(tables.top)
+        self.pairs = [None] * letters + list(itertools.product(range(letters), repeat=2))  # code -> (g1, g2)
         self.chunks = []  # chunk id -> germ ids
-        self.rows = []  # chunk id -> letter in -> (letter out, developed chunk id) or None
+        self.rows = []  # chunk id -> letter code -> (code out, developed chunk id) or None
         self._ids = {}
-        self._letters = letters
 
     def intern(self, ids):
         ids = tuple(ids)
@@ -334,8 +388,15 @@ class _ChunkTable:
         if c is None:
             c = self._ids[ids] = len(self.chunks)
             self.chunks.append(ids)
-            self.rows.append([None] * self._letters)
+            self.rows.append([None] * (self.letters * (self.letters + 1)))
         return c
+
+    def fill(self, c, g):
+        """Develop chunk c under the letter g with develop_ids, store the
+        result in c's row and return it."""
+        (h,), developed = develop_ids(self.tables, (g,), self.chunks[c])
+        hit = self.rows[c][g] = h, self.intern(developed)
+        return hit
 
     def cut(self, ids):
         """Chunk ids of a germ-id list: every chunk but the last full."""
@@ -348,19 +409,48 @@ class _ChunkTable:
 
 
 class _ChunkedWord:
-    """A right word held as chunk ids of a table; iterating or comparing it
-    expands it."""
+    """A right word held as chunk ids of a table, or pending: the right word
+    of ``blocks`` blocks of one column with bottom letter ``letter`` over the
+    word of the chunk ids, developed chunk by chunk as it is read.
+    Iterating or comparing it expands it."""
 
-    __slots__ = ("_table", "_ids")
+    __slots__ = ("_table", "_ids", "_letter", "_blocks")
 
-    def __init__(self, table, ids):
-        self._table, self._ids = table, ids
+    def __init__(self, table, ids, letter=None, blocks=1):
+        self._table, self._ids, self._letter, self._blocks = table, ids, letter, blocks
+
+    def chunks(self):
+        """The word's chunks as germ-id tuples, in order."""
+        table = self._table
+        chunks = table.chunks
+        if self._letter is None:
+            for c in self._ids:
+                yield chunks[c]
+            return
+        rows, code = table.rows, self._letter
+        for _ in range(self._blocks):
+            for c in self._ids:
+                code, c = rows[c][code] or table.fill(c, code)
+                yield chunks[c]
 
     def __iter__(self):
-        return iter(self._table.expand(self._ids))
+        return itertools.chain.from_iterable(self.chunks())
 
     def __eq__(self, other):
-        return self._table.expand(self._ids) == other
+        return list(self) == other
+
+    def repeats(self, period):
+        """Whether the word is the germ-id sequence period repeated; reads
+        chunks only up to the first that disagrees."""
+        p = len(period)
+        wrapped = tuple(period) * (CHUNK // p + 2)  # every slice of CHUNK from an offset < p
+        offset = 0
+        for chunk in self.chunks():
+            r = offset % p
+            if chunk != wrapped[r : r + len(chunk)]:
+                return False
+            offset += len(chunk)
+        return offset % p == 0
 
 
 def _word_ids(presentation, word):

@@ -365,7 +365,13 @@ class TestOverlapSweep:
         """On the shipped pair j(n) = 4*3^k for 3^(k-1) < n <= 3^k.  A call
         whose height exceeds i_max = 100 develops the east sweep up to the
         first length above 100 (108 = j(10)) and no further, and never
-        touches the west sweep."""
+        touches the west sweep.
+
+        Column 81 is the first of a walk of two columns, and only column 82
+        rises (324 to 972).  A read that ends at column 81 walks one block
+        of R: it fills at most one pair slot per chunk of R (324 ids, 41
+        chunks), and the walk's other two blocks wait until column 82 is
+        read."""
         for n in (3**5, 3**10):
             q = AntiTorusQuery(shipped.complex, shipped.hword, shipped.vword)
             with pytest.raises(BudgetExceeded, match="^no repeated top within 100 developed words"):
@@ -374,6 +380,20 @@ class TestOverlapSweep:
             assert east.cols == 10 and east.rises[-1] == (10, 108)
             assert max(j for _, j in east.rises[:-1]) <= 100
             assert west.cols == 0 and west.rises == [(0, 1)]
+        p, memo = shipped.complex, _Memo()
+        east = _Sweep(p.tables, _word_ids(p, shipped.hword.period), _word_ids(p, shipped.vword.period), memo)
+
+        def pair_slots():
+            table = memo.table
+            return sum(slot is not None for row in table.rows for slot in row[table.letters :])
+
+        assert east.height(80, 324) == 324
+        filled = pair_slots()
+        assert east.height(81, 324) == 324 and east.cols == 81
+        assert 0 < pair_slots() - filled <= 41
+        filled = pair_slots()
+        assert east.height(82, 324) == 972 and east.cols == 82
+        assert pair_slots() > filled
 
     def test_directions_share_one_chunk_table(self, shipped, develop_calls):
         """On the shipped pair the two directions meet almost the same

@@ -222,8 +222,31 @@ class TestChunkedSweep:
         ]
         return complexes, growing
 
+    @pytest.fixture(scope="class")
+    def pairings(self, census, census22):
+        """Two lists of (complex, h, v) sweeps that walk two columns at a
+        time.  On a warm memo, each growing complex under its first four
+        two-letter horizontal words and first two one-letter vertical words
+        meets all three kinds of such walks.  Among the 2+2 complexes under
+        their first letter and every three-letter vertical word, the sweeps
+        whose reference R is v^j and longer than one chunk at some column
+        within 60."""
+
+        def words(p, klass, length, count=None):
+            return [list(w) for w, _ in _candidates(len(p.germs[klass]), length) if len(w) == length][:count]
+
+        def keeps_powers(p, h, v):
+            sweep = itertools.islice(orbit_lengths_by_blocks(p.tables, h, v), self.MAX_COLS)
+            short = itertools.takewhile(lambda column: len(column[1]) <= self.MAX_LETTERS, sweep)
+            return any(len(r) > CHUNK and r == v * j for j, r in short)
+
+        _, growing = census
+        kinds = [(p, h, v) for p in growing for h in words(p, cw.HORIZONTAL, 2, 4) for v in words(p, cw.VERTICAL, 1, 2)]
+        powers = [(p, h, v) for p in census22 for h in words(p, cw.HORIZONTAL, 1, 1) for v in words(p, cw.VERTICAL, 3)]
+        return kinds, [sweep for sweep in powers if keeps_powers(*sweep)]
+
     @pytest.mark.parametrize("bound", ["shipped", "restarting"])
-    def test_matches_sweep_by_blocks(self, census, shipped, monkeypatch, bound):
+    def test_matches_sweep_by_blocks(self, census, pairings, shipped, monkeypatch, bound):
         """Column by column, (j, R) equal the reference's for pairs of
         periodic words of length <= 3 on the 2+2, 1+3, 3+1 and 2+3 census
         complexes, and for the shipped pair in both directions, over up to 60
@@ -232,25 +255,45 @@ class TestChunkedSweep:
         the last is full.  The sweep must meet right words of at least three
         chunks with a partial last chunk (|w2| = 3 gives lengths 3j), and
         columns of several blocks after them, whose blocks are cut again.
-        With the table bounded at zero (the "restarting" case) it starts
-        over at every column, and sweeps that meet two tables must occur.
-        A column that never closes fails its example after 5 s."""
+        In the "shipped" case the sweeps of ``pairings`` join the draws, and
+        a draw may sweep a memo that an equal sweep filled first (the
+        growing pairings always do), so its table is warm and it walks two
+        columns at a time.  Such walks must occur in all three kinds: only
+        the first column's j rises, only the second's, and both.  The first column's R is
+        pending there; its R = v^j test (``repeats``, as _commuting_powers
+        reads it) must agree with the reference and come out both true and
+        false.  The walk must stop at that column: some second columns whose
+        j rises run develop_ids only when read.  With the table bounded at
+        zero (the "restarting" case) it starts over after every walk that
+        adds a chunk, and sweeps that meet two tables must occur.  A column
+        that never closes fails its example after 5 s."""
         if bound == "restarting":
             monkeypatch.setattr(develop, "TABLE_CHUNKS_PER_R", 0)
         complexes, growing = census
         p0 = shipped.complex
         shipped_ids = [_word_ids(p0, w.period) for w in (shipped.hword, shipped.hword.inverse())]
         candidates = {}
-        seen = {"partial": 0, "recut": 0, "restart": 0}
+        seen = Counter()
+        calls = Counter()
+        kernel = develop.develop_ids
+
+        def counted(*args):
+            calls["develop_ids"] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(develop, "develop_ids", counted)
 
         @given(st.data())
         @settings(max_examples=100)
         def check(data):
-            source = data.draw(st.sampled_from(["shipped", "growing", "census"]), label="source")
+            sources = ["shipped", "growing", "census"] + ["kinds", "powers"] * (bound == "shipped")
+            source = data.draw(st.sampled_from(sources), label="source")
             if source == "shipped":
                 p = p0
                 h_ids = data.draw(st.sampled_from(shipped_ids), label="direction")
                 v_ids = _word_ids(p0, shipped.vword.period)
+            elif source in ("kinds", "powers"):
+                p, h_ids, v_ids = data.draw(st.sampled_from(pairings[source == "powers"]), label="sweep")
             else:
                 p = data.draw(st.sampled_from(growing if source == "growing" else complexes), label="complex")
                 if id(p) not in candidates:
@@ -260,32 +303,57 @@ class TestChunkedSweep:
                 hwords, vwords = candidates[id(p)]
                 h_ids, v_ids = data.draw(st.sampled_from(hwords), label="h"), data.draw(st.sampled_from(vwords), label="v")
             cols = data.draw(st.integers(1, self.MAX_COLS), label="columns")
-            sweep = orbit_lengths(p.tables, h_ids, v_ids)
+            memo = develop._Memo()
+            warm = source == "kinds" or bound == "shipped" and data.draw(st.booleans(), label="warm")
+            if warm:  # an equal sweep fills the memo first
+                for _, (j, _) in zip(range(cols), orbit_lengths(p.tables, h_ids, v_ids, memo)):
+                    if j * len(v_ids) > self.MAX_LETTERS:
+                        break
+            sweep = orbit_lengths(p.tables, h_ids, v_ids, memo)
             reference = orbit_lengths_by_blocks(p.tables, h_ids, v_ids)
             partial = recut = False
             prev_len, tables_met = len(v_ids), set()
+            js, developed, pending = [1], [False], []  # by column, from column 0
             for ref_j, ref_right in itertools.islice(reference, cols):
+                before = calls["develop_ids"]
                 with deadline(5):
                     j, right = next(sweep)
-                assert (j, list(right)) == (ref_j, ref_right)
+                js.append(j)
+                developed.append(calls["develop_ids"] > before)
                 letters = len(ref_right)
                 if letters > CHUNK:
                     table, ids = right._table, right._ids
                     assert all(len(table.chunks[c]) == CHUNK for c in ids[:-1])
                     tables_met.add(id(table))
+                    if right._letter is not None:  # the first column of a walk of two
+                        pending.append(len(js) - 1)
+                        is_power = right.repeats(v_ids)
+                        assert is_power == (ref_right == list(v_ids) * j)
+                        seen[f"pending R = v^j {is_power}"] += 1
+                assert (j, list(right)) == (ref_j, ref_right)
                 partial |= letters > 2 * CHUNK and letters % CHUNK != 0
                 recut |= prev_len > 2 * CHUNK and prev_len % CHUNK != 0 and letters > prev_len
                 if letters > self.MAX_LETTERS:
                     break
                 prev_len = letters
+            kinds = {(True, False): "first", (False, True): "second", (True, True): "both"}
+            for n in pending:
+                if n + 1 < len(js):
+                    second_rises = js[n + 1] > js[n]
+                    seen[kinds.get((js[n] > js[n - 1], second_rises), "neither")] += 1
+                    seen["developed on reading the second"] += second_rises and developed[n + 1]
             seen["partial"] += partial
             seen["recut"] += recut
             seen["restart"] += len(tables_met) > 1
 
         check()
-        assert seen["partial"] >= 20 and seen["recut"] >= 10
-        if bound == "restarting":
-            assert seen["restart"] >= 50
+        assert seen["partial"] >= 20 and seen["recut"] >= 10, seen
+        if bound == "shipped":
+            assert min(seen["first"], seen["second"], seen["both"]) >= 2, seen
+            assert min(seen["pending R = v^j True"], seen["pending R = v^j False"]) >= 10, seen
+            assert seen["developed on reading the second"] >= 2, seen
+        else:
+            assert seen["restart"] >= 50, seen
 
     @pytest.mark.parametrize("bound", ["shipped", "restarting"])
     def test_sweeps_sharing_a_memo_match_sweep_by_blocks(self, census, shipped, monkeypatch, bound):
