@@ -38,12 +38,17 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
     steps is the number of flat levels; strips are indexed 0..steps, so the
     wall family has steps+1 members.  margin is extra flat width beyond the
     overlap on each side; crossing_bound, the certificate's max_crossing and
-    lower_bound do not depend on it, but its BFS distances can.
+    lower_bound do not depend on it, but its BFS distances can.  Every field
+    must be an int, not a bool; the constructor, _make and _replace raise
+    InvalidParams otherwise.
     """
 
     __slots__ = ()
 
     def __new__(cls, overlap_len, shift, steps, margin=1):
+        for name, value in zip(cls._fields, (overlap_len, shift, steps, margin)):
+            if type(value) is not int:
+                raise InvalidParams(f"{name} must be an integer, got {value!r}")
         if shift <= 0:
             raise InvalidParams("shift must be positive")
         if shift > overlap_len:
@@ -68,32 +73,40 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
         return self._asdict()
 
 
-# A window is carried as row runs.  A run (y, a, b, bottom, top) is a row of
-# unit squares at height y, one per column x = a .. b-1, each sharing its
-# vertical sides with its neighbours; bottom and top are its two vertex rows
-# as tuples of constant-tag segments (x0, x1, tag) covering a .. b.  Vertices
-# are (x, y, tag) triples: tag 0 on the main sheet, tag 1 on a strip bottom
-# hanging beyond the overlap with the flat below.  build_staircase emits its
-# bands directly as runs; CubeWindow(squares) groups the squares it is given.
+# A window is carried as runs.  A run (y, a, b, bottom, top, h) is h rows of
+# unit squares at heights y .. y+h-1, one square per row and column x = a ..
+# b-1, each sharing its vertical sides with its neighbours in its row; bottom
+# and top are its lowest and highest vertex rows, y and y+h, as tuples of
+# constant-tag segments (x0, x1, tag) covering a .. b.  Vertices are (x, y,
+# tag) triples: tag 0 on the main sheet, tag 1 on a strip bottom hanging
+# beyond the overlap with the flat below.  A run of h > 1 rows is a band: its
+# rows copy one another, each of its vertex rows is one segment of one tag, and
+# no other run has a square in its rows.  build_staircase emits each strip as
+# a one-row run and each flat as one band; CubeWindow(squares) groups the
+# squares it is given into one-row runs.  The rows of a window are numbered
+# run by run, bottom to top, so one-row runs before the first band have their
+# run's number.
 #
 # Everything runs on runs, segments and per-row intervals (_layout):
 #   - counts and connectivity from the overlaps of the segments in each vertex
 #     row (y, tag); the horizontal edges of a row are its edge rows
-#     (y, tag, tag) and the edges between segments of two tags;
+#     (y, tag, tag) and the edges between segments of two tags; a band lists
+#     only its bottom and top vertex rows and counts the cells between them;
 #   - the link condition from one scan of given squares; built windows need none;
-#   - horizontal walls: one per run, merged where runs share a vertical side;
+#   - horizontal walls: one per row, merged where rows share a vertical side;
 #   - vertical walls: each edge row holds one label per column; the rows are
 #     swept bottom-up, and each run's column pieces copy the labels of their
-#     bottom edges onto their top edges as list slices (_walls); walls need
-#     the link condition, under which each label is one wall;
+#     bottom edges onto their top edges as list slices (_walls), a band's
+#     from its bottom edge row to its top one at once; walls need the link
+#     condition, under which each label is one wall;
 #   - walls are numbered by the tuple of their least edge, so numbers follow
 #     the order of edge tuples; a wall's one name is w0000, w0001, ...
 #   - crossings sit in one list per wall: a horizontal wall's holds the
 #     vertical walls it crosses, read off each piece's labels, and a vertical
 #     wall's the horizontal walls that cross it, so each square is one entry
-#     on each side; the contacts that are not crossings (runs that touch,
-#     consecutive squares of one run, the corner rule) sit in one small set
-#     per wall (ContactGraph).
+#     on each side, and a band's row walls share one list; the contacts that
+#     are not crossings (rows that touch, consecutive squares of one run, the
+#     corner rule) sit in one small set per wall (ContactGraph).
 # A window holds no vertex or edge tuples, and its graph no hashed entry per
 # crossing.  Its squares are the tuple it was given, or one built from its
 # runs on first use; ContactGraph.neighbors and .crossings, keyed by wall id,
@@ -194,10 +207,10 @@ def _runs_of(squares):
             b += 1
             continue
         if y is not None:
-            runs.append((y, a, b, _segments(a, bottom), _segments(a, top)))
+            runs.append((y, a, b, _segments(a, bottom), _segments(a, top), 1))
         y, a, b, bottom, top = row, x, x + 1, [sw, se], [nw, ne]
     if y is not None:
-        runs.append((y, a, b, _segments(a, bottom), _segments(a, top)))
+        runs.append((y, a, b, _segments(a, bottom), _segments(a, top), 1))
     return runs
 
 
@@ -206,11 +219,12 @@ def _row_major(sq):
 
 
 def _squares_of(runs):
-    for y, a, b, bottom, top in runs:
+    for y, a, b, bottom, top, h in runs:
         tb, tt = _tags(bottom), _tags(top)
-        for i, x in enumerate(range(a, b)):
-            sw, se, nw, ne = tb[i], tb[i + 1], tt[i], tt[i + 1]
-            yield WindowSquare((x, y, sw), (x + 1, y, se), (x, y + 1, nw), (x + 1, y + 1, ne))
+        for row in range(y, y + h):
+            for i, x in enumerate(range(a, b)):
+                sw, se, nw, ne = tb[i], tb[i + 1], tt[i], tt[i + 1]
+                yield WindowSquare((x, row, sw), (x + 1, row, se), (x, row + 1, nw), (x + 1, row + 1, ne))
 
 
 _QUADRANTS = ("NE", "NW", "SE", "SW")  # the quadrant each corner sw, se, nw, ne fills
@@ -222,14 +236,18 @@ class _Layout(
         "vertex_rows edge_rows vertical_rows pieces touching shared_sides corners counts connected",
     )
 ):
-    """A window's cells as intervals per row, read off its runs.
+    """A window's cells as intervals per row, read off its runs; rows are
+    numbered as in the run-layout comment above.
 
-    vertex_rows: (y, tag) -> [(x0, x1, run, tag at x0-1, tag at x1+1)]
+    vertex_rows: (y, tag) -> [(x0, x1, row, tag at x0-1, tag at x1+1)]: the
+        row of squares is the one below the segment for a run's top, above it
+        for a run's bottom; a band's interior vertex rows are not listed
     edge_rows: (y, tag, tag) -> (first, last) column of the horizontal edges in that row
-    vertical_rows: (y, bottom tag, top tag) -> [(x0, x1, run)]: vertical edges at x0..x1
+    vertical_rows: (y, bottom tag, top tag) -> [(x0, x1, row)]: vertical edges
+        at x0..x1, of one-row runs only
     pieces: per run, [(c0, c1, bottom edge row, top edge row)] over columns c0 .. c1-1
-    touching: (run, run) pairs of runs that share a vertex
-    shared_sides: (run, run) pairs of runs that share a vertical edge
+    touching: (row, row) pairs of rows that share a vertex
+    shared_sides: (row, row) pairs of rows that share a vertical edge
     corners: ((y, tag), x) vertices whose walls are not all paired by the rules in ContactGraph
     counts: the dict of window.counts(); connected: a bool
     """
@@ -240,16 +258,26 @@ class _Layout(
 def _layout(runs):
     vertex_rows, vertical_rows = defaultdict(list), defaultdict(list)
     switches = set()  # (y, tag, tag, column) of each horizontal edge whose ends have different tags
-    pieces = []
-    for k, (y, a, b, bottom, top) in enumerate(runs):
-        for side, segments in ((0, bottom), (1, top)):
+    pieces, touching = [], []
+    n_vertices = n_edges = n_squares = 0
+    first = 0  # the number of the run's bottom row
+    for y, a, b, bottom, top, h in runs:
+        last = first + h - 1
+        for vy, segments, row in ((y, bottom, first), (y + h, top, last)):
             before = None
             for i, (x0, x1, t) in enumerate(segments, 1):
                 after = segments[i][2] if i < len(segments) else None
                 if after is not None:
-                    switches.add((y + side, t, after, x1))
-                vertex_rows[y + side, t].append((x0, x1, k, before, after))
+                    switches.add((vy, t, after, x1))
+                vertex_rows[vy, t].append((x0, x1, row, before, after))
                 before = t
+        n_squares += h * (b - a)
+        if h > 1:
+            # a band is alone in its rows: between its bottom and top lie h - 1
+            # vertex rows of one segment, each shared by two consecutive rows
+            n_vertices += (h - 1) * (b - a + 1)
+            n_edges += (h - 1) * (b - a) + h * (b - a + 1)
+            touching.extend(pairwise(range(first, last + 1)))
         # vertex ranges of constant (bottom tag, top tag); the columns inside
         # one are a piece, and so is each column between two of them
         own = []
@@ -259,24 +287,25 @@ def _layout(runs):
             s1, tb = bottom[i][1:]
             u1, tt = top[j][1:]
             e = s1 if s1 < u1 else u1
-            vertical_rows[y, tb, tt].append((x, e, k))
+            if h == 1:
+                vertical_rows[y, tb, tt].append((x, e, first))
             if x > a:
-                own.append((x - 1, x, (y, pb, tb), (y + 1, pt, tt)))
+                own.append((x - 1, x, (y, pb, tb), (y + h, pt, tt)))
             if e > x:
-                own.append((x, e, (y, tb, tb), (y + 1, tt, tt)))
+                own.append((x, e, (y, tb, tb), (y + h, tt, tt)))
             if e == b:
                 break
             i += e == s1
             j += e == u1
             x, pb, pt = e + 1, tb, tt
         pieces.append(own)
+        first = last + 1
 
     # per vertex row: its vertices, its edges with both ends in the row's tag
     # (each stretch of overlapping segments has one fewer than vertices) and
-    # the runs sharing a vertex
-    touching, corners = [], set()
+    # the rows sharing a vertex
+    corners = set()
     edge_rows = {}
-    n_vertices = n_edges = 0
     for (y, t), entries in vertex_rows.items():
         covered, stretches, pairs = _sweep(entries)
         lo, hi = entries[0][0], max(map(itemgetter(1), entries))
@@ -284,7 +313,7 @@ def _layout(runs):
         n_edges += covered - stretches
         if hi > lo:
             edge_rows[y, t, t] = (lo, hi - 1)
-        # Crossings, runs sharing a vertex and consecutive squares of one run
+        # Crossings, rows sharing a vertex and consecutive squares of one run
         # pair up the walls at a vertex, unless a segment has two edges there
         # not both in tag t (at an end next to a segment of another tag), or
         # two segments have different edges there (at an end of their
@@ -311,9 +340,8 @@ def _layout(runs):
         n_edges += covered
         shared.extend((e[2], f[2]) for e, f in pairs)
 
-    n = len(runs)
-    classes = _least_members(n, [j for j, _ in touching], [k for _, k in touching])
-    counts = {"vertices": n_vertices, "edges": n_edges, "squares": sum(b - a for _, a, b, _, _ in runs)}
+    classes = _least_members(first, [j for j, _ in touching], [k for _, k in touching])
+    counts = {"vertices": n_vertices, "edges": n_edges, "squares": n_squares}
     return _Layout(
         vertex_rows, edge_rows, vertical_rows, pieces, touching, shared, corners, counts, not any(classes)
     )
@@ -329,21 +357,24 @@ class _Walls(namedtuple("_Walls", "count labels vertical horizontal")):
     """A window's wall partition, on numbers.
 
     count: the number of walls
-    labels: edge row (y, tag, tag) -> (c0, [label of the edge at column c0, c0+1, ...; -1 if none])
+    labels: edge row (y, tag, tag) -> (c0, [label of the edge at column c0, c0+1, ...; -1 if none]);
+        a band's interior edge rows carry its bottom edge row's labels and are not listed
     vertical: label -> wall number
-    horizontal: run -> wall number
+    horizontal: row -> wall number
     """
 
     __slots__ = ()
 
 
 def _walls(runs, layout):
-    """Horizontal walls merge runs that share a vertical edge.  Vertical walls
-    are labels: rows are swept bottom-up, a piece takes the labels of its
-    bottom edges (fresh ones where there are none yet) and copies them onto
-    its top edges.  The window must satisfy the link condition: then no other
-    square lies below those top edges, so no two labels meet and each label
-    is one wall, whose least edge is the one it was born at."""
+    """Horizontal walls are rows, merged where rows share a vertical edge.
+    Vertical walls are labels: rows are swept bottom-up, a piece takes the
+    labels of its bottom edges (fresh ones where there are none yet) and
+    copies them onto its top edges, a band's past its interior edge rows,
+    which carry the same labels and are not stored.  The window must satisfy
+    the link condition: then no other square lies below those top edges, so
+    no two labels meet and each label is one wall, whose least edge is the
+    one it was born at."""
     labels = {key: (lo, [-1] * (hi - lo + 1)) for key, (lo, hi) in layout.edge_rows.items()}
     keys = {}  # wall -> its least edge; a label's is the edge it was born at
     for k in sorted(range(len(runs)), key=lambda k: runs[k][0]):
@@ -360,26 +391,29 @@ def _walls(runs, layout):
             lo, row = labels[kt]
             row[c0 - lo:c1 - lo] = own
 
-    # a wall is a label, or n + the least run of a class of runs
+    # a wall is a label, or n + the least row of a class of rows; a band's
+    # rows copy its bottom, so each row's least edge is its westmost one
     n = len(keys)
     shared = layout.shared_sides
-    run_root = _least_members(len(runs), [j for j, _ in shared], [k for _, k in shared])
-    for k, (y, a, _, bottom, top) in enumerate(runs):
-        first = ((a, y, bottom[0][2]), (a, y + 1, top[0][2]))
-        i = n + run_root[k]
+    row_root = _least_members(sum(run[5] for run in runs), [j for j, _ in shared], [k for _, k in shared])
+    westmost = (
+        ((a, z, bottom[0][2]), (a, z + 1, top[0][2])) for y, a, _, bottom, top, h in runs for z in range(y, y + h)
+    )
+    for root, first in zip(row_root, westmost):
+        i = n + root
         if i not in keys or first < keys[i]:
             keys[i] = first
     number = dict(zip(sorted(keys, key=keys.__getitem__), range(len(keys))))
-    return _Walls(len(keys), labels, [number[i] for i in range(n)], [number[n + r] for r in run_root])
+    return _Walls(len(keys), labels, [number[i] for i in range(n)], [number[n + r] for r in row_root])
 
 
 class CubeWindow:
-    """A finite square complex of unit squares, carried as row runs.
+    """A finite square complex of unit squares, carried as runs.
 
     CubeWindow(squares) takes any unit squares (see _unit_square), groups
-    them into runs and checks the link condition by one scan of them on first
-    use; build_staircase makes its runs directly, and its windows alone carry
-    params and need no scan.  squares is the tuple given, or for a built
+    them into one-row runs and checks the link condition by one scan of them
+    on first use; build_staircase makes its runs directly, its flats as bands,
+    and its windows alone carry params and need no scan.  squares is the tuple given, or for a built
     window one made run by run on first use.  Counts, validate and
     euler_characteristic take any window; its walls, and so its contact
     graph, need the link condition and raise validate's error without it.
@@ -476,11 +510,13 @@ def _overlap_span(params, i):
 
 def build_staircase(params):
     """Assemble and validate the staircase window for the given parameters:
-    strips 0..steps, then each flat's rows, each one run, so run i is strip i.
-    A strip's bottom is tagged 1 outside its overlap with the flat below (all
-    of strip 0's).  Each row is one run, so no two squares share a row and
-    column, no quadrant of a vertex holds two squares, and the window
-    satisfies the link condition by construction."""
+    strips 0..steps as one-row runs, so run i and row i are strip i, then each
+    flat as one band of FLAT_ROWS rows.  A strip's bottom is tagged 1 outside
+    its overlap with the flat below (all of strip 0's).  Strips and flats sit
+    at heights of their own, so each flat is a band alone in its rows, as
+    _layout relies on; no two squares share a row and column, no quadrant of
+    a vertex holds two squares, and the window satisfies the link condition
+    by construction."""
     runs = []
     for i in range(params.steps + 1):
         lo, hi = _strip_span(params, i)
@@ -489,12 +525,11 @@ def build_staircase(params):
             bottom = ((lo, a - 1, 1), (a, b, 0), (b + 1, hi, 1))
         else:
             bottom = ((lo, hi, 1),)
-        runs.append((_LEVEL_PITCH * i, lo, hi, bottom, ((lo, hi, 0),)))
+        runs.append((_LEVEL_PITCH * i, lo, hi, bottom, ((lo, hi, 0),), 1))
     for i in range(params.steps):
         lo, hi = _flat_span(params, i)
         row = ((lo, hi, 0),)
-        base = _LEVEL_PITCH * i + 1
-        runs.extend((y, lo, hi, row, row) for y in range(base, base + FLAT_ROWS))
+        runs.append((_LEVEL_PITCH * i + 1, lo, hi, row, row, FLAT_ROWS))
     window = CubeWindow._from_runs(params, runs)
     window._link_failure = None
     window.validate()
@@ -525,16 +560,18 @@ class ContactGraph:
     walls is the list of wall ids, and a wall's number is its position there.
     The graph is built on wall numbers, as one list and one set per wall:
     _across[k] lists the walls that cross wall k, and _contacts[k] holds the
-    walls that meet it at a vertex without crossing it: runs that touch,
+    walls that meet it at a vertex without crossing it: rows that touch,
     consecutive squares of one run, the corner rule.  A horizontal wall's
     list is the vertical walls of its squares, read off the labels of their
-    bottom edges; a vertical wall's list is filled from those, so each
-    crossing is one entry on each side.  Under the link condition a
-    horizontal wall lies in one row of squares and a vertical one in one
-    column, with at most one square in each row, so two walls share at most
-    one square: no list repeats a wall.  neighbors and crossings keyed by
-    wall id, each neighbour tuple sorted as strings, are built on first use.
-    The window must satisfy the link condition.
+    bottom edges, and the row walls of a band share one list; a vertical
+    wall's list is filled from those, so each crossing is one entry on each
+    side.  A band's rows copy its bottom labels, so its consecutive squares
+    pair once for all its rows, and consecutive rows of it touch.  Under the
+    link condition a horizontal wall lies in one row of squares and a
+    vertical one in one column, with at most one square in each row, so two
+    walls share at most one square: no list repeats a wall.  neighbors and
+    crossings keyed by wall id, each neighbour tuple sorted as strings, are
+    built on first use.  The window must satisfy the link condition.
     """
 
     def __init__(self, window):
@@ -543,26 +580,32 @@ class ContactGraph:
         layout, part = window._layout, window._walls
         vertical, horizontal = part.vertical, part.horizontal
 
-        # a run's wall crosses its squares' bottom-edge walls; consecutive ones meet
+        # a row's wall crosses its squares' bottom-edge walls; consecutive ones meet
         self._across = across = [[] for _ in range(part.count)]
         self._contacts = contacts = [set() for _ in range(part.count)]
-        for k, pieces in enumerate(layout.pieces):
+        first = 0
+        for (*_, h), pieces in zip(window._runs, layout.pieces):
             own = []
             for c0, c1, kb, _ in pieces:
                 lo, row = part.labels[kb]
                 own.extend(map(vertical.__getitem__, islice(row, c0 - lo, c1 - lo)))
-            across[horizontal[k]].extend(own)
+            rows = horizontal[first:first + h]
+            first += h
+            if h == 1:
+                across[rows[0]].extend(own)  # a one-row run's wall can span other runs
+            else:
+                for w in rows:
+                    across[w] = own
+            for v in own:
+                across[v].extend(rows)
             for a, b in pairwise(own):
                 contacts[a].add(b)
                 contacts[b].add(a)
-        for h in dict.fromkeys(horizontal):
-            for v in across[h]:
-                across[v].append(h)
 
         # The walls at a vertex are the walls of its edges.  Two walls that
         # cross meet at the square's corners and are listed above; so are
         # consecutive squares of one run, whose top edges carry their bottom
-        # edges' walls.  The other contacts: runs sharing a vertex, and the
+        # edges' walls.  The other contacts: rows sharing a vertex, and the
         # walls at a vertex where the segments through it differ.
         for j, k in layout.touching:
             a, b = horizontal[j], horizontal[k]
@@ -750,7 +793,7 @@ def nonacyl_certificate(params, p, graph=None):
 
     The parameters must pass check_certifiable.  graph, when given, must be
     the contact graph of the window built for params; otherwise it is built
-    here.  The family is the walls of runs 0..steps, the build's strips; the
+    here.  The family is the walls of rows 0..steps, the build's strips; the
     witness is the wall of column L-1 in edge row (1, 0, 0), the last edge of
     the level-0 overlap.  Walls are numbers until the certificate names them.
     """

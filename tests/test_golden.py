@@ -11,11 +11,14 @@ change that alters an artifact on purpose declares its new bytes in one edit.
 """
 
 import hashlib
+import json
 from importlib.resources import files
 
 import pytest
 
 from cscwalls.cli import main
+
+from .checker import problems
 
 #: The files a row may write, digested in this order before stdout and stderr.
 FILES = ("out.json", "out.json.manifest.json", "out.dot")
@@ -466,3 +469,32 @@ def test_golden_row(row, tmp_path, monkeypatch, capsys):
     assert (got_status, got) == (status, digests), f"{row}: got status {got_status} and digests {got!r}"
     assert {name: tmp_path.joinpath(name).read_bytes() for name in INPUTS} == inputs
 
+
+
+#: The certify rows that exit 0; each is run again with --dot for tests/checker.py.
+CERTIFY_ROWS = [row for row, (argv, status, _) in ROWS.items() if argv[0] == "certify" and status == 0]
+
+
+def _certify(argv, directory, monkeypatch):
+    """Run a certify row in directory with --dot out.dot; its certificate and DOT text."""
+    monkeypatch.chdir(directory)
+    assert main([*argv, *(() if "--dot" in argv else ("--dot", "out.dot"))]) == 0
+    return json.loads(directory.joinpath("out.json").read_text()), directory.joinpath("out.dot").read_text()
+
+
+@pytest.mark.parametrize("row", CERTIFY_ROWS)
+def test_certify_row_passes_the_checker(row, tmp_path, monkeypatch):
+    """The certificate's distances, witness and bounds hold on the graph its
+    DOT file draws, by the checker's own search of the edge lines."""
+    assert problems(*_certify(ROWS[row][0], tmp_path, monkeypatch)) == []
+
+
+def test_checker_refuses_a_dropped_edge(tmp_path, monkeypatch):
+    """Without the edge line between family[0] and the witness, the checker
+    names the missing adjacency."""
+    cert, dot = _certify(ROWS[CERTIFY_ROWS[0]][0], tmp_path, monkeypatch)
+    base, witness = sorted((cert["family"][0], cert["witness_wall"]))
+    line = f'  "{base}" -- "{witness}";\n'
+    assert line in dot
+    found = problems(cert, dot.replace(line, ""))
+    assert f"witness {cert['witness_wall']} is not adjacent to family[0] {cert['family'][0]}" in found

@@ -210,6 +210,29 @@ def test_stair_params_replace_and_make_validate(shape, field, value):
         assert all(build() == want and type(build()) is StairParams for build in builds)
 
 
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3), st.integers(1, 3)),
+    field=st.sampled_from(TUPLE_RECORDS[StairParams]),
+    value=st.one_of(st.floats(allow_nan=False), st.text(max_size=3), st.none(), st.booleans()),
+)
+def test_stair_params_refuse_non_integers(shape, field, value):
+    """A float, string, None or bool in any field raises InvalidParams
+    naming the field, from the constructor, _replace and _make alike, even
+    where its value equals a valid integer (3.0, True)."""
+    L, r, steps, margin = shape
+    params = StairParams(max(L, r), min(L, r), steps, margin)
+    fields = {**params._asdict(), field: value}
+    builds = (
+        lambda: StairParams(**fields),
+        lambda: params._replace(**{field: value}),
+        lambda: StairParams._make(fields.values()),
+    )
+    for build in builds:
+        with pytest.raises(InvalidParams) as got:
+            build()
+        assert str(got.value) == f"{field} must be an integer, got {value!r}"
+
+
 A, B = EdgeLabel("a", HORIZONTAL), EdgeLabel("b", HORIZONTAL)
 X = EdgeLabel("x", VERTICAL)
 a, b, x = OrientedEdge(A), OrientedEdge(B), OrientedEdge(X)

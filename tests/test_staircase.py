@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cscwalls.errors import CscwallsError, InvalidParams, UnknownWall
 from cscwalls.staircase import (
+    FLAT_ROWS,
     ContactGraph,
     CubeWindow,
     StairParams,
@@ -103,11 +104,22 @@ def run_rows(draw):
 
 def wall_number_of_edge(window, edge):
     """The wall number of an edge given as its (lesser, greater) vertex
-    tuples, read off the engine's labels per edge row and walls per run;
-    None if the window has no such edge."""
+    tuples, read off the engine's labels per edge row and walls per row;
+    None if the window has no such edge.  A band lists neither its vertical
+    edges nor its interior edge rows: its edge in row j is row j's wall, and
+    an interior edge carries the label of the bottom edge in its column."""
     (x, y, t), (x2, y2, t2) = edge
     part = window._walls
-    if (x2, y2) == (x + 1, y):
+    across = (x2, y2) == (x + 1, y)  # a horizontal edge, dual to a vertical wall
+    first = 0
+    for y0, a, b, bottom, _, h in window._runs:
+        if h > 1 and t == t2 == bottom[0][2] and a <= x <= b - across:
+            if (x2, y2) == (x, y + 1) and y0 <= y < y0 + h:
+                return part.horizontal[first + y - y0]
+            if across and y0 < y < y0 + h:
+                y = y0
+        first += h
+    if across:
         lo, row = part.labels.get((y, t, t2), (0, ()))
         if 0 <= x - lo < len(row) and row[x - lo] >= 0:
             return part.vertical[row[x - lo]]
@@ -477,6 +489,33 @@ class TestWalls:
         oracle = contact_graph_by_tuples(graph.window)
         assert contact_graph_dot(graph) == contact_graph_dot_by_names(oracle)
         assert_lists_match_oracle(graph, oracle)
+
+
+class TestBands:
+    @settings(max_examples=100)
+    @given(stair_shapes())
+    def test_bands_agree_with_rows(self, params):
+        """A built window carries each flat as one band, and CubeWindow of its
+        squares carries each row of squares as a run of its own: the two give
+        the same counts, walls, neighbours, crossings, DOT text and distances
+        from the base strip wall."""
+        bands = build_staircase(params)
+        rows = CubeWindow(bands.squares)
+        assert {run[5] for run in rows._runs} == {1}
+        assert rows.counts() == bands.counts() and rows.validate() == bands.validate()
+        assert walls(rows) == walls(bands)
+        a, b = contact_graph(bands), contact_graph(rows)
+        assert a.neighbors == b.neighbors and a.crossings == b.crossings
+        assert contact_graph_dot(a) == contact_graph_dot(b)
+        base = wall_of_edge(b, strip_wall_edge(params, 0))
+        assert contact_distances(a, base) == contact_distances(b, base)
+
+    @given(stair_shapes())
+    def test_each_flat_is_one_band(self, params):
+        """steps + 1 one-row strips, then steps bands of FLAT_ROWS rows."""
+        window = build_staircase(params)
+        assert len(window._runs) == 2 * params.steps + 1
+        assert [run[5] for run in window._runs] == [1] * (params.steps + 1) + [FLAT_ROWS] * params.steps
 
 
 class TestContactGraph:
