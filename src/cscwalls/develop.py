@@ -198,15 +198,6 @@ def stream_mismatch_ids(tables, period_ids, side_ids, max_cols):
 #: Germ ids per chunk of the right word R in orbit_lengths.
 CHUNK = 8
 
-#: A sweep of orbit_lengths starts a fresh chunk table from R's chunks once
-#: it has added more than this many chunks per chunk of R to its table, so
-#: what it adds stays O(len R).  At 4 the shipped pair's east sweep restarts
-#: 24 times in its first 244 columns and its 731-column sweep takes three
-#: times as long; the west sweep, run after it, takes its last table and
-#: never restarts.  At 16 neither restarts.
-TABLE_CHUNKS_PER_R = 16
-
-
 def orbit_lengths(tables, period_ids, side_ids, memo=None):
     """Yield (j(N), R) for N = 1, 2, ...: j(N) is the orbit length of the
     length-N prefix of the periodic bottom word (period_ids repeated) under
@@ -245,7 +236,7 @@ def orbit_lengths(tables, period_ids, side_ids, memo=None):
     cut afresh.
 
     A walk takes a pair only when the step before it added no chunk to the
-    table (entering or restarting a table counts as a step).  A walk that
+    table (entering the table counts as a step).  A walk that
     meets new chunks meets empty pair slots, and resolving those costs more
     than the lookups that pairs save: with a pair at every walk, census
     sweeps (8,568 of them: both directions of the first 6 x 6 candidate
@@ -261,9 +252,8 @@ def orbit_lengths(tables, period_ids, side_ids, memo=None):
     table, and R only grows (its length is j*len(side_ids)), so a sweep that
     has left the base case never returns to it.  memo.table is the chunk
     table that a sweep takes when its R outgrows one chunk, so the two
-    directions of one query fill each other's rows.  A sweep that restarts
-    puts its fresh table in the memo; another sweep keeps the table that its
-    R indexes, and tables only grow, so every yielded R stays valid.
+    directions of one query fill each other's rows.  Chunks are only
+    appended, so every yielded R stays valid.
 
     R is yielded as a sequence of germ ids: a list while it fits in one
     chunk, else a _ChunkedWord, expanded only when iterated or compared, so
@@ -297,10 +287,11 @@ def orbit_lengths(tables, period_ids, side_ids, memo=None):
         j *= t
         if len(word) <= CHUNK:
             yield j, word
-    table, right, added = memo.enter(tables, word)
+    table, right, grown = memo.enter(tables, word)
     if col:  # the column that left the base case
         yield j, _ChunkedWord(table, right)
-    letters, grown = len(tables.top), added
+    letters = len(tables.top)
+    rows, chunks, fill, pairs = table.rows, table.chunks, table.fill, table.pairs
     while True:
         b1 = period_ids[col % plen]
         if grown:  # the last step added chunks: walk one column
@@ -311,7 +302,6 @@ def orbit_lengths(tables, period_ids, side_ids, memo=None):
             col += 2
         first = (b1 + 1) * letters  # the pair codes from first to first + letters start with b1
         code, s, s1, grown, blocks = start, 0, 0, 0, []
-        rows, chunks, fill, pairs = table.rows, table.chunks, table.fill, table.pairs
         size = len(chunks)
         append = blocks.append
         while True:
@@ -342,17 +332,12 @@ def orbit_lengths(tables, period_ids, side_ids, memo=None):
             blocks[tail:] = table.cut(table.expand(blocks[tail:]))
         right = blocks
         grown += len(chunks) - size
-        added += grown
-        if added > TABLE_CHUNKS_PER_R * len(right):
-            memo.table = None
-            table, right, added = memo.enter(tables, table.expand(right))
-            grown = added
         yield j, _ChunkedWord(table, right)
 
 
 class _Memo:
     """The work developed on one complex's tables: base-case columns, and
-    the chunk table that the next sweep to outgrow one chunk takes."""
+    the chunk table that every sweep takes once it outgrows one chunk."""
 
     def __init__(self):
         self.columns, self.table = {}, None

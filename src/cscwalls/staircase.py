@@ -106,7 +106,7 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
 #     wall's the horizontal walls that cross it, so each square is one entry
 #     on each side, and a band's row walls share one list; the contacts that
 #     are not crossings (rows that touch, consecutive squares of one run, the
-#     corner rule) sit in one small set per wall (ContactGraph).
+#     corner rule) sit in one more list per wall, each wall once (ContactGraph).
 # A window holds no vertex or edge tuples, and its graph no hashed entry per
 # crossing.  Its squares are the tuple it was given, or one built from its
 # runs on first use; ContactGraph.neighbors and .crossings, keyed by wall id,
@@ -558,18 +558,18 @@ class ContactGraph:
 
     crossings is the transversality subrelation: walls sharing a square.
     walls is the list of wall ids, and a wall's number is its position there.
-    The graph is built on wall numbers, as one list and one set per wall:
-    _across[k] lists the walls that cross wall k, and _contacts[k] holds the
-    walls that meet it at a vertex without crossing it: rows that touch,
-    consecutive squares of one run, the corner rule.  A horizontal wall's
-    list is the vertical walls of its squares, read off the labels of their
-    bottom edges, and the row walls of a band share one list; a vertical
-    wall's list is filled from those, so each crossing is one entry on each
-    side.  A band's rows copy its bottom labels, so its consecutive squares
-    pair once for all its rows, and consecutive rows of it touch.  Under the
-    link condition a horizontal wall lies in one row of squares and a
-    vertical one in one column, with at most one square in each row, so two
-    walls share at most one square: no list repeats a wall.  neighbors and
+    The graph is built on wall numbers, as two lists per wall: _across[k]
+    lists the walls that cross wall k, and _contacts[k] the walls that meet it
+    at a vertex without crossing it, each once: rows that touch, consecutive
+    squares of one run, the corner rule.  A horizontal wall's crossing list is
+    the vertical walls of its squares, read off the labels of their bottom
+    edges, and the row walls of a band share one list; a vertical wall's list
+    is filled from those, so each crossing is one entry on each side.  A
+    band's rows copy its bottom labels, so its consecutive squares pair once
+    for all its rows, and consecutive rows of it touch.  Under the link
+    condition a horizontal wall lies in one row of squares and a vertical one
+    in one column, with at most one square in each row, so two walls share at
+    most one square: no crossing list repeats a wall.  neighbors and
     crossings keyed by wall id, each neighbour tuple sorted as strings, are
     built on first use.  The window must satisfy the link condition.
     """
@@ -582,7 +582,8 @@ class ContactGraph:
 
         # a row's wall crosses its squares' bottom-edge walls; consecutive ones meet
         self._across = across = [[] for _ in range(part.count)]
-        self._contacts = contacts = [set() for _ in range(part.count)]
+        self._contacts = contacts = [[] for _ in range(part.count)]
+        consecutive = set()  # (west, east) walls of consecutive squares: a pair recurs in each run both cross
         first = 0
         for (*_, h), pieces in zip(window._runs, layout.pieces):
             own = []
@@ -598,31 +599,41 @@ class ContactGraph:
                     across[w] = own
             for v in own:
                 across[v].extend(rows)
-            for a, b in pairwise(own):
-                contacts[a].add(b)
-                contacts[b].add(a)
+            consecutive.update(zip(own, islice(own, 1, None)))
+        for a, b in consecutive:
+            contacts[a].append(b)
+            contacts[b].append(a)
 
         # The walls at a vertex are the walls of its edges.  Two walls that
         # cross meet at the square's corners and are listed above; so are
         # consecutive squares of one run, whose top edges carry their bottom
         # edges' walls.  The other contacts: rows sharing a vertex, and the
-        # walls at a vertex where the segments through it differ.
+        # walls at a vertex where the segments through it differ.  A wall is
+        # appended only where it is not listed yet, so each contact is one
+        # entry on each side.
         for j, k in layout.touching:
             a, b = horizontal[j], horizontal[k]
-            if a != b:
-                contacts[a].add(b)
-                contacts[b].add(a)
-        rows = layout.vertex_rows
-        cornered = set()
+            if a != b and b not in contacts[a]:
+                contacts[a].append(b)
+                contacts[b].append(a)
+        # At a corner each column wall pairs with every wall there that its
+        # crossing list, the short one, does not hold; walls of one kind never
+        # cross, so the row walls there then pair with each other.
         for (y, t), x in layout.corners:
-            met = _walls_at(part, y, t, x, rows[y, t])
-            cornered.update(met)
-            for w in met:
-                contacts[w].update(met)
-        # only the corner rule pairs a wall with itself or with a wall it crosses
-        for w in cornered:
-            contacts[w].discard(w)
-            contacts[w].difference_update(across[w])
+            rows, columns = _walls_at(part, y, t, x, layout.vertex_rows[y, t])
+            met = [*rows, *columns]
+            for c in columns:
+                near, crossed = contacts[c], across[c]
+                for v in met:
+                    if v != c and v not in near and v not in crossed:
+                        near.append(v)
+                        contacts[v].append(c)
+            for r in rows:
+                near = contacts[r]
+                for v in rows:
+                    if v != r and v not in near:
+                        near.append(v)
+                        contacts[v].append(r)
 
     @cached_property
     def _numbers(self):
@@ -650,19 +661,20 @@ class ContactGraph:
 
 
 def _walls_at(part, y, t, x, entries):
-    """The walls at vertex (x, y, t), given the segments of its vertex row."""
-    met = set()
+    """The horizontal and the vertical walls at vertex (x, y, t), as two sets,
+    given the segments of its vertex row."""
+    rows, columns = set(), set()
     for e in entries:
         if e[0] <= x <= e[1]:
-            met.add(part.horizontal[e[2]])
+            rows.add(part.horizontal[e[2]])
             west, east = _edges_at(e, t, x)
             if west is not None:
                 lo, row = part.labels[y, west, t]
-                met.add(part.vertical[row[x - 1 - lo]])
+                columns.add(part.vertical[row[x - 1 - lo]])
             if east is not None:
                 lo, row = part.labels[y, t, east]
-                met.add(part.vertical[row[x - lo]])
-    return met
+                columns.add(part.vertical[row[x - lo]])
+    return rows, columns
 
 
 def contact_graph(window):
@@ -692,7 +704,7 @@ def _distances(graph, start):
 def contact_distances(graph, source):
     """BFS hop counts from wall id source to every wall of the contact graph,
     keyed by wall id, the keys in the order the search reached the walls: a
-    wall's crossing list first, then its contact set.  That order is not
+    wall's crossing list first, then its contact list.  That order is not
     part of any artifact.
 
     Raises CscwallsError when some wall is unreachable, i.e. when the contact

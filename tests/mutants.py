@@ -1,0 +1,159 @@
+"""Mutations that the tests must kill: each row is a small fault, put into a
+copy of the tree, and the tests that must fail once it is there.
+
+A row is (name, file, old, new, tests): ``old`` is an exact text that occurs
+once in ``file`` (relative to the repository root), ``new`` replaces it, and
+every node id in ``tests`` must fail on the mutated copy.  Tier-1 checks only
+that each ``old`` still occurs exactly once (tests/test_repo.py), so a change
+that moves or rewrites the text must update its row.  Running this file
+applies each row in turn to one copy of src/, tests/ and pyproject.toml in a
+temporary directory and runs the row's tests there in a subprocess:
+
+    python3 tests/mutants.py            # every row
+    python3 tests/mutants.py NAME ...   # the named rows
+
+It prints one line per row and exits 1 if any row survives, that is if
+some of its tests pass on the mutated copy.  A surviving row shows a check
+that cannot fail; report it, do not delete the row.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+Mutant = namedtuple("Mutant", "name file old new tests")
+
+_STAIRCASE = "src/cscwalls/staircase.py"
+_ORACLE = "tests/test_staircase.py::TestWalls::test_staircases_match_tuple_oracle"
+_BANDS = "tests/test_staircase.py::TestBands::test_bands_agree_with_rows"
+_DOT_ROW = "tests/test_golden.py::test_golden_row[certify-10-3-15-15-dot]"
+
+MUTANTS = [
+    Mutant(
+        "corner-rule-appends-a-crossing",
+        _STAIRCASE,
+        "if v != c and v not in near and v not in crossed:",
+        "if v != c and v not in near:",
+        [_DOT_ROW, "tests/test_staircase.py::TestWalls::test_unit_square_sets_match_tuple_oracle"],
+    ),
+    Mutant(
+        "consecutive-pairs-dropped",
+        _STAIRCASE,
+        "consecutive.update(zip(own, islice(own, 1, None)))",
+        "pass",
+        [_ORACLE],
+    ),
+    Mutant(
+        "transpose-loop-dropped",
+        _STAIRCASE,
+        "            for v in own:\n                across[v].extend(rows)\n",
+        "",
+        [_DOT_ROW, "tests/test_staircase.py::TestWindowValidation::test_run_rows_match_tuple_oracles"],
+    ),
+    Mutant(
+        "band-bottom-row-only-transposed",
+        _STAIRCASE,
+        "across[v].extend(rows)",
+        "across[v].extend(rows[:1])",
+        [_BANDS],
+    ),
+    Mutant(
+        "band-touching-pairs-dropped",
+        _STAIRCASE,
+        "touching.extend(pairwise(range(first, last + 1)))",
+        "pass",
+        [_BANDS],
+    ),
+    Mutant(
+        "dot-edge-line-dropped",
+        _STAIRCASE,
+        "chain(crossed, near) if j > k])",
+        "chain(crossed, near) if j > k and k + j != 1])",
+        ["tests/test_golden.py::test_certify_row_passes_the_checker[certify-3-2-420-420-margin-2]"],
+    ),
+    Mutant(
+        "facing-triple-middle-out-of-order",
+        "tests/test_staircase.py",
+        "for a, b, c in combinations(ordered, 3):",
+        "for a, c, b in combinations(ordered, 3):",
+        ["tests/test_staircase.py::TestWalls::test_overlap_walls_have_no_facing_triple"],
+    ),
+    Mutant(
+        "left-right-len-swapped",
+        "src/cscwalls/antitorus.py",
+        "left_len, right_len = overlap_at_height(query, j, k_max)",
+        "right_len, left_len = overlap_at_height(query, j, k_max)",
+        ["tests/test_golden.py::test_golden_row[gamma-a-xy-5]"],
+    ),
+    Mutant(
+        "json-indent-1",
+        "src/cscwalls/cli.py",
+        "text = json.dumps(payload, sort_keys=True, indent=2)",
+        "text = json.dumps(payload, sort_keys=True, indent=1)",
+        ["tests/test_golden.py::test_golden_row[certify-3-2-420-420-margin-2]"],
+    ),
+]
+
+
+def _failed(output):
+    """The node ids that pytest's -rf summary lists as failed."""
+    return {line.split(" - ")[0] for line in re.findall(r"^FAILED (.+)$", output, re.M)}
+
+
+def run(mutants):
+    """Apply each mutant to one copy of the tree and run its tests; return
+    the rows that survive, as (mutant, node ids that did not fail)."""
+    survivors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        # no bytecode: a mutant of the same size and second as the original
+        # would otherwise run from a stale cached file
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+        for m in mutants:
+            path = tree / m.file
+            original = path.read_text()
+            if original.count(m.old) != 1:
+                raise SystemExit(f"{m.name}: the old text occurs {original.count(m.old)} times in {m.file}")
+            path.write_text(original.replace(m.old, m.new))
+            start = time.perf_counter()
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *m.tests],
+                    cwd=tree, env=env, capture_output=True, text=True,
+                )
+            finally:
+                path.write_text(original)
+            alive = [t for t in m.tests if t not in _failed(proc.stdout)]
+            status = "survived" if alive else "killed"
+            print(f"{status:8} {time.perf_counter() - start:5.1f} s  {m.name}", flush=True)
+            if proc.returncode not in (0, 1):  # an error, not a verdict
+                print(proc.stdout[-2000:], proc.stderr[-2000:], sep="\n")
+            if alive:
+                survivors.append((m, alive))
+    return survivors
+
+
+def main(names):
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown rows: {sorted(unknown)}")
+    survivors = run([m for m in MUTANTS if not names or m.name in names])
+    for m, alive in survivors:
+        print(f"{m.name}: passed on the mutated copy: {' '.join(alive)}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -245,8 +245,7 @@ class TestChunkedSweep:
         powers = [(p, h, v) for p in census22 for h in words(p, cw.HORIZONTAL, 1, 1) for v in words(p, cw.VERTICAL, 3)]
         return kinds, [sweep for sweep in powers if keeps_powers(*sweep)]
 
-    @pytest.mark.parametrize("bound", ["shipped", "restarting"])
-    def test_matches_sweep_by_blocks(self, census, pairings, shipped, monkeypatch, bound):
+    def test_matches_sweep_by_blocks(self, census, pairings, shipped, monkeypatch):
         """Column by column, (j, R) equal the reference's for pairs of
         periodic words of length <= 3 on the 2+2, 1+3, 3+1 and 2+3 census
         complexes, and for the shipped pair in both directions, over up to 60
@@ -255,20 +254,16 @@ class TestChunkedSweep:
         the last is full.  The sweep must meet right words of at least three
         chunks with a partial last chunk (|w2| = 3 gives lengths 3j), and
         columns of several blocks after them, whose blocks are cut again.
-        In the "shipped" case the sweeps of ``pairings`` join the draws, and
-        a draw may sweep a memo that an equal sweep filled first (the
-        growing pairings always do), so its table is warm and it walks two
-        columns at a time.  Such walks must occur in all three kinds: only
-        the first column's j rises, only the second's, and both.  The first column's R is
-        pending there; its R = v^j test (``repeats``, as _commuting_powers
+        The sweeps of ``pairings`` join the draws, and a draw may sweep a memo
+        that an equal sweep filled first (the growing pairings always do), so
+        its table is warm and it walks two columns at a time.  Such walks must
+        occur in all three kinds: only the first column's j rises, only the
+        second's, and both.  The first column's R is pending there; its R = v^j test (``repeats``, as _commuting_powers
         reads it) must agree with the reference and come out both true and
         false.  The walk must stop at that column: some second columns whose
-        j rises run develop_ids only when read.  With the table bounded at
-        zero (the "restarting" case) it starts over after every walk that
-        adds a chunk, and sweeps that meet two tables must occur.  A column
-        that never closes fails its example after 5 s."""
-        if bound == "restarting":
-            monkeypatch.setattr(develop, "TABLE_CHUNKS_PER_R", 0)
+        j rises run develop_ids only when read.  Every chunked R indexes the
+        memo's one table.  A column that never closes fails its example after
+        5 s."""
         complexes, growing = census
         p0 = shipped.complex
         shipped_ids = [_word_ids(p0, w.period) for w in (shipped.hword, shipped.hword.inverse())]
@@ -284,10 +279,9 @@ class TestChunkedSweep:
         monkeypatch.setattr(develop, "develop_ids", counted)
 
         @given(st.data())
-        @settings(max_examples=100)
+        @settings(max_examples=150)
         def check(data):
-            sources = ["shipped", "growing", "census"] + ["kinds", "powers"] * (bound == "shipped")
-            source = data.draw(st.sampled_from(sources), label="source")
+            source = data.draw(st.sampled_from(["shipped", "growing", "census", "kinds", "powers"]), label="source")
             if source == "shipped":
                 p = p0
                 h_ids = data.draw(st.sampled_from(shipped_ids), label="direction")
@@ -304,7 +298,7 @@ class TestChunkedSweep:
                 h_ids, v_ids = data.draw(st.sampled_from(hwords), label="h"), data.draw(st.sampled_from(vwords), label="v")
             cols = data.draw(st.integers(1, self.MAX_COLS), label="columns")
             memo = develop._Memo()
-            warm = source == "kinds" or bound == "shipped" and data.draw(st.booleans(), label="warm")
+            warm = source == "kinds" or data.draw(st.booleans(), label="warm")
             if warm:  # an equal sweep fills the memo first
                 for _, (j, _) in zip(range(cols), orbit_lengths(p.tables, h_ids, v_ids, memo)):
                     if j * len(v_ids) > self.MAX_LETTERS:
@@ -312,7 +306,7 @@ class TestChunkedSweep:
             sweep = orbit_lengths(p.tables, h_ids, v_ids, memo)
             reference = orbit_lengths_by_blocks(p.tables, h_ids, v_ids)
             partial = recut = False
-            prev_len, tables_met = len(v_ids), set()
+            prev_len = len(v_ids)
             js, developed, pending = [1], [False], []  # by column, from column 0
             for ref_j, ref_right in itertools.islice(reference, cols):
                 before = calls["develop_ids"]
@@ -324,7 +318,7 @@ class TestChunkedSweep:
                 if letters > CHUNK:
                     table, ids = right._table, right._ids
                     assert all(len(table.chunks[c]) == CHUNK for c in ids[:-1])
-                    tables_met.add(id(table))
+                    assert table is memo.table
                     if right._letter is not None:  # the first column of a walk of two
                         pending.append(len(js) - 1)
                         is_power = right.repeats(v_ids)
@@ -344,30 +338,20 @@ class TestChunkedSweep:
                     seen["developed on reading the second"] += second_rises and developed[n + 1]
             seen["partial"] += partial
             seen["recut"] += recut
-            seen["restart"] += len(tables_met) > 1
 
         check()
         assert seen["partial"] >= 20 and seen["recut"] >= 10, seen
-        if bound == "shipped":
-            assert min(seen["first"], seen["second"], seen["both"]) >= 2, seen
-            assert min(seen["pending R = v^j True"], seen["pending R = v^j False"]) >= 10, seen
-            assert seen["developed on reading the second"] >= 2, seen
-        else:
-            assert seen["restart"] >= 50, seen
+        assert min(seen["first"], seen["second"], seen["both"]) >= 2, seen
+        assert min(seen["pending R = v^j True"], seen["pending R = v^j False"]) >= 10, seen
+        assert seen["developed on reading the second"] >= 2, seen
 
-    @pytest.mark.parametrize("bound", ["shipped", "restarting"])
-    def test_sweeps_sharing_a_memo_match_sweep_by_blocks(self, census, shipped, monkeypatch, bound):
+    def test_sweeps_sharing_a_memo_match_sweep_by_blocks(self, census, shipped):
         """Two or three sweeps on one memo, stepped in a drawn interleaving:
         on the shipped pair its two directions and one more drawn pair, on
         census complexes pairs of words of length <= 3.  Column by column,
         (j, R) equal the reference's, and at the end every yielded R still
-        equals the reference's R of its column.  Some table must be indexed
-        by two sweeps.  With the table bounded at zero (the "restarting"
-        case) sweeps restart, some sweep meets two tables, some R yielded
-        before another sweep restarted is checked at the end, and no sweep
-        restarts more often than the same sweep alone on a private memo."""
-        if bound == "restarting":
-            monkeypatch.setattr(develop, "TABLE_CHUNKS_PER_R", 0)
+        equals the reference's R of its column.  Every chunked R indexes the
+        memo's one table, and some table must be indexed by two sweeps."""
         complexes, growing = census
         p0 = shipped.complex
         shipped_v = _word_ids(p0, shipped.vword.period)
@@ -377,12 +361,10 @@ class TestChunkedSweep:
 
         def run(p, pairs, steps, memo):
             """Step the sweeps of pairs on memo in the order steps, checking
-            each (j, R); returns per sweep the tables its R's index, in yield
-            order, the chunked R's as (sweep, R, reference R), and the
-            restarts as (index of the first R on the new table, sweep)."""
+            each (j, R); returns the chunked R's as (sweep, R, reference R)."""
             sweeps = [orbit_lengths(p.tables, h, v, memo) for h, v in pairs]
             references = [orbit_lengths_by_blocks(p.tables, h, v) for h, v in pairs]
-            tables, log, restarts, cols = [[] for _ in pairs], [], [], [0] * len(pairs)
+            log, cols = [], [0] * len(pairs)
             for i in steps:
                 if cols[i] == self.MAX_COLS:
                     continue
@@ -392,12 +374,9 @@ class TestChunkedSweep:
                 assert (j, list(right)) == (ref_j, ref_right)
                 cols[i] = self.MAX_COLS if len(ref_right) > self.MAX_LETTERS else cols[i] + 1
                 if len(ref_right) > CHUNK:
-                    if not tables[i] or tables[i][-1] is not right._table:
-                        if tables[i]:
-                            restarts.append((len(log), i))
-                        tables[i].append(right._table)
+                    assert right._table is memo.table
                     log.append((i, right, ref_right))
-            return tables, log, restarts
+            return log
 
         @given(st.data())
         @settings(max_examples=80)
@@ -418,22 +397,13 @@ class TestChunkedSweep:
                 pairs = data.draw(st.lists(drawn, min_size=2, max_size=3), label="pairs")
             order = data.draw(st.randoms(use_true_random=False), label="interleaving")
             steps = [order.randrange(len(pairs)) for _ in range(len(pairs) * self.MAX_COLS)]
-            tables, log, restarts = run(p, pairs, steps, develop._Memo())
+            log = run(p, pairs, steps, develop._Memo())
             for _, right, ref_right in log:
                 assert list(right) == ref_right
-            met = [{id(t) for t in ts} for ts in tables]
-            seen["shared"] += any(a & b for a, b in itertools.combinations(met, 2))
-            seen["two tables"] += any(len(ts) > 1 for ts in tables)
-            seen["kept"] += any(i != j for k, j in restarts for i, _, _ in log[:k])
-            if bound == "restarting":
-                for i, pair in enumerate(pairs):
-                    alone, _, _ = run(p, [pair], [0] * steps.count(i), develop._Memo())
-                    assert len(tables[i]) <= len(alone[0])
+            seen["shared"] += len({i for i, _, _ in log}) > 1
 
         check()
         assert seen["shared"] >= 20, seen
-        if bound == "restarting":
-            assert seen["two tables"] >= 20 and seen["kept"] >= 20, seen
 
     def test_long_side_words_and_shared_columns(self, census, rng):
         """Side words of 1 to 20 letters, many longer than one chunk, under

@@ -1,8 +1,9 @@
 """Repository hygiene: generated files stay out of version control, the
 names the benchmark looks up stay in the package, the package imports no
 name it does not use and defines no private helper or method it does not
-call, every source file parses on the oldest declared Python, and a failing
-test does not stop the run."""
+call, every source file parses on the oldest declared Python, every row of
+the mutation table names a text of the source, and a failing test does not
+stop the run."""
 
 import ast
 import importlib
@@ -19,6 +20,7 @@ import cscwalls
 from cscwalls import antitorus
 from cscwalls.staircase import StairParams, build_staircase, contact_graph, walls
 
+from .mutants import MUTANTS
 from .oracles import contact_graph_by_tuples
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -356,6 +358,14 @@ def test_source_parses_on_oldest_python(path):
     """Every source and test file uses only syntax that the oldest declared
     Python accepts."""
     ast.parse((ROOT / path).read_text(), filename=path, feature_version=OLDEST_PYTHON)
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_mutant_text_occurs_once(mutant):
+    """Each row of the mutation table (tests/mutants.py) names a text that
+    occurs exactly once in its file, so the row still mutates what it says;
+    whether the row's tests kill it is for the table's own runner."""
+    assert (ROOT / mutant.file).read_text().count(mutant.old) == 1
 
 
 #: A failing Hypothesis test followed by a passing one.

@@ -174,7 +174,7 @@ def assert_graph_matches_oracle(window):
 
 def assert_lists_match_oracle(graph, oracle):
     """Each square is one crossing entry on each side; no wall lists a wall
-    twice, itself included, across its crossing list and its contact set;
+    twice, itself included, across its crossing list and its contact list;
     and one BFS over those lists gives the oracle's distances, in BFS order:
     from every wall of a window of at most 50 walls, from 8 walls spread
     over the walls of a larger one."""
@@ -711,18 +711,29 @@ class TestCertificate:
         nonacyl_certificate(params, 100, graph)
         assert "squares" not in graph.window.__dict__
 
-    def test_benchmark_scale_heap_budget(self):
-        """Build, contact graph and certificate of the wide benchmark window
-        peak below 6 MiB of traced heap: its 45,308 crossings sit in plain
-        lists, and no hashed set holds an entry per crossing."""
-        params = StairParams(110, 4, 100)
+    @staticmethod
+    def assert_heap_peak_below(params, p, mib):
+        """Build, contact graph and certificate of params peak below mib MiB
+        of traced heap."""
         tracemalloc.start()
         try:
-            nonacyl_certificate(params, 100, contact_graph(build_staircase(params)))
+            nonacyl_certificate(params, p, contact_graph(build_staircase(params)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20, f"traced heap peak {peak / 2**20:.2f} MiB"
+        assert peak < mib * 2**20, f"traced heap peak {peak / 2**20:.2f} MiB"
+
+    def test_benchmark_scale_heap_budget(self):
+        """The wide benchmark window peaks below 6 MiB of traced heap: its
+        45,308 crossings sit in plain lists, and no hashed set holds an entry
+        per crossing."""
+        self.assert_heap_peak_below(StairParams(110, 4, 100), 100, 6)
+
+    def test_tall_benchmark_heap_budget(self):
+        """The tall benchmark window, 3,364 walls over 841 runs, peaks below
+        5 MiB of traced heap: each wall's contacts sit in one plain list, and
+        no wall holds a hashed set of them."""
+        self.assert_heap_peak_below(StairParams(3, 2, 420), 420, 5)
 
     def test_graph_of_another_window_is_rejected(self):
         """A margin-1 graph with margin-2 parameters would certify distances
