@@ -7,11 +7,11 @@ combinatorially as a rectangle whose developed top and right sides repeat
 its bottom and left sides; ``commuting_powers_search`` reads this off one
 orbit sweep.  The census screen (``screen_anti_torus``) runs the same search
 on germ ids, once per inverse class {h^+-1} x {v^+-1} of pairs, since powers
-of h and v commute iff those of h^-1 and v do.  All verdicts on one complex
-share one memo of the work their sweeps develop, so a column met again
-costs one lookup.  The candidate words depend only on the germ count and
-the length, so a process builds them once for each such pair, whatever
-complexes it screens.
+of h and v commute iff those of h^-1 and v do.  A sweep takes a memo
+(``develop._Memo``) in place of the corner tables it is built on, and all
+verdicts on one complex share one, so a column met again costs one lookup.
+The candidate words depend only on the germ count and the length, so a
+process builds them once for each such pair, whatever complexes it screens.
 
 When no such rectangle exists, widening rectangles develop tops that
 eventually diverge from the horizontal periodic word, and the overlap of
@@ -27,18 +27,18 @@ exponents develop each column once, and every call passes its own budgets.
 j(N) divides j(N+1), so the N with j(N) dividing a height are a prefix, and
 a sweep keeps only the columns where j rises: on the shipped pair, the rows
 of ``obstruct --nmax 32`` develop 82 columns per direction and keep 7 rises.
-A sweep develops columns over the right word R in chunks, through a table
-from (chunk, letter or pair in) to (letter or pair out, developed chunk),
-so once the table has met R's chunks one walk up R costs one lookup per
-chunk and develops two columns.  A query's two sweeps share one table: on
-the shipped pair the second adds 4 chunks to the first's 766.  The overlap
-readers take only j from a sweep; R is read only by the commuting-powers
-search, at period boundaries while j is within its bound, and chunk by
-chunk up to the first that differs from v^j, so the R of the first column
-of a walk of two develops only as far as it is read.  ``overlap_gamma``
-reads the query's sweeps in two steps: the height (``find_periodic_top``),
-then the ends at that height (``overlap_at_height``).  The test oracles measure both one exponent at a
-time, stacking periods on h^n and streaming columns through
+A sweep develops columns over the right word R in chunks, each with a row
+from (letter or pair in) to (letter or pair out, developed chunk), so once
+the memo has met R's chunks one walk up R costs one lookup per chunk and
+develops two columns.  A query's two sweeps share one memo: on the shipped
+pair the second adds 4 chunks to the first's 766.  The overlap readers take
+only j from a sweep; R is read only by the commuting-powers search, at
+period boundaries while j is within its bound, and chunk by chunk up to the
+first that differs from v^j, so the R of the first column of a walk of two
+develops only as far as it is read.  ``overlap_gamma`` reads the query's
+sweeps in two steps: the height (``find_periodic_top``), then the ends at
+that height (``overlap_at_height``).  The test oracles measure both one
+exponent at a time, stacking periods on h^n and streaming columns through
 ``develop.stream_mismatch_ids``, the germ-level stream they share.
 """
 
@@ -78,13 +78,13 @@ class AntiTorusQuery(_Frozen):
     def sweeps(self):
         """The (east, west) orbit sweeps of overlap_gamma: the horizontal word
         and its inverse, each under one vertical period, developed on demand
-        and kept for the query's lifetime.  Both sweeps share one memo
-        (develop.orbit_lengths), so a chunk that one direction developed is
-        a lookup for the other."""
+        and kept for the query's lifetime.  Both sweeps take one memo on the
+        complex's tables (develop.orbit_lengths), so a chunk that one
+        direction developed is a lookup for the other."""
         p = self.complex
-        v_ids, memo = _word_ids(p, self.vword.period), _Memo()
+        v_ids, memo = _word_ids(p, self.vword.period), _Memo(p.tables)
         return tuple(
-            _Sweep(p.tables, _word_ids(p, hword.period), v_ids, memo)
+            _Sweep(memo, _word_ids(p, hword.period), v_ids)
             for hword in (self.hword, self.hword.inverse())
         )
 
@@ -118,16 +118,16 @@ def commuting_powers_search(query, k_bound=DEFAULT_BOUND, j_bound=DEFAULT_BOUND)
     """
     p = query.complex
     h_ids, v_ids = (_word_ids(p, w.period) for w in (query.hword, query.vword))
-    return _commuting_powers(p.tables, h_ids, v_ids, k_bound, j_bound)
+    return _commuting_powers(_Memo(p.tables), h_ids, v_ids, k_bound, j_bound)
 
 
-def _commuting_powers(tables, h_ids, v_ids, k_bound, j_bound, memo=None):
-    """commuting_powers_search on germ-id sequences (lists or tuples);
-    ``memo`` is passed to orbit_lengths, so verdicts on one complex may
-    share the work they develop.  A chunked R is compared with v^j chunk by
-    chunk (develop._ChunkedWord.repeats), without building v^j."""
+def _commuting_powers(memo, h_ids, v_ids, k_bound, j_bound):
+    """commuting_powers_search on germ-id sequences (lists or tuples), swept
+    on memo (a develop._Memo), so verdicts on one complex may share the work
+    they develop.  A chunked R is compared with v^j chunk by chunk
+    (develop._ChunkedWord.repeats), without building v^j."""
     v_ids = list(v_ids)  # a list R compares as a list, and a list never equals a tuple
-    sweep = orbit_lengths(tables, h_ids, v_ids, memo)
+    sweep = orbit_lengths(memo, h_ids, v_ids)
     for cols, (j, right) in zip(range(1, k_bound * len(h_ids) + 1), sweep):
         if j > j_bound:
             return None
@@ -137,8 +137,8 @@ def _commuting_powers(tables, h_ids, v_ids, k_bound, j_bound, memo=None):
 
 
 class _Sweep:
-    """j(0) = 1, j(1), j(2), ... of one orbit sweep (develop.orbit_lengths),
-    developed on demand and kept as the columns where j rises.
+    """j(0) = 1, j(1), j(2), ... of one orbit sweep (develop.orbit_lengths)
+    on memo, developed on demand and kept as the columns where j rises.
 
     j(N) divides j(N+1), so j only grows, the N with j(N) dividing a given
     height are a prefix, and the sweep keeps no column where j stays: cols
@@ -151,8 +151,8 @@ class _Sweep:
     chunks are filled alongside (develop.orbit_lengths).
     """
 
-    def __init__(self, tables, period_ids, side_ids, memo=None):
-        self._lengths = orbit_lengths(tables, period_ids, side_ids, memo)
+    def __init__(self, memo, period_ids, side_ids):
+        self._lengths = orbit_lengths(memo, period_ids, side_ids)
         self.cols = 0
         self.rises = [(0, 1)]
 
@@ -288,20 +288,20 @@ def screen_anti_torus(presentation, max_len=2):
     v commute iff those of h^-1 and v do, and likewise for v^-1, so the
     search runs once per class {h^+-1} x {v^+-1}, on germ ids; words and a
     query are built only for yielded pairs.  All verdicts on the complex
-    share one memo of developed work (see develop.orbit_lengths), so a
+    share one memo on its tables (see develop.orbit_lengths), so a
     column that an earlier verdict met costs one lookup.  A yielded pair is
     only a bounded certificate: the aperiodicity hypothesis itself is not
     decided here.
     """
     _require_one_vertex(presentation)
-    tables, germs = presentation.tables, presentation.germs
+    germs = presentation.germs
     hwords, vwords = (_candidates(len(germs[klass]), max_len) for klass in (HORIZONTAL, VERTICAL))
-    verdicts, memo = {}, _Memo()
+    verdicts, memo = {}, _Memo(presentation.tables)
     for h, h_class in hwords:
         for v, v_class in vwords:
             key = h_class, v_class
             if key not in verdicts:
-                found = _commuting_powers(tables, h, v, DEFAULT_BOUND, DEFAULT_BOUND, memo)
+                found = _commuting_powers(memo, h, v, DEFAULT_BOUND, DEFAULT_BOUND)
                 verdicts[key] = found is None
             if verdicts[key]:
                 hw = PeriodicWord(_ids_word(presentation, HORIZONTAL, h))

@@ -14,13 +14,14 @@ at a time, recording each cell for inspection.  No package search calls
 oracles' divergence references.  ``orbit_lengths`` is the one stacking
 algorithm: the commuting-powers screen and the overlap sweep both read it.
 It develops columns over a right word held in chunks of CHUNK germ ids,
-through a table whose rows map (chunk, letter in) to (letter out, developed
+each with a row that maps (chunk, letter in) to (letter out, developed
 chunk) and (chunk, pair in) to (pair out, chunk after both columns): while
-the table is warm, one walk up the right word develops two columns.  So
-``develop_ids`` runs only on a chunk the table has not met with that
-letter, or on a right word within one chunk, whose column is stored in a
-dict.  Table and dict make one memo, shared by a query's two directions
-and by all census screen verdicts on one complex.
+the rows are warm, one walk up the right word develops two columns.  So
+``develop_ids`` runs only on a chunk not yet met with that letter, or on a
+right word within one chunk, whose column is stored in a dict.  Chunks,
+rows and dict make one memo (``_Memo``), built on one complex's corner
+tables, which a sweep takes in their place; a query's two directions share
+one, and so do all census screen verdicts on one complex.
 """
 
 import itertools
@@ -198,11 +199,12 @@ def stream_mismatch_ids(tables, period_ids, side_ids, max_cols):
 #: Germ ids per chunk of the right word R in orbit_lengths.
 CHUNK = 8
 
-def orbit_lengths(tables, period_ids, side_ids, memo=None):
+def orbit_lengths(memo, period_ids, side_ids):
     """Yield (j(N), R) for N = 1, 2, ...: j(N) is the orbit length of the
     length-N prefix of the periodic bottom word (period_ids repeated) under
     stacking one copy of side_ids, the least j whose rectangle of height j
     copies has that prefix as its top, and R is that rectangle's right word.
+    The development runs on memo.tables, the corner tables of the memo.
 
     In a CSC stacking is a bijection on the words of each length, and
     development is prefix-stable, so the heights that return the length-N
@@ -215,59 +217,56 @@ def orbit_lengths(tables, period_ids, side_ids, memo=None):
 
     A block threads one horizontal letter up through R, so R may be cut
     anywhere.  The base case is R within one chunk: each block is then one
-    develop_ids call on R, with no table, and the census screen's sweeps
-    seldom leave it.  Once R outgrows one chunk, the sweep holds it as chunk
-    ids: runs of CHUNK germ ids, interned in a chunk table, every run but
-    the last full.  A walk threads a letter code up R's chunks block by
-    block, one table lookup per chunk (_ChunkTable): a letter b1 develops
-    column N+1 alone, and a pair (b1, b2) develops columns N+1 and N+2
-    together, from (chunk, pair in) to (pair out, chunk after both
-    columns).  A pair miss resolves through the two single-letter slots,
-    and a single-letter miss develops the chunk with develop_ids.  The
-    first letter of the top pair is column N+1's top, so it comes back to
-    b1 first after s1 blocks and the pair comes back to (b1, b2) after s
-    blocks: j(N+1) = s1*j(N), j(N+2) = s*j(N), and s1 divides s.  Column
-    N+1 is yielded after block s1, so up to that yield the walk takes
-    exactly the steps of a walk of column N+1 alone, filling column N+2's
-    chunks alongside; it goes on to block s only when the sweep is read
-    again.  The chunks of the walk's last column are the next R, its tail
-    cut again when there are several blocks and R's last chunk is partial:
-    the first block's chunks stay, and from its last chunk on the ids are
-    cut afresh.
+    develop_ids call on R, and the census screen's sweeps seldom leave it.
+    Once R outgrows one chunk, the sweep holds it as chunk ids: runs of
+    CHUNK germ ids, interned in the memo, every run but the last full.  A
+    walk threads a letter code up R's chunks block by block, one lookup in
+    a chunk's row per chunk: a letter b1 develops column N+1 alone, and a
+    pair (b1, b2) develops columns N+1 and N+2 together, from (chunk, pair
+    in) to (pair out, chunk after both columns).  A pair miss resolves
+    through the two single-letter slots, and a single-letter miss develops
+    the chunk with develop_ids (_Memo.fill).  The first letter of the top
+    pair is column N+1's top, so it comes back to b1 first after s1 blocks
+    and the pair comes back to (b1, b2) after s blocks: j(N+1) = s1*j(N),
+    j(N+2) = s*j(N), and s1 divides s.  Column N+1 is yielded after block
+    s1, so up to that yield the walk takes exactly the steps of a walk of
+    column N+1 alone, filling column N+2's chunks alongside; it goes on to
+    block s only when the sweep is read again.  The chunks of the walk's
+    last column are the next R, its tail cut again when there are several
+    blocks and R's last chunk is partial: the first block's chunks stay, and
+    from its last chunk on the ids are cut afresh.
 
     A walk takes a pair only when the step before it added no chunk to the
-    table (entering the table counts as a step).  A walk that
-    meets new chunks meets empty pair slots, and resolving those costs more
-    than the lookups that pairs save: with a pair at every walk, census
+    memo (cutting the R that left the base case counts as a step).  A walk
+    that meets new chunks meets empty pair slots, and resolving those costs
+    more than the lookups that pairs save: with a pair at every walk, census
     sweeps (8,568 of them: both directions of the first 6 x 6 candidate
     pairs of length <= 2 on every 2+2 and every 50th 2+3 entry, to 120
     columns) made 17% more develop_ids calls and took 13% longer.
 
-    ``memo`` (a _Memo) holds the work developed on the tables, for every
-    sweep given it; by default a sweep has its own.  A base-case column
-    depends only on the tables, its bottom letter b and R, so memo.columns
-    maps (b, R as a tuple) to (t, next R), and a sweep that meets the same b
-    and R reads it back instead of developing t blocks.  Its keys never
-    exceed CHUNK ids: a side word longer than one chunk starts in the chunk
-    table, and R only grows (its length is j*len(side_ids)), so a sweep that
-    has left the base case never returns to it.  memo.table is the chunk
-    table that a sweep takes when its R outgrows one chunk, so the two
+    The memo (a _Memo) holds the work developed on its tables for every
+    sweep given it, so all sweeps on one complex share it and none can read
+    another complex's work.  A base-case column depends only on the tables,
+    its bottom letter b and R, so memo.columns maps (b, R as a tuple) to (t,
+    next R), and a sweep that meets the same b and R reads it back instead
+    of developing t blocks.  Its keys never exceed CHUNK ids: a side word
+    longer than one chunk starts in the chunks, and R only grows (its length
+    is j*len(side_ids)), so a sweep that has left the base case never
+    returns to it.  The chunk rows are shared the same way, so the two
     directions of one query fill each other's rows.  Chunks are only
     appended, so every yielded R stays valid.
 
     R is yielded as a sequence of germ ids: a list while it fits in one
-    chunk, else a _ChunkedWord, expanded only when iterated or compared, so
-    a reader of j alone never expands it.  The R of the first column of a
-    walk of two is pending: R's chunk ids with the letter b1 and the count
-    s1, developed over the single-letter slots that the walk filled, and
-    only as far as it is read (``_ChunkedWord.repeats`` stops at the first
-    chunk that differs).  Neither the sweep nor the memo ever changes a
-    yielded R; a list R may be shared with other sweeps of the same memo,
-    so the caller must not change it either.
+    chunk, else a _ChunkedWord, expanded only when iterated, so a reader of
+    j alone never expands it.  The R of the first column of a walk of two is
+    pending: R's chunk ids with the letter b1 and the count s1, developed
+    over the single-letter slots that the walk filled, and only as far as it
+    is read (``_ChunkedWord.repeats`` stops at the first chunk that
+    differs).  Neither the sweep nor the memo ever changes a yielded R; a
+    list R may be shared with other sweeps of the same memo, so the caller
+    must not change it either.
     """
-    if memo is None:
-        memo = _Memo()
-    columns = memo.columns
+    tables, columns = memo.tables, memo.columns
     plen = len(period_ids)
     word, j, col = side_ids, 1, 0
     while len(word) <= CHUNK:
@@ -287,11 +286,12 @@ def orbit_lengths(tables, period_ids, side_ids, memo=None):
         j *= t
         if len(word) <= CHUNK:
             yield j, word
-    table, right, grown = memo.enter(tables, word)
+    rows, chunks, fill, pairs, letters = memo.rows, memo.chunks, memo.fill, memo.pairs, memo.letters
+    size = len(chunks)
+    right = memo.cut(word)
+    grown = len(chunks) - size
     if col:  # the column that left the base case
-        yield j, _ChunkedWord(table, right)
-    letters = len(tables.top)
-    rows, chunks, fill, pairs = table.rows, table.chunks, table.fill, table.pairs
+        yield j, _ChunkedWord(memo, right)
     while True:
         b1 = period_ids[col % plen]
         if grown:  # the last step added chunks: walk one column
@@ -308,9 +308,8 @@ def orbit_lengths(tables, period_ids, side_ids, memo=None):
             for c in right:
                 hit = rows[c][code]
                 if hit is None:
-                    if code < letters:  # table.fill, inline: walks of one column are the cold ones
-                        (out,), developed = develop_ids(tables, (code,), chunks[c])
-                        hit = rows[c][code] = out, table.intern(developed)
+                    if code < letters:
+                        hit = fill(c, code)
                     else:  # through the two single-letter slots
                         g1, g2 = pairs[code]
                         h1, c1 = rows[c][g1] or fill(c, g1)
@@ -322,45 +321,34 @@ def orbit_lengths(tables, period_ids, side_ids, memo=None):
             if not s1 and first <= code < first + letters:
                 s1 = s
                 grown += len(chunks) - size
-                yield j * s, _ChunkedWord(table, right, b1, s)
+                yield j * s, _ChunkedWord(memo, right, b1, s)
                 size = len(chunks)
             if code == start:
                 break
         j *= s
         if s > 1 and len(chunks[right[-1]]) < CHUNK:
             tail = len(right) - 1
-            blocks[tail:] = table.cut(table.expand(blocks[tail:]))
+            blocks[tail:] = memo.cut([g for c in blocks[tail:] for g in chunks[c]])
         right = blocks
         grown += len(chunks) - size
-        yield j, _ChunkedWord(table, right)
+        yield j, _ChunkedWord(memo, right)
 
 
 class _Memo:
-    """The work developed on one complex's tables: base-case columns, and
-    the chunk table that every sweep takes once it outgrows one chunk."""
+    """The work developed on one complex's corner tables, for every sweep
+    given the memo: base-case columns, and interned chunks, each with its
+    row of developed columns.
 
-    def __init__(self):
-        self.columns, self.table = {}, None
-
-    def enter(self, tables, word):
-        """The memo's table, made when there is none, the chunk ids of word
-        in it, and how many chunks that added."""
-        if self.table is None:
-            self.table = _ChunkTable(tables)
-        size = len(self.table.chunks)
-        return self.table, self.table.cut(word), len(self.table.chunks) - size
-
-
-class _ChunkTable:
-    """Interned chunks, each with its row of developed columns.  A row is
-    indexed by a letter code: g for the horizontal germ g, L + g1*L + g2 for
-    the pair (g1, g2), where L is the number of horizontal germs.  Slot g
-    holds (letter out, developed chunk id), slot (g1, g2) holds (pair out,
-    chunk id after both columns), and an empty slot holds None.  Chunks are
-    only appended."""
+    ``columns`` maps (letter, R as a tuple) to (blocks, next R) for an R
+    within one chunk.  A row is indexed by a letter code: g for the
+    horizontal germ g, L + g1*L + g2 for the pair (g1, g2), where L is the
+    number of horizontal germs.  Slot g holds (letter out, developed chunk
+    id), slot (g1, g2) holds (pair out, chunk id after both columns), and an
+    empty slot holds None.  Chunks are only appended."""
 
     def __init__(self, tables):
         self.tables = tables
+        self.columns = {}  # (letter, R) -> (blocks, next R), R within one chunk
         self.letters = letters = len(tables.top)
         self.pairs = [None] * letters + list(itertools.product(range(letters), repeat=2))  # code -> (g1, g2)
         self.chunks = []  # chunk id -> germ ids
@@ -387,42 +375,34 @@ class _ChunkTable:
         """Chunk ids of a germ-id list: every chunk but the last full."""
         return [self.intern(ids[i : i + CHUNK]) for i in range(0, len(ids), CHUNK)]
 
-    def expand(self, right):
-        """The germ ids of a list of chunk ids, as a new list."""
-        chunks = self.chunks
-        return [g for c in right for g in chunks[c]]
-
 
 class _ChunkedWord:
-    """A right word held as chunk ids of a table, or pending: the right word
+    """A right word held as chunk ids of a memo, or pending: the right word
     of ``blocks`` blocks of one column with bottom letter ``letter`` over the
     word of the chunk ids, developed chunk by chunk as it is read.
-    Iterating or comparing it expands it."""
+    Iterating it expands it."""
 
-    __slots__ = ("_table", "_ids", "_letter", "_blocks")
+    __slots__ = ("_memo", "_ids", "_letter", "_blocks")
 
-    def __init__(self, table, ids, letter=None, blocks=1):
-        self._table, self._ids, self._letter, self._blocks = table, ids, letter, blocks
+    def __init__(self, memo, ids, letter=None, blocks=1):
+        self._memo, self._ids, self._letter, self._blocks = memo, ids, letter, blocks
 
     def chunks(self):
         """The word's chunks as germ-id tuples, in order."""
-        table = self._table
-        chunks = table.chunks
+        memo = self._memo
+        chunks = memo.chunks
         if self._letter is None:
             for c in self._ids:
                 yield chunks[c]
             return
-        rows, code = table.rows, self._letter
+        rows, code = memo.rows, self._letter
         for _ in range(self._blocks):
             for c in self._ids:
-                code, c = rows[c][code] or table.fill(c, code)
+                code, c = rows[c][code] or memo.fill(c, code)
                 yield chunks[c]
 
     def __iter__(self):
         return itertools.chain.from_iterable(self.chunks())
-
-    def __eq__(self, other):
-        return list(self) == other
 
     def repeats(self, period):
         """Whether the word is the germ-id sequence period repeated; reads

@@ -35,6 +35,8 @@ _STAIRCASE = "src/cscwalls/staircase.py"
 _ORACLE = "tests/test_staircase.py::TestWalls::test_staircases_match_tuple_oracle"
 _BANDS = "tests/test_staircase.py::TestBands::test_bands_agree_with_rows"
 _DOT_ROW = "tests/test_golden.py::test_golden_row[certify-10-3-15-15-dot]"
+_DEVELOP = "src/cscwalls/develop.py"
+_CHUNKED = "tests/test_develop.py::TestChunkedSweep::test_matches_sweep_by_blocks"
 
 MUTANTS = [
     Mutant(
@@ -99,6 +101,51 @@ MUTANTS = [
         "text = json.dumps(payload, sort_keys=True, indent=2)",
         "text = json.dumps(payload, sort_keys=True, indent=1)",
         ["tests/test_golden.py::test_golden_row[certify-3-2-420-420-margin-2]"],
+    ),
+    Mutant(
+        "overlap-span-one-short",
+        _STAIRCASE,
+        "return a, a + params.overlap_len",
+        "return a, a + params.overlap_len - 1",
+        [
+            "tests/test_golden.py::test_golden_row[staircase-4-2-9]",
+            "tests/test_golden.py::test_certify_row_passes_the_checker[certify-10-3-15-15-dot]",
+        ],
+    ),
+    Mutant(
+        "pair-code-letters-swapped",
+        _DEVELOP,
+        "start = (b1 + 1) * letters + period_ids[(col + 1) % plen]",
+        "start = (period_ids[(col + 1) % plen] + 1) * letters + b1",
+        [_CHUNKED],
+    ),
+    Mutant(
+        "first-column-yielded-at-the-pair-return",
+        _DEVELOP,
+        "                yield j * s, _ChunkedWord(memo, right, b1, s)\n"
+        "                size = len(chunks)\n"
+        "            if code == start:\n"
+        "                break\n",
+        "                size = len(chunks)\n"
+        "            if code == start:\n"
+        "                break\n"
+        "        if s1:\n"
+        "            yield j * s1, _ChunkedWord(memo, right, b1, s1)\n",
+        [_CHUNKED, "tests/test_antitorus.py::TestOverlapSweep::test_development_stops_at_the_height_cap"],
+    ),
+    Mutant(
+        "column-key-without-letter",
+        _DEVELOP,
+        "key = b, tuple(word)",
+        "key = tuple(word)",
+        ["tests/test_golden.py::test_golden_row[gamma-5]", "tests/test_golden.py::test_golden_row[enumerate-2-2-screen]"],
+    ),
+    Mutant(
+        "commuting-powers-always-null",
+        "src/cscwalls/antitorus.py",
+        "return (cols // len(h_ids), j)",
+        "return None",
+        ["tests/test_checker.py::test_antitorus_artifact_passes_the_checker[torus]"],
     ),
 ]
 

@@ -380,12 +380,12 @@ class TestOverlapSweep:
             assert east.cols == 10 and east.rises[-1] == (10, 108)
             assert max(j for _, j in east.rises[:-1]) <= 100
             assert west.cols == 0 and west.rises == [(0, 1)]
-        p, memo = shipped.complex, _Memo()
-        east = _Sweep(p.tables, _word_ids(p, shipped.hword.period), _word_ids(p, shipped.vword.period), memo)
+        p = shipped.complex
+        memo = _Memo(p.tables)
+        east = _Sweep(memo, _word_ids(p, shipped.hword.period), _word_ids(p, shipped.vword.period))
 
         def pair_slots():
-            table = memo.table
-            return sum(slot is not None for row in table.rows for slot in row[table.letters :])
+            return sum(slot is not None for row in memo.rows for slot in row[memo.letters :])
 
         assert east.height(80, 324) == 324
         filled = pair_slots()
@@ -399,14 +399,14 @@ class TestOverlapSweep:
         """On the shipped pair the two directions meet almost the same
         chunks, so overlap_gamma(q, 500), whose sweeps each develop 730
         columns, makes at most 52% of the 3,650 develop_ids calls of two
-        sweeps with a table each (1,870 with one table), and both sweeps'
-        right words index one table."""
+        sweeps with a memo each (1,870 with one memo), and both sweeps'
+        right words index one memo."""
         q = AntiTorusQuery(shipped.complex, shipped.hword, shipped.vword)
         assert overlap_gamma(q, 500).total_len == 1458
         assert [s.cols for s in q.sweeps] == [730, 730]
         assert develop_calls["develop_ids"] <= 0.52 * 3650, develop_calls
-        east_table, west_table = (next(s._lengths)[1]._table for s in q.sweeps)
-        assert east_table is west_table
+        east_memo, west_memo = (next(s._lengths)[1]._memo for s in q.sweeps)
+        assert east_memo is west_memo
 
     def test_no_developed_work_outlives_a_command(self, develop_calls, tmp_path):
         """Two gamma commands in one process make the same develop_ids calls:
@@ -435,8 +435,8 @@ class TestOverlapSweep:
             q = screened_pairs[data.draw(st.integers(0, len(screened_pairs) - 1), label="pair")]
             p = q.complex
             hword = data.draw(st.sampled_from([q.hword, q.hword.inverse()]), label="direction")
-            args = p.tables, _word_ids(p, hword.period), _word_ids(p, q.vword.period)
-            sweep, scan, probe = _Sweep(*args), SweepByScan(*args), SweepByScan(*args)
+            ids = _word_ids(p, hword.period), _word_ids(p, q.vword.period)
+            sweep, scan, probe = _Sweep(_Memo(p.tables), *ids), SweepByScan(p.tables, *ids), SweepByScan(p.tables, *ids)
             probe.height(SCAN_COLS, SCAN_J)
             chain = probe.js
             edges = [c for c, (a, b) in enumerate(pairwise(chain), 1) if a != b] or [0]
@@ -608,14 +608,14 @@ class TestScreening:
         def check(data):
             pair = [data.draw(screen_census, label=f"complex {i}") for i in range(2)]
             words = [[_candidates(len(p.germs[k]), 3) for k in (cw.HORIZONTAL, cw.VERTICAL)] for p in pair]
-            memos = [_Memo(), _Memo()]
+            memos = [_Memo(p.tables) for p in pair]
             for _ in range(data.draw(st.integers(2, 16), label="verdicts")):
                 i = data.draw(st.integers(0, 1), label="complex")
                 tables = pair[i].tables
                 h, v = (data.draw(st.sampled_from(ws), label=klass)[0] for ws, klass in zip(words[i], "hv"))
                 bounds = [data.draw(st.integers(1, 12), label=name) for name in ("k_bound", "j_bound")]
                 filled = len(memos[i].columns)
-                found = _commuting_powers(tables, h, v, *bounds, memos[i])
+                found = _commuting_powers(memos[i], h, v, *bounds)
                 assert found == commuting_powers_by_blocks(tables, h, v, *bounds)
                 seen["reused"] += filled > 0
                 cols = (found[0] if found else bounds[0]) * len(h)

@@ -188,7 +188,7 @@ class TestOracle:
             p = q.complex
             h = q.hword.period.letters
             lengths = orbit_lengths(
-                p.tables, [p.germ_id(e) for e in h], [p.germ_id(e) for e in q.vword.period.letters]
+                develop._Memo(p.tables), [p.germ_id(e) for e in h], [p.germ_id(e) for e in q.vword.period.letters]
             )
             for N, (j, right) in zip(range(1, 3 * len(h) + 1), lengths):
                 prefix = tuple(h[i % len(h)] for i in range(N))
@@ -198,7 +198,7 @@ class TestOracle:
                     stacks += 1
                 assert j == stacks, (q.hword.period, q.vword.period, N)
                 expected = develop_row_major(p, cw.Word(prefix, cw.HORIZONTAL), q.vword.power(j))[1]
-                assert right == [p.germ_id(e) for e in expected], (q.hword.period, q.vword.period, N)
+                assert list(right) == [p.germ_id(e) for e in expected], (q.hword.period, q.vword.period, N)
 
 
 class TestChunkedSweep:
@@ -245,7 +245,20 @@ class TestChunkedSweep:
         powers = [(p, h, v) for p in census22 for h in words(p, cw.HORIZONTAL, 1, 1) for v in words(p, cw.VERTICAL, 3)]
         return kinds, [sweep for sweep in powers if keeps_powers(*sweep)]
 
-    def test_matches_sweep_by_blocks(self, census, pairings, shipped, monkeypatch):
+    #: Sweeps (census, entry, h, v, columns) whose walks of two columns meet
+    #: every kind that test_matches_sweep_by_blocks counts, each run on a memo
+    #: that an equal sweep filled first, with the kinds each one meets: only
+    #: the first column's j rises, only the second's, both; a pending R that
+    #: is v^j and one that is not; a second column whose j rises and that
+    #: runs develop_ids only when read.
+    FIXED = [
+        ("shipped", 0, [0], [0], 20, {"second", "pending R = v^j False"}),
+        ("2+3", 760, [1, 2], [0], 60, {"first", "second", "pending R = v^j False"}),
+        ("2+3", 783, [0, 2], [0], 60, {"both", "developed on reading the second", "pending R = v^j False"}),
+        ("2+2", 32, [0], [0, 0, 2], 60, {"pending R = v^j True"}),
+    ]
+
+    def test_matches_sweep_by_blocks(self, census, pairings, shipped, census22, census23, monkeypatch):
         """Column by column, (j, R) equal the reference's for pairs of
         periodic words of length <= 3 on the 2+2, 1+3, 3+1 and 2+3 census
         complexes, and for the shipped pair in both directions, over up to 60
@@ -256,14 +269,16 @@ class TestChunkedSweep:
         columns of several blocks after them, whose blocks are cut again.
         The sweeps of ``pairings`` join the draws, and a draw may sweep a memo
         that an equal sweep filled first (the growing pairings always do), so
-        its table is warm and it walks two columns at a time.  Such walks must
-        occur in all three kinds: only the first column's j rises, only the
-        second's, and both.  The first column's R is pending there; its R = v^j test (``repeats``, as _commuting_powers
-        reads it) must agree with the reference and come out both true and
-        false.  The walk must stop at that column: some second columns whose
-        j rises run develop_ids only when read.  Every chunked R indexes the
-        memo's one table.  A column that never closes fails its example after
-        5 s."""
+        it walks two columns at a time.  Such walks must occur in all three
+        kinds: only the first column's j rises, only the second's, and both.
+        The first column's R is pending there; its R = v^j test
+        (``repeats``, as _commuting_powers reads it) must agree with the
+        reference and come out both true and false.  The walk must stop at
+        that column: some second columns whose j rises run develop_ids only
+        when read.  The sweeps of FIXED are checked beside the draws, and
+        alone meet each of these kinds as often as the test asks.  Every
+        chunked R indexes the sweep's memo.  A column that never closes fails
+        its example after 5 s."""
         complexes, growing = census
         p0 = shipped.complex
         shipped_ids = [_word_ids(p0, w.period) for w in (shipped.hword, shipped.hword.inverse())]
@@ -277,6 +292,51 @@ class TestChunkedSweep:
             return kernel(*args)
 
         monkeypatch.setattr(develop, "develop_ids", counted)
+
+        def sweep_and_check(p, h_ids, v_ids, cols, warm):
+            """Check cols columns of one sweep against the reference; the
+            kinds it met, as a Counter."""
+            met = Counter()
+            memo = develop._Memo(p.tables)
+            if warm:  # an equal sweep fills the memo first
+                for _, (j, _) in zip(range(cols), orbit_lengths(memo, h_ids, v_ids)):
+                    if j * len(v_ids) > self.MAX_LETTERS:
+                        break
+            sweep = orbit_lengths(memo, h_ids, v_ids)
+            reference = orbit_lengths_by_blocks(p.tables, h_ids, v_ids)
+            partial = recut = False
+            prev_len = len(v_ids)
+            js, developed, pending = [1], [False], []  # by column, from column 0
+            for ref_j, ref_right in itertools.islice(reference, cols):
+                before = calls["develop_ids"]
+                with deadline(5):
+                    j, right = next(sweep)
+                js.append(j)
+                developed.append(calls["develop_ids"] > before)
+                letters = len(ref_right)
+                if letters > CHUNK:
+                    assert right._memo is memo
+                    assert all(len(memo.chunks[c]) == CHUNK for c in right._ids[:-1])
+                    if right._letter is not None:  # the first column of a walk of two
+                        pending.append(len(js) - 1)
+                        is_power = right.repeats(v_ids)
+                        assert is_power == (ref_right == list(v_ids) * j)
+                        met[f"pending R = v^j {is_power}"] += 1
+                assert (j, list(right)) == (ref_j, ref_right)
+                partial |= letters > 2 * CHUNK and letters % CHUNK != 0
+                recut |= prev_len > 2 * CHUNK and prev_len % CHUNK != 0 and letters > prev_len
+                if letters > self.MAX_LETTERS:
+                    break
+                prev_len = letters
+            kinds = {(True, False): "first", (False, True): "second", (True, True): "both"}
+            for n in pending:
+                if n + 1 < len(js):
+                    second_rises = js[n + 1] > js[n]
+                    met[kinds.get((js[n] > js[n - 1], second_rises), "neither")] += 1
+                    met["developed on reading the second"] += second_rises and developed[n + 1]
+            met["partial"] += partial
+            met["recut"] += recut
+            return met
 
         @given(st.data())
         @settings(max_examples=150)
@@ -297,53 +357,20 @@ class TestChunkedSweep:
                 hwords, vwords = candidates[id(p)]
                 h_ids, v_ids = data.draw(st.sampled_from(hwords), label="h"), data.draw(st.sampled_from(vwords), label="v")
             cols = data.draw(st.integers(1, self.MAX_COLS), label="columns")
-            memo = develop._Memo()
             warm = source == "kinds" or data.draw(st.booleans(), label="warm")
-            if warm:  # an equal sweep fills the memo first
-                for _, (j, _) in zip(range(cols), orbit_lengths(p.tables, h_ids, v_ids, memo)):
-                    if j * len(v_ids) > self.MAX_LETTERS:
-                        break
-            sweep = orbit_lengths(p.tables, h_ids, v_ids, memo)
-            reference = orbit_lengths_by_blocks(p.tables, h_ids, v_ids)
-            partial = recut = False
-            prev_len = len(v_ids)
-            js, developed, pending = [1], [False], []  # by column, from column 0
-            for ref_j, ref_right in itertools.islice(reference, cols):
-                before = calls["develop_ids"]
-                with deadline(5):
-                    j, right = next(sweep)
-                js.append(j)
-                developed.append(calls["develop_ids"] > before)
-                letters = len(ref_right)
-                if letters > CHUNK:
-                    table, ids = right._table, right._ids
-                    assert all(len(table.chunks[c]) == CHUNK for c in ids[:-1])
-                    assert table is memo.table
-                    if right._letter is not None:  # the first column of a walk of two
-                        pending.append(len(js) - 1)
-                        is_power = right.repeats(v_ids)
-                        assert is_power == (ref_right == list(v_ids) * j)
-                        seen[f"pending R = v^j {is_power}"] += 1
-                assert (j, list(right)) == (ref_j, ref_right)
-                partial |= letters > 2 * CHUNK and letters % CHUNK != 0
-                recut |= prev_len > 2 * CHUNK and prev_len % CHUNK != 0 and letters > prev_len
-                if letters > self.MAX_LETTERS:
-                    break
-                prev_len = letters
-            kinds = {(True, False): "first", (False, True): "second", (True, True): "both"}
-            for n in pending:
-                if n + 1 < len(js):
-                    second_rises = js[n + 1] > js[n]
-                    seen[kinds.get((js[n] > js[n - 1], second_rises), "neither")] += 1
-                    seen["developed on reading the second"] += second_rises and developed[n + 1]
-            seen["partial"] += partial
-            seen["recut"] += recut
+            seen.update(sweep_and_check(p, h_ids, v_ids, cols, warm))
 
         check()
+        entries = {"shipped": [p0], "2+2": census22, "2+3": census23}
+        fixed = Counter()
+        for name, entry, h_ids, v_ids, cols, kinds in self.FIXED:
+            met = sweep_and_check(entries[name][entry], h_ids, v_ids, cols, True)
+            assert all(met[kind] for kind in kinds), (name, entry, met)
+            fixed.update(met)
+        thresholds = {"first": 2, "second": 2, "both": 2, "developed on reading the second": 2}
+        thresholds.update({"pending R = v^j True": 10, "pending R = v^j False": 10})
+        assert all(fixed[kind] >= least for kind, least in thresholds.items()), fixed
         assert seen["partial"] >= 20 and seen["recut"] >= 10, seen
-        assert min(seen["first"], seen["second"], seen["both"]) >= 2, seen
-        assert min(seen["pending R = v^j True"], seen["pending R = v^j False"]) >= 10, seen
-        assert seen["developed on reading the second"] >= 2, seen
 
     def test_sweeps_sharing_a_memo_match_sweep_by_blocks(self, census, shipped):
         """Two or three sweeps on one memo, stepped in a drawn interleaving:
@@ -351,7 +378,7 @@ class TestChunkedSweep:
         census complexes pairs of words of length <= 3.  Column by column,
         (j, R) equal the reference's, and at the end every yielded R still
         equals the reference's R of its column.  Every chunked R indexes the
-        memo's one table, and some table must be indexed by two sweeps."""
+        one memo, and some memo must be indexed by two sweeps."""
         complexes, growing = census
         p0 = shipped.complex
         shipped_v = _word_ids(p0, shipped.vword.period)
@@ -362,7 +389,7 @@ class TestChunkedSweep:
         def run(p, pairs, steps, memo):
             """Step the sweeps of pairs on memo in the order steps, checking
             each (j, R); returns the chunked R's as (sweep, R, reference R)."""
-            sweeps = [orbit_lengths(p.tables, h, v, memo) for h, v in pairs]
+            sweeps = [orbit_lengths(memo, h, v) for h, v in pairs]
             references = [orbit_lengths_by_blocks(p.tables, h, v) for h, v in pairs]
             log, cols = [], [0] * len(pairs)
             for i in steps:
@@ -374,7 +401,7 @@ class TestChunkedSweep:
                 assert (j, list(right)) == (ref_j, ref_right)
                 cols[i] = self.MAX_COLS if len(ref_right) > self.MAX_LETTERS else cols[i] + 1
                 if len(ref_right) > CHUNK:
-                    assert right._table is memo.table
+                    assert right._memo is memo
                     log.append((i, right, ref_right))
             return log
 
@@ -397,7 +424,7 @@ class TestChunkedSweep:
                 pairs = data.draw(st.lists(drawn, min_size=2, max_size=3), label="pairs")
             order = data.draw(st.randoms(use_true_random=False), label="interleaving")
             steps = [order.randrange(len(pairs)) for _ in range(len(pairs) * self.MAX_COLS)]
-            log = run(p, pairs, steps, develop._Memo())
+            log = run(p, pairs, steps, develop._Memo(p.tables))
             for _, right, ref_right in log:
                 assert list(right) == ref_right
             seen["shared"] += len({i for i, _, _ in log}) > 1
@@ -414,12 +441,12 @@ class TestChunkedSweep:
         complexes, growing = census
         long_sides = stored = 0
         for p in rng.sample(complexes, 40) + growing[:10]:
-            memo = develop._Memo()
+            memo = develop._Memo(p.tables)
             for _ in range(5):
                 h_ids = _word_ids(p, random_reduced_word(p, cw.HORIZONTAL, rng.randint(1, 3), rng))
                 v_ids = _word_ids(p, random_reduced_word(p, cw.VERTICAL, rng.randint(1, 20), rng))
                 long_sides += len(v_ids) > CHUNK
-                sweep = orbit_lengths(p.tables, h_ids, v_ids, memo)
+                sweep = orbit_lengths(memo, h_ids, v_ids)
                 for ref_j, ref_right in itertools.islice(orbit_lengths_by_blocks(p.tables, h_ids, v_ids), 12):
                     with deadline(5):
                         j, right = next(sweep)
