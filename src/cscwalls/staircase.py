@@ -83,9 +83,11 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
 # rows copy one another, each of its vertex rows is one segment of one tag, and
 # no other run has a square in its rows.  build_staircase emits each strip as
 # a one-row run and each flat as one band; CubeWindow(squares) groups the
-# squares it is given into one-row runs.  The rows of a window are numbered
-# run by run, bottom to top, so one-row runs before the first band have their
-# run's number.
+# squares it is given into one-row runs, a square continuing the run whose
+# open east side is its west side (_runs_of).  Under the link condition no two
+# runs of either kind share a vertical edge.  The rows of a window are
+# numbered run by run, bottom to top, so one-row runs before the first band
+# have their run's number.
 #
 # Everything runs on runs, segments and per-row intervals (_layout):
 #   - counts and connectivity from the overlaps of the segments in each vertex
@@ -93,14 +95,15 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
 #     (y, tag, tag) and the edges between segments of two tags; a band lists
 #     only its bottom and top vertex rows and counts the cells between them;
 #   - the link condition from one scan of given squares; built windows need none;
-#   - horizontal walls: one per row, merged where rows share a vertical side;
+#   - horizontal walls: each row is one, as no two rows share a vertical edge;
 #   - vertical walls: each edge row holds one label per column; the rows are
 #     swept bottom-up, and each run's column pieces copy the labels of their
 #     bottom edges onto their top edges as list slices (_walls), a band's
 #     from its bottom edge row to its top one at once; walls need the link
 #     condition, under which each label is one wall;
 #   - walls are numbered by the tuple of their least edge, so numbers follow
-#     the order of edge tuples; a wall's one name is w0000, w0001, ...
+#     the order of edge tuples, and each edge row's labels are then rewritten
+#     to wall numbers; a wall's one name is w0000, w0001, ...
 #   - crossings sit in one list per wall: a horizontal wall's holds the
 #     vertical walls it crosses, read off each piece's labels, and a vertical
 #     wall's the horizontal walls that cross it, so each square is one entry
@@ -196,26 +199,26 @@ def _unit_square(i, square):
 
 
 def _runs_of(squares):
-    """Runs holding the given unit squares: sorted by row and column, each
-    square extends the run before it when it continues that run's row."""
+    """One-row runs holding the given unit squares, bottom to top.  Taken by
+    row and column, a square continues the run whose open east side, the
+    vertical edge keyed (x, y, bottom tag, top tag), is its west side, and
+    starts a run where none is.  Under the link condition at most one square
+    lies on each side of a vertical edge, so no two runs share one."""
     runs = []
-    y = b = None
-    for (x, row, sw), (_, _, se), (_, _, nw), (_, _, ne) in sorted(squares, key=_row_major):
-        if row == y and x == b and sw == bottom[-1] and nw == top[-1]:
-            bottom.append(se)
-            top.append(ne)
-            b += 1
-            continue
-        if y is not None:
-            runs.append((y, a, b, _segments(a, bottom), _segments(a, top), 1))
-        y, a, b, bottom, top = row, x, x + 1, [sw, se], [nw, ne]
-    if y is not None:
-        runs.append((y, a, b, _segments(a, bottom), _segments(a, top), 1))
-    return runs
+    ends = {}  # a run's open east side -> the run, as [a, bottom tags, top tags]
+    for (x, y, sw), (_, _, se), (_, _, nw), (_, _, ne) in sorted(squares, key=_row_major):
+        run = ends.pop((x, y, sw, nw), None)
+        if run is None:
+            run = [x, [sw], [nw]]
+            runs.append((y, run))
+        run[1].append(se)
+        run[2].append(ne)
+        ends[x + 1, y, se, ne] = run
+    return [(y, a, a + len(top) - 1, _segments(a, bottom), _segments(a, top), 1) for y, (a, bottom, top) in runs]
 
 
 def _row_major(sq):
-    return sq.sw[1], sq.sw[0], sq.sw[2], sq.nw[2], sq.se[2], sq.ne[2]
+    return sq.sw[1], sq.sw[0]
 
 
 def _squares_of(runs):
@@ -233,7 +236,7 @@ _QUADRANTS = ("NE", "NW", "SE", "SW")  # the quadrant each corner sw, se, nw, ne
 class _Layout(
     namedtuple(
         "_Layout",
-        "vertex_rows edge_rows vertical_rows pieces touching shared_sides corners counts connected",
+        "vertex_rows edge_rows vertical_rows pieces touching corners counts connected",
     )
 ):
     """A window's cells as intervals per row, read off its runs; rows are
@@ -244,10 +247,10 @@ class _Layout(
         for a run's bottom; a band's interior vertex rows are not listed
     edge_rows: (y, tag, tag) -> (first, last) column of the horizontal edges in that row
     vertical_rows: (y, bottom tag, top tag) -> [(x0, x1, row)]: vertical edges
-        at x0..x1, of one-row runs only
+        at x0..x1, of one-row runs only; two entries share an edge only where
+        the link condition fails, and the edge counts once
     pieces: per run, [(c0, c1, bottom edge row, top edge row)] over columns c0 .. c1-1
     touching: (row, row) pairs of rows that share a vertex
-    shared_sides: (row, row) pairs of rows that share a vertical edge
     corners: ((y, tag), x) vertices whose walls are not all paired by the rules in ContactGraph
     counts: the dict of window.counts(); connected: a bool
     """
@@ -334,17 +337,12 @@ def _layout(runs):
         edge_rows[y, t1, t2] = (min(lo, c), max(hi, c))
     n_edges += len(switches)
 
-    shared = []
     for spans in vertical_rows.values():
-        covered, _, pairs = _sweep(spans)
-        n_edges += covered
-        shared.extend((e[2], f[2]) for e, f in pairs)
+        n_edges += _sweep(spans)[0]
 
     classes = _least_members(first, [j for j, _ in touching], [k for _, k in touching])
     counts = {"vertices": n_vertices, "edges": n_edges, "squares": n_squares}
-    return _Layout(
-        vertex_rows, edge_rows, vertical_rows, pieces, touching, shared, corners, counts, not any(classes)
-    )
+    return _Layout(vertex_rows, edge_rows, vertical_rows, pieces, touching, corners, counts, not any(classes))
 
 
 def _edges_at(e, t, x):
@@ -353,13 +351,12 @@ def _edges_at(e, t, x):
     return t if x > e[0] else e[3], t if x < e[1] else e[4]
 
 
-class _Walls(namedtuple("_Walls", "count labels vertical horizontal")):
-    """A window's wall partition, on numbers.
+class _Walls(namedtuple("_Walls", "count labels horizontal")):
+    """A window's wall partition, on wall numbers.
 
     count: the number of walls
-    labels: edge row (y, tag, tag) -> (c0, [label of the edge at column c0, c0+1, ...; -1 if none]);
-        a band's interior edge rows carry its bottom edge row's labels and are not listed
-    vertical: label -> wall number
+    labels: edge row (y, tag, tag) -> (c0, [wall of the edge at column c0, c0+1, ...; -1 if none]);
+        a band's interior edge rows carry its bottom edge row's walls and are not listed
     horizontal: row -> wall number
     """
 
@@ -367,16 +364,17 @@ class _Walls(namedtuple("_Walls", "count labels vertical horizontal")):
 
 
 def _walls(runs, layout):
-    """Horizontal walls are rows, merged where rows share a vertical edge.
-    Vertical walls are labels: rows are swept bottom-up, a piece takes the
-    labels of its bottom edges (fresh ones where there are none yet) and
-    copies them onto its top edges, a band's past its interior edge rows,
-    which carry the same labels and are not stored.  The window must satisfy
-    the link condition: then no other square lies below those top edges, so
-    no two labels meet and each label is one wall, whose least edge is the
-    one it was born at."""
+    """Each row is one horizontal wall.  Vertical walls are labels: rows are
+    swept bottom-up, a piece takes the labels of its bottom edges (fresh ones
+    where there are none yet) and copies them onto its top edges, a band's
+    past its interior edge rows, which carry the same labels and are not
+    stored.  The window must satisfy the link condition: then no two runs
+    share a vertical edge, so no two rows are one wall, and no other square
+    lies below those top edges, so no two labels meet and each label is one
+    wall, whose least edge is the one it was born at.  Once walls are
+    numbered, the label rows are rewritten to wall numbers in place."""
     labels = {key: (lo, [-1] * (hi - lo + 1)) for key, (lo, hi) in layout.edge_rows.items()}
-    keys = {}  # wall -> its least edge; a label's is the edge it was born at
+    keys = []  # per label, then per row, its wall's least edge
     for k in sorted(range(len(runs)), key=lambda k: runs[k][0]):
         for c0, c1, kb, kt in layout.pieces[k]:
             lo, row = labels[kb]
@@ -385,38 +383,38 @@ def _walls(runs, layout):
                 y, t1, t2 = kb
                 for i, label in enumerate(own):
                     if label < 0:
-                        own[i] = n = len(keys)
-                        keys[n] = ((c0 + i, y, t1), (c0 + i + 1, y, t2))
+                        own[i] = len(keys)
+                        keys.append(((c0 + i, y, t1), (c0 + i + 1, y, t2)))
                 row[c0 - lo:c1 - lo] = own
             lo, row = labels[kt]
             row[c0 - lo:c1 - lo] = own
 
-    # a wall is a label, or n + the least row of a class of rows; a band's
-    # rows copy its bottom, so each row's least edge is its westmost one
+    # a band's rows copy its bottom, so each row's least edge is its westmost one
     n = len(keys)
-    shared = layout.shared_sides
-    row_root = _least_members(sum(run[5] for run in runs), [j for j, _ in shared], [k for _, k in shared])
-    westmost = (
+    keys.extend(
         ((a, z, bottom[0][2]), (a, z + 1, top[0][2])) for y, a, _, bottom, top, h in runs for z in range(y, y + h)
     )
-    for root, first in zip(row_root, westmost):
-        i = n + root
-        if i not in keys or first < keys[i]:
-            keys[i] = first
-    number = dict(zip(sorted(keys, key=keys.__getitem__), range(len(keys))))
-    return _Walls(len(keys), labels, [number[i] for i in range(n)], [number[n + r] for r in row_root])
+    number = [0] * len(keys)
+    for k, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        number[i] = k
+    horizontal = number[n:]
+    number[n:] = [-1]  # so a gap's -1 stays -1
+    for _, row in labels.values():
+        row[:] = map(number.__getitem__, row)
+    return _Walls(len(keys), labels, horizontal)
 
 
 class CubeWindow:
     """A finite square complex of unit squares, carried as runs.
 
     CubeWindow(squares) takes any unit squares (see _unit_square), groups
-    them into one-row runs and checks the link condition by one scan of them
-    on first use; build_staircase makes its runs directly, its flats as bands,
-    and its windows alone carry params and need no scan.  squares is the tuple given, or for a built
-    window one made run by run on first use.  Counts, validate and
-    euler_characteristic take any window; its walls, and so its contact
-    graph, need the link condition and raise validate's error without it.
+    them into one-row runs (see _runs_of) and checks the link condition by
+    one scan of them on first use; build_staircase makes its runs directly,
+    its flats as bands, and its windows alone carry params and need no scan.
+    squares is the tuple given, or for a built window one made run by run on
+    first use.  Counts, validate and euler_characteristic take any window;
+    its walls, and so its contact graph, need the link condition and raise
+    validate's error without it.
     """
 
     params = None
@@ -561,24 +559,25 @@ class ContactGraph:
     The graph is built on wall numbers, as two lists per wall: _across[k]
     lists the walls that cross wall k, and _contacts[k] the walls that meet it
     at a vertex without crossing it, each once: rows that touch, consecutive
-    squares of one run, the corner rule.  A horizontal wall's crossing list is
-    the vertical walls of its squares, read off the labels of their bottom
-    edges, and the row walls of a band share one list; a vertical wall's list
-    is filled from those, so each crossing is one entry on each side.  A
-    band's rows copy its bottom labels, so its consecutive squares pair once
-    for all its rows, and consecutive rows of it touch.  Under the link
-    condition a horizontal wall lies in one row of squares and a vertical one
-    in one column, with at most one square in each row, so two walls share at
-    most one square: no crossing list repeats a wall.  neighbors and
-    crossings keyed by wall id, each neighbour tuple sorted as strings, are
-    built on first use.  The window must satisfy the link condition.
+    squares of one run, the corner rule.  A row is one horizontal wall, and
+    its crossing list is the vertical walls of its run's squares, sliced off
+    the wall numbers of their bottom edges; the row walls of a band share
+    that list.  A vertical wall's list is filled from those, so each crossing
+    is one entry on each side.  A band's rows copy its bottom edges' walls,
+    so its consecutive squares pair once for all its rows, and consecutive
+    rows of it touch.  Under the link condition a horizontal wall is one row
+    of squares and a vertical one lies in one column, with at most one square
+    in each row, so two walls share at most one square: no crossing list
+    repeats a wall.  neighbors and crossings keyed by wall id, each neighbour
+    tuple sorted as strings, are built on first use.  The window must satisfy
+    the link condition.
     """
 
     def __init__(self, window):
         self.window = window
         self.walls = walls(window)
         layout, part = window._layout, window._walls
-        vertical, horizontal = part.vertical, part.horizontal
+        horizontal = part.horizontal
 
         # a row's wall crosses its squares' bottom-edge walls; consecutive ones meet
         self._across = across = [[] for _ in range(part.count)]
@@ -589,14 +588,11 @@ class ContactGraph:
             own = []
             for c0, c1, kb, _ in pieces:
                 lo, row = part.labels[kb]
-                own.extend(map(vertical.__getitem__, islice(row, c0 - lo, c1 - lo)))
+                own += row[c0 - lo:c1 - lo]
             rows = horizontal[first:first + h]
             first += h
-            if h == 1:
-                across[rows[0]].extend(own)  # a one-row run's wall can span other runs
-            else:
-                for w in rows:
-                    across[w] = own
+            for w in rows:
+                across[w] = own
             for v in own:
                 across[v].extend(rows)
             consecutive.update(zip(own, islice(own, 1, None)))
@@ -613,7 +609,7 @@ class ContactGraph:
         # entry on each side.
         for j, k in layout.touching:
             a, b = horizontal[j], horizontal[k]
-            if a != b and b not in contacts[a]:
+            if b not in contacts[a]:
                 contacts[a].append(b)
                 contacts[b].append(a)
         # At a corner each column wall pairs with every wall there that its
@@ -670,10 +666,10 @@ def _walls_at(part, y, t, x, entries):
             west, east = _edges_at(e, t, x)
             if west is not None:
                 lo, row = part.labels[y, west, t]
-                columns.add(part.vertical[row[x - 1 - lo]])
+                columns.add(row[x - 1 - lo])
             if east is not None:
                 lo, row = part.labels[y, t, east]
-                columns.add(part.vertical[row[x - lo]])
+                columns.add(row[x - lo])
     return rows, columns
 
 
@@ -820,10 +816,8 @@ def nonacyl_certificate(params, p, graph=None):
     part = graph.window._walls
 
     family = part.horizontal[:params.steps + 1]
-    if len(set(family)) != len(family):
-        raise CscwallsError("strip walls are not pairwise distinct")
     lo, row = part.labels[1, 0, 0]
-    witness = part.vertical[row[params.overlap_len - 1 - lo]]
+    witness = row[params.overlap_len - 1 - lo]
 
     # family members are distinct horizontal walls, so each crossing of one
     # adds exactly one

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 import cscwalls as cw
 from cscwalls.antitorus import AntiTorusQuery, screen_anti_torus
@@ -10,6 +10,13 @@ from cscwalls.antitorus import AntiTorusQuery, screen_anti_torus
 # examples on every run.
 settings.register_profile("cscwalls", deadline=None, derandomize=True)
 settings.load_profile("cscwalls")
+# tests/mutants.py needs a failing example, not the least one: the same
+# examples, without shrinking or explaining a failure.
+settings.register_profile(
+    "mutants",
+    parent=settings.get_profile("cscwalls"),
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
 
 TORUS_TEXT = """\
 hedges: a

@@ -7,7 +7,9 @@ every node id in ``tests`` must fail on the mutated copy.  Tier-1 checks only
 that each ``old`` still occurs exactly once (tests/test_repo.py), so a change
 that moves or rewrites the text must update its row.  Running this file
 applies each row in turn to one copy of src/, tests/ and pyproject.toml in a
-temporary directory and runs the row's tests there in a subprocess:
+temporary directory and runs the row's tests there in a subprocess, under
+the Hypothesis profile ``mutants`` (tests/conftest.py), which draws the same
+examples but does not shrink a failing one:
 
     python3 tests/mutants.py            # every row
     python3 tests/mutants.py NAME ...   # the named rows
@@ -73,6 +75,23 @@ MUTANTS = [
         "touching.extend(pairwise(range(first, last + 1)))",
         "pass",
         [_BANDS],
+    ),
+    Mutant(
+        "run-end-key-without-tags",
+        _STAIRCASE,
+        "ends[x + 1, y, se, ne] = run",
+        "ends[x + 1, y] = run",
+        [
+            "tests/test_staircase.py::TestWalls::test_a_square_continues_the_run_ending_at_its_west_side",
+            "tests/test_staircase.py::TestWalls::test_strip_of_squares[2]",
+        ],
+    ),
+    Mutant(
+        "wall-numbers-inverted",
+        _STAIRCASE,
+        "number[i] = k",
+        "number[k] = i",
+        [_DOT_ROW, "tests/test_staircase.py::TestWalls::test_unit_square_sets_match_tuple_oracle"],
     ),
     Mutant(
         "dot-edge-line-dropped",
@@ -177,7 +196,8 @@ def run(mutants):
             start = time.perf_counter()
             try:
                 proc = subprocess.run(
-                    [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *m.tests],
+                    [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+                     "--hypothesis-profile=mutants", *m.tests],
                     cwd=tree, env=env, capture_output=True, text=True,
                 )
             finally:

@@ -122,7 +122,7 @@ def wall_number_of_edge(window, edge):
     if across:
         lo, row = part.labels.get((y, t, t2), (0, ()))
         if 0 <= x - lo < len(row) and row[x - lo] >= 0:
-            return part.vertical[row[x - lo]]
+            return row[x - lo]
     elif (x2, y2) == (x, y + 1):
         for x0, x1, k in window._layout.vertical_rows.get((y, t, t2), ()):
             if x0 <= x <= x1:
@@ -197,6 +197,20 @@ def assert_lists_match_oracle(graph, oracle):
         found = contact_distances(graph, source)
         assert found == expected
         assert list(found.values()) == sorted(found.values())
+
+
+def assert_rows_are_walls(window):
+    """What _walls takes from the link condition: no two runs share a
+    vertical edge, read off the runs' segments, so no two rows are one
+    horizontal wall."""
+    sides = []
+    for y, a, b, bottom, top, h in window._runs:
+        tb, tt = ([t for x0, x1, t in segments for _ in range(x0, x1 + 1)] for segments in (bottom, top))
+        for z in range(y, y + h):
+            sides += [(x, z, tb[x - a] if z == y else tt[x - a], tt[x - a]) for x in range(a, b + 1)]
+    assert len(set(sides)) == len(sides)
+    horizontal = window._walls.horizontal
+    assert len(set(horizontal)) == len(horizontal) == sum(run[5] for run in window._runs)
 
 
 def assert_walls_match_oracle(window):
@@ -415,7 +429,7 @@ class TestWalls:
             a, b = _overlap_span(params, i + 1)
             lo, row = part.labels[4 * (i + 1), 0, 0]
             assert len(both) == params.overlap_len
-            assert both == {part.vertical[row[x - lo]] for x in range(a, b)}
+            assert both == {row[x - lo] for x in range(a, b)}
             assert {names[k] for k in both} == oracle.crossings[names[f[i]]] & oracle.crossings[names[f[i + 1]]]
 
     @settings(max_examples=40)
@@ -476,6 +490,29 @@ class TestWalls:
         not validated: the window need not be a staircase, contractible or
         connected, and without the link condition it has no walls."""
         assert_walls_match_oracle(CubeWindow(squares))
+
+    def test_a_square_continues_the_run_ending_at_its_west_side(self):
+        """Square (1, 0) continues the run of square (0, 0), not of the square
+        in the same place with all four tags 1 that sorts between them: two
+        runs, whose rows are two distinct horizontal walls."""
+        tagged = WindowSquare((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
+        window = CubeWindow([unit_square(0, 0), tagged, unit_square(1, 0)])
+        assert len(window._runs) == 2
+        assert_rows_are_walls(window)
+
+    @settings(max_examples=150)
+    @given(unit_square_lists)
+    def test_unit_square_rows_are_walls(self, squares):
+        window = CubeWindow(squares)
+        if window._link_failure is None:
+            assert_rows_are_walls(window)
+
+    @settings(max_examples=150)
+    @given(run_rows())
+    def test_run_rows_are_walls(self, squares):
+        window = CubeWindow(squares)
+        if window._link_failure is None:
+            assert_rows_are_walls(window)
 
     def test_wall_ids_sorted_as_strings_beyond_9999_walls(self):
         """Above w9999 string order is not numeric order ("w10000" < "w9999"):
