@@ -89,31 +89,38 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
 # numbered run by run, bottom to top, so one-row runs before the first band
 # have their run's number.
 #
-# Everything runs on runs, segments and per-row intervals (_layout):
-#   - counts and connectivity from the overlaps of the segments in each vertex
-#     row (y, tag); the horizontal edges of a row are its edge rows
-#     (y, tag, tag) and the edges between segments of two tags; a band lists
-#     only its bottom and top vertex rows and counts the cells between them;
+# Everything runs on runs, segments and per-row intervals, in three phases,
+# each passing on only what the next one reads:
+#   - the layout (_layout): counts and connectivity from the overlaps of the
+#     segments in each vertex row (y, tag); the horizontal edges of a row are
+#     its edge rows (y, tag, tag) and the edges between segments of two tags;
+#     a band lists only its bottom and top vertex rows and counts the cells
+#     between them; vertical edges are counted, not kept.  It passes on each
+#     run's column pieces, the edge rows they meet, the rows that touch, and
+#     the corners as rows and places in them; the window keeps only its
+#     counts and connectivity once its walls are built;
 #   - the link condition from one scan of given squares; built windows need none;
-#   - horizontal walls: each row is one, as no two rows share a vertical edge;
-#   - vertical walls: each edge row holds one label per column; the rows are
-#     swept bottom-up, and each run's column pieces copy the labels of their
-#     bottom edges onto their top edges as list slices (_walls), a band's
-#     from its bottom edge row to its top one at once; walls need the link
-#     condition, under which each label is one wall;
-#   - walls are numbered by the tuple of their least edge, so numbers follow
-#     the order of edge tuples, and each edge row's labels are then rewritten
-#     to wall numbers; a wall's one name is w0000, w0001, ...
-#   - crossings sit in one list per wall: a horizontal wall's holds the
-#     vertical walls it crosses, read off each piece's labels, and a vertical
-#     wall's the horizontal walls that cross it, so each square is one entry
-#     on each side, and a band's row walls share one list; the contacts that
-#     are not crossings (rows that touch, consecutive squares of one run, the
-#     corner rule) sit in one more list per wall, each wall once (ContactGraph).
+#   - the walls (_walls): each row is one horizontal wall, as no two rows
+#     share a vertical edge; for vertical walls each edge row holds one label
+#     per column, the rows are swept bottom-up, and each run's column pieces
+#     copy the labels of their bottom edges onto their top edges as list
+#     slices, a band's from its bottom edge row to its top one at once; walls
+#     need the link condition, under which each label is one wall; walls are
+#     numbered by their least edge, one int per wall in the order of edge
+#     tuples, and each run's labels, its crossings, are then rewritten to
+#     wall numbers; a wall's one name is w0000, w0001, ...  It passes on the
+#     row walls, each run's crossings and the layout's touching rows and
+#     corners, and drops the label rows;
+#   - the contact graph (ContactGraph): crossings sit in one list per wall, a
+#     horizontal wall's being its run's crossings, a vertical wall's the
+#     horizontal walls that cross it, so each square is one entry on each
+#     side, and a band's row walls share one list; the contacts that are not
+#     crossings (rows that touch, consecutive squares of one run, the corner
+#     rule) sit in one more list per wall, each wall once.
 # A window holds no vertex or edge tuples, and its graph no hashed entry per
 # crossing.  Its squares are the tuple it was given, or one built from its
-# runs on first use; ContactGraph.neighbors and .crossings, keyed by wall id,
-# are also built on first use.
+# runs on first use; wall ids, and ContactGraph.neighbors and .crossings,
+# keyed by them, are also built on first use.
 
 
 class WindowSquare(namedtuple("WindowSquare", "sw se nw ne")):
@@ -233,26 +240,19 @@ def _squares_of(runs):
 _QUADRANTS = ("NE", "NW", "SE", "SW")  # the quadrant each corner sw, se, nw, ne fills
 
 
-class _Layout(
-    namedtuple(
-        "_Layout",
-        "vertex_rows edge_rows vertical_rows pieces touching corners counts connected",
-    )
-):
+class _Layout(namedtuple("_Layout", "counts connected edge_rows pieces touching corners")):
     """A window's cells as intervals per row, read off its runs; rows are
-    numbered as in the run-layout comment above.
+    numbered as in the run-layout comment above.  The window keeps counts and
+    connected; the rest is what _walls reads, and goes once the walls are built.
 
-    vertex_rows: (y, tag) -> [(x0, x1, row, tag at x0-1, tag at x1+1)]: the
-        row of squares is the one below the segment for a run's top, above it
-        for a run's bottom; a band's interior vertex rows are not listed
-    edge_rows: (y, tag, tag) -> (first, last) column of the horizontal edges in that row
-    vertical_rows: (y, bottom tag, top tag) -> [(x0, x1, row)]: vertical edges
-        at x0..x1, of one-row runs only; two entries share an edge only where
-        the link condition fails, and the edge counts once
-    pieces: per run, [(c0, c1, bottom edge row, top edge row)] over columns c0 .. c1-1
-    touching: (row, row) pairs of rows that share a vertex
-    corners: ((y, tag), x) vertices whose walls are not all paired by the rules in ContactGraph
     counts: the dict of window.counts(); connected: a bool
+    edge_rows: (y, tag, tag) -> (first, last) column of the horizontal edges in that row
+    pieces: per run, [(c0, c1, bottom edge row, top edge row)] over columns
+        c0 .. c1-1, each edge row by its key in edge_rows
+    touching: two lists of rows, the rows at each index sharing a vertex
+    corners: per vertex whose walls are not all paired by the rules in
+        ContactGraph, a tuple (row, i, row, i, ...) of the rows through it,
+        each with the vertex's column less its run's first one
     """
 
     __slots__ = ()
@@ -260,10 +260,16 @@ class _Layout(
 
 def _layout(runs):
     vertex_rows, vertical_rows = defaultdict(list), defaultdict(list)
+    shared = {}  # (y, tag, tag) -> the same tuple: one key per edge row for its pieces and edge_rows
+    edge_rows = {}
     switches = set()  # (y, tag, tag, column) of each horizontal edge whose ends have different tags
-    pieces, touching = [], []
+    pieces, touching = [], ([], [])
     n_vertices = n_edges = n_squares = 0
     first = 0  # the number of the run's bottom row
+
+    def edge_row(*key):
+        return shared.setdefault(key, key)
+
     for y, a, b, bottom, top, h in runs:
         last = first + h - 1
         for vy, segments, row in ((y, bottom, first), (y + h, top, last)):
@@ -272,7 +278,7 @@ def _layout(runs):
                 after = segments[i][2] if i < len(segments) else None
                 if after is not None:
                     switches.add((vy, t, after, x1))
-                vertex_rows[vy, t].append((x0, x1, row, before, after))
+                vertex_rows[vy, t].append((x0, x1, row, before, after, a))
                 before = t
         n_squares += h * (b - a)
         if h > 1:
@@ -280,7 +286,8 @@ def _layout(runs):
             # vertex rows of one segment, each shared by two consecutive rows
             n_vertices += (h - 1) * (b - a + 1)
             n_edges += (h - 1) * (b - a) + h * (b - a + 1)
-            touching.extend(pairwise(range(first, last + 1)))
+            touching[0].extend(range(first, last))
+            touching[1].extend(range(first + 1, last + 1))
         # vertex ranges of constant (bottom tag, top tag); the columns inside
         # one are a piece, and so is each column between two of them
         own = []
@@ -291,11 +298,11 @@ def _layout(runs):
             u1, tt = top[j][1:]
             e = s1 if s1 < u1 else u1
             if h == 1:
-                vertical_rows[y, tb, tt].append((x, e, first))
+                vertical_rows[y, tb, tt].append((x, e))
             if x > a:
-                own.append((x - 1, x, (y, pb, tb), (y + h, pt, tt)))
+                own.append((x - 1, x, edge_row(y, pb, tb), edge_row(y + h, pt, tt)))
             if e > x:
-                own.append((x, e, (y, tb, tb), (y + h, tt, tt)))
+                own.append((x, e, edge_row(y, tb, tb), edge_row(y + h, tt, tt)))
             if e == b:
                 break
             i += e == s1
@@ -307,42 +314,53 @@ def _layout(runs):
     # per vertex row: its vertices, its edges with both ends in the row's tag
     # (each stretch of overlapping segments has one fewer than vertices) and
     # the rows sharing a vertex
-    corners = set()
-    edge_rows = {}
+    corners = []
     for (y, t), entries in vertex_rows.items():
         covered, stretches, pairs = _sweep(entries)
         lo, hi = entries[0][0], max(map(itemgetter(1), entries))
         n_vertices += covered
         n_edges += covered - stretches
         if hi > lo:
-            edge_rows[y, t, t] = (lo, hi - 1)
+            edge_rows[edge_row(y, t, t)] = (lo, hi - 1)
         # Crossings, rows sharing a vertex and consecutive squares of one run
         # pair up the walls at a vertex, unless a segment has two edges there
         # not both in tag t (at an end next to a segment of another tag), or
         # two segments have different edges there (at an end of their
         # overlap).
-        for x0, x1, _, before, after in entries:
+        at = set()
+        for x0, x1, _, before, after, _ in entries:
             if before is not None and (x0 < x1 or after is not None):
-                corners.add(((y, t), x0))
+                at.add(x0)
             if after is not None and (x0 < x1 or before is not None):
-                corners.add(((y, t), x1))
+                at.add(x1)
         for e, f in pairs:
-            touching.append((e[2], f[2]))
-            if e[:2] != f[:2] or e[3:] != f[3:]:
+            touching[0].append(e[2])
+            touching[1].append(f[2])
+            if e[:2] != f[:2] or e[3:5] != f[3:5]:
                 for x in (f[0], min(e[1], f[1])):
                     if _edges_at(e, t, x) != _edges_at(f, t, x):
-                        corners.add(((y, t), x))
+                        at.add(x)
+        # a corner's walls are those of its rows and of their squares beside
+        # it, at i - 1 and i in their runs' squares
+        for x in at:
+            corner = []
+            for e in entries:
+                if e[0] <= x <= e[1]:
+                    corner += e[2], x - e[5]
+            corners.append(tuple(corner))
     for y, t1, t2, c in switches:
-        lo, hi = edge_rows.get((y, t1, t2), (c, c))
-        edge_rows[y, t1, t2] = (min(lo, c), max(hi, c))
+        key = edge_row(y, t1, t2)
+        lo, hi = edge_rows.get(key, (c, c))
+        edge_rows[key] = (min(lo, c), max(hi, c))
     n_edges += len(switches)
-
+    # vertical edges, of one-row runs: two spans share one only where the
+    # link condition fails, and it counts once
     for spans in vertical_rows.values():
         n_edges += _sweep(spans)[0]
 
-    classes = _least_members(first, [j for j, _ in touching], [k for _, k in touching])
+    classes = _least_members(first, *touching)
     counts = {"vertices": n_vertices, "edges": n_edges, "squares": n_squares}
-    return _Layout(vertex_rows, edge_rows, vertical_rows, pieces, touching, corners, counts, not any(classes))
+    return _Layout(counts, not any(classes), edge_rows, pieces, touching, corners)
 
 
 def _edges_at(e, t, x):
@@ -351,31 +369,55 @@ def _edges_at(e, t, x):
     return t if x > e[0] else e[3], t if x < e[1] else e[4]
 
 
-class _Walls(namedtuple("_Walls", "count labels horizontal")):
-    """A window's wall partition, on wall numbers.
+def _edge_order(runs):
+    """least(x, y, tag, east, tag2): one int for the edge from (x, y, tag) to
+    (x + east, y + 1 - east, tag2) of a window of these runs.  The ints order
+    edges as their tuples ((x, y, tag), (x2, y2, tag2)) do: by x, then y,
+    tag, east (x2 = x before x2 = x + 1) and tag2, a tag by its rank among
+    the window's tags."""
+    tags = sorted({t for run in runs for side in run[3:5] for *_, t in side})
+    rank = {t: i for i, t in enumerate(tags)}
+    y0 = min((run[0] for run in runs), default=0)
+    n = len(tags)
+    step = (max((run[0] + run[5] for run in runs), default=y0) - y0 + 1) * 2 * n * n  # all but x
+
+    def least(x, y, tag, east, tag2):
+        return x * step + (((y - y0) * n + rank[tag]) * 2 + east) * n + rank[tag2]
+
+    return least
+
+
+class _Walls(namedtuple("_Walls", "count horizontal crossings touching corners")):
+    """A window's wall partition on wall numbers, with what ContactGraph reads.
 
     count: the number of walls
-    labels: edge row (y, tag, tag) -> (c0, [wall of the edge at column c0, c0+1, ...; -1 if none]);
-        a band's interior edge rows carry its bottom edge row's walls and are not listed
     horizontal: row -> wall number
+    crossings: per run, the walls of its squares in one row, by column: the
+        vertical walls that each of its rows crosses
+    touching, corners: the layout's, which ContactGraph reads
     """
 
     __slots__ = ()
 
 
 def _walls(runs, layout):
-    """Each row is one horizontal wall.  Vertical walls are labels: rows are
-    swept bottom-up, a piece takes the labels of its bottom edges (fresh ones
-    where there are none yet) and copies them onto its top edges, a band's
-    past its interior edge rows, which carry the same labels and are not
-    stored.  The window must satisfy the link condition: then no two runs
-    share a vertical edge, so no two rows are one wall, and no other square
-    lies below those top edges, so no two labels meet and each label is one
-    wall, whose least edge is the one it was born at.  Once walls are
-    numbered, the label rows are rewritten to wall numbers in place."""
+    """Each row is one horizontal wall.  Vertical walls are labels: each edge
+    row holds one label per column, rows are swept bottom-up, a piece takes
+    the labels of its bottom edges (fresh ones where there are none yet) and
+    copies them onto its top edges, a band's past its interior edge rows,
+    which carry the same labels and are not stored.  The window must satisfy
+    the link condition: then no two runs share a vertical edge, so no two
+    rows are one wall, and no other square lies below those top edges, so no
+    two labels meet and each label is one wall, whose least edge is the one
+    it was born at.  A run's labels are its crossings; once walls are
+    numbered by least edge, they are rewritten to wall numbers in place and
+    the label rows are dropped."""
     labels = {key: (lo, [-1] * (hi - lo + 1)) for key, (lo, hi) in layout.edge_rows.items()}
+    least = _edge_order(runs)
     keys = []  # per label, then per row, its wall's least edge
+    crossings = [None] * len(runs)
     for k in sorted(range(len(runs)), key=lambda k: runs[k][0]):
+        crossings[k] = crossed = []
         for c0, c1, kb, kt in layout.pieces[k]:
             lo, row = labels[kb]
             own = row[c0 - lo:c1 - lo]
@@ -384,24 +426,22 @@ def _walls(runs, layout):
                 for i, label in enumerate(own):
                     if label < 0:
                         own[i] = len(keys)
-                        keys.append(((c0 + i, y, t1), (c0 + i + 1, y, t2)))
+                        keys.append(least(c0 + i, y, t1, 1, t2))
                 row[c0 - lo:c1 - lo] = own
             lo, row = labels[kt]
             row[c0 - lo:c1 - lo] = own
+            crossed += own
+    del labels  # done with: freed before the keys are sorted
 
     # a band's rows copy its bottom, so each row's least edge is its westmost one
     n = len(keys)
-    keys.extend(
-        ((a, z, bottom[0][2]), (a, z + 1, top[0][2])) for y, a, _, bottom, top, h in runs for z in range(y, y + h)
-    )
+    keys.extend(least(a, z, bottom[0][2], 0, top[0][2]) for y, a, _, bottom, top, h in runs for z in range(y, y + h))
     number = [0] * len(keys)
     for k, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
         number[i] = k
-    horizontal = number[n:]
-    number[n:] = [-1]  # so a gap's -1 stays -1
-    for _, row in labels.values():
-        row[:] = map(number.__getitem__, row)
-    return _Walls(len(keys), labels, horizontal)
+    for crossed in crossings:
+        crossed[:] = map(number.__getitem__, crossed)
+    return _Walls(len(keys), number[n:], crossings, layout.touching, layout.corners)
 
 
 class CubeWindow:
@@ -414,7 +454,9 @@ class CubeWindow:
     squares is the tuple given, or for a built window one made run by run on
     first use.  Counts, validate and euler_characteristic take any window;
     its walls, and so its contact graph, need the link condition and raise
-    validate's error without it.
+    validate's error without it.  The layout is kept until the walls are
+    built, and then dropped: the window keeps its counts and whether it is
+    connected, so counts, euler_characteristic and validate still answer.
     """
 
     params = None
@@ -435,20 +477,29 @@ class CubeWindow:
         return _layout(self._runs)
 
     @cached_property
+    def _summary(self):
+        """The counts and whether the window is connected, read off the
+        layout; all the window keeps of it once _walls drops it."""
+        return self._layout.counts, self._layout.connected
+
+    @cached_property
     def _walls(self):
         if self._link_failure is not None:
             raise CscwallsError(self._link_failure)
-        return _walls(self._runs, self._layout)
+        layout = self._layout
+        self._summary = layout.counts, layout.connected
+        del self._layout
+        return _walls(self._runs, layout)
 
     @cached_property
     def squares(self):
         return tuple(_squares_of(self._runs))
 
     def counts(self):
-        return dict(self._layout.counts)
+        return dict(self._summary[0])
 
     def euler_characteristic(self):
-        c = self._layout.counts
+        c = self._summary[0]
         return c["vertices"] - c["edges"] + c["squares"]
 
     def validate(self):
@@ -460,12 +511,11 @@ class CubeWindow:
         """
         if self._link_failure is not None:
             raise CscwallsError(self._link_failure)
-        layout = self._layout
         if self.euler_characteristic() != 1:
             raise CscwallsError(
                 f"window is not contractible: Euler characteristic {self.euler_characteristic()}"
             )
-        if not layout.connected:
+        if not self._summary[1]:
             raise CscwallsError("window is not connected")
         return self.counts()
 
@@ -556,39 +606,34 @@ class ContactGraph:
 
     crossings is the transversality subrelation: walls sharing a square.
     walls is the list of wall ids, and a wall's number is its position there.
-    The graph is built on wall numbers, as two lists per wall: _across[k]
-    lists the walls that cross wall k, and _contacts[k] the walls that meet it
-    at a vertex without crossing it, each once: rows that touch, consecutive
-    squares of one run, the corner rule.  A row is one horizontal wall, and
-    its crossing list is the vertical walls of its run's squares, sliced off
-    the wall numbers of their bottom edges; the row walls of a band share
-    that list.  A vertical wall's list is filled from those, so each crossing
-    is one entry on each side.  A band's rows copy its bottom edges' walls,
-    so its consecutive squares pair once for all its rows, and consecutive
-    rows of it touch.  Under the link condition a horizontal wall is one row
-    of squares and a vertical one lies in one column, with at most one square
-    in each row, so two walls share at most one square: no crossing list
-    repeats a wall.  neighbors and crossings keyed by wall id, each neighbour
-    tuple sorted as strings, are built on first use.  The window must satisfy
-    the link condition.
+    The graph is built on wall numbers from the window's wall partition
+    alone, with no layout, as two lists per wall: _across[k] lists the walls
+    that cross wall k, and _contacts[k] the walls that meet it at a vertex
+    without crossing it, each once: rows that touch, consecutive squares of
+    one run, the corner rule.  A row is one horizontal wall, and its crossing
+    list is its run's crossings, the vertical walls of its squares by
+    column; the row walls of a band share that list.  A vertical wall's list
+    is filled from those, so each crossing is one entry on each side.  A
+    band's rows copy its bottom edges' walls, so its consecutive squares pair
+    once for all its rows, and consecutive rows of it touch.  Under the link
+    condition a horizontal wall is one row of squares and a vertical one lies
+    in one column, with at most one square in each row, so two walls share at
+    most one square: no crossing list repeats a wall.  walls, and neighbors
+    and crossings keyed by wall id, each neighbour tuple sorted as strings,
+    are built on first use.  The window must satisfy the link condition.
     """
 
     def __init__(self, window):
         self.window = window
-        self.walls = walls(window)
-        layout, part = window._layout, window._walls
+        part = window._walls
         horizontal = part.horizontal
 
-        # a row's wall crosses its squares' bottom-edge walls; consecutive ones meet
+        # a row's wall crosses its run's crossings; consecutive ones meet
         self._across = across = [[] for _ in range(part.count)]
         self._contacts = contacts = [[] for _ in range(part.count)]
         consecutive = set()  # (west, east) walls of consecutive squares: a pair recurs in each run both cross
         first = 0
-        for (*_, h), pieces in zip(window._runs, layout.pieces):
-            own = []
-            for c0, c1, kb, _ in pieces:
-                lo, row = part.labels[kb]
-                own += row[c0 - lo:c1 - lo]
+        for (*_, h), own in zip(window._runs, part.crossings):
             rows = horizontal[first:first + h]
             first += h
             for w in rows:
@@ -607,16 +652,19 @@ class ContactGraph:
         # walls at a vertex where the segments through it differ.  A wall is
         # appended only where it is not listed yet, so each contact is one
         # entry on each side.
-        for j, k in layout.touching:
+        for j, k in zip(*part.touching):
             a, b = horizontal[j], horizontal[k]
             if b not in contacts[a]:
                 contacts[a].append(b)
                 contacts[b].append(a)
         # At a corner each column wall pairs with every wall there that its
         # crossing list, the short one, does not hold; walls of one kind never
-        # cross, so the row walls there then pair with each other.
-        for (y, t), x in layout.corners:
-            rows, columns = _walls_at(part, y, t, x, layout.vertex_rows[y, t])
+        # cross, so the row walls there then pair with each other.  A row
+        # wall's crossing list is its run's crossings, by column, so the
+        # column walls at a corner are read off those of its rows.
+        for corner in part.corners:
+            rows = [horizontal[j] for j in corner[::2]]
+            columns = {c for r, i in zip(rows, corner[1::2]) for c in across[r][max(i - 1, 0):i + 1]}
             met = [*rows, *columns]
             for c in columns:
                 near, crossed = contacts[c], across[c]
@@ -630,6 +678,10 @@ class ContactGraph:
                     if v != r and v not in near:
                         near.append(v)
                         contacts[v].append(r)
+
+    @cached_property
+    def walls(self):
+        return walls(self.window)
 
     @cached_property
     def _numbers(self):
@@ -654,23 +706,6 @@ class ContactGraph:
     def crossings(self):
         names = self.walls
         return {names[k]: frozenset([names[j] for j in crossed]) for k, crossed in enumerate(self._across)}
-
-
-def _walls_at(part, y, t, x, entries):
-    """The horizontal and the vertical walls at vertex (x, y, t), as two sets,
-    given the segments of its vertex row."""
-    rows, columns = set(), set()
-    for e in entries:
-        if e[0] <= x <= e[1]:
-            rows.add(part.horizontal[e[2]])
-            west, east = _edges_at(e, t, x)
-            if west is not None:
-                lo, row = part.labels[y, west, t]
-                columns.add(row[x - 1 - lo])
-            if east is not None:
-                lo, row = part.labels[y, t, east]
-                columns.add(row[x - lo])
-    return rows, columns
 
 
 def contact_graph(window):
@@ -813,15 +848,15 @@ def nonacyl_certificate(params, p, graph=None):
         graph = contact_graph(build_staircase(params))
     elif graph.window.params != params:
         raise InvalidParams(f"the contact graph was built for {graph.window.params}, not for {params}")
-    part = graph.window._walls
-
-    family = part.horizontal[:params.steps + 1]
-    lo, row = part.labels[1, 0, 0]
-    witness = row[params.overlap_len - 1 - lo]
+    across = graph._across
+    family = graph.window._walls.horizontal[:params.steps + 1]
+    base = family[0]
+    # strip 0's row crosses the walls of its squares, by column from the
+    # first of flat 0's span, and its top edges are edge row (1, 0, 0)
+    witness = across[base][params.overlap_len - 1 - _flat_span(params, 0)[0]]
 
     # family members are distinct horizontal walls, so each crossing of one
     # adds exactly one
-    across = graph._across
     counts = Counter(chain.from_iterable(across[f] for f in family))
     max_crossing = max(counts.values(), default=0)
 
@@ -830,9 +865,8 @@ def nonacyl_certificate(params, p, graph=None):
     if counts.get(witness, 0) != m:
         raise CscwallsError("witness wall does not attain the crossing bound")
 
-    base = family[0]
     crossers = set(across[witness])  # the horizontal walls that cross the witness
-    from_base, _ = _distances(graph, base)
+    from_base = _distances(graph, base)[0]
     distances = []
     for i in range(1, p + 1):
         d = from_base[family[i]]
@@ -850,18 +884,19 @@ def nonacyl_certificate(params, p, graph=None):
             f"BFS distance {bfs_distance} fell below the counting bound {bound}"
         )
 
-    names = graph.walls
+    crossing_counts = {_wall_name(k): c for k, c in counts.items()}
+    witness = _wall_name(witness)
     return NonAcylCertificate(
         params=params,
         p=p,
         crossing_bound=m,
-        family=tuple(names[k] for k in family),
+        family=tuple(map(_wall_name, family)),
         family_distances=tuple(distances),
-        witness_wall=names[witness],
-        witnesses=tuple((i, names[witness]) for i in range(1, min(p + 1, m))),
-        crossing_counts={names[k]: c for k, c in counts.items()},
+        witness_wall=witness,
+        witnesses=tuple((i, witness) for i in range(1, min(p + 1, m))),
+        crossing_counts=crossing_counts,
         max_crossing=max_crossing,
-        max_crossing_walls=tuple(sorted(names[k] for k, c in counts.items() if c == max_crossing)),
+        max_crossing_walls=tuple(sorted(w for w, c in crossing_counts.items() if c == max_crossing)),
         lower_bound=bound,
         bfs_distance=bfs_distance,
         bounds_note=_BOUNDS_NOTE,

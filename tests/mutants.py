@@ -14,6 +14,11 @@ examples but does not shrink a failing one:
     python3 tests/mutants.py            # every row
     python3 tests/mutants.py NAME ...   # the named rows
 
+Each row's test process runs for at most TIME_LIMIT_S seconds and within
+MEMORY_LIMIT bytes of address space, so a mutant that makes a test loop or
+grow instead of fail gives a verdict too: the row is reported as ``timeout``
+or ``memory`` and counts as killed.
+
 It prints one line per row and exits 1 if any row survives, that is if
 some of its tests pass on the mutated copy.  A surviving row shows a check
 that cannot fail; report it, do not delete the row.
@@ -21,6 +26,7 @@ that cannot fail; report it, do not delete the row.
 
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -32,6 +38,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 Mutant = namedtuple("Mutant", "name file old new tests")
+
+#: Limits on each row's test process; a row that reaches one is killed.  A
+#: row's tests take seconds and under 70 MB of address space when they end.
+TIME_LIMIT_S = 120
+MEMORY_LIMIT = 2**29
 
 _STAIRCASE = "src/cscwalls/staircase.py"
 _ORACLE = "tests/test_staircase.py::TestWalls::test_staircases_match_tuple_oracle"
@@ -72,8 +83,9 @@ MUTANTS = [
     Mutant(
         "band-touching-pairs-dropped",
         _STAIRCASE,
-        "touching.extend(pairwise(range(first, last + 1)))",
-        "pass",
+        "            touching[0].extend(range(first, last))\n"
+        "            touching[1].extend(range(first + 1, last + 1))\n",
+        "",
         [_BANDS],
     ),
     Mutant(
@@ -84,6 +96,23 @@ MUTANTS = [
         [
             "tests/test_staircase.py::TestWalls::test_a_square_continues_the_run_ending_at_its_west_side",
             "tests/test_staircase.py::TestWalls::test_strip_of_squares[2]",
+        ],
+    ),
+    Mutant(
+        "crossings-left-as-labels",
+        _STAIRCASE,
+        "crossed[:] = map(number.__getitem__, crossed)",
+        "pass",
+        ["tests/test_staircase.py::TestWalls::test_consecutive_strip_walls_share_the_overlap_walls"],
+    ),
+    Mutant(
+        "layout-kept-on-the-window",
+        _STAIRCASE,
+        "        del self._layout\n",
+        "",
+        [
+            "tests/test_staircase.py::TestContactGraph::test_contact_graph_drops_the_layout[built]",
+            "tests/test_staircase.py::TestContactGraph::test_contact_graph_drops_the_layout[squares]",
         ],
     ),
     Mutant(
@@ -174,6 +203,11 @@ def _failed(output):
     return {line.split(" - ")[0] for line in re.findall(r"^FAILED (.+)$", output, re.M)}
 
 
+def _limit_memory():
+    """Cap the address space of the test process (run in the child only)."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
 def run(mutants):
     """Apply each mutant to one copy of the tree and run its tests; return
     the rows that survive, as (mutant, node ids that did not fail)."""
@@ -199,13 +233,21 @@ def run(mutants):
                     [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
                      "--hypothesis-profile=mutants", *m.tests],
                     cwd=tree, env=env, capture_output=True, text=True,
+                    timeout=TIME_LIMIT_S, preexec_fn=_limit_memory,
                 )
+            except subprocess.TimeoutExpired:
+                proc = None
             finally:
                 path.write_text(original)
-            alive = [t for t in m.tests if t not in _failed(proc.stdout)]
-            status = "survived" if alive else "killed"
+            if proc is None:
+                status, alive = "timeout", []
+            elif "MemoryError" in proc.stdout + proc.stderr:
+                status, alive = "memory", []
+            else:
+                alive = [t for t in m.tests if t not in _failed(proc.stdout)]
+                status = "survived" if alive else "killed"
             print(f"{status:8} {time.perf_counter() - start:5.1f} s  {m.name}", flush=True)
-            if proc.returncode not in (0, 1):  # an error, not a verdict
+            if status in ("killed", "survived") and proc.returncode not in (0, 1):  # an error, not a verdict
                 print(proc.stdout[-2000:], proc.stderr[-2000:], sep="\n")
             if alive:
                 survivors.append((m, alive))

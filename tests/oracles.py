@@ -423,9 +423,9 @@ class TupleWall(NamedTuple):
     dual_edges: frozenset
 
 
-def unit_square(x, y, bl_tag=0, br_tag=0):
-    """Axis-aligned unit square with optional branch tags on its bottom corners."""
-    return WindowSquare((x, y, bl_tag), (x + 1, y, br_tag), (x, y + 1, 0), (x + 1, y + 1, 0))
+def unit_square(x, y, bl_tag=0, br_tag=0, tl_tag=0, tr_tag=0):
+    """Axis-aligned unit square with optional branch tags on its corners."""
+    return WindowSquare((x, y, bl_tag), (x + 1, y, br_tag), (x, y + 1, tl_tag), (x + 1, y + 1, tr_tag))
 
 
 def _edge(a, b):

@@ -95,6 +95,18 @@ ROWS = {
             EMPTY,
         ),
     ),
+    # the summary read off a window whose contact graph is built: counts outlive the layout
+    "staircase-4-2-9-dot": (
+        (*_STAIRCASE, "--L", "4", "--r", "2", "--steps", "9", "--dot", "out.dot"),
+        0,
+        (
+            "662314acd8f715c3983778e815727e934423caede2b5237316d79f2b2286e6f0",
+            "c3c1231c60c9d6f06595cc375565acece8ae9af42cfb0eecbf1469a24530a201",
+            "d14aaec48f92348b54e06da3ba01de2b71cfdd93852f846ba2494afcc4798566",
+            EMPTY,
+            EMPTY,
+        ),
+    ),
     "staircase-4-2-9-p-dot": (
         (*_STAIRCASE, "--L", "4", "--r", "2", "--steps", "9", "--p", "9", "--dot", "out.dot"),
         0,

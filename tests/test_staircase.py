@@ -70,9 +70,10 @@ def stair_shapes(draw):
     return StairParams(L, r, draw(st.integers(1, m + 5)), draw(st.integers(1, 4)))
 
 
-#: Unit squares on a 5x5 grid, bottom corners tagged at random; repeats allowed.
+#: Unit squares on a 5x5 grid, all four corners tagged at random, so that two
+#: squares can lie in one place without sharing a vertex; repeats allowed.
 unit_square_lists = st.lists(
-    st.builds(unit_square, st.integers(0, 4), st.integers(0, 4), st.integers(0, 1), st.integers(0, 1)),
+    st.builds(unit_square, st.integers(0, 4), st.integers(0, 4), *[st.integers(0, 1)] * 4),
     min_size=1,
     max_size=12,
 )
@@ -81,18 +82,22 @@ unit_square_lists = st.lists(
 @st.composite
 def run_rows(draw):
     """Unit squares laid out as rows: up to 6 rows of 1-15 squares at heights
-    0..5, each with its own bottom tags (and, now and then, top tags) switching
-    along the row.  Rows may overlap, and a row may repeat an earlier one;
-    the squares come row by row or shuffled."""
+    0..5, each with its own bottom and top tags switching along the row.
+    Rows may overlap, and a row may repeat an earlier one or lie in its place
+    with every tag flipped, sharing no vertex with it; the squares come row
+    by row or shuffled."""
     rows = []
     for _ in range(draw(st.integers(1, 6))):
         if rows and draw(st.integers(0, 3)) == 0:
-            rows.append(draw(st.sampled_from(rows)))
+            x, y, bottom, top = draw(st.sampled_from(rows))
+            if draw(st.booleans()):
+                bottom, top = [1 - t for t in bottom], [1 - t for t in top]
+            rows.append((x, y, bottom, top))
             continue
         width = draw(st.integers(1, 15))
         tags = st.lists(st.integers(0, 1), min_size=width + 1, max_size=width + 1)
         bottom = draw(tags)
-        top = draw(tags) if draw(st.integers(0, 3)) == 0 else [0] * (width + 1)
+        top = draw(tags)
         rows.append((draw(st.integers(-3, 8)), draw(st.integers(0, 5)), bottom, top))
     squares = [
         WindowSquare((c, y, bottom[i]), (c + 1, y, bottom[i + 1]), (c, y + 1, top[i]), (c + 1, y + 1, top[i + 1]))
@@ -104,29 +109,24 @@ def run_rows(draw):
 
 def wall_number_of_edge(window, edge):
     """The wall number of an edge given as its (lesser, greater) vertex
-    tuples, read off the engine's labels per edge row and walls per row;
-    None if the window has no such edge.  A band lists neither its vertical
-    edges nor its interior edge rows: its edge in row j is row j's wall, and
-    an interior edge carries the label of the bottom edge in its column."""
+    tuples, read off the runs; None if the window has no such edge.  A
+    horizontal edge is a side of a run's square, whose vertical wall is the
+    run's crossing at its column, and a vertical edge is a side of one row
+    of a run, whose wall is that row's.  A band's interior vertex rows carry
+    its one tag."""
     (x, y, t), (x2, y2, t2) = edge
     part = window._walls
-    across = (x2, y2) == (x + 1, y)  # a horizontal edge, dual to a vertical wall
     first = 0
-    for y0, a, b, bottom, _, h in window._runs:
-        if h > 1 and t == t2 == bottom[0][2] and a <= x <= b - across:
-            if (x2, y2) == (x, y + 1) and y0 <= y < y0 + h:
+    for k, (y0, a, b, bottom, top, h) in enumerate(window._runs):
+        tb, tt = ([tag for x0, x1, tag in segments for _ in range(x0, x1 + 1)] for segments in (bottom, top))
+        if (x2, y2) == (x + 1, y) and a <= x < b and y0 <= y <= y0 + h:
+            tags = tb if y == y0 else tt
+            if (tags[x - a], tags[x + 1 - a]) == (t, t2):
+                return part.crossings[k][x - a]
+        if (x2, y2) == (x, y + 1) and a <= x <= b and y0 <= y < y0 + h:
+            if ((tb if y == y0 else tt)[x - a], tt[x - a]) == (t, t2):
                 return part.horizontal[first + y - y0]
-            if across and y0 < y < y0 + h:
-                y = y0
         first += h
-    if across:
-        lo, row = part.labels.get((y, t, t2), (0, ()))
-        if 0 <= x - lo < len(row) and row[x - lo] >= 0:
-            return row[x - lo]
-    elif (x2, y2) == (x, y + 1):
-        for x0, x1, k in window._layout.vertical_rows.get((y, t, t2), ()):
-            if x0 <= x <= x1:
-                return part.horizontal[k]
     return None
 
 
@@ -422,14 +422,14 @@ class TestWalls:
         window = build_staircase(params)
         graph = contact_graph(window)
         oracle = contact_graph_by_tuples(window)
-        part, names = window._walls, graph.walls
-        f = part.horizontal[: params.steps + 1]
+        names = graph.walls
+        f = window._walls.horizontal[: params.steps + 1]
         for i in range(params.steps):
             both = set(graph._across[f[i]]) & set(graph._across[f[i + 1]])
             a, b = _overlap_span(params, i + 1)
-            lo, row = part.labels[4 * (i + 1), 0, 0]
+            y = 4 * (i + 1)
             assert len(both) == params.overlap_len
-            assert both == {row[x - lo] for x in range(a, b)}
+            assert both == {wall_number_of_edge(window, ((x, y, 0), (x + 1, y, 0))) for x in range(a, b)}
             assert {names[k] for k in both} == oracle.crossings[names[f[i]]] & oracle.crossings[names[f[i + 1]]]
 
     @settings(max_examples=40)
@@ -612,6 +612,25 @@ class TestContactGraph:
         assert wall_number_of_edge(window, ((0, 2, 0), (0, 3, 0))) is None
         assert wall_number_of_edge(window, ((1, 0, 0), (1, 1, 0))) is not None
 
+    @pytest.mark.parametrize(
+        "make",
+        [build_staircase, lambda params: CubeWindow(build_staircase(params).squares)],
+        ids=["built", "squares"],
+    )
+    def test_contact_graph_drops_the_layout(self, make):
+        """Once its contact graph is built a window holds no layout, and its
+        counts, Euler characteristic and validation still answer as before:
+        a built window is validated before its graph, a window of squares
+        is not."""
+        params = StairParams(4, 2, steps=9)
+        expected = counts_by_tuples(build_staircase(params).squares)
+        window = make(params)
+        contact_graph(window)
+        assert "_layout" not in window.__dict__
+        assert window.counts() == expected
+        assert window.euler_characteristic() == 1
+        assert window.validate() == expected
+
     def test_dot_export(self):
         """Two squares side by side: w0000 runs through both, w0001 and w0002
         cross it in one square each, and each pair of the three is in contact."""
@@ -768,9 +787,11 @@ class TestCertificate:
 
     def test_tall_benchmark_heap_budget(self):
         """The tall benchmark window, 3,364 walls over 841 runs, peaks below
-        5 MiB of traced heap: each wall's contacts sit in one plain list, and
-        no wall holds a hashed set of them."""
-        self.assert_heap_peak_below(StairParams(3, 2, 420), 420, 5)
+        3 MiB of traced heap: each wall's contacts sit in one plain list, no
+        wall holds a hashed set of them, the layout is gone before the
+        contact graph fills, and the certificate names only the walls it
+        reports."""
+        self.assert_heap_peak_below(StairParams(3, 2, 420), 420, 3)
 
     def test_graph_of_another_window_is_rejected(self):
         """A margin-1 graph with margin-2 parameters would certify distances
