@@ -321,6 +321,7 @@ def _cmd_staircase(args, run):
         contact_graph,
         contact_graph_dot,
         nonacyl_certificate,
+        walls,
     )
 
     params = StairParams(
@@ -342,7 +343,7 @@ def _cmd_staircase(args, run):
         "params": params.to_dict(),
         "window": window.counts(),
         "euler_characteristic": window.euler_characteristic(),
-        "walls": window._walls.count,
+        "walls": len(walls(window)),
         "crossing_bound": params.crossing_bound,
     }
     return run.emit(payload, args, "staircase")

@@ -98,7 +98,7 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
 #     between them; vertical edges are counted, not kept.  It passes on each
 #     run's column pieces, the edge rows they meet, the rows that touch, and
 #     the corners as rows and places in them; the window keeps only its
-#     counts and connectivity once its walls are built;
+#     counts and connectivity, from the first layout made of it;
 #   - the link condition from one scan of given squares; built windows need none;
 #   - the walls (_walls): each row is one horizontal wall, as no two rows
 #     share a vertical edge; for vertical walls each edge row holds one label
@@ -109,14 +109,16 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
 #     numbered by their least edge, one int per wall in the order of edge
 #     tuples, and each run's labels, its crossings, are then rewritten to
 #     wall numbers; a wall's one name is w0000, w0001, ...  It passes on the
-#     row walls, each run's crossings and the layout's touching rows and
-#     corners, and drops the label rows;
-#   - the contact graph (ContactGraph): crossings sit in one list per wall, a
+#     row walls and each run's crossings, and drops the label rows;
+#   - the contact graph (ContactGraph) runs the two phases before it and
+#     keeps only the row walls: crossings sit in one list per wall, a
 #     horizontal wall's being its run's crossings, a vertical wall's the
 #     horizontal walls that cross it, so each square is one entry on each
 #     side, and a band's row walls share one list; the contacts that are not
 #     crossings (rows that touch, consecutive squares of one run, the corner
 #     rule) sit in one more list per wall, each wall once.
+# walls() reads the wall count, edges - 2 * squares, off the counts, so the
+# window summary builds no partition.
 # A window holds no vertex or edge tuples, and its graph no hashed entry per
 # crossing.  Its squares are the tuple it was given, or one built from its
 # runs on first use; wall ids, and ContactGraph.neighbors and .crossings,
@@ -192,11 +194,12 @@ def _tags(segments):
 
 def _unit_square(i, square):
     """square as a WindowSquare; CscwallsError unless its corners are
-    (x, y, .), (x+1, y, .), (x, y+1, .) and (x+1, y+1, .) for integers x, y."""
+    (x, y, .), (x+1, y, .), (x, y+1, .) and (x+1, y+1, .) for integers x, y;
+    each coordinate must be an int, not a bool or a float of equal value."""
     try:
         sq = WindowSquare(*square)
         (x, y, _), (x1, y1, _), (x2, y2, _), (x3, y3, _) = sq
-        unit = isinstance(x, int) and isinstance(y, int)
+        unit = all(type(v) is int for v in (x, y, x1, y1, x2, y2, x3, y3))
         unit = unit and (x1, y1, x2, y2, x3, y3) == (x + 1, y, x, y + 1, x + 1, y + 1)
     except (TypeError, ValueError):
         unit = False
@@ -243,7 +246,8 @@ _QUADRANTS = ("NE", "NW", "SE", "SW")  # the quadrant each corner sw, se, nw, ne
 class _Layout(namedtuple("_Layout", "counts connected edge_rows pieces touching corners")):
     """A window's cells as intervals per row, read off its runs; rows are
     numbered as in the run-layout comment above.  The window keeps counts and
-    connected; the rest is what _walls reads, and goes once the walls are built.
+    connected; the rest is what _walls and ContactGraph read, and goes once
+    the graph is built.
 
     counts: the dict of window.counts(); connected: a bool
     edge_rows: (y, tag, tag) -> (first, last) column of the horizontal edges in that row
@@ -387,19 +391,6 @@ def _edge_order(runs):
     return least
 
 
-class _Walls(namedtuple("_Walls", "count horizontal crossings touching corners")):
-    """A window's wall partition on wall numbers, with what ContactGraph reads.
-
-    count: the number of walls
-    horizontal: row -> wall number
-    crossings: per run, the walls of its squares in one row, by column: the
-        vertical walls that each of its rows crosses
-    touching, corners: the layout's, which ContactGraph reads
-    """
-
-    __slots__ = ()
-
-
 def _walls(runs, layout):
     """Each row is one horizontal wall.  Vertical walls are labels: each edge
     row holds one label per column, rows are swept bottom-up, a piece takes
@@ -411,7 +402,10 @@ def _walls(runs, layout):
     two labels meet and each label is one wall, whose least edge is the one
     it was born at.  A run's labels are its crossings; once walls are
     numbered by least edge, they are rewritten to wall numbers in place and
-    the label rows are dropped."""
+    the label rows are dropped.  Returns the number of walls, each row's
+    wall number, and per run its crossings: the walls of its squares in one
+    row, by column, which are the vertical walls that each of its rows
+    crosses."""
     labels = {key: (lo, [-1] * (hi - lo + 1)) for key, (lo, hi) in layout.edge_rows.items()}
     least = _edge_order(runs)
     keys = []  # per label, then per row, its wall's least edge
@@ -441,7 +435,7 @@ def _walls(runs, layout):
         number[i] = k
     for crossed in crossings:
         crossed[:] = map(number.__getitem__, crossed)
-    return _Walls(len(keys), number[n:], crossings, layout.touching, layout.corners)
+    return len(keys), number[n:], crossings
 
 
 class CubeWindow:
@@ -454,9 +448,10 @@ class CubeWindow:
     squares is the tuple given, or for a built window one made run by run on
     first use.  Counts, validate and euler_characteristic take any window;
     its walls, and so its contact graph, need the link condition and raise
-    validate's error without it.  The layout is kept until the walls are
-    built, and then dropped: the window keeps its counts and whether it is
-    connected, so counts, euler_characteristic and validate still answer.
+    validate's error without it.  A window keeps its runs, the link
+    condition's verdict, its squares once made, and _summary: its counts and
+    whether it is connected, from the first layout made of it, by the
+    contact graph or on first use.  It keeps no layout and no walls.
     """
 
     params = None
@@ -473,23 +468,10 @@ class CubeWindow:
         return window
 
     @cached_property
-    def _layout(self):
-        return _layout(self._runs)
-
-    @cached_property
     def _summary(self):
-        """The counts and whether the window is connected, read off the
-        layout; all the window keeps of it once _walls drops it."""
-        return self._layout.counts, self._layout.connected
-
-    @cached_property
-    def _walls(self):
-        if self._link_failure is not None:
-            raise CscwallsError(self._link_failure)
-        layout = self._layout
-        self._summary = layout.counts, layout.connected
-        del self._layout
-        return _walls(self._runs, layout)
+        """The counts and whether the window is connected: all it keeps of
+        its layout."""
+        return _layout(self._runs)[:2]
 
     @cached_property
     def squares(self):
@@ -557,14 +539,16 @@ def _overlap_span(params, i):
 
 
 def build_staircase(params):
-    """Assemble and validate the staircase window for the given parameters:
-    strips 0..steps as one-row runs, so run i and row i are strip i, then each
-    flat as one band of FLAT_ROWS rows.  A strip's bottom is tagged 1 outside
-    its overlap with the flat below (all of strip 0's).  Strips and flats sit
-    at heights of their own, so each flat is a band alone in its rows, as
+    """Assemble the staircase window for the given parameters: strips
+    0..steps as one-row runs, so run i and row i are strip i, then each flat
+    as one band of FLAT_ROWS rows.  A strip's bottom is tagged 1 outside its
+    overlap with the flat below (all of strip 0's).  Strips and flats sit at
+    heights of their own, so each flat is a band alone in its rows, as
     _layout relies on; no two squares share a row and column, no quadrant of
     a vertex holds two squares, and the window satisfies the link condition
-    by construction."""
+    by construction.  It is connected with Euler characteristic 1 by
+    construction too, so it is not validated here, and nothing is laid out
+    until a caller asks."""
     runs = []
     for i in range(params.steps + 1):
         lo, hi = _strip_span(params, i)
@@ -580,7 +564,6 @@ def build_staircase(params):
         runs.append((_LEVEL_PITCH * i + 1, lo, hi, row, row, FLAT_ROWS))
     window = CubeWindow._from_runs(params, runs)
     window._link_failure = None
-    window.validate()
     return window
 
 
@@ -597,8 +580,15 @@ def walls(window):
     """The ids w0000, w0001, ... of the window's walls, in wall-number order.
 
     Walls are numbered by their least dual edge, in the order of edge tuples.
+    Their number is edges - 2 * squares, read off the counts with no wall
+    partition: under the link condition the dual edges of a wall form one
+    path, each of its squares linking two consecutive ones, and each square
+    lies in two walls.  Raises validate's error without the link condition.
     """
-    return list(map(_wall_name, range(window._walls.count)))
+    if window._link_failure is not None:
+        raise CscwallsError(window._link_failure)
+    c = window._summary[0]
+    return list(map(_wall_name, range(c["edges"] - 2 * c["squares"])))
 
 
 class ContactGraph:
@@ -606,34 +596,43 @@ class ContactGraph:
 
     crossings is the transversality subrelation: walls sharing a square.
     walls is the list of wall ids, and a wall's number is its position there.
-    The graph is built on wall numbers from the window's wall partition
-    alone, with no layout, as two lists per wall: _across[k] lists the walls
-    that cross wall k, and _contacts[k] the walls that meet it at a vertex
-    without crossing it, each once: rows that touch, consecutive squares of
-    one run, the corner rule.  A row is one horizontal wall, and its crossing
-    list is its run's crossings, the vertical walls of its squares by
-    column; the row walls of a band share that list.  A vertical wall's list
-    is filled from those, so each crossing is one entry on each side.  A
-    band's rows copy its bottom edges' walls, so its consecutive squares pair
-    once for all its rows, and consecutive rows of it touch.  Under the link
-    condition a horizontal wall is one row of squares and a vertical one lies
-    in one column, with at most one square in each row, so two walls share at
-    most one square: no crossing list repeats a wall.  walls, and neighbors
-    and crossings keyed by wall id, each neighbour tuple sorted as strings,
-    are built on first use.  The window must satisfy the link condition.
+    The graph alone builds the window's wall partition: it lays the window
+    out, records the window's counts from that layout, builds the walls and
+    keeps only _row_walls, row -> wall number, which the certificate reads
+    its family from; the rest goes once the graph is built.  The graph is
+    two lists per wall: _across[k] lists the walls that cross wall k, and
+    _contacts[k] the walls that meet it at a vertex without crossing it,
+    each once: rows that touch, consecutive squares of one run, the corner
+    rule.  A row is one horizontal wall, and its crossing list is its run's
+    crossings, the vertical walls of its squares by column; the row walls of
+    a band share that list.  A vertical wall's list is filled from those, so
+    each crossing is one entry on each side.  A band's rows copy its bottom
+    edges' walls, so its consecutive squares pair once for all its rows, and
+    consecutive rows of it touch.  Under the link condition a horizontal
+    wall is one row of squares and a vertical one lies in one column, with
+    at most one square in each row, so two walls share at most one square:
+    no crossing list repeats a wall.  walls, and neighbors and crossings
+    keyed by wall id, each neighbour tuple sorted as strings, are built on
+    first use.  Without the link condition the graph raises validate's error.
     """
 
     def __init__(self, window):
+        if window._link_failure is not None:
+            raise CscwallsError(window._link_failure)
         self.window = window
-        part = window._walls
-        horizontal = part.horizontal
+        layout = _layout(window._runs)
+        window._summary = layout.counts, layout.connected
+        n, horizontal, crossings = _walls(window._runs, layout)
+        self._row_walls = horizontal
+        touching, corners = layout.touching, layout.corners
+        del layout  # its edge rows and pieces go before the graph fills
 
         # a row's wall crosses its run's crossings; consecutive ones meet
-        self._across = across = [[] for _ in range(part.count)]
-        self._contacts = contacts = [[] for _ in range(part.count)]
+        self._across = across = [[] for _ in range(n)]
+        self._contacts = contacts = [[] for _ in range(n)]
         consecutive = set()  # (west, east) walls of consecutive squares: a pair recurs in each run both cross
         first = 0
-        for (*_, h), own in zip(window._runs, part.crossings):
+        for (*_, h), own in zip(window._runs, crossings):
             rows = horizontal[first:first + h]
             first += h
             for w in rows:
@@ -652,7 +651,7 @@ class ContactGraph:
         # walls at a vertex where the segments through it differ.  A wall is
         # appended only where it is not listed yet, so each contact is one
         # entry on each side.
-        for j, k in zip(*part.touching):
+        for j, k in zip(*touching):
             a, b = horizontal[j], horizontal[k]
             if b not in contacts[a]:
                 contacts[a].append(b)
@@ -662,7 +661,7 @@ class ContactGraph:
         # cross, so the row walls there then pair with each other.  A row
         # wall's crossing list is its run's crossings, by column, so the
         # column walls at a corner are read off those of its rows.
-        for corner in part.corners:
+        for corner in corners:
             rows = [horizontal[j] for j in corner[::2]]
             columns = {c for r, i in zip(rows, corner[1::2]) for c in across[r][max(i - 1, 0):i + 1]}
             met = [*rows, *columns]
@@ -849,7 +848,7 @@ def nonacyl_certificate(params, p, graph=None):
     elif graph.window.params != params:
         raise InvalidParams(f"the contact graph was built for {graph.window.params}, not for {params}")
     across = graph._across
-    family = graph.window._walls.horizontal[:params.steps + 1]
+    family = graph._row_walls[:params.steps + 1]
     base = family[0]
     # strip 0's row crosses the walls of its squares, by column from the
     # first of flat 0's span, and its top edges are edge row (1, 0, 0)

@@ -6,10 +6,10 @@ once in ``file`` (relative to the repository root), ``new`` replaces it, and
 every node id in ``tests`` must fail on the mutated copy.  Tier-1 checks only
 that each ``old`` still occurs exactly once (tests/test_repo.py), so a change
 that moves or rewrites the text must update its row.  Running this file
-applies each row in turn to one copy of src/, tests/ and pyproject.toml in a
-temporary directory and runs the row's tests there in a subprocess, under
-the Hypothesis profile ``mutants`` (tests/conftest.py), which draws the same
-examples but does not shrink a failing one:
+applies each row in turn to one copy of src/, tests/, pyproject.toml and
+README.md in a temporary directory and runs the row's tests there in a
+subprocess, under the Hypothesis profile ``mutants`` (tests/conftest.py),
+which draws the same examples but does not shrink a failing one:
 
     python3 tests/mutants.py            # every row
     python3 tests/mutants.py NAME ...   # the named rows
@@ -106,13 +106,23 @@ MUTANTS = [
         ["tests/test_staircase.py::TestWalls::test_consecutive_strip_walls_share_the_overlap_walls"],
     ),
     Mutant(
-        "layout-kept-on-the-window",
+        "wall-count-off-by-one",
         _STAIRCASE,
-        "        del self._layout\n",
+        'c["edges"] - 2 * c["squares"]',
+        'c["edges"] - 2 * c["squares"] + 1',
+        [
+            "tests/test_golden.py::test_golden_row[staircase-4-2-9]",
+            "tests/test_staircase.py::TestWalls::test_wall_count_is_edges_less_twice_squares",
+        ],
+    ),
+    Mutant(
+        "summary-not-taken-from-the-graph-layout",
+        _STAIRCASE,
+        "        window._summary = layout.counts, layout.connected\n",
         "",
         [
-            "tests/test_staircase.py::TestContactGraph::test_contact_graph_drops_the_layout[built]",
-            "tests/test_staircase.py::TestContactGraph::test_contact_graph_drops_the_layout[squares]",
+            "tests/test_cli.py::TestStaircase::test_each_command_lays_the_window_out_once[certify-dot]",
+            "tests/test_cli.py::TestStaircase::test_each_command_lays_the_window_out_once[staircase-dot]",
         ],
     ),
     Mutant(
@@ -217,7 +227,8 @@ def run(mutants):
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part, ignore=skip)
-        shutil.copy(ROOT / "pyproject.toml", tree)
+        for name in ("pyproject.toml", "README.md"):  # tests/test_cli.py reads README.md as it collects
+            shutil.copy(ROOT / name, tree)
         # no bytecode: a mutant of the same size and second as the original
         # would otherwise run from a stale cached file
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}

@@ -230,19 +230,46 @@ class TestStaircase:
         assert list(tmp_path.iterdir()) == []
 
     def test_window_summary_builds_no_contact_graph(self, capsys, monkeypatch):
-        """Without --p or --dot only the wall count is needed; the summary's
-        bytes are pinned from the run that built the whole contact graph."""
+        """Without --p or --dot only the wall count is needed, and it is read
+        off the counts: neither the contact graph nor the wall partition is
+        built.  The summary's bytes are pinned from the run that built the
+        whole contact graph."""
 
         def no_graph(window):
             raise AssertionError("contact_graph called")
 
+        def no_walls(runs, layout):
+            raise AssertionError("_walls called")
+
         monkeypatch.setattr(cscwalls.staircase, "contact_graph", no_graph)
+        monkeypatch.setattr(cscwalls.staircase, "_walls", no_walls)
         code, out, _ = run(capsys, "staircase", "--L", "4", "--r", "2", "--steps", "9")
         assert code == 0
         assert json.loads(out)["walls"] == len(walls(build_staircase(StairParams(4, 2, 9)))) == 77
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "662314acd8f715c3983778e815727e934423caede2b5237316d79f2b2286e6f0"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["certify", "--p", "9"], ["certify", "--p", "9", "--dot"], ["staircase"], ["staircase", "--dot"]],
+        ids=["certify", "certify-dot", "staircase", "staircase-dot"],
+    )
+    def test_each_command_lays_the_window_out_once(self, capsys, monkeypatch, tmp_path, argv):
+        """The contact graph records the window's counts from its own layout,
+        so no command lays a window out twice."""
+        layout = cscwalls.staircase._layout
+        calls = []
+
+        def counted(runs):
+            calls.append(runs)
+            return layout(runs)
+
+        monkeypatch.setattr(cscwalls.staircase, "_layout", counted)
+        if argv[-1] == "--dot":
+            argv = [*argv, str(tmp_path / "g.dot")]
+        code, _, _ = run(capsys, *argv, "--L", "4", "--r", "2", "--steps", "9")
+        assert code == 0 and len(calls) == 1
 
     def test_certify_requires_p(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -37,6 +37,7 @@ from .oracles import (
     unit_square,
     validate_by_tuples,
     vertices_by_tuples,
+    walls_by_tuples,
 )
 
 
@@ -107,41 +108,42 @@ def run_rows(draw):
     return draw(st.permutations(squares)) if draw(st.booleans()) else squares
 
 
-def wall_number_of_edge(window, edge):
+def wall_number_of_edge(graph, edge):
     """The wall number of an edge given as its (lesser, greater) vertex
-    tuples, read off the runs; None if the window has no such edge.  A
-    horizontal edge is a side of a run's square, whose vertical wall is the
-    run's crossing at its column, and a vertical edge is a side of one row
-    of a run, whose wall is that row's.  A band's interior vertex rows carry
-    its one tag."""
+    tuples, read off the window's runs and the graph's row walls; None if
+    the window has no such edge.  A horizontal edge is a side of a run's
+    square, whose vertical wall is the run's crossing at its column, which
+    the crossing list of the run's bottom row wall holds, and a vertical
+    edge is a side of one row of a run, whose wall is that row's.  A band's
+    interior vertex rows carry its one tag."""
     (x, y, t), (x2, y2, t2) = edge
-    part = window._walls
+    rows = graph._row_walls
     first = 0
-    for k, (y0, a, b, bottom, top, h) in enumerate(window._runs):
+    for y0, a, b, bottom, top, h in graph.window._runs:
         tb, tt = ([tag for x0, x1, tag in segments for _ in range(x0, x1 + 1)] for segments in (bottom, top))
         if (x2, y2) == (x + 1, y) and a <= x < b and y0 <= y <= y0 + h:
             tags = tb if y == y0 else tt
             if (tags[x - a], tags[x + 1 - a]) == (t, t2):
-                return part.crossings[k][x - a]
+                return graph._across[rows[first]][x - a]
         if (x2, y2) == (x, y + 1) and a <= x <= b and y0 <= y < y0 + h:
             if ((tb if y == y0 else tt)[x - a], tt[x - a]) == (t, t2):
-                return part.horizontal[first + y - y0]
+                return rows[first + y - y0]
         first += h
     return None
 
 
-def dual_edges(window):
+def dual_edges(graph):
     """The dual edges of each wall, by wall number, as vertex-tuple pairs:
     the oracle's edges grouped by the engine's per-edge wall lookup."""
-    members = [set() for _ in walls(window)]
-    for edge in edges_by_tuples(window.squares):
-        members[wall_number_of_edge(window, edge)].add(edge)
+    members = [set() for _ in graph.walls]
+    for edge in edges_by_tuples(graph.window.squares):
+        members[wall_number_of_edge(graph, edge)].add(edge)
     return list(map(frozenset, members))
 
 
 def wall_of_edge(graph, edge):
     """The id of the wall dual to an edge given as its vertex tuples."""
-    return graph.walls[wall_number_of_edge(graph.window, edge)]
+    return graph.walls[wall_number_of_edge(graph, edge)]
 
 
 def strip_wall_edge(params, i):
@@ -165,7 +167,7 @@ def assert_graph_matches_oracle(window):
     graph = contact_graph(window)
     oracle = contact_graph_by_tuples(window)
     assert graph.walls == walls(window) == [w.id for w in oracle.walls]
-    assert dual_edges(window) == [w.dual_edges for w in oracle.walls]
+    assert dual_edges(graph) == [w.dual_edges for w in oracle.walls]
     assert graph.neighbors == oracle.neighbors
     assert graph.crossings == oracle.crossings
     assert contact_graph_dot(graph) == contact_graph_dot_by_names(oracle)
@@ -179,7 +181,7 @@ def assert_lists_match_oracle(graph, oracle):
     from every wall of a window of at most 50 walls, from 8 walls spread
     over the walls of a larger one."""
     window = graph.window
-    horizontal = set(window._walls.horizontal)
+    horizontal = set(graph._row_walls)
     entries = [0, 0]  # on the vertical side, on the horizontal side
     for k, (crossed, near) in enumerate(zip(graph._across, graph._contacts)):
         entries[k in horizontal] += len(crossed)
@@ -199,17 +201,18 @@ def assert_lists_match_oracle(graph, oracle):
         assert list(found.values()) == sorted(found.values())
 
 
-def assert_rows_are_walls(window):
-    """What _walls takes from the link condition: no two runs share a
+def assert_rows_are_walls(graph):
+    """What the walls take from the link condition: no two runs share a
     vertical edge, read off the runs' segments, so no two rows are one
     horizontal wall."""
     sides = []
+    window = graph.window
     for y, a, b, bottom, top, h in window._runs:
         tb, tt = ([t for x0, x1, t in segments for _ in range(x0, x1 + 1)] for segments in (bottom, top))
         for z in range(y, y + h):
             sides += [(x, z, tb[x - a] if z == y else tt[x - a], tt[x - a]) for x in range(a, b + 1)]
     assert len(set(sides)) == len(sides)
-    horizontal = window._walls.horizontal
+    horizontal = graph._row_walls
     assert len(set(horizontal)) == len(horizontal) == sum(run[5] for run in window._runs)
 
 
@@ -335,6 +338,9 @@ class TestWindowValidation:
             ((0.5, 0, 0), (1.5, 0, 0), (0.5, 1, 0), (1.5, 1, 0)),  # not on the integer grid
             ((0, 0, 0), (1, 0, 0), (0, 1, 0)),  # three corners
             ((0, 0), (1, 0), (0, 1), (1, 1)),  # corners without tags
+            ((True, 0, 0), (2, 0, 0), (True, 1, 0), (2, 1, 0)),  # x a bool
+            ((0, False, 0), (1, False, 0), (0, 1, 0), (1, 1, 0)),  # y a bool
+            ((0, 0, 0), (1.0, 0, 0), (0, 1, 0), (1, 1, 0)),  # an east corner's x a float
         ],
     )
     def test_non_unit_square_is_rejected(self, square):
@@ -369,14 +375,14 @@ class TestWindowValidation:
     def test_determinism(self):
         a = build_staircase(StairParams(6, 2, steps=5, margin=2))
         b = build_staircase(StairParams(6, 2, steps=5, margin=2))
-        assert a.squares == b.squares and dual_edges(a) == dual_edges(b)
+        assert a.squares == b.squares and dual_edges(contact_graph(a)) == dual_edges(contact_graph(b))
 
 
 class TestWalls:
     def test_single_square(self):
         window = CubeWindow([unit_square(0, 0)])
         assert walls(window) == ["w0000", "w0001"]
-        assert [len(edges) for edges in dual_edges(window)] == [2, 2]
+        assert [len(edges) for edges in dual_edges(contact_graph(window))] == [2, 2]
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_strip_of_squares(self, k):
@@ -384,13 +390,13 @@ class TestWalls:
         k+1 edges (at k=1 this is the single-square count)."""
         window = CubeWindow([unit_square(x, 0) for x in range(k)])
         assert len(walls(window)) == k + 1
-        assert sorted(map(len, dual_edges(window))) == [2] * k + [k + 1]
+        assert sorted(map(len, dual_edges(contact_graph(window)))) == [2] * k + [k + 1]
 
     def test_partition(self):
         window = build_staircase(StairParams(4, 2, steps=3, margin=1))
         union = set()
         total = 0
-        for edges in dual_edges(window):
+        for edges in dual_edges(contact_graph(window)):
             total += len(edges)
             union.update(edges)
         edges = edges_by_tuples(window.squares)
@@ -423,13 +429,13 @@ class TestWalls:
         graph = contact_graph(window)
         oracle = contact_graph_by_tuples(window)
         names = graph.walls
-        f = window._walls.horizontal[: params.steps + 1]
+        f = graph._row_walls[: params.steps + 1]
         for i in range(params.steps):
             both = set(graph._across[f[i]]) & set(graph._across[f[i + 1]])
             a, b = _overlap_span(params, i + 1)
             y = 4 * (i + 1)
             assert len(both) == params.overlap_len
-            assert both == {wall_number_of_edge(window, ((x, y, 0), (x + 1, y, 0))) for x in range(a, b)}
+            assert both == {wall_number_of_edge(graph, ((x, y, 0), (x + 1, y, 0))) for x in range(a, b)}
             assert {names[k] for k in both} == oracle.crossings[names[f[i]]] & oracle.crossings[names[f[i + 1]]]
 
     @settings(max_examples=40)
@@ -498,21 +504,33 @@ class TestWalls:
         tagged = WindowSquare((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
         window = CubeWindow([unit_square(0, 0), tagged, unit_square(1, 0)])
         assert len(window._runs) == 2
-        assert_rows_are_walls(window)
+        assert_rows_are_walls(contact_graph(window))
 
     @settings(max_examples=150)
     @given(unit_square_lists)
     def test_unit_square_rows_are_walls(self, squares):
         window = CubeWindow(squares)
         if window._link_failure is None:
-            assert_rows_are_walls(window)
+            assert_rows_are_walls(contact_graph(window))
 
     @settings(max_examples=150)
     @given(run_rows())
     def test_run_rows_are_walls(self, squares):
         window = CubeWindow(squares)
         if window._link_failure is None:
-            assert_rows_are_walls(window)
+            assert_rows_are_walls(contact_graph(window))
+
+    @settings(max_examples=150)
+    @given(st.one_of(stair_shapes().map(build_staircase), unit_square_lists.map(CubeWindow), run_rows().map(CubeWindow)))
+    def test_wall_count_is_edges_less_twice_squares(self, window):
+        """Under the link condition the dual edges of a wall form one path,
+        each of its squares linking two consecutive ones, and each square
+        lies in two walls: the count walls() reads off the counts, the
+        contact graph's partition and the tuple oracle's walls agree."""
+        if window._link_failure is None:
+            c = window.counts()
+            n = c["edges"] - 2 * c["squares"]
+            assert len(walls(window)) == len(contact_graph(window)._across) == len(walls_by_tuples(window)) == n
 
     def test_wall_ids_sorted_as_strings_beyond_9999_walls(self):
         """Above w9999 string order is not numeric order ("w10000" < "w9999"):
@@ -606,11 +624,11 @@ class TestContactGraph:
             contact_distance(graph, graph.walls[0], "w9999")
         with pytest.raises(UnknownWall):
             contact_distances(graph, "w9999")
-        assert wall_number_of_edge(window, ((5, 5, 0), (6, 5, 0))) is None
+        assert wall_number_of_edge(graph, ((5, 5, 0), (6, 5, 0))) is None
         # a vertical edge in the square's column but above the window, then
         # the square's east edge
-        assert wall_number_of_edge(window, ((0, 2, 0), (0, 3, 0))) is None
-        assert wall_number_of_edge(window, ((1, 0, 0), (1, 1, 0))) is not None
+        assert wall_number_of_edge(graph, ((0, 2, 0), (0, 3, 0))) is None
+        assert wall_number_of_edge(graph, ((1, 0, 0), (1, 1, 0))) is not None
 
     @pytest.mark.parametrize(
         "make",
@@ -618,15 +636,15 @@ class TestContactGraph:
         ids=["built", "squares"],
     )
     def test_contact_graph_drops_the_layout(self, make):
-        """Once its contact graph is built a window holds no layout, and its
-        counts, Euler characteristic and validation still answer as before:
-        a built window is validated before its graph, a window of squares
-        is not."""
+        """Once its contact graph is built a window holds no layout and no
+        wall partition: only its parameters or squares, its runs, its link
+        verdict and its summary.  Its counts, Euler characteristic and
+        validation, asked for after the graph, still answer as before."""
         params = StairParams(4, 2, steps=9)
         expected = counts_by_tuples(build_staircase(params).squares)
         window = make(params)
         contact_graph(window)
-        assert "_layout" not in window.__dict__
+        assert set(window.__dict__) <= {"params", "squares", "_runs", "_link_failure", "_summary"}
         assert window.counts() == expected
         assert window.euler_characteristic() == 1
         assert window.validate() == expected
@@ -788,8 +806,9 @@ class TestCertificate:
     def test_tall_benchmark_heap_budget(self):
         """The tall benchmark window, 3,364 walls over 841 runs, peaks below
         3 MiB of traced heap: each wall's contacts sit in one plain list, no
-        wall holds a hashed set of them, the layout is gone before the
-        contact graph fills, and the certificate names only the walls it
+        wall holds a hashed set of them, the layout's edge rows and pieces
+        are gone before the contact graph fills and the rest of the layout
+        once it is built, and the certificate names only the walls it
         reports."""
         self.assert_heap_peak_below(StairParams(3, 2, 420), 420, 3)
 
