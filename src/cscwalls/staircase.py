@@ -82,34 +82,35 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
 # beyond the overlap with the flat below.  A run of h > 1 rows is a band: its
 # rows copy one another, each of its vertex rows is one segment of one tag, and
 # no other run has a square in its rows.  build_staircase emits each strip as
-# a one-row run and each flat as one band; CubeWindow(squares) groups the
-# squares it is given into one-row runs, a square continuing the run whose
-# open east side is its west side (_runs_of).  Under the link condition no two
-# runs of either kind share a vertical edge.  The rows of a window are
-# numbered run by run, bottom to top, so one-row runs before the first band
-# have their run's number.
+# a one-row run and each flat as one band; CubeWindow(squares) checks the
+# link condition by one scan of the squares it is given, then groups them
+# into one-row runs, a square continuing the run whose open east side is its
+# west side (_runs_of); it raises on squares that fail it.  So every window
+# satisfies the link condition, and no two runs of either kind share a
+# vertical edge.  The rows of a window are numbered run by run, bottom to
+# top, so one-row runs before the first band have their run's number.
 #
 # Everything runs on runs, segments and per-row intervals, in three phases,
 # each passing on only what the next one reads:
-#   - the layout (_layout): counts and connectivity from the overlaps of the
-#     segments in each vertex row (y, tag); the horizontal edges of a row are
-#     its edge rows (y, tag, tag) and the edges between segments of two tags;
-#     a band lists only its bottom and top vertex rows and counts the cells
-#     between them; vertical edges are counted, not kept.  It passes on each
-#     run's column pieces, the edge rows they meet, the rows that touch, and
-#     the corners as rows and places in them; the window keeps only its
-#     counts and connectivity, from the first layout made of it;
-#   - the link condition from one scan of given squares; built windows need none;
+#   - the layout (_layout): counts from the overlaps of the segments in each
+#     vertex row (y, tag); the horizontal edges of a row are its edge rows
+#     (y, tag, tag) and the edges between segments of two tags; a band lists
+#     only its bottom and top vertex rows and counts the cells between them;
+#     a run's h * (b - a + 1) vertical edges are counted, not kept, as no
+#     other run shares one.  It passes on each run's column pieces, the edge
+#     rows they meet, the rows that touch, and the corners as rows and places
+#     in them; the window keeps only its counts, from the first layout made
+#     of it;
 #   - the walls (_walls): each row is one horizontal wall, as no two rows
 #     share a vertical edge; for vertical walls each edge row holds one label
 #     per column, the rows are swept bottom-up, and each run's column pieces
 #     copy the labels of their bottom edges onto their top edges as list
-#     slices, a band's from its bottom edge row to its top one at once; walls
-#     need the link condition, under which each label is one wall; walls are
-#     numbered by their least edge, one int per wall in the order of edge
-#     tuples, and each run's labels, its crossings, are then rewritten to
-#     wall numbers; a wall's one name is w0000, w0001, ...  It passes on the
-#     row walls and each run's crossings, and drops the label rows;
+#     slices, a band's from its bottom edge row to its top one at once; under
+#     the link condition each label is one wall; walls are numbered by their
+#     least edge, one int per wall in the order of edge tuples, and each
+#     run's labels, its crossings, are then rewritten to wall numbers; a
+#     wall's one name is w0000, w0001, ...  It passes on the row walls and
+#     each run's crossings, and drops the label rows;
 #   - the contact graph (ContactGraph) runs the two phases before it and
 #     keeps only the row walls: crossings sit in one list per wall, a
 #     horizontal wall's being its run's crossings, a vertical wall's the
@@ -118,7 +119,8 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
 #     crossings (rows that touch, consecutive squares of one run, the corner
 #     rule) sit in one more list per wall, each wall once.
 # walls() reads the wall count, edges - 2 * squares, off the counts, so the
-# window summary builds no partition.
+# window summary builds no partition.  A window is connected exactly when
+# its contact graph is, which validate() reads off one breadth-first search.
 # A window holds no vertex or edge tuples, and its graph no hashed entry per
 # crossing.  Its squares are the tuple it was given, or one built from its
 # runs on first use; wall ids, and ContactGraph.neighbors and .crossings,
@@ -129,26 +131,6 @@ class WindowSquare(namedtuple("WindowSquare", "sw se nw ne")):
     """A square by its four corner vertices."""
 
     __slots__ = ()
-
-
-def _least_members(n, xs, ys):
-    """For each of 0..n-1, the least element of its class once every pair
-    (xs[k], ys[k]) is merged: union-find on a list, the smaller root always
-    kept, with path halving."""
-    parent = list(range(n))
-    for a, b in zip(xs, ys):
-        while a != parent[a]:
-            parent[a] = a = parent[parent[a]]
-        while b != parent[b]:
-            parent[b] = b = parent[parent[b]]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-    # parent[e] <= e throughout, so one ascending pass finishes every path
-    for e in range(n):
-        parent[e] = parent[parent[e]]
-    return parent
 
 
 def _sweep(spans):
@@ -243,17 +225,18 @@ def _squares_of(runs):
 _QUADRANTS = ("NE", "NW", "SE", "SW")  # the quadrant each corner sw, se, nw, ne fills
 
 
-class _Layout(namedtuple("_Layout", "counts connected edge_rows pieces touching corners")):
+class _Layout(namedtuple("_Layout", "counts edge_rows pieces touching corners")):
     """A window's cells as intervals per row, read off its runs; rows are
-    numbered as in the run-layout comment above.  The window keeps counts and
-    connected; the rest is what _walls and ContactGraph read, and goes once
-    the graph is built.
+    numbered as in the run-layout comment above.  The window keeps counts;
+    the rest is what _walls and ContactGraph read, and goes once the graph
+    is built.
 
-    counts: the dict of window.counts(); connected: a bool
+    counts: the dict of window.counts()
     edge_rows: (y, tag, tag) -> (first, last) column of the horizontal edges in that row
     pieces: per run, [(c0, c1, bottom edge row, top edge row)] over columns
         c0 .. c1-1, each edge row by its key in edge_rows
-    touching: two lists of rows, the rows at each index sharing a vertex
+    touching: two lists of rows, the rows at each index sharing a vertex;
+        every two rows through one vertex are listed
     corners: per vertex whose walls are not all paired by the rules in
         ContactGraph, a tuple (row, i, row, i, ...) of the rows through it,
         each with the vertex's column less its run's first one
@@ -263,7 +246,7 @@ class _Layout(namedtuple("_Layout", "counts connected edge_rows pieces touching 
 
 
 def _layout(runs):
-    vertex_rows, vertical_rows = defaultdict(list), defaultdict(list)
+    vertex_rows = defaultdict(list)
     shared = {}  # (y, tag, tag) -> the same tuple: one key per edge row for its pieces and edge_rows
     edge_rows = {}
     switches = set()  # (y, tag, tag, column) of each horizontal edge whose ends have different tags
@@ -285,11 +268,12 @@ def _layout(runs):
                 vertex_rows[vy, t].append((x0, x1, row, before, after, a))
                 before = t
         n_squares += h * (b - a)
+        n_edges += h * (b - a + 1)  # its vertical edges, shared with no other run
         if h > 1:
             # a band is alone in its rows: between its bottom and top lie h - 1
             # vertex rows of one segment, each shared by two consecutive rows
             n_vertices += (h - 1) * (b - a + 1)
-            n_edges += (h - 1) * (b - a) + h * (b - a + 1)
+            n_edges += (h - 1) * (b - a)
             touching[0].extend(range(first, last))
             touching[1].extend(range(first + 1, last + 1))
         # vertex ranges of constant (bottom tag, top tag); the columns inside
@@ -301,8 +285,6 @@ def _layout(runs):
             s1, tb = bottom[i][1:]
             u1, tt = top[j][1:]
             e = s1 if s1 < u1 else u1
-            if h == 1:
-                vertical_rows[y, tb, tt].append((x, e))
             if x > a:
                 own.append((x - 1, x, edge_row(y, pb, tb), edge_row(y + h, pt, tt)))
             if e > x:
@@ -357,14 +339,8 @@ def _layout(runs):
         lo, hi = edge_rows.get(key, (c, c))
         edge_rows[key] = (min(lo, c), max(hi, c))
     n_edges += len(switches)
-    # vertical edges, of one-row runs: two spans share one only where the
-    # link condition fails, and it counts once
-    for spans in vertical_rows.values():
-        n_edges += _sweep(spans)[0]
-
-    classes = _least_members(first, *touching)
     counts = {"vertices": n_vertices, "edges": n_edges, "squares": n_squares}
-    return _Layout(counts, not any(classes), edge_rows, pieces, touching, corners)
+    return _Layout(counts, edge_rows, pieces, touching, corners)
 
 
 def _edges_at(e, t, x):
@@ -439,25 +415,35 @@ def _walls(runs, layout):
 
 
 class CubeWindow:
-    """A finite square complex of unit squares, carried as runs.
+    """A finite square complex of unit squares under the link condition,
+    carried as runs.
 
-    CubeWindow(squares) takes any unit squares (see _unit_square), groups
-    them into one-row runs (see _runs_of) and checks the link condition by
-    one scan of them on first use; build_staircase makes its runs directly,
-    its flats as bands, and its windows alone carry params and need no scan.
-    squares is the tuple given, or for a built window one made run by run on
-    first use.  Counts, validate and euler_characteristic take any window;
-    its walls, and so its contact graph, need the link condition and raise
-    validate's error without it.  A window keeps its runs, the link
-    condition's verdict, its squares once made, and _summary: its counts and
-    whether it is connected, from the first layout made of it, by the
-    contact graph or on first use.  It keeps no layout and no walls.
+    CubeWindow(squares) takes unit squares (see _unit_square) that satisfy
+    the link condition, checked by one scan of them, and groups them into
+    one-row runs (see _runs_of); it raises CscwallsError, naming the first
+    corner whose quadrant an earlier square already holds, if they do not.
+    build_staircase makes its runs directly, its flats as bands, and its
+    windows alone carry params and need no scan.  So every window has walls
+    and a contact graph; it need not be connected or contractible.  squares
+    is the tuple given, or for a built window one made run by run on first
+    use.  A window keeps its runs, its squares once made, and _summary: its
+    counts, from the first layout made of it, by the contact graph or on
+    first use.  It keeps no layout and no walls.
     """
 
     params = None
 
     def __init__(self, squares):
         self.squares = tuple(map(_unit_square, count(), squares))
+        holder = {}
+        for i, square in enumerate(self.squares):
+            for q, vertex in zip(_QUADRANTS, square):
+                if (vertex, q) in holder:
+                    raise CscwallsError(
+                        f"link condition fails at {vertex}: quadrant {q} "
+                        f"held by squares {holder[vertex, q]} and {i}"
+                    )
+                holder[vertex, q] = i
         self._runs = _runs_of(self.squares)
 
     @classmethod
@@ -469,52 +455,37 @@ class CubeWindow:
 
     @cached_property
     def _summary(self):
-        """The counts and whether the window is connected: all it keeps of
-        its layout."""
-        return _layout(self._runs)[:2]
+        """The counts: all the window keeps of its layout."""
+        return _layout(self._runs).counts
 
     @cached_property
     def squares(self):
         return tuple(_squares_of(self._runs))
 
     def counts(self):
-        return dict(self._summary[0])
+        return dict(self._summary)
 
     def euler_characteristic(self):
-        c = self._summary[0]
+        c = self._summary
         return c["vertices"] - c["edges"] + c["squares"]
 
     def validate(self):
-        """Link condition: each quadrant of each vertex holds at most one square.
-
-        Also checks the window is connected and contractible (Euler number 1),
-        so it embeds in a CAT(0) square complex.  Raises CscwallsError on any
-        failure; returns the count summary.
+        """Check the window is contractible (Euler number 1) and connected,
+        so that, with the link condition it was made under, it embeds in a
+        CAT(0) square complex.  Two squares that share a vertex put all their
+        walls in contact, so the window is connected exactly when its contact
+        graph is, which one breadth-first search decides.  Raises
+        CscwallsError on either failure; returns the count summary.
         """
-        if self._link_failure is not None:
-            raise CscwallsError(self._link_failure)
         if self.euler_characteristic() != 1:
             raise CscwallsError(
                 f"window is not contractible: Euler characteristic {self.euler_characteristic()}"
             )
-        if not self._summary[1]:
-            raise CscwallsError("window is not connected")
+        try:
+            _distances(contact_graph(self), 0)
+        except CscwallsError:
+            raise CscwallsError("window is not connected") from None
         return self.counts()
-
-    @cached_property
-    def _link_failure(self):
-        """validate's message for the first corner, in square order, whose
-        quadrant an earlier square already holds; None if there is none."""
-        holder = {}
-        for i, square in enumerate(self.squares):
-            for q, vertex in zip(_QUADRANTS, square):
-                if (vertex, q) in holder:
-                    return (
-                        f"link condition fails at {vertex}: quadrant {q} "
-                        f"held by squares {holder[vertex, q]} and {i}"
-                    )
-                holder[vertex, q] = i
-        return None
 
 
 def _flat_span(params, i):
@@ -546,9 +517,9 @@ def build_staircase(params):
     heights of their own, so each flat is a band alone in its rows, as
     _layout relies on; no two squares share a row and column, no quadrant of
     a vertex holds two squares, and the window satisfies the link condition
-    by construction.  It is connected with Euler characteristic 1 by
-    construction too, so it is not validated here, and nothing is laid out
-    until a caller asks."""
+    by construction, so it gets no scan.  It is connected with Euler
+    characteristic 1 by construction too, so it is not validated here, and
+    nothing is laid out until a caller asks."""
     runs = []
     for i in range(params.steps + 1):
         lo, hi = _strip_span(params, i)
@@ -562,9 +533,7 @@ def build_staircase(params):
         lo, hi = _flat_span(params, i)
         row = ((lo, hi, 0),)
         runs.append((_LEVEL_PITCH * i + 1, lo, hi, row, row, FLAT_ROWS))
-    window = CubeWindow._from_runs(params, runs)
-    window._link_failure = None
-    return window
+    return CubeWindow._from_runs(params, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +550,11 @@ def walls(window):
 
     Walls are numbered by their least dual edge, in the order of edge tuples.
     Their number is edges - 2 * squares, read off the counts with no wall
-    partition: under the link condition the dual edges of a wall form one
-    path, each of its squares linking two consecutive ones, and each square
-    lies in two walls.  Raises validate's error without the link condition.
+    partition: under the link condition, which every window satisfies, the
+    dual edges of a wall form one path, each of its squares linking two
+    consecutive ones, and each square lies in two walls.
     """
-    if window._link_failure is not None:
-        raise CscwallsError(window._link_failure)
-    c = window._summary[0]
+    c = window._summary
     return list(map(_wall_name, range(c["edges"] - 2 * c["squares"])))
 
 
@@ -613,15 +580,13 @@ class ContactGraph:
     at most one square in each row, so two walls share at most one square:
     no crossing list repeats a wall.  walls, and neighbors and crossings
     keyed by wall id, each neighbour tuple sorted as strings, are built on
-    first use.  Without the link condition the graph raises validate's error.
+    first use.
     """
 
     def __init__(self, window):
-        if window._link_failure is not None:
-            raise CscwallsError(window._link_failure)
         self.window = window
         layout = _layout(window._runs)
-        window._summary = layout.counts, layout.connected
+        window._summary = layout.counts
         n, horizontal, crossings = _walls(window._runs, layout)
         self._row_walls = horizontal
         touching, corners = layout.touching, layout.corners
@@ -650,17 +615,18 @@ class ContactGraph:
         # edges' walls.  The other contacts: rows sharing a vertex, and the
         # walls at a vertex where the segments through it differ.  A wall is
         # appended only where it is not listed yet, so each contact is one
-        # entry on each side.
+        # entry on each side.  Rows through one vertex overlap in that vertex
+        # row, so the layout lists every two of them as touching.
         for j, k in zip(*touching):
             a, b = horizontal[j], horizontal[k]
             if b not in contacts[a]:
                 contacts[a].append(b)
                 contacts[b].append(a)
         # At a corner each column wall pairs with every wall there that its
-        # crossing list, the short one, does not hold; walls of one kind never
-        # cross, so the row walls there then pair with each other.  A row
-        # wall's crossing list is its run's crossings, by column, so the
-        # column walls at a corner are read off those of its rows.
+        # crossing list, the short one, does not hold; the row walls there
+        # touch and are paired above.  A row wall's crossing list is its
+        # run's crossings, by column, so the column walls at a corner are read
+        # off those of its rows.
         for corner in corners:
             rows = [horizontal[j] for j in corner[::2]]
             columns = {c for r, i in zip(rows, corner[1::2]) for c in across[r][max(i - 1, 0):i + 1]}
@@ -671,12 +637,6 @@ class ContactGraph:
                     if v != c and v not in near and v not in crossed:
                         near.append(v)
                         contacts[v].append(c)
-            for r in rows:
-                near = contacts[r]
-                for v in rows:
-                    if v != r and v not in near:
-                        near.append(v)
-                        contacts[v].append(r)
 
     @cached_property
     def walls(self):
@@ -820,7 +780,10 @@ def check_certifiable(params, p):
     """Raise InvalidParams unless a window of these parameters can certify the
     p-th translate: p must be in 1..steps (the window must contain strip p) and
     steps at least crossing_bound - 1 (otherwise the bound cannot be attained
-    by any wall and the window is too short to certify anything)."""
+    by any wall and the window is too short to certify anything).  p must be
+    an int, not a bool."""
+    if type(p) is not int:
+        raise InvalidParams(f"p must be an integer, got {p!r}")
     if p < 1 or p > params.steps:
         raise InvalidParams(f"p must be in 1..steps, got {p}")
     m = params.crossing_bound

@@ -118,12 +118,36 @@ MUTANTS = [
     Mutant(
         "summary-not-taken-from-the-graph-layout",
         _STAIRCASE,
-        "        window._summary = layout.counts, layout.connected\n",
+        "        window._summary = layout.counts\n",
         "",
         [
             "tests/test_cli.py::TestStaircase::test_each_command_lays_the_window_out_once[certify-dot]",
             "tests/test_cli.py::TestStaircase::test_each_command_lays_the_window_out_once[staircase-dot]",
         ],
+    ),
+    Mutant(
+        "link-scan-skipped",
+        _STAIRCASE,
+        "for i, square in enumerate(self.squares):",
+        "for i, square in enumerate(()):",
+        ["tests/test_staircase.py::TestWindowValidation::test_validation_matches_tuple_oracle"],
+    ),
+    Mutant(
+        "vertical-edges-one-short",
+        _STAIRCASE,
+        "n_edges += h * (b - a + 1)",
+        "n_edges += h * (b - a)",
+        [
+            "tests/test_golden.py::test_golden_row[staircase-4-2-9]",
+            "tests/test_staircase.py::TestWindowValidation::test_run_rows_match_tuple_oracles",
+        ],
+    ),
+    Mutant(
+        "validate-skips-connectivity",
+        _STAIRCASE,
+        "            _distances(contact_graph(self), 0)\n",
+        "            pass\n",
+        ["tests/test_staircase.py::TestWindowValidation::test_annulus_and_far_square_is_not_connected"],
     ),
     Mutant(
         "wall-numbers-inverted",

@@ -15,6 +15,7 @@ from cscwalls.staircase import (
     CubeWindow,
     StairParams,
     WindowSquare,
+    _layout,
     _overlap_span,
     build_staircase,
     check_certifiable,
@@ -108,6 +109,22 @@ def run_rows(draw):
     return draw(st.permutations(squares)) if draw(st.booleans()) else squares
 
 
+def link_failure(squares):
+    """The tuple oracle's message where squares fail the link condition, by
+    its square-by-square scan; None where they satisfy it, whatever else
+    validation finds."""
+    try:
+        validate_by_tuples(squares)
+    except CscwallsError as exc:
+        if str(exc).startswith("link condition fails"):
+            return str(exc)
+    return None
+
+
+def link_holds(squares):
+    return link_failure(squares) is None
+
+
 def wall_number_of_edge(graph, edge):
     """The wall number of an edge given as its (lesser, greater) vertex
     tuples, read off the window's runs and the graph's row walls; None if
@@ -163,7 +180,9 @@ def base_axis_edge(params):
 
 def assert_graph_matches_oracle(window):
     """Walls and contact graph of the run engine equal the tuple-keyed oracle,
-    and its per-wall lists hold what the engine assumes of them."""
+    its per-wall lists hold what the engine assumes of them, and so does its
+    layout's touching list."""
+    assert_rows_through_a_corner_touch(window)
     graph = contact_graph(window)
     oracle = contact_graph_by_tuples(window)
     assert graph.walls == walls(window) == [w.id for w in oracle.walls]
@@ -172,6 +191,17 @@ def assert_graph_matches_oracle(window):
     assert graph.crossings == oracle.crossings
     assert contact_graph_dot(graph) == contact_graph_dot_by_names(oracle)
     assert_lists_match_oracle(graph, oracle)
+
+
+def assert_rows_through_a_corner_touch(window):
+    """Rows through one vertex overlap in that vertex row, so the layout lists
+    each two of them as touching, and the contact graph pairs them with no
+    help from the corner rule."""
+    layout = _layout(window._runs)
+    touching = set(zip(*layout.touching))
+    for corner in layout.corners:
+        for j, k in combinations(corner[::2], 2):
+            assert (j, k) in touching or (k, j) in touching, (corner, j, k)
 
 
 def assert_lists_match_oracle(graph, oracle):
@@ -216,23 +246,16 @@ def assert_rows_are_walls(graph):
     assert len(set(horizontal)) == len(horizontal) == sum(run[5] for run in window._runs)
 
 
-def assert_walls_match_oracle(window):
-    """A window that fails the link condition, by the tuple oracle's scan, has
-    no walls: validate, walls and contact_graph raise the oracle's message.
-    Any other window, annulus and disconnected ones included, matches the
-    oracle."""
-    try:
-        validate_by_tuples(window.squares)
-        message = ""
-    except CscwallsError as exc:
-        message = str(exc)
-    if not message.startswith("link condition fails"):
-        assert_graph_matches_oracle(window)
-        return
-    for check in (CubeWindow.validate, walls, contact_graph):
-        with pytest.raises(CscwallsError) as err:
-            check(window)
-        assert str(err.value) == message
+def window_unless_link_fails(squares):
+    """The window of squares; None where they fail the link condition, by
+    the tuple oracle's scan, and CubeWindow raised the oracle's message."""
+    message = link_failure(squares)
+    if message is None:
+        return CubeWindow(squares)
+    with pytest.raises(CscwallsError) as err:
+        CubeWindow(squares)
+    assert str(err.value) == message
+    return None
 
 
 def _annulus():
@@ -289,10 +312,8 @@ class TestWindowValidation:
         assert w.validate()["squares"] == len(w.squares)
 
     def test_link_condition_scan_catches_doubled_square(self):
-        sq = unit_square(0, 0)
-        window = CubeWindow([sq, unit_square(0, 0)])
         with pytest.raises(CscwallsError) as err:
-            window.validate()
+            CubeWindow([unit_square(0, 0), unit_square(0, 0)])
         assert str(err.value) == "link condition fails at (0, 0, 0): quadrant NE held by squares 0 and 1"
 
     @settings(max_examples=300)
@@ -313,11 +334,13 @@ class TestWindowValidation:
     @settings(max_examples=200)
     @given(run_rows())
     def test_run_rows_match_tuple_oracles(self, squares):
-        """Long rows with tag switches, overlapping and repeated: the counts
-        and the verdict with its message equal the tuple oracles', valid
-        window or not, and so do the walls and the contact graph wherever the
-        link condition holds."""
-        window = CubeWindow(squares)
+        """Long rows with tag switches, overlapping and repeated: squares that
+        fail the link condition raise the tuple oracle's message when the
+        window is made; any other window has the tuple oracles' counts,
+        verdict with its message, walls and contact graph, valid or not."""
+        window = window_unless_link_fails(squares)
+        if window is None:
+            return
         assert window.counts() == counts_by_tuples(squares)
         try:
             expected = validate_by_tuples(squares)
@@ -327,7 +350,7 @@ class TestWindowValidation:
             assert str(err.value) == str(exc)
         else:
             assert window.validate() == expected
-        assert_walls_match_oracle(window)
+        assert_graph_matches_oracle(window)
 
     @pytest.mark.parametrize(
         "square",
@@ -490,12 +513,12 @@ class TestWalls:
                 assert sa != sc, (i, a, b, c)
 
     @settings(max_examples=150)
-    @given(unit_square_lists)
+    @given(unit_square_lists.filter(link_holds))
     def test_unit_square_sets_match_tuple_oracle(self, squares):
-        """Any set of unit squares, tagged bottoms and repeats included, and
-        not validated: the window need not be a staircase, contractible or
-        connected, and without the link condition it has no walls."""
-        assert_walls_match_oracle(CubeWindow(squares))
+        """Any set of unit squares under the link condition, tagged bottoms
+        and repeats included, and not validated: the window need not be a
+        staircase, contractible or connected."""
+        assert_graph_matches_oracle(CubeWindow(squares))
 
     def test_a_square_continues_the_run_ending_at_its_west_side(self):
         """Square (1, 0) continues the run of square (0, 0), not of the square
@@ -507,30 +530,31 @@ class TestWalls:
         assert_rows_are_walls(contact_graph(window))
 
     @settings(max_examples=150)
-    @given(unit_square_lists)
-    def test_unit_square_rows_are_walls(self, squares):
-        window = CubeWindow(squares)
-        if window._link_failure is None:
-            assert_rows_are_walls(contact_graph(window))
+    @given(unit_square_lists.filter(link_holds).map(CubeWindow))
+    def test_unit_square_rows_are_walls(self, window):
+        assert_rows_are_walls(contact_graph(window))
 
     @settings(max_examples=150)
-    @given(run_rows())
-    def test_run_rows_are_walls(self, squares):
-        window = CubeWindow(squares)
-        if window._link_failure is None:
-            assert_rows_are_walls(contact_graph(window))
+    @given(run_rows().filter(link_holds).map(CubeWindow))
+    def test_run_rows_are_walls(self, window):
+        assert_rows_are_walls(contact_graph(window))
 
     @settings(max_examples=150)
-    @given(st.one_of(stair_shapes().map(build_staircase), unit_square_lists.map(CubeWindow), run_rows().map(CubeWindow)))
+    @given(
+        st.one_of(
+            stair_shapes().map(build_staircase),
+            unit_square_lists.filter(link_holds).map(CubeWindow),
+            run_rows().filter(link_holds).map(CubeWindow),
+        )
+    )
     def test_wall_count_is_edges_less_twice_squares(self, window):
         """Under the link condition the dual edges of a wall form one path,
         each of its squares linking two consecutive ones, and each square
         lies in two walls: the count walls() reads off the counts, the
         contact graph's partition and the tuple oracle's walls agree."""
-        if window._link_failure is None:
-            c = window.counts()
-            n = c["edges"] - 2 * c["squares"]
-            assert len(walls(window)) == len(contact_graph(window)._across) == len(walls_by_tuples(window)) == n
+        c = window.counts()
+        n = c["edges"] - 2 * c["squares"]
+        assert len(walls(window)) == len(contact_graph(window)._across) == len(walls_by_tuples(window)) == n
 
     def test_wall_ids_sorted_as_strings_beyond_9999_walls(self):
         """Above w9999 string order is not numeric order ("w10000" < "w9999"):
@@ -637,14 +661,14 @@ class TestContactGraph:
     )
     def test_contact_graph_drops_the_layout(self, make):
         """Once its contact graph is built a window holds no layout and no
-        wall partition: only its parameters or squares, its runs, its link
-        verdict and its summary.  Its counts, Euler characteristic and
-        validation, asked for after the graph, still answer as before."""
+        wall partition: only its parameters or squares, its runs and its
+        counts.  Its counts, Euler characteristic and validation, asked for
+        after the graph, still answer as before."""
         params = StairParams(4, 2, steps=9)
         expected = counts_by_tuples(build_staircase(params).squares)
         window = make(params)
         contact_graph(window)
-        assert set(window.__dict__) <= {"params", "squares", "_runs", "_link_failure", "_summary"}
+        assert set(window.__dict__) <= {"params", "squares", "_runs", "_summary"}
         assert window.counts() == expected
         assert window.euler_characteristic() == 1
         assert window.validate() == expected
@@ -823,6 +847,13 @@ class TestCertificate:
             nonacyl_certificate(StairParams(3, 2, steps=6, margin=2), 6, graph=graph)
         with pytest.raises(InvalidParams):
             nonacyl_certificate(narrow, 6, graph=contact_graph(CubeWindow([unit_square(0, 0)])))
+
+    @pytest.mark.parametrize("p", [True, 2.0], ids=["bool", "float"])
+    def test_p_must_be_an_int(self, p):
+        """A bool p would print as true in the certificate's JSON, and a float
+        one would reach range."""
+        with pytest.raises(InvalidParams, match="p must be an integer"):
+            nonacyl_certificate(StairParams(4, 2, steps=3, margin=1), p)
 
     def test_p_beyond_steps(self):
         with pytest.raises(InvalidParams):
