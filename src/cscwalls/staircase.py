@@ -21,7 +21,7 @@ parameters give byte-identical windows, walls and certificates.
 
 from collections import Counter, defaultdict, namedtuple
 from functools import cached_property
-from itertools import chain, count, islice, pairwise
+from itertools import chain, islice
 from operator import itemgetter
 
 from .errors import CscwallsError, InvalidParams, UnknownWall
@@ -78,17 +78,16 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
 # b-1, each sharing its vertical sides with its neighbours in its row; bottom
 # and top are its lowest and highest vertex rows, y and y+h, as tuples of
 # constant-tag segments (x0, x1, tag) covering a .. b.  Vertices are (x, y,
-# tag) triples: tag 0 on the main sheet, tag 1 on a strip bottom hanging
-# beyond the overlap with the flat below.  A run of h > 1 rows is a band: its
-# rows copy one another, each of its vertex rows is one segment of one tag, and
-# no other run has a square in its rows.  build_staircase emits each strip as
-# a one-row run and each flat as one band; CubeWindow(squares) checks the
-# link condition by one scan of the squares it is given, then groups them
-# into one-row runs, a square continuing the run whose open east side is its
-# west side (_runs_of); it raises on squares that fail it.  So every window
-# satisfies the link condition, and no two runs of either kind share a
-# vertical edge.  The rows of a window are numbered run by run, bottom to
-# top, so one-row runs before the first band have their run's number.
+# tag) triples, each tag 0 or 1: in a staircase, tag 0 on the main sheet and
+# tag 1 on a strip bottom hanging beyond the overlap with the flat below.  A
+# run of h > 1 rows is a band: its rows copy one another, each of its vertex
+# rows is one segment of one tag, and no other run has a square in its rows.
+# The runs of a window satisfy the link condition: no quadrant of a vertex
+# holds two squares, so no two runs of either kind share a vertical edge.
+# build_staircase emits each strip as a one-row run and each flat as one
+# band, and its windows hold to all of this by construction; nothing checks
+# it.  The rows of a window are numbered run by run, bottom to top, so
+# one-row runs before the first band have their run's number.
 #
 # Everything runs on runs, segments and per-row intervals, in three phases,
 # each passing on only what the next one reads:
@@ -119,12 +118,10 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
 #     crossings (rows that touch, consecutive squares of one run, the corner
 #     rule) sit in one more list per wall, each wall once.
 # walls() reads the wall count, edges - 2 * squares, off the counts, so the
-# window summary builds no partition.  A window is connected exactly when
-# its contact graph is, which validate() reads off one breadth-first search.
-# A window holds no vertex or edge tuples, and its graph no hashed entry per
-# crossing.  Its squares are the tuple it was given, or one built from its
-# runs on first use; wall ids, and ContactGraph.neighbors and .crossings,
-# keyed by them, are also built on first use.
+# window summary builds no partition.  A window holds no vertex or edge
+# tuples, and its graph no hashed entry per crossing.  Its squares are built
+# from its runs on first use; wall ids, and ContactGraph.neighbors and
+# .crossings, keyed by them, are also built on first use.
 
 
 class WindowSquare(namedtuple("WindowSquare", "sw se nw ne")):
@@ -157,60 +154,9 @@ def _sweep(spans):
     return covered, stretches, pairs
 
 
-def _segments(a, tags):
-    """The maximal constant-tag segments (x0, x1, tag) of tags at x = a, a+1, ..."""
-    out = []
-    x0 = a
-    for x, (t, u) in enumerate(pairwise(tags), a):
-        if t != u:
-            out.append((x0, x, t))
-            x0 = x + 1
-    out.append((x0, a + len(tags) - 1, tags[-1]))
-    return tuple(out)
-
-
 def _tags(segments):
     """The tag of each vertex x0, x0+1, ... of a run's row of segments."""
     return [t for x0, x1, t in segments for _ in range(x1 - x0 + 1)]
-
-
-def _unit_square(i, square):
-    """square as a WindowSquare; CscwallsError unless its corners are
-    (x, y, .), (x+1, y, .), (x, y+1, .) and (x+1, y+1, .) for integers x, y;
-    each coordinate must be an int, not a bool or a float of equal value."""
-    try:
-        sq = WindowSquare(*square)
-        (x, y, _), (x1, y1, _), (x2, y2, _), (x3, y3, _) = sq
-        unit = all(type(v) is int for v in (x, y, x1, y1, x2, y2, x3, y3))
-        unit = unit and (x1, y1, x2, y2, x3, y3) == (x + 1, y, x, y + 1, x + 1, y + 1)
-    except (TypeError, ValueError):
-        unit = False
-    if not unit:
-        raise CscwallsError(f"square {i} is not a unit square: {square!r}")
-    return sq
-
-
-def _runs_of(squares):
-    """One-row runs holding the given unit squares, bottom to top.  Taken by
-    row and column, a square continues the run whose open east side, the
-    vertical edge keyed (x, y, bottom tag, top tag), is its west side, and
-    starts a run where none is.  Under the link condition at most one square
-    lies on each side of a vertical edge, so no two runs share one."""
-    runs = []
-    ends = {}  # a run's open east side -> the run, as [a, bottom tags, top tags]
-    for (x, y, sw), (_, _, se), (_, _, nw), (_, _, ne) in sorted(squares, key=_row_major):
-        run = ends.pop((x, y, sw, nw), None)
-        if run is None:
-            run = [x, [sw], [nw]]
-            runs.append((y, run))
-        run[1].append(se)
-        run[2].append(ne)
-        ends[x + 1, y, se, ne] = run
-    return [(y, a, a + len(top) - 1, _segments(a, bottom), _segments(a, top), 1) for y, (a, bottom, top) in runs]
-
-
-def _row_major(sq):
-    return sq.sw[1], sq.sw[0]
 
 
 def _squares_of(runs):
@@ -220,9 +166,6 @@ def _squares_of(runs):
             for i, x in enumerate(range(a, b)):
                 sw, se, nw, ne = tb[i], tb[i + 1], tt[i], tt[i + 1]
                 yield WindowSquare((x, row, sw), (x + 1, row, se), (x, row + 1, nw), (x + 1, row + 1, ne))
-
-
-_QUADRANTS = ("NE", "NW", "SE", "SW")  # the quadrant each corner sw, se, nw, ne fills
 
 
 class _Layout(namedtuple("_Layout", "counts edge_rows pieces touching corners")):
@@ -353,16 +296,12 @@ def _edge_order(runs):
     """least(x, y, tag, east, tag2): one int for the edge from (x, y, tag) to
     (x + east, y + 1 - east, tag2) of a window of these runs.  The ints order
     edges as their tuples ((x, y, tag), (x2, y2, tag2)) do: by x, then y,
-    tag, east (x2 = x before x2 = x + 1) and tag2, a tag by its rank among
-    the window's tags."""
-    tags = sorted({t for run in runs for side in run[3:5] for *_, t in side})
-    rank = {t: i for i, t in enumerate(tags)}
+    tag, east (x2 = x before x2 = x + 1) and tag2, each tag 0 or 1."""
     y0 = min((run[0] for run in runs), default=0)
-    n = len(tags)
-    step = (max((run[0] + run[5] for run in runs), default=y0) - y0 + 1) * 2 * n * n  # all but x
+    step = (max((run[0] + run[5] for run in runs), default=y0) - y0 + 1) * 8  # all but x
 
     def least(x, y, tag, east, tag2):
-        return x * step + (((y - y0) * n + rank[tag]) * 2 + east) * n + rank[tag2]
+        return x * step + (((y - y0) * 2 + tag) * 2 + east) * 2 + tag2
 
     return least
 
@@ -416,42 +355,21 @@ def _walls(runs, layout):
 
 class CubeWindow:
     """A finite square complex of unit squares under the link condition,
-    carried as runs.
+    carried as runs (see the run-layout comment above).
 
-    CubeWindow(squares) takes unit squares (see _unit_square) that satisfy
-    the link condition, checked by one scan of them, and groups them into
-    one-row runs (see _runs_of); it raises CscwallsError, naming the first
-    corner whose quadrant an earlier square already holds, if they do not.
-    build_staircase makes its runs directly, its flats as bands, and its
-    windows alone carry params and need no scan.  So every window has walls
-    and a contact graph; it need not be connected or contractible.  squares
-    is the tuple given, or for a built window one made run by run on first
-    use.  A window keeps its runs, its squares once made, and _summary: its
-    counts, from the first layout made of it, by the contact graph or on
-    first use.  It keeps no layout and no walls.
+    CubeWindow(runs, params=None) keeps the runs it is given, which must
+    hold to that layout and satisfy the link condition; it checks neither.
+    build_staircase is the one maker of windows in the package, and the
+    only one that gives params.  So every window has walls and a contact
+    graph.  squares is built run by run on first use.  A window keeps its
+    runs, its squares once made, and _summary: its counts, from the first
+    layout made of it, by the contact graph or on first use.  It keeps no
+    layout and no walls.
     """
 
-    params = None
-
-    def __init__(self, squares):
-        self.squares = tuple(map(_unit_square, count(), squares))
-        holder = {}
-        for i, square in enumerate(self.squares):
-            for q, vertex in zip(_QUADRANTS, square):
-                if (vertex, q) in holder:
-                    raise CscwallsError(
-                        f"link condition fails at {vertex}: quadrant {q} "
-                        f"held by squares {holder[vertex, q]} and {i}"
-                    )
-                holder[vertex, q] = i
-        self._runs = _runs_of(self.squares)
-
-    @classmethod
-    def _from_runs(cls, params, runs):
-        window = cls.__new__(cls)
-        window.params = params
-        window._runs = runs
-        return window
+    def __init__(self, runs, params=None):
+        self._runs = runs
+        self.params = params
 
     @cached_property
     def _summary(self):
@@ -468,24 +386,6 @@ class CubeWindow:
     def euler_characteristic(self):
         c = self._summary
         return c["vertices"] - c["edges"] + c["squares"]
-
-    def validate(self):
-        """Check the window is contractible (Euler number 1) and connected,
-        so that, with the link condition it was made under, it embeds in a
-        CAT(0) square complex.  Two squares that share a vertex put all their
-        walls in contact, so the window is connected exactly when its contact
-        graph is, which one breadth-first search decides.  Raises
-        CscwallsError on either failure; returns the count summary.
-        """
-        if self.euler_characteristic() != 1:
-            raise CscwallsError(
-                f"window is not contractible: Euler characteristic {self.euler_characteristic()}"
-            )
-        try:
-            _distances(contact_graph(self), 0)
-        except CscwallsError:
-            raise CscwallsError("window is not connected") from None
-        return self.counts()
 
 
 def _flat_span(params, i):
@@ -517,9 +417,9 @@ def build_staircase(params):
     heights of their own, so each flat is a band alone in its rows, as
     _layout relies on; no two squares share a row and column, no quadrant of
     a vertex holds two squares, and the window satisfies the link condition
-    by construction, so it gets no scan.  It is connected with Euler
-    characteristic 1 by construction too, so it is not validated here, and
-    nothing is laid out until a caller asks."""
+    by construction.  It is connected with Euler characteristic 1 by
+    construction too; nothing checks either, and nothing is laid out until a
+    caller asks."""
     runs = []
     for i in range(params.steps + 1):
         lo, hi = _strip_span(params, i)
@@ -533,7 +433,7 @@ def build_staircase(params):
         lo, hi = _flat_span(params, i)
         row = ((lo, hi, 0),)
         runs.append((_LEVEL_PITCH * i + 1, lo, hi, row, row, FLAT_ROWS))
-    return CubeWindow._from_runs(params, runs)
+    return CubeWindow(runs, params)
 
 
 # ---------------------------------------------------------------------------

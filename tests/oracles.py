@@ -15,7 +15,9 @@ words filtered from every germ-id tuple, a census oracle that filters raw
 Burnside's lemma that never forms a class, staircase window vertices,
 edges, counts, validation, walls and contact graphs on vertex and edge tuples
 instead of row runs (the engine keeps no vertex or edge tuples, and its walls
-need the link condition, where these take any squares), a contact-graph DOT
+need the link condition, where these take any squares), windows of any unit
+squares under the link condition grouped into one-row runs (the package
+builds only staircases), a contact-graph DOT
 writer that goes through wall ids and a seen-set instead of wall numbers,
 staircase crossing counts and contact distances taken wall by wall
 instead of from the family side and one breadth-first search, and all
@@ -33,7 +35,7 @@ from cscwalls.antitorus import PERIODIC_FLAT_DIAGNOSTIC, GammaResult
 from cscwalls.complexes import HORIZONTAL, VERTICAL
 from cscwalls.develop import Word, _word_ids, develop_ids, stream_mismatch_ids
 from cscwalls.errors import DEFAULT_I_MAX, DEFAULT_K_MAX, BudgetExceeded, CscwallsError
-from cscwalls.staircase import WindowSquare
+from cscwalls.staircase import CubeWindow, WindowSquare
 
 
 def develop_row_major(presentation, bottom_word, left_word):
@@ -458,10 +460,11 @@ def counts_by_tuples(squares):
 
 
 def validate_by_tuples(squares):
-    """CubeWindow.validate on the squares' vertex tuples: a square-by-square
-    quadrant scan for the link condition, the Euler number from the sets of
-    vertices and edges, and a depth-first search for connectivity.  Returns
-    the same count summary and raises CscwallsError with the same messages."""
+    """Check any list of squares on their vertex tuples: a square-by-square
+    quadrant scan for the link condition, the Euler number 1 from the sets
+    of vertices and edges, and a depth-first search for connectivity.
+    Returns the count summary of CubeWindow.counts; raises CscwallsError,
+    naming the first failure."""
     holder = {}
     for i, sq in enumerate(squares):
         # corners sw, se, nw, ne fill the NE, NW, SE and SW quadrants of their vertices
@@ -490,6 +493,41 @@ def validate_by_tuples(squares):
     if seen != vertices:
         raise CscwallsError("window is not connected")
     return {"vertices": len(vertices), "edges": len(edges), "squares": len(squares)}
+
+
+def _segments(a, tags):
+    """The maximal constant-tag segments (x0, x1, tag) of tags at x = a, a+1, ..."""
+    out = []
+    x0 = a
+    for x, (t, u) in enumerate(itertools.pairwise(tags), a):
+        if t != u:
+            out.append((x0, x, t))
+            x0 = x + 1
+    out.append((x0, a + len(tags) - 1, tags[-1]))
+    return tuple(out)
+
+
+def window_of(squares):
+    """The CubeWindow of unit squares that satisfy the link condition (see
+    validate_by_tuples; nothing here checks it), as one-row runs, bottom to
+    top.  Taken by row and column, a square continues the run whose open
+    east side, the vertical edge keyed (x, y, bottom tag, top tag), is its
+    west side, and starts a run where none is.  Under the link condition at
+    most one square lies on each side of a vertical edge, so no two runs
+    share one."""
+    runs = []
+    ends = {}  # a run's open east side -> the run, as [a, bottom tags, top tags]
+    for (x, y, sw), (_, _, se), (_, _, nw), (_, _, ne) in sorted(squares, key=lambda sq: (sq.sw[1], sq.sw[0])):
+        run = ends.pop((x, y, sw, nw), None)
+        if run is None:
+            run = [x, [sw], [nw]]
+            runs.append((y, run))
+        run[1].append(se)
+        run[2].append(ne)
+        ends[x + 1, y, se, ne] = run
+    return CubeWindow(
+        [(y, a, a + len(top) - 1, _segments(a, bottom), _segments(a, top), 1) for y, (a, bottom, top) in runs]
+    )
 
 
 def walls_by_tuples(window):

@@ -12,7 +12,6 @@ from cscwalls.errors import CscwallsError, InvalidParams, UnknownWall
 from cscwalls.staircase import (
     FLAT_ROWS,
     ContactGraph,
-    CubeWindow,
     StairParams,
     WindowSquare,
     _layout,
@@ -39,6 +38,7 @@ from .oracles import (
     validate_by_tuples,
     vertices_by_tuples,
     walls_by_tuples,
+    window_of,
 )
 
 
@@ -109,20 +109,27 @@ def run_rows(draw):
     return draw(st.permutations(squares)) if draw(st.booleans()) else squares
 
 
-def link_failure(squares):
-    """The tuple oracle's message where squares fail the link condition, by
-    its square-by-square scan; None where they satisfy it, whatever else
-    validation finds."""
+def link_holds(squares):
+    """Whether squares satisfy the link condition, by the tuple oracle's
+    square-by-square scan, whatever else validation finds."""
     try:
         validate_by_tuples(squares)
     except CscwallsError as exc:
-        if str(exc).startswith("link condition fails"):
-            return str(exc)
-    return None
+        return not str(exc).startswith("link condition fails")
+    return True
 
 
-def link_holds(squares):
-    return link_failure(squares) is None
+def under_link(squares):
+    """The squares, less each one that would take a vertex quadrant that a
+    square kept before it holds: corner i of every square fills the same
+    quadrant of its vertex, so the kept squares satisfy the link condition."""
+    held, kept = set(), []
+    for square in squares:
+        quadrants = list(enumerate(square))
+        if held.isdisjoint(quadrants):
+            held.update(quadrants)
+            kept.append(square)
+    return kept
 
 
 def wall_number_of_edge(graph, edge):
@@ -246,18 +253,6 @@ def assert_rows_are_walls(graph):
     assert len(set(horizontal)) == len(horizontal) == sum(run[5] for run in window._runs)
 
 
-def window_unless_link_fails(squares):
-    """The window of squares; None where they fail the link condition, by
-    the tuple oracle's scan, and CubeWindow raised the oracle's message."""
-    message = link_failure(squares)
-    if message is None:
-        return CubeWindow(squares)
-    with pytest.raises(CscwallsError) as err:
-        CubeWindow(squares)
-    assert str(err.value) == message
-    return None
-
-
 def _annulus():
     """The 3x3 block of unit squares without its centre: Euler number 0."""
     return [unit_square(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
@@ -309,67 +304,37 @@ class TestGoldenWindow:
 class TestWindowValidation:
     def test_medium_window_validates(self):
         w = build_staircase(StairParams(4, 2, steps=4, margin=2))
-        assert w.validate()["squares"] == len(w.squares)
+        assert validate_by_tuples(w.squares) == w.counts()
 
-    def test_link_condition_scan_catches_doubled_square(self):
-        with pytest.raises(CscwallsError) as err:
-            CubeWindow([unit_square(0, 0), unit_square(0, 0)])
-        assert str(err.value) == "link condition fails at (0, 0, 0): quadrant NE held by squares 0 and 1"
+    @settings(max_examples=100)
+    @given(st.one_of(unit_square_lists, run_rows()))
+    def test_under_link_keeps_the_link_condition(self, squares):
+        """What under_link keeps passes the tuple oracle's link scan, and it
+        keeps every square of a list that passes it already."""
+        kept = under_link(squares)
+        assert link_holds(kept)
+        if link_holds(squares):
+            assert kept == squares
 
     @settings(max_examples=300)
-    @given(unit_square_lists)
+    @given(unit_square_lists.map(under_link))
     def test_validation_matches_tuple_oracle(self, squares):
-        """Same verdict and same message as the scan on vertex tuples, for any
-        set of unit squares: the link check on integer corner lists names its
-        failure through the square-by-square scan."""
-        try:
-            expected = validate_by_tuples(squares)
-        except CscwallsError as exc:
-            with pytest.raises(CscwallsError) as err:
-                CubeWindow(squares).validate()
-            assert str(err.value) == str(exc)
-        else:
-            assert CubeWindow(squares).validate() == expected
+        """Any unit squares under the link condition: the window has the tuple
+        oracle's counts, and its contact graph is disconnected exactly where
+        the oracle's search finds it so, which is where the window is."""
+        window = window_of(squares)
+        assert window.counts() == counts_by_tuples(squares)
+        assert_lists_match_oracle(contact_graph(window), contact_graph_by_tuples(window))
 
     @settings(max_examples=200)
-    @given(run_rows())
+    @given(run_rows().map(under_link))
     def test_run_rows_match_tuple_oracles(self, squares):
-        """Long rows with tag switches, overlapping and repeated: squares that
-        fail the link condition raise the tuple oracle's message when the
-        window is made; any other window has the tuple oracles' counts,
-        verdict with its message, walls and contact graph, valid or not."""
-        window = window_unless_link_fails(squares)
-        if window is None:
-            return
+        """Long rows with tag switches, overlapping and repeated, under the
+        link condition: the window has the tuple oracles' counts, walls and
+        contact graph, contractible and connected or not."""
+        window = window_of(squares)
         assert window.counts() == counts_by_tuples(squares)
-        try:
-            expected = validate_by_tuples(squares)
-        except CscwallsError as exc:
-            with pytest.raises(CscwallsError) as err:
-                window.validate()
-            assert str(err.value) == str(exc)
-        else:
-            assert window.validate() == expected
         assert_graph_matches_oracle(window)
-
-    @pytest.mark.parametrize(
-        "square",
-        [
-            ((0, 0, 0), (2, 0, 0), (0, 1, 0), (2, 1, 0)),  # two columns wide
-            ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)),  # corners out of order
-            ((0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 2, 0)),  # two rows high
-            ((0.5, 0, 0), (1.5, 0, 0), (0.5, 1, 0), (1.5, 1, 0)),  # not on the integer grid
-            ((0, 0, 0), (1, 0, 0), (0, 1, 0)),  # three corners
-            ((0, 0), (1, 0), (0, 1), (1, 1)),  # corners without tags
-            ((True, 0, 0), (2, 0, 0), (True, 1, 0), (2, 1, 0)),  # x a bool
-            ((0, False, 0), (1, False, 0), (0, 1, 0), (1, 1, 0)),  # y a bool
-            ((0, 0, 0), (1.0, 0, 0), (0, 1, 0), (1, 1, 0)),  # an east corner's x a float
-        ],
-    )
-    def test_non_unit_square_is_rejected(self, square):
-        with pytest.raises(CscwallsError) as err:
-            CubeWindow([unit_square(0, 0), square])
-        assert str(err.value) == f"square 1 is not a unit square: {square!r}"
 
     def test_benchmark_scale_counts(self):
         window = build_staircase(StairParams(110, 4, 100))
@@ -380,20 +345,20 @@ class TestWindowValidation:
     @given(stair_shapes())
     def test_staircases_validate_like_tuple_oracle(self, params):
         window = build_staircase(params)
-        assert validate_by_tuples(window.squares) == window.validate() == window.counts()
+        assert validate_by_tuples(window.squares) == window.counts()
+        assert window.euler_characteristic() == 1
 
     def test_annulus_is_not_contractible(self):
-        window = CubeWindow(_annulus())
+        window = window_of(_annulus())
         assert window.euler_characteristic() == 0
-        with pytest.raises(CscwallsError, match="not contractible"):
-            window.validate()
 
     def test_annulus_and_far_square_is_not_connected(self):
-        """Euler number 1, so only the connectivity check catches it."""
-        window = CubeWindow(_annulus() + [unit_square(10, 10)])
+        """Euler number 1, so only the contact graph's search tells it apart
+        from a contractible window."""
+        window = window_of(_annulus() + [unit_square(10, 10)])
         assert window.euler_characteristic() == 1
-        with pytest.raises(CscwallsError, match="not connected"):
-            window.validate()
+        with pytest.raises(CscwallsError, match="disconnected"):
+            contact_distances(contact_graph(window), "w0000")
 
     def test_determinism(self):
         a = build_staircase(StairParams(6, 2, steps=5, margin=2))
@@ -403,7 +368,7 @@ class TestWindowValidation:
 
 class TestWalls:
     def test_single_square(self):
-        window = CubeWindow([unit_square(0, 0)])
+        window = window_of([unit_square(0, 0)])
         assert walls(window) == ["w0000", "w0001"]
         assert [len(edges) for edges in dual_edges(contact_graph(window))] == [2, 2]
 
@@ -411,7 +376,7 @@ class TestWalls:
     def test_strip_of_squares(self, k):
         """A 1xk strip: k vertical walls of 2 edges and 1 horizontal wall of
         k+1 edges (at k=1 this is the single-square count)."""
-        window = CubeWindow([unit_square(x, 0) for x in range(k)])
+        window = window_of([unit_square(x, 0) for x in range(k)])
         assert len(walls(window)) == k + 1
         assert sorted(map(len, dual_edges(contact_graph(window)))) == [2] * k + [k + 1]
 
@@ -513,29 +478,29 @@ class TestWalls:
                 assert sa != sc, (i, a, b, c)
 
     @settings(max_examples=150)
-    @given(unit_square_lists.filter(link_holds))
+    @given(unit_square_lists.map(under_link))
     def test_unit_square_sets_match_tuple_oracle(self, squares):
         """Any set of unit squares under the link condition, tagged bottoms
-        and repeats included, and not validated: the window need not be a
-        staircase, contractible or connected."""
-        assert_graph_matches_oracle(CubeWindow(squares))
+        included: the window need not be a staircase, contractible or
+        connected."""
+        assert_graph_matches_oracle(window_of(squares))
 
     def test_a_square_continues_the_run_ending_at_its_west_side(self):
         """Square (1, 0) continues the run of square (0, 0), not of the square
         in the same place with all four tags 1 that sorts between them: two
         runs, whose rows are two distinct horizontal walls."""
         tagged = WindowSquare((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
-        window = CubeWindow([unit_square(0, 0), tagged, unit_square(1, 0)])
+        window = window_of([unit_square(0, 0), tagged, unit_square(1, 0)])
         assert len(window._runs) == 2
         assert_rows_are_walls(contact_graph(window))
 
     @settings(max_examples=150)
-    @given(unit_square_lists.filter(link_holds).map(CubeWindow))
+    @given(unit_square_lists.map(under_link).map(window_of))
     def test_unit_square_rows_are_walls(self, window):
         assert_rows_are_walls(contact_graph(window))
 
     @settings(max_examples=150)
-    @given(run_rows().filter(link_holds).map(CubeWindow))
+    @given(run_rows().map(under_link).map(window_of))
     def test_run_rows_are_walls(self, window):
         assert_rows_are_walls(contact_graph(window))
 
@@ -543,8 +508,8 @@ class TestWalls:
     @given(
         st.one_of(
             stair_shapes().map(build_staircase),
-            unit_square_lists.filter(link_holds).map(CubeWindow),
-            run_rows().filter(link_holds).map(CubeWindow),
+            unit_square_lists.map(under_link).map(window_of),
+            run_rows().map(under_link).map(window_of),
         )
     )
     def test_wall_count_is_edges_less_twice_squares(self, window):
@@ -574,14 +539,14 @@ class TestBands:
     @settings(max_examples=100)
     @given(stair_shapes())
     def test_bands_agree_with_rows(self, params):
-        """A built window carries each flat as one band, and CubeWindow of its
+        """A built window carries each flat as one band, and the window of its
         squares carries each row of squares as a run of its own: the two give
         the same counts, walls, neighbours, crossings, DOT text and distances
         from the base strip wall."""
         bands = build_staircase(params)
-        rows = CubeWindow(bands.squares)
+        rows = window_of(bands.squares)
         assert {run[5] for run in rows._runs} == {1}
-        assert rows.counts() == bands.counts() and rows.validate() == bands.validate()
+        assert rows.counts() == bands.counts()
         assert walls(rows) == walls(bands)
         a, b = contact_graph(bands), contact_graph(rows)
         assert a.neighbors == b.neighbors and a.crossings == b.crossings
@@ -599,7 +564,7 @@ class TestBands:
 
 class TestContactGraph:
     def test_crossing_walls_of_one_square(self):
-        window = CubeWindow([unit_square(0, 0)])
+        window = window_of([unit_square(0, 0)])
         graph = contact_graph(window)
         a, b = graph.walls
         assert contact_distance(graph, a, b) == 1
@@ -632,7 +597,7 @@ class TestContactGraph:
         assert d == 8  # frozen exact BFS value for this window
 
     def test_disconnected_graph(self):
-        graph = contact_graph(CubeWindow([unit_square(0, 0), unit_square(5, 0)]))
+        graph = contact_graph(window_of([unit_square(0, 0), unit_square(5, 0)]))
         near, far = graph.walls[0], graph.walls[-1]
         with pytest.raises(CscwallsError, match="disconnected"):
             contact_distance(graph, near, far)
@@ -640,7 +605,7 @@ class TestContactGraph:
             contact_distances(graph, near)
 
     def test_unknown_wall(self):
-        window = CubeWindow([unit_square(0, 0)])
+        window = window_of([unit_square(0, 0)])
         graph = contact_graph(window)
         with pytest.raises(UnknownWall):
             contact_distance(graph, "w9999", graph.walls[0])
@@ -656,14 +621,14 @@ class TestContactGraph:
 
     @pytest.mark.parametrize(
         "make",
-        [build_staircase, lambda params: CubeWindow(build_staircase(params).squares)],
+        [build_staircase, lambda params: window_of(build_staircase(params).squares)],
         ids=["built", "squares"],
     )
     def test_contact_graph_drops_the_layout(self, make):
         """Once its contact graph is built a window holds no layout and no
-        wall partition: only its parameters or squares, its runs and its
-        counts.  Its counts, Euler characteristic and validation, asked for
-        after the graph, still answer as before."""
+        wall partition: only its parameters, its squares if made, its runs
+        and its counts.  Its counts and Euler characteristic, asked for after
+        the graph, still answer as before."""
         params = StairParams(4, 2, steps=9)
         expected = counts_by_tuples(build_staircase(params).squares)
         window = make(params)
@@ -671,12 +636,11 @@ class TestContactGraph:
         assert set(window.__dict__) <= {"params", "squares", "_runs", "_summary"}
         assert window.counts() == expected
         assert window.euler_characteristic() == 1
-        assert window.validate() == expected
 
     def test_dot_export(self):
         """Two squares side by side: w0000 runs through both, w0001 and w0002
         cross it in one square each, and each pair of the three is in contact."""
-        graph = contact_graph(CubeWindow([unit_square(0, 0), unit_square(1, 0)]))
+        graph = contact_graph(window_of([unit_square(0, 0), unit_square(1, 0)]))
         assert contact_graph_dot(graph) == (
             "graph contact {\n"
             '  "w0000";\n  "w0001";\n  "w0002";\n'
@@ -800,11 +764,11 @@ class TestCertificate:
         assert cert.witness_wall == wall_of_edge(graph, base_axis_edge(params))
 
     def test_benchmark_scale_certificate_scans_no_squares(self):
-        """Validation, walls, contact graph and certificate of a built window
-        work on runs: none of them builds the window's 45,308 squares."""
+        """Counts, walls, contact graph and certificate of a built window work
+        on runs: none of them builds the window's 45,308 squares."""
         params = StairParams(110, 4, 100)
         window = build_staircase(params)
-        window.validate()
+        window.counts()
         graph = contact_graph(window)
         nonacyl_certificate(params, 100, graph)
         assert "squares" not in graph.window.__dict__
@@ -846,7 +810,7 @@ class TestCertificate:
         with pytest.raises(InvalidParams, match="margin=1"):
             nonacyl_certificate(StairParams(3, 2, steps=6, margin=2), 6, graph=graph)
         with pytest.raises(InvalidParams):
-            nonacyl_certificate(narrow, 6, graph=contact_graph(CubeWindow([unit_square(0, 0)])))
+            nonacyl_certificate(narrow, 6, graph=contact_graph(window_of([unit_square(0, 0)])))
 
     @pytest.mark.parametrize("p", [True, 2.0], ids=["bool", "float"])
     def test_p_must_be_an_int(self, p):
