@@ -135,10 +135,6 @@ class Square(namedtuple("Square", "bottom right top left")):
         """The same square read from its SE corner (west-east mirror)."""
         return Square(self.bottom.inverse(), self.left, self.top.inverse(), self.right)
 
-    def flip_v(self):
-        """The same square read from its NW corner (south-north mirror)."""
-        return Square(self.top, self.right.inverse(), self.bottom, self.left.inverse())
-
     def corner_vertices(self):
         """(SW, SE, NW, NE) vertices; raises ValueError if the sides do not close up."""
         sw1, sw2 = self.bottom.start, self.left.start

@@ -69,6 +69,29 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
         """ceil(L/r) + 1: the exact maximum number of strip walls any one wall crosses."""
         return -(-self.overlap_len // self.shift) + 1
 
+    def counts(self):
+        """Vertex, edge and square counts of the window build_staircase makes
+        of this shape, in closed form.  Write W = L + 2 * margin and S = steps.
+        Strips 0 and S and the FLAT_ROWS * S flat rows are W squares wide,
+        strips 1 .. S-1 are W + r wide, and each of these 4S + 1 rows of k
+        squares has k + 1 vertical edges.  The vertex rows W + 1 wide are
+        strip 0's two, the three of each flat above its bottom and strip S's
+        top; each inner strip's top is W + r + 1 wide; and each strip i >= 1
+        hangs 2 * margin tag-1 bottom vertices beyond its overlap, an inner
+        strip r more.  Each of these 4S + 2 vertex rows, tag-1 ends included,
+        is a tree, with one horizontal edge fewer than vertices.  So the
+        Euler characteristic is 1, and the wall count edges - 2 * squares is
+        L + 2 * margin * (S + 1) + 3S + 2 + (S - 1)(r + 1)."""
+        L, r, s, m = self
+        w = L + 2 * m
+        rows = FLAT_ROWS * s + 2  # the rows of squares W wide
+        vertices = (rows + 1) * (w + 1) + (s - 1) * (w + 2 * r + 1) + 2 * m * s
+        return {
+            "vertices": vertices,
+            "edges": rows * (w + 1) + (s - 1) * (w + r + 1) + vertices - (rows + s),
+            "squares": rows * w + (s - 1) * (w + r),
+        }
+
     def to_dict(self):
         return self._asdict()
 
@@ -91,15 +114,12 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
 #
 # Everything runs on runs, segments and per-row intervals, in three phases,
 # each passing on only what the next one reads:
-#   - the layout (_layout): counts from the overlaps of the segments in each
-#     vertex row (y, tag); the horizontal edges of a row are its edge rows
-#     (y, tag, tag) and the edges between segments of two tags; a band lists
-#     only its bottom and top vertex rows and counts the cells between them;
-#     a run's h * (b - a + 1) vertical edges are counted, not kept, as no
-#     other run shares one.  It passes on each run's column pieces, the edge
-#     rows they meet, the rows that touch, and the corners as rows and places
-#     in them; the window keeps only its counts, from the first layout made
-#     of it;
+#   - the layout (_layout): the overlaps of the segments in each vertex row
+#     (y, tag); the horizontal edges of a row are its edge rows (y, tag, tag)
+#     and the edges between segments of two tags; a band lists only its
+#     bottom and top vertex rows.  It passes on each run's column pieces, the
+#     edge rows they meet, the rows that touch, and the corners as rows and
+#     places in them;
 #   - the walls (_walls): each row is one horizontal wall, as no two rows
 #     share a vertical edge; for vertical walls each edge row holds one label
 #     per column, the rows are swept bottom-up, and each run's column pieces
@@ -117,11 +137,12 @@ class StairParams(namedtuple("StairParams", "overlap_len shift steps margin")):
 #     side, and a band's row walls share one list; the contacts that are not
 #     crossings (rows that touch, consecutive squares of one run, the corner
 #     rule) sit in one more list per wall, each wall once.
-# walls() reads the wall count, edges - 2 * squares, off the counts, so the
-# window summary builds no partition.  A window holds no vertex or edge
-# tuples, and its graph no hashed entry per crossing.  Its squares are built
-# from its runs on first use; wall ids, and ContactGraph.neighbors and
-# .crossings, keyed by them, are also built on first use.
+# Nothing here counts cells: a staircase's counts are StairParams.counts, in
+# closed form, so the window summary builds no window.  A window holds no
+# vertex or edge tuples, and its graph no hashed entry per crossing.  Its
+# squares are built from its runs on first use; wall ids, and
+# ContactGraph.neighbors and .crossings, keyed by them, are also built on
+# first use.
 
 
 class WindowSquare(namedtuple("WindowSquare", "sw se nw ne")):
@@ -131,27 +152,17 @@ class WindowSquare(namedtuple("WindowSquare", "sw se nw ne")):
 
 
 def _sweep(spans):
-    """Sort the inclusive ranges (lo, hi, ...) in spans by lo; return how many
-    integers they cover together, in how many separate stretches, and the
+    """Sort the inclusive ranges (lo, hi, ...) in spans by lo; return the
     pairs of ranges that share an integer."""
     spans.sort(key=itemgetter(0))
-    covered = stretches = 0
-    end = None
     pairs = []
     for i, first in enumerate(spans):
-        lo, hi = first[0], first[1]
-        if end is None or lo > end:
-            covered += hi - lo + 1
-            stretches += 1
-            end = hi
-        elif hi > end:
-            covered += hi - end
-            end = hi
+        hi = first[1]
         for second in spans[i + 1:]:
             if second[0] > hi:
                 break
             pairs.append((first, second))
-    return covered, stretches, pairs
+    return pairs
 
 
 def _tags(segments):
@@ -168,13 +179,11 @@ def _squares_of(runs):
                 yield WindowSquare((x, row, sw), (x + 1, row, se), (x, row + 1, nw), (x + 1, row + 1, ne))
 
 
-class _Layout(namedtuple("_Layout", "counts edge_rows pieces touching corners")):
+class _Layout(namedtuple("_Layout", "edge_rows pieces touching corners")):
     """A window's cells as intervals per row, read off its runs; rows are
-    numbered as in the run-layout comment above.  The window keeps counts;
-    the rest is what _walls and ContactGraph read, and goes once the graph
-    is built.
+    numbered as in the run-layout comment above.  It is what _walls and
+    ContactGraph read, and goes once the graph is built.
 
-    counts: the dict of window.counts()
     edge_rows: (y, tag, tag) -> (first, last) column of the horizontal edges in that row
     pieces: per run, [(c0, c1, bottom edge row, top edge row)] over columns
         c0 .. c1-1, each edge row by its key in edge_rows
@@ -194,7 +203,6 @@ def _layout(runs):
     edge_rows = {}
     switches = set()  # (y, tag, tag, column) of each horizontal edge whose ends have different tags
     pieces, touching = [], ([], [])
-    n_vertices = n_edges = n_squares = 0
     first = 0  # the number of the run's bottom row
 
     def edge_row(*key):
@@ -210,15 +218,10 @@ def _layout(runs):
                     switches.add((vy, t, after, x1))
                 vertex_rows[vy, t].append((x0, x1, row, before, after, a))
                 before = t
-        n_squares += h * (b - a)
-        n_edges += h * (b - a + 1)  # its vertical edges, shared with no other run
-        if h > 1:
-            # a band is alone in its rows: between its bottom and top lie h - 1
-            # vertex rows of one segment, each shared by two consecutive rows
-            n_vertices += (h - 1) * (b - a + 1)
-            n_edges += (h - 1) * (b - a)
-            touching[0].extend(range(first, last))
-            touching[1].extend(range(first + 1, last + 1))
+        # a band is alone in its rows: between its bottom and top lie h - 1
+        # vertex rows of one segment, each shared by two consecutive rows
+        touching[0].extend(range(first, last))
+        touching[1].extend(range(first + 1, last + 1))
         # vertex ranges of constant (bottom tag, top tag); the columns inside
         # one are a piece, and so is each column between two of them
         own = []
@@ -240,15 +243,12 @@ def _layout(runs):
         pieces.append(own)
         first = last + 1
 
-    # per vertex row: its vertices, its edges with both ends in the row's tag
-    # (each stretch of overlapping segments has one fewer than vertices) and
-    # the rows sharing a vertex
+    # per vertex row: the span of its edges with both ends in the row's tag,
+    # and the rows sharing a vertex
     corners = []
     for (y, t), entries in vertex_rows.items():
-        covered, stretches, pairs = _sweep(entries)
+        pairs = _sweep(entries)
         lo, hi = entries[0][0], max(map(itemgetter(1), entries))
-        n_vertices += covered
-        n_edges += covered - stretches
         if hi > lo:
             edge_rows[edge_row(y, t, t)] = (lo, hi - 1)
         # Crossings, rows sharing a vertex and consecutive squares of one run
@@ -281,9 +281,7 @@ def _layout(runs):
         key = edge_row(y, t1, t2)
         lo, hi = edge_rows.get(key, (c, c))
         edge_rows[key] = (min(lo, c), max(hi, c))
-    n_edges += len(switches)
-    counts = {"vertices": n_vertices, "edges": n_edges, "squares": n_squares}
-    return _Layout(counts, edge_rows, pieces, touching, corners)
+    return _Layout(edge_rows, pieces, touching, corners)
 
 
 def _edges_at(e, t, x):
@@ -362,9 +360,8 @@ class CubeWindow:
     build_staircase is the one maker of windows in the package, and the
     only one that gives params.  So every window has walls and a contact
     graph.  squares is built run by run on first use.  A window keeps its
-    runs, its squares once made, and _summary: its counts, from the first
-    layout made of it, by the contact graph or on first use.  It keeps no
-    layout and no walls.
+    runs, its params and its squares once made: no counts, no layout and
+    no walls.  A staircase's counts are its params' counts().
     """
 
     def __init__(self, runs, params=None):
@@ -372,20 +369,8 @@ class CubeWindow:
         self.params = params
 
     @cached_property
-    def _summary(self):
-        """The counts: all the window keeps of its layout."""
-        return _layout(self._runs).counts
-
-    @cached_property
     def squares(self):
         return tuple(_squares_of(self._runs))
-
-    def counts(self):
-        return dict(self._summary)
-
-    def euler_characteristic(self):
-        c = self._summary
-        return c["vertices"] - c["edges"] + c["squares"]
 
 
 def _flat_span(params, i):
@@ -446,47 +431,43 @@ def _wall_name(k):
 
 
 def walls(window):
-    """The ids w0000, w0001, ... of the window's walls, in wall-number order.
-
-    Walls are numbered by their least dual edge, in the order of edge tuples.
-    Their number is edges - 2 * squares, read off the counts with no wall
-    partition: under the link condition, which every window satisfies, the
-    dual edges of a wall form one path, each of its squares linking two
-    consecutive ones, and each square lies in two walls.
-    """
-    c = window._summary
-    return list(map(_wall_name, range(c["edges"] - 2 * c["squares"])))
+    """The ids w0000, w0001, ... of the window's walls, in wall-number order:
+    those of its contact graph, which builds the wall partition.  Walls are
+    numbered by their least dual edge, in the order of edge tuples.  Under
+    the link condition, which every window satisfies, the dual edges of a
+    wall form one path, each of its squares linking two consecutive ones,
+    and each square lies in two walls: so a window has edges - 2 * squares
+    walls, the count the staircase summary reads off StairParams.counts."""
+    return contact_graph(window).walls
 
 
 class ContactGraph:
     """Walls as nodes; edges between walls whose carriers share a vertex.
 
     crossings is the transversality subrelation: walls sharing a square.
-    walls is the list of wall ids, and a wall's number is its position there.
-    The graph alone builds the window's wall partition: it lays the window
-    out, records the window's counts from that layout, builds the walls and
-    keeps only _row_walls, row -> wall number, which the certificate reads
-    its family from; the rest goes once the graph is built.  The graph is
-    two lists per wall: _across[k] lists the walls that cross wall k, and
-    _contacts[k] the walls that meet it at a vertex without crossing it,
-    each once: rows that touch, consecutive squares of one run, the corner
-    rule.  A row is one horizontal wall, and its crossing list is its run's
-    crossings, the vertical walls of its squares by column; the row walls of
-    a band share that list.  A vertical wall's list is filled from those, so
-    each crossing is one entry on each side.  A band's rows copy its bottom
-    edges' walls, so its consecutive squares pair once for all its rows, and
-    consecutive rows of it touch.  Under the link condition a horizontal
-    wall is one row of squares and a vertical one lies in one column, with
-    at most one square in each row, so two walls share at most one square:
-    no crossing list repeats a wall.  walls, and neighbors and crossings
-    keyed by wall id, each neighbour tuple sorted as strings, are built on
-    first use.
+    walls is the list of wall ids, and a wall's number is its position
+    there.  The graph alone builds the window's wall partition: it lays the
+    window out, builds the walls and keeps only _row_walls, row -> wall
+    number, which the certificate reads its family from; the rest goes once
+    the graph is built.  The graph is two lists per wall: _across[k] lists
+    the walls that cross wall k, and _contacts[k] the walls that meet it at
+    a vertex without crossing it, each once: rows that touch, consecutive
+    squares of one run, the corner rule.  A row is one horizontal wall, and
+    its crossing list is its run's crossings, the vertical walls of its
+    squares by column; the row walls of a band share that list.  A vertical
+    wall's list is filled from those, so each crossing is one entry on each
+    side.  A band's rows copy its bottom edges' walls, so its consecutive
+    squares pair once for all its rows, and consecutive rows of it touch.
+    Under the link condition a horizontal wall is one row of squares and a
+    vertical one lies in one column, with at most one square in each row, so
+    two walls share at most one square: no crossing list repeats a wall.
+    walls, one id per crossing list, and neighbors and crossings keyed by
+    wall id, each neighbour tuple sorted as strings, are built on first use.
     """
 
     def __init__(self, window):
         self.window = window
         layout = _layout(window._runs)
-        window._summary = layout.counts
         n, horizontal, crossings = _walls(window._runs, layout)
         self._row_walls = horizontal
         touching, corners = layout.touching, layout.corners
@@ -540,7 +521,7 @@ class ContactGraph:
 
     @cached_property
     def walls(self):
-        return walls(self.window)
+        return list(map(_wall_name, range(len(self._across))))
 
     @cached_property
     def _numbers(self):

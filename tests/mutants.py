@@ -48,6 +48,9 @@ _STAIRCASE = "src/cscwalls/staircase.py"
 _ORACLE = "tests/test_staircase.py::TestWalls::test_staircases_match_tuple_oracle"
 _BANDS = "tests/test_staircase.py::TestBands::test_bands_agree_with_rows"
 _DOT_ROW = "tests/test_golden.py::test_golden_row[certify-10-3-15-15-dot]"
+_SUMMARY_ROW = "tests/test_golden.py::test_golden_row[staircase-4-2-9]"
+_CLOSED_FORM = "tests/test_staircase.py::TestWindowValidation::test_staircases_validate_like_tuple_oracle"
+_WIDE_COUNTS = "tests/test_staircase.py::TestWindowValidation::test_benchmark_scale_counts"
 _DEVELOP = "src/cscwalls/develop.py"
 _CHUNKED = "tests/test_develop.py::TestChunkedSweep::test_matches_sweep_by_blocks"
 
@@ -83,8 +86,8 @@ MUTANTS = [
     Mutant(
         "band-touching-pairs-dropped",
         _STAIRCASE,
-        "            touching[0].extend(range(first, last))\n"
-        "            touching[1].extend(range(first + 1, last + 1))\n",
+        "        touching[0].extend(range(first, last))\n"
+        "        touching[1].extend(range(first + 1, last + 1))\n",
         "",
         [_BANDS],
     ),
@@ -107,33 +110,27 @@ MUTANTS = [
     ),
     Mutant(
         "wall-count-off-by-one",
-        _STAIRCASE,
-        'c["edges"] - 2 * c["squares"]',
-        'c["edges"] - 2 * c["squares"] + 1',
+        "src/cscwalls/cli.py",
+        '"walls": counts["edges"] - 2 * counts["squares"],',
+        '"walls": counts["edges"] - 2 * counts["squares"] + 1,',
         [
-            "tests/test_golden.py::test_golden_row[staircase-4-2-9]",
-            "tests/test_staircase.py::TestWalls::test_wall_count_is_edges_less_twice_squares",
-        ],
-    ),
-    Mutant(
-        "summary-not-taken-from-the-graph-layout",
-        _STAIRCASE,
-        "        window._summary = layout.counts\n",
-        "",
-        [
-            "tests/test_cli.py::TestStaircase::test_each_command_lays_the_window_out_once[certify-dot]",
-            "tests/test_cli.py::TestStaircase::test_each_command_lays_the_window_out_once[staircase-dot]",
+            _SUMMARY_ROW,
+            "tests/test_cli.py::TestStaircase::test_window_summary_builds_no_contact_graph",
         ],
     ),
     Mutant(
         "vertical-edges-one-short",
         _STAIRCASE,
-        "n_edges += h * (b - a + 1)",
-        "n_edges += h * (b - a)",
-        [
-            "tests/test_golden.py::test_golden_row[staircase-4-2-9]",
-            "tests/test_staircase.py::TestWindowValidation::test_run_rows_match_tuple_oracles",
-        ],
+        "(s - 1) * (w + r + 1)",
+        "(s - 1) * (w + r)",
+        [_SUMMARY_ROW, _CLOSED_FORM, _WIDE_COUNTS],
+    ),
+    Mutant(
+        "inner-strip-vertices-one-short",
+        _STAIRCASE,
+        "(s - 1) * (w + 2 * r + 1)",
+        "(s - 1) * (w + 2 * r)",
+        [_SUMMARY_ROW, _CLOSED_FORM, _WIDE_COUNTS],
     ),
     Mutant(
         "bfs-misses-disconnection",
@@ -182,10 +179,7 @@ MUTANTS = [
         _STAIRCASE,
         "return a, a + params.overlap_len",
         "return a, a + params.overlap_len - 1",
-        [
-            "tests/test_golden.py::test_golden_row[staircase-4-2-9]",
-            "tests/test_golden.py::test_certify_row_passes_the_checker[certify-10-3-15-15-dot]",
-        ],
+        [_CLOSED_FORM, "tests/test_golden.py::test_certify_row_passes_the_checker[certify-10-3-15-15-dot]"],
     ),
     Mutant(
         "pair-code-letters-swapped",

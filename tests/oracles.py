@@ -12,7 +12,8 @@ commuting-powers searches that develop every rectangle from scratch instead
 of stacking vertical periods or read that block-by-block sweep, candidate
 words filtered from every germ-id tuple, a census oracle that filters raw
 4-tuples instead of running the exact-cover search, a census class count by
-Burnside's lemma that never forms a class, staircase window vertices,
+Burnside's lemma that never forms a class, a square's south-north mirror
+read off its sides, staircase window vertices,
 edges, counts, validation, walls and contact graphs on vertex and edge tuples
 instead of row runs (the engine keeps no vertex or edge tuples, and its walls
 need the link condition, where these take any squares), windows of any unit
@@ -32,7 +33,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from cscwalls.antitorus import PERIODIC_FLAT_DIAGNOSTIC, GammaResult
-from cscwalls.complexes import HORIZONTAL, VERTICAL
+from cscwalls.complexes import HORIZONTAL, VERTICAL, Square
 from cscwalls.develop import Word, _word_ids, develop_ids, stream_mismatch_ids
 from cscwalls.errors import DEFAULT_I_MAX, DEFAULT_K_MAX, BudgetExceeded, CscwallsError
 from cscwalls.staircase import CubeWindow, WindowSquare
@@ -192,6 +193,13 @@ def census_count_by_burnside(h_count, v_count):
     classes, rest = divmod(fixed, len(group))
     assert rest == 0, f"Burnside sum {fixed} is not a multiple of |G| = {len(group)}"
     return classes
+
+
+def flip_v(sq):
+    """The Square sq read from its NW corner (south-north mirror), built from
+    its sides; the package derives the other corners' readings on germ ids
+    when it builds its corner table."""
+    return Square(sq.top, sq.right.inverse(), sq.bottom, sq.left.inverse())
 
 
 def presentation_canonical_form(presentation):
@@ -463,7 +471,7 @@ def validate_by_tuples(squares):
     """Check any list of squares on their vertex tuples: a square-by-square
     quadrant scan for the link condition, the Euler number 1 from the sets
     of vertices and edges, and a depth-first search for connectivity.
-    Returns the count summary of CubeWindow.counts; raises CscwallsError,
+    Returns the counts, keyed as StairParams.counts; raises CscwallsError,
     naming the first failure."""
     holder = {}
     for i, sq in enumerate(squares):

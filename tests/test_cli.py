@@ -230,10 +230,13 @@ class TestStaircase:
         assert list(tmp_path.iterdir()) == []
 
     def test_window_summary_builds_no_contact_graph(self, capsys, monkeypatch):
-        """Without --p or --dot only the wall count is needed, and it is read
-        off the counts: neither the contact graph nor the wall partition is
-        built.  The summary's bytes are pinned from the run that built the
-        whole contact graph."""
+        """Without --p or --dot the summary reads its counts and wall count
+        off the shape: no window, contact graph or wall partition is built.
+        The summary's bytes are pinned from the run that built the whole
+        contact graph."""
+
+        def no_build(params):
+            raise AssertionError("build_staircase called")
 
         def no_graph(window):
             raise AssertionError("contact_graph called")
@@ -241,9 +244,11 @@ class TestStaircase:
         def no_walls(runs, layout):
             raise AssertionError("_walls called")
 
+        monkeypatch.setattr(cscwalls.staircase, "build_staircase", no_build)
         monkeypatch.setattr(cscwalls.staircase, "contact_graph", no_graph)
         monkeypatch.setattr(cscwalls.staircase, "_walls", no_walls)
         code, out, _ = run(capsys, "staircase", "--L", "4", "--r", "2", "--steps", "9")
+        monkeypatch.undo()
         assert code == 0
         assert json.loads(out)["walls"] == len(walls(build_staircase(StairParams(4, 2, 9)))) == 77
         assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -256,8 +261,9 @@ class TestStaircase:
         ids=["certify", "certify-dot", "staircase", "staircase-dot"],
     )
     def test_each_command_lays_the_window_out_once(self, capsys, monkeypatch, tmp_path, argv):
-        """The contact graph records the window's counts from its own layout,
-        so no command lays a window out twice."""
+        """Only the contact graph lays a window out, and only --p and --dot
+        build one: the summary alone lays out nothing, and no command lays a
+        window out twice."""
         layout = cscwalls.staircase._layout
         calls = []
 
@@ -269,7 +275,7 @@ class TestStaircase:
         if argv[-1] == "--dot":
             argv = [*argv, str(tmp_path / "g.dot")]
         code, _, _ = run(capsys, *argv, "--L", "4", "--r", "2", "--steps", "9")
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and len(calls) == (argv != ["staircase"])
 
     def test_certify_requires_p(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

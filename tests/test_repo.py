@@ -86,7 +86,7 @@ def test_benchmark_staircase_work_counts():
     window = build_staircase(params)
     graph = contact_graph(window)
     oracle = contact_graph_by_tuples(window)
-    assert spans.INFO["staircase.build_staircase"](window, params) == window.counts()["squares"] == 82
+    assert spans.INFO["staircase.build_staircase"](window, params) == params.counts()["squares"] == 82
     assert spans.INFO["staircase.walls"](walls(window), window) == len(oracle.walls)
     contact_edges = sum(map(len, oracle.neighbors.values())) // 2
     assert spans.INFO["staircase.contact_graph"](graph, window) == contact_edges > 0

@@ -72,6 +72,13 @@ def stair_shapes(draw):
     return StairParams(L, r, draw(st.integers(1, m + 5)), draw(st.integers(1, 4)))
 
 
+@st.composite
+def large_shapes(draw):
+    """StairParams with L, steps <= 10**6 and margin <= 1000, r <= L."""
+    L = draw(st.integers(1, 10**6))
+    return StairParams(L, draw(st.integers(1, L)), draw(st.integers(1, 10**6)), draw(st.integers(1, 1000)))
+
+
 #: Unit squares on a 5x5 grid, all four corners tagged at random, so that two
 #: squares can lie in one place without sharing a vertex; repeats allowed.
 unit_square_lists = st.lists(
@@ -224,7 +231,7 @@ def assert_lists_match_oracle(graph, oracle):
         entries[k in horizontal] += len(crossed)
         listed = [*crossed, *near, k]
         assert len(set(listed)) == len(listed), graph.walls[k]
-    assert entries == [window.counts()["squares"]] * 2
+    assert entries == [len(window.squares)] * 2
     names = graph.walls
     sources = names if len(names) <= 50 else names[:: -(-len(names) // 8)]
     for source in sources:
@@ -281,6 +288,15 @@ class TestParams:
     def test_crossing_bound_formula(self, L, r, m):
         assert StairParams(L, r, steps=1).crossing_bound == m
 
+    @given(large_shapes())
+    def test_counts_give_euler_characteristic_and_wall_count(self, params):
+        """At sizes too large to build, as counts() states: Euler
+        characteristic 1, and edges - 2 * squares walls in closed form."""
+        L, r, s, m = params
+        c = params.counts()
+        assert c["vertices"] - c["edges"] + c["squares"] == 1
+        assert c["edges"] - 2 * c["squares"] == L + 2 * m * (s + 1) + 3 * s + 2 + (s - 1) * (r + 1)
+
 
 class TestGoldenWindow:
     """Hand-enumerated smallest staircase: L=2, r=1, one level, margin 1.
@@ -290,9 +306,9 @@ class TestGoldenWindow:
     """
 
     def test_counts(self):
-        w = build_staircase(StairParams(2, 1, steps=1, margin=1))
-        assert w.counts() == {"vertices": 32, "edges": 51, "squares": 20}
-        assert w.euler_characteristic() == 1
+        params = StairParams(2, 1, steps=1, margin=1)
+        counts = {"vertices": 32, "edges": 51, "squares": 20}
+        assert params.counts() == counts_by_tuples(build_staircase(params).squares) == counts
 
     def test_detached_vertices(self):
         w = build_staircase(StairParams(2, 1, steps=1, margin=1))
@@ -303,8 +319,8 @@ class TestGoldenWindow:
 
 class TestWindowValidation:
     def test_medium_window_validates(self):
-        w = build_staircase(StairParams(4, 2, steps=4, margin=2))
-        assert validate_by_tuples(w.squares) == w.counts()
+        params = StairParams(4, 2, steps=4, margin=2)
+        assert validate_by_tuples(build_staircase(params).squares) == params.counts()
 
     @settings(max_examples=100)
     @given(st.one_of(unit_square_lists, run_rows()))
@@ -319,44 +335,45 @@ class TestWindowValidation:
     @settings(max_examples=300)
     @given(unit_square_lists.map(under_link))
     def test_validation_matches_tuple_oracle(self, squares):
-        """Any unit squares under the link condition: the window has the tuple
-        oracle's counts, and its contact graph is disconnected exactly where
-        the oracle's search finds it so, which is where the window is."""
+        """Any unit squares under the link condition: the window's contact
+        graph is disconnected exactly where the oracle's search finds it so,
+        which is where the window is."""
         window = window_of(squares)
-        assert window.counts() == counts_by_tuples(squares)
         assert_lists_match_oracle(contact_graph(window), contact_graph_by_tuples(window))
 
     @settings(max_examples=200)
     @given(run_rows().map(under_link))
     def test_run_rows_match_tuple_oracles(self, squares):
         """Long rows with tag switches, overlapping and repeated, under the
-        link condition: the window has the tuple oracles' counts, walls and
-        contact graph, contractible and connected or not."""
-        window = window_of(squares)
-        assert window.counts() == counts_by_tuples(squares)
-        assert_graph_matches_oracle(window)
+        link condition: the window has the tuple oracles' walls and contact
+        graph, contractible and connected or not."""
+        assert_graph_matches_oracle(window_of(squares))
 
     def test_benchmark_scale_counts(self):
-        window = build_staircase(StairParams(110, 4, 100))
-        assert window.counts() == {"vertices": 46418, "edges": 91725, "squares": 45308}
-        assert len(walls(window)) == 1109
+        """The counts the layout of the wide benchmark window measured."""
+        params = StairParams(110, 4, 100)
+        assert params.counts() == {"vertices": 46418, "edges": 91725, "squares": 45308}
+        assert len(walls(build_staircase(params))) == 1109 == 91725 - 2 * 45308
 
-    @settings(max_examples=40)
+    @settings(max_examples=60)
     @given(stair_shapes())
     def test_staircases_validate_like_tuple_oracle(self, params):
+        """The closed-form counts are the tuple oracle's, of a connected
+        window with Euler characteristic 1, and edges - 2 * squares is the
+        number of walls of the contact graph and of the tuple oracle."""
         window = build_staircase(params)
-        assert validate_by_tuples(window.squares) == window.counts()
-        assert window.euler_characteristic() == 1
-
-    def test_annulus_is_not_contractible(self):
-        window = window_of(_annulus())
-        assert window.euler_characteristic() == 0
+        c = params.counts()
+        assert validate_by_tuples(window.squares) == counts_by_tuples(window.squares) == c
+        assert c["vertices"] - c["edges"] + c["squares"] == 1
+        assert len(contact_graph(window).walls) == len(walls_by_tuples(window)) == c["edges"] - 2 * c["squares"]
 
     def test_annulus_and_far_square_is_not_connected(self):
         """Euler number 1, so only the contact graph's search tells it apart
         from a contractible window."""
-        window = window_of(_annulus() + [unit_square(10, 10)])
-        assert window.euler_characteristic() == 1
+        squares = _annulus() + [unit_square(10, 10)]
+        c = counts_by_tuples(squares)
+        assert c["vertices"] - c["edges"] + c["squares"] == 1
+        window = window_of(squares)
         with pytest.raises(CscwallsError, match="disconnected"):
             contact_distances(contact_graph(window), "w0000")
 
@@ -515,9 +532,12 @@ class TestWalls:
     def test_wall_count_is_edges_less_twice_squares(self, window):
         """Under the link condition the dual edges of a wall form one path,
         each of its squares linking two consecutive ones, and each square
-        lies in two walls: the count walls() reads off the counts, the
-        contact graph's partition and the tuple oracle's walls agree."""
-        c = window.counts()
+        lies in two walls: that count from the tuple oracle's counts, the
+        contact graph's partition and the tuple oracle's walls agree, and a
+        staircase's closed-form counts are the oracle's."""
+        c = counts_by_tuples(window.squares)
+        if window.params is not None:
+            assert window.params.counts() == c
         n = c["edges"] - 2 * c["squares"]
         assert len(walls(window)) == len(contact_graph(window)._across) == len(walls_by_tuples(window)) == n
 
@@ -541,12 +561,12 @@ class TestBands:
     def test_bands_agree_with_rows(self, params):
         """A built window carries each flat as one band, and the window of its
         squares carries each row of squares as a run of its own: the two give
-        the same counts, walls, neighbours, crossings, DOT text and distances
+        the same squares, walls, neighbours, crossings, DOT text and distances
         from the base strip wall."""
         bands = build_staircase(params)
         rows = window_of(bands.squares)
         assert {run[5] for run in rows._runs} == {1}
-        assert rows.counts() == bands.counts()
+        assert sorted(rows.squares) == sorted(bands.squares)
         assert walls(rows) == walls(bands)
         a, b = contact_graph(bands), contact_graph(rows)
         assert a.neighbors == b.neighbors and a.crossings == b.crossings
@@ -625,17 +645,12 @@ class TestContactGraph:
         ids=["built", "squares"],
     )
     def test_contact_graph_drops_the_layout(self, make):
-        """Once its contact graph is built a window holds no layout and no
-        wall partition: only its parameters, its squares if made, its runs
-        and its counts.  Its counts and Euler characteristic, asked for after
-        the graph, still answer as before."""
-        params = StairParams(4, 2, steps=9)
-        expected = counts_by_tuples(build_staircase(params).squares)
-        window = make(params)
+        """Once its contact graph is built a window holds no layout, no wall
+        partition and no counts: only its parameters, its squares if made,
+        and its runs."""
+        window = make(StairParams(4, 2, steps=9))
         contact_graph(window)
-        assert set(window.__dict__) <= {"params", "squares", "_runs", "_summary"}
-        assert window.counts() == expected
-        assert window.euler_characteristic() == 1
+        assert set(window.__dict__) <= {"params", "squares", "_runs"}
 
     def test_dot_export(self):
         """Two squares side by side: w0000 runs through both, w0001 and w0002
@@ -764,11 +779,10 @@ class TestCertificate:
         assert cert.witness_wall == wall_of_edge(graph, base_axis_edge(params))
 
     def test_benchmark_scale_certificate_scans_no_squares(self):
-        """Counts, walls, contact graph and certificate of a built window work
-        on runs: none of them builds the window's 45,308 squares."""
+        """Walls, contact graph and certificate of a built window work on
+        runs: none of them builds the window's 45,308 squares."""
         params = StairParams(110, 4, 100)
         window = build_staircase(params)
-        window.counts()
         graph = contact_graph(window)
         nonacyl_certificate(params, 100, graph)
         assert "squares" not in graph.window.__dict__
