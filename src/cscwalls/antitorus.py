@@ -30,8 +30,10 @@ of ``obstruct --nmax 32`` develop 82 columns per direction and keep 7 rises.
 A sweep develops columns over the right word R in chunks, each with a row
 from (letter or pair in) to (letter or pair out, developed chunk), so once
 the memo has met R's chunks one walk up R costs one lookup per chunk and
-develops two columns.  A query's two sweeps share one memo: on the shipped
-pair the second adds 4 chunks to the first's 766.  The overlap readers take
+develops two columns.  A chunk's letter slots are filled from those of its
+two halves.  A query's two sweeps share one memo: on the shipped pair the
+first interns 724 chunks of 8 ids and 100 of 4 (R's last chunks and the
+halves), and the second adds none.  The overlap readers take
 only j from a sweep; R is read only by the commuting-powers search, at
 period boundaries while j is within its bound, and chunk by chunk up to the
 first that differs from v^j, so the R of the first column of a walk of two

@@ -16,12 +16,15 @@ algorithm: the commuting-powers screen and the overlap sweep both read it.
 It develops columns over a right word held in chunks of CHUNK germ ids,
 each with a row that maps (chunk, letter in) to (letter out, developed
 chunk) and (chunk, pair in) to (pair out, chunk after both columns): while
-the rows are warm, one walk up the right word develops two columns.  So
-``develop_ids`` runs only on a chunk not yet met with that letter, or on a
-right word within one chunk, whose column is stored in a dict.  Chunks,
-rows and dict make one memo (``_Memo``), built on one complex's corner
-tables, which a sweep takes in their place; a query's two directions share
-one, and so do all census screen verdicts on one complex.
+the rows are warm, one walk up the right word develops two columns.  A
+chunk longer than HALF ids is two halves, each a chunk too, and a letter
+develops it as it develops its first half and then, under the letter out,
+its second, so its slot is the join of its halves' slots.  So
+``develop_ids`` runs only on a chunk of at most HALF ids not yet met with
+that letter, or on a right word within one chunk, whose column is stored
+in a dict.  Chunks, rows and dict make one memo (``_Memo``), built on one
+complex's corner tables, which a sweep takes in their place; a query's two
+directions share one, and so do all census screen verdicts on one complex.
 """
 
 import itertools
@@ -198,6 +201,8 @@ def stream_mismatch_ids(tables, period_ids, side_ids, max_cols):
 
 #: Germ ids per chunk of the right word R in orbit_lengths.
 CHUNK = 8
+#: Germ ids in the first half of a chunk longer than HALF (_Memo.fill).
+HALF = CHUNK // 2
 
 def orbit_lengths(memo, period_ids, side_ids):
     """Yield (j(N), R) for N = 1, 2, ...: j(N) is the orbit length of the
@@ -224,8 +229,9 @@ def orbit_lengths(memo, period_ids, side_ids):
     a chunk's row per chunk: a letter b1 develops column N+1 alone, and a
     pair (b1, b2) develops columns N+1 and N+2 together, from (chunk, pair
     in) to (pair out, chunk after both columns).  A pair miss resolves
-    through the two single-letter slots, and a single-letter miss develops
-    the chunk with develop_ids (_Memo.fill).  The first letter of the top
+    through the two single-letter slots, and a single-letter miss joins the
+    slots of the chunk's two halves, or develops a chunk of at most HALF ids
+    with develop_ids (_Memo.fill).  The first letter of the top
     pair is column N+1's top, so it comes back to b1 first after s1 blocks
     and the pair comes back to (b1, b2) after s blocks: j(N+1) = s1*j(N),
     j(N+2) = s*j(N), and s1 divides s.  Column N+1 is yielded after block
@@ -242,7 +248,8 @@ def orbit_lengths(memo, period_ids, side_ids):
     more than the lookups that pairs save: with a pair at every walk, census
     sweeps (8,568 of them: both directions of the first 6 x 6 candidate
     pairs of length <= 2 on every 2+2 and every 50th 2+3 entry, to 120
-    columns) made 17% more develop_ids calls and took 13% longer.
+    columns) made 17% more develop_ids calls and took 13% longer, when
+    every single-letter miss developed its whole chunk.
 
     The memo (a _Memo) holds the work developed on its tables for every
     sweep given it, so all sweeps on one complex share it and none can read
@@ -344,7 +351,10 @@ class _Memo:
     horizontal germ g, L + g1*L + g2 for the pair (g1, g2), where L is the
     number of horizontal germs.  Slot g holds (letter out, developed chunk
     id), slot (g1, g2) holds (pair out, chunk id after both columns), and an
-    empty slot holds None.  Chunks are only appended."""
+    empty slot holds None.  A chunk longer than HALF ids is interned with
+    its halves, its first HALF ids and the rest, and ``fill`` sets its
+    single-letter slots from theirs; the chunk that two developed halves
+    join into is kept by the pair of their ids.  Chunks are only appended."""
 
     def __init__(self, tables):
         self.tables = tables
@@ -353,22 +363,39 @@ class _Memo:
         self.pairs = [None] * letters + list(itertools.product(range(letters), repeat=2))  # code -> (g1, g2)
         self.chunks = []  # chunk id -> germ ids
         self.rows = []  # chunk id -> letter code -> (code out, developed chunk id) or None
+        self.halves = []  # chunk id -> (first HALF ids, the rest) as chunk ids, or None within HALF
         self._ids = {}
+        self._joins = {}  # (first half, second half) -> chunk id
 
     def intern(self, ids):
         ids = tuple(ids)
         c = self._ids.get(ids)
         if c is None:
+            halves = (self.intern(ids[:HALF]), self.intern(ids[HALF:])) if len(ids) > HALF else None
             c = self._ids[ids] = len(self.chunks)
             self.chunks.append(ids)
             self.rows.append([None] * (self.letters * (self.letters + 1)))
+            self.halves.append(halves)
         return c
 
     def fill(self, c, g):
-        """Develop chunk c under the letter g with develop_ids, store the
-        result in c's row and return it."""
-        (h,), developed = develop_ids(self.tables, (g,), self.chunks[c])
-        hit = self.rows[c][g] = h, self.intern(developed)
+        """Develop chunk c under the letter g, store the result in c's row
+        and return it.  A chunk within HALF ids develops with develop_ids;
+        a longer one is its two halves' slots joined: the first half under
+        g gives (h, a), the second half under h gives (h', b), and the slot
+        is (h', a joined to b)."""
+        rows, halves = self.rows, self.halves[c]
+        if halves is None:
+            (h,), developed = develop_ids(self.tables, (g,), self.chunks[c])
+            out = self.intern(developed)
+        else:
+            first, second = halves
+            h, a = rows[first][g] or self.fill(first, g)
+            h, b = rows[second][h] or self.fill(second, h)
+            out = self._joins.get((a, b))
+            if out is None:
+                out = self._joins[a, b] = self.intern(self.chunks[a] + self.chunks[b])
+        hit = rows[c][g] = h, out
         return hit
 
     def cut(self, ids):

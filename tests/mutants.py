@@ -53,6 +53,9 @@ _CLOSED_FORM = "tests/test_staircase.py::TestWindowValidation::test_staircases_v
 _WIDE_COUNTS = "tests/test_staircase.py::TestWindowValidation::test_benchmark_scale_counts"
 _DEVELOP = "src/cscwalls/develop.py"
 _CHUNKED = "tests/test_develop.py::TestChunkedSweep::test_matches_sweep_by_blocks"
+_SLOTS = "tests/test_develop.py::TestChunkedSweep::test_filled_slots_match_develop_ids"
+_ANTITORUS = "src/cscwalls/antitorus.py"
+_SCAN = "tests/test_antitorus.py::TestOverlapSweep::test_sweep_reads_match_a_column_scan"
 
 MUTANTS = [
     Mutant(
@@ -162,7 +165,7 @@ MUTANTS = [
     ),
     Mutant(
         "left-right-len-swapped",
-        "src/cscwalls/antitorus.py",
+        _ANTITORUS,
         "left_len, right_len = overlap_at_height(query, j, k_max)",
         "right_len, left_len = overlap_at_height(query, j, k_max)",
         ["tests/test_golden.py::test_golden_row[gamma-a-xy-5]"],
@@ -203,6 +206,27 @@ MUTANTS = [
         [_CHUNKED, "tests/test_antitorus.py::TestOverlapSweep::test_development_stops_at_the_height_cap"],
     ),
     Mutant(
+        "second-half-under-the-input-letter",
+        _DEVELOP,
+        "h, b = rows[second][h] or self.fill(second, h)",
+        "h, b = rows[second][g] or self.fill(second, g)",
+        [_SLOTS, _CHUNKED],
+    ),
+    Mutant(
+        "agreement-one-column-long",
+        _ANTITORUS,
+        "return end - 1 if end is not None and end <= max_cols else None",
+        "return end if end is not None and end <= max_cols else None",
+        [_SCAN, "tests/test_golden.py::test_golden_row[gamma-5]"],
+    ),
+    Mutant(
+        "height-skips-the-rise-at-cols",
+        _ANTITORUS,
+        "if first <= cols)",
+        "if first < cols)",
+        [_SCAN, "tests/test_golden.py::test_golden_row[obstruct-32]"],
+    ),
+    Mutant(
         "column-key-without-letter",
         _DEVELOP,
         "key = b, tuple(word)",
@@ -211,7 +235,7 @@ MUTANTS = [
     ),
     Mutant(
         "commuting-powers-always-null",
-        "src/cscwalls/antitorus.py",
+        _ANTITORUS,
         "return (cols // len(h_ids), j)",
         "return None",
         ["tests/test_checker.py::test_antitorus_artifact_passes_the_checker[torus]"],

@@ -265,14 +265,26 @@ ORACLE_I_MAX = 5000
 
 @pytest.fixture
 def develop_calls(monkeypatch):
-    """A Counter whose "develop_ids" entry counts develop.develop_ids calls."""
+    """A Counter whose "develop_ids" entry counts develop.develop_ids calls
+    and whose "fills" entry counts the chunk-row fills that sweeps ask for:
+    _Memo.fill calls other than those of a chunk's fill on its halves."""
     calls = Counter()
+    fill, depth = _Memo.fill, [0]
 
     def counted(*args):
         calls["develop_ids"] += 1
         return develop_ids(*args)
 
+    def counted_fill(memo, c, g):
+        calls["fills"] += not depth[0]
+        depth[0] += 1
+        try:
+            return fill(memo, c, g)
+        finally:
+            depth[0] -= 1
+
     monkeypatch.setattr(develop, "develop_ids", counted)
+    monkeypatch.setattr(_Memo, "fill", counted_fill)
     return calls
 
 
@@ -398,13 +410,15 @@ class TestOverlapSweep:
     def test_directions_share_one_chunk_table(self, shipped, develop_calls):
         """On the shipped pair the two directions meet almost the same
         chunks, so overlap_gamma(q, 500), whose sweeps each develop 730
-        columns, makes at most 52% of the 3,650 develop_ids calls of two
-        sweeps with a memo each (1,870 with one memo), and both sweeps'
-        right words index one memo."""
+        columns, makes at most 52% of the 3,576 chunk-row fills of two
+        sweeps with a memo each (1,787 with one memo), and both sweeps'
+        right words index one memo.  A chunk's fill joins its halves' slots,
+        so the query makes at most 400 develop_ids calls (350)."""
         q = AntiTorusQuery(shipped.complex, shipped.hword, shipped.vword)
         assert overlap_gamma(q, 500).total_len == 1458
         assert [s.cols for s in q.sweeps] == [730, 730]
-        assert develop_calls["develop_ids"] <= 0.52 * 3650, develop_calls
+        assert develop_calls["fills"] <= 0.52 * 3576, develop_calls
+        assert develop_calls["develop_ids"] <= 400, develop_calls
         east_memo, west_memo = (next(s._lengths)[1]._memo for s in q.sweeps)
         assert east_memo is west_memo
 

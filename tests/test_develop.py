@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import cscwalls as cw
 from cscwalls import develop
 from cscwalls.antitorus import _candidates
-from cscwalls.develop import BACKEND, CHUNK, _word_ids, orbit_lengths, parse_word, stream_mismatch_ids
+from cscwalls.develop import BACKEND, CHUNK, HALF, _word_ids, orbit_lengths, parse_word, stream_mismatch_ids
 from cscwalls.errors import DevelopmentError, WordError
 
 from .conftest import random_reduced_word
@@ -250,7 +250,7 @@ class TestChunkedSweep:
     #: that an equal sweep filled first, with the kinds each one meets: only
     #: the first column's j rises, only the second's, both; a pending R that
     #: is v^j and one that is not; a second column whose j rises and that
-    #: runs develop_ids only when read.
+    #: fills chunk rows only when read.
     FIXED = [
         ("shipped", 0, [0], [0], 20, {"second", "pending R = v^j False"}),
         ("2+3", 760, [1, 2], [0], 60, {"first", "second", "pending R = v^j False"}),
@@ -274,24 +274,24 @@ class TestChunkedSweep:
         The first column's R is pending there; its R = v^j test
         (``repeats``, as _commuting_powers reads it) must agree with the
         reference and come out both true and false.  The walk must stop at
-        that column: some second columns whose j rises run develop_ids only
-        when read.  The sweeps of FIXED are checked beside the draws, and
-        alone meet each of these kinds as often as the test asks.  Every
-        chunked R indexes the sweep's memo.  A column that never closes fails
-        its example after 5 s."""
+        that column: some second columns whose j rises fill chunk rows
+        (_Memo.fill) only when read.  The sweeps of FIXED are checked beside
+        the draws, and alone meet each of these kinds as often as the test
+        asks.  Every chunked R indexes the sweep's memo.  A column that never
+        closes fails its example after 5 s."""
         complexes, growing = census
         p0 = shipped.complex
         shipped_ids = [_word_ids(p0, w.period) for w in (shipped.hword, shipped.hword.inverse())]
         candidates = {}
         seen = Counter()
         calls = Counter()
-        kernel = develop.develop_ids
+        fill = develop._Memo.fill
 
-        def counted(*args):
-            calls["develop_ids"] += 1
-            return kernel(*args)
+        def counted(memo, c, g):
+            calls["fill"] += 1
+            return fill(memo, c, g)
 
-        monkeypatch.setattr(develop, "develop_ids", counted)
+        monkeypatch.setattr(develop._Memo, "fill", counted)
 
         def sweep_and_check(p, h_ids, v_ids, cols, warm):
             """Check cols columns of one sweep against the reference; the
@@ -308,11 +308,11 @@ class TestChunkedSweep:
             prev_len = len(v_ids)
             js, developed, pending = [1], [False], []  # by column, from column 0
             for ref_j, ref_right in itertools.islice(reference, cols):
-                before = calls["develop_ids"]
+                before = calls["fill"]
                 with deadline(5):
                     j, right = next(sweep)
                 js.append(j)
-                developed.append(calls["develop_ids"] > before)
+                developed.append(calls["fill"] > before)
                 letters = len(ref_right)
                 if letters > CHUNK:
                     assert right._memo is memo
@@ -456,6 +456,65 @@ class TestChunkedSweep:
             assert all(len(side) <= CHUNK for _, side in memo.columns)
             stored += len(memo.columns)
         assert long_sides >= 50 and stored >= 100
+
+    def test_filled_slots_match_develop_ids(self, census, shipped, census22, census23, monkeypatch):
+        """Every slot that _Memo.fill sets equals develop_ids on the chunk's
+        germ ids under that letter: on the shipped pair, both directions on
+        one memo, and on drawn sweeps of 2+2 and 2+3 complexes, a third of
+        them on complexes whose sweeps grow, with words of length <= 3, over
+        up to 60 columns.  Once a sweep has yielded a chunked R, develop_ids
+        sees only left words of at most HALF ids, also while a pending R is
+        read: a chunk longer than HALF fills from its halves' slots."""
+        _, growing = census
+        p0 = shipped.complex
+        shipped_v = _word_ids(p0, shipped.vword.period)
+        shipped_pairs = [(_word_ids(p0, w.period), shipped_v) for w in (shipped.hword, shipped.hword.inverse())]
+        complexes = census22 + census23
+        growing = [p for p in growing if any(p is e for e in complexes)]
+        kernel, fill = develop.develop_ids, develop._Memo.fill
+        chunked = [False]  # whether the sweep being read has yielded a chunked R
+        seen = Counter()
+
+        def counted(tables, bottom, left):
+            if chunked[0]:
+                seen["kernel calls"] += 1
+                assert len(left) <= HALF, left
+            return kernel(tables, bottom, left)
+
+        def checked(memo, c, g):
+            hit = fill(memo, c, g)
+            (h,), developed = kernel(memo.tables, (g,), memo.chunks[c])
+            assert memo.rows[c][g] is hit
+            assert (hit[0], memo.chunks[hit[1]]) == (h, tuple(developed)), (memo.chunks[c], g)
+            seen["long fills"] += len(memo.chunks[c]) > HALF
+            return hit
+
+        monkeypatch.setattr(develop, "develop_ids", counted)
+        monkeypatch.setattr(develop._Memo, "fill", checked)
+
+        def sweep(memo, h_ids, v_ids, cols):
+            chunked[0] = False
+            for _, (_, right) in zip(range(cols), orbit_lengths(memo, h_ids, v_ids)):
+                if type(right) is not list:
+                    chunked[0] = True
+                    if len(list(right)) > self.MAX_LETTERS:
+                        break
+
+        @given(st.data())
+        @settings(max_examples=60)
+        def check(data):
+            p = data.draw(st.sampled_from(growing if data.draw(st.integers(0, 2)) == 0 else complexes), label="complex")
+            hwords, vwords = ([list(w) for w, _ in _candidates(len(p.germs[k]), 3)] for k in (cw.HORIZONTAL, cw.VERTICAL))
+            h_ids, v_ids = data.draw(st.sampled_from(hwords), label="h"), data.draw(st.sampled_from(vwords), label="v")
+            sweep(develop._Memo(p.tables), h_ids, v_ids, data.draw(st.integers(1, self.MAX_COLS), label="columns"))
+
+        memo = develop._Memo(p0.tables)
+        for h_ids, v_ids in shipped_pairs:
+            sweep(memo, h_ids, v_ids, self.MAX_COLS)
+        shipped_fills = seen["long fills"]
+        check()
+        assert shipped_fills >= 1000 and seen["long fills"] >= shipped_fills + 1000, seen
+        assert seen["kernel calls"] >= 1000, seen
 
 
 class TestCells:
