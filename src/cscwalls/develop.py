@@ -21,10 +21,11 @@ chunk longer than HALF ids is two halves, each a chunk too, and a letter
 develops it as it develops its first half and then, under the letter out,
 its second, so its slot is the join of its halves' slots.  So
 ``develop_ids`` runs only on a chunk of at most HALF ids not yet met with
-that letter, or on a right word within one chunk, whose column is stored
-in a dict.  Chunks, rows and dict make one memo (``_Memo``), built on one
-complex's corner tables, which a sweep takes in their place; a query's two
-directions share one, and so do all census screen verdicts on one complex.
+that letter, or on a right word within one chunk, whose next right word is
+kept in a dict.  One memo (``_Memo``) keeps just the chunks, with their rows
+and halves, and that dict.  It is built on one complex's corner tables and
+a sweep takes it in their place; a query's two directions share one, and
+so do all census screen verdicts on one complex.
 """
 
 import itertools
@@ -209,7 +210,8 @@ def orbit_lengths(memo, period_ids, side_ids):
     length-N prefix of the periodic bottom word (period_ids repeated) under
     stacking one copy of side_ids, the least j whose rectangle of height j
     copies has that prefix as its top, and R is that rectangle's right word.
-    The development runs on memo.tables, the corner tables of the memo.
+    The development runs on memo.tables.  side_ids must be nonempty, as a
+    PeriodicWord's ids and a census screen candidate are.
 
     In a CSC stacking is a bijection on the words of each length, and
     development is prefix-stable, so the heights that return the length-N
@@ -228,19 +230,19 @@ def orbit_lengths(memo, period_ids, side_ids):
     walk threads a letter code up R's chunks block by block, one lookup in
     a chunk's row per chunk: a letter b1 develops column N+1 alone, and a
     pair (b1, b2) develops columns N+1 and N+2 together, from (chunk, pair
-    in) to (pair out, chunk after both columns).  A pair miss resolves
-    through the two single-letter slots, and a single-letter miss joins the
-    slots of the chunk's two halves, or develops a chunk of at most HALF ids
-    with develop_ids (_Memo.fill).  The first letter of the top
-    pair is column N+1's top, so it comes back to b1 first after s1 blocks
-    and the pair comes back to (b1, b2) after s blocks: j(N+1) = s1*j(N),
-    j(N+2) = s*j(N), and s1 divides s.  Column N+1 is yielded after block
-    s1, so up to that yield the walk takes exactly the steps of a walk of
-    column N+1 alone, filling column N+2's chunks alongside; it goes on to
-    block s only when the sweep is read again.  The chunks of the walk's
-    last column are the next R, its tail cut again when there are several
-    blocks and R's last chunk is partial: the first block's chunks stay, and
-    from its last chunk on the ids are cut afresh.
+    in) to (pair out, chunk after both columns).  A pair miss reads its two
+    letters off its code and resolves through their single-letter slots, and
+    a single-letter miss joins the slots of the chunk's two halves, or
+    develops a chunk of at most HALF ids with develop_ids (_Memo.fill).  The
+    first letter of the top pair is column N+1's top, so it comes back to b1
+    first after s1 blocks and the pair comes back to (b1, b2) after s
+    blocks: j(N+1) = s1*j(N), j(N+2) = s*j(N), and s1 divides s.  Column N+1
+    is yielded after block s1, so up to that yield the walk takes exactly
+    the steps of a walk of column N+1 alone, filling column N+2's chunks
+    alongside; it goes on to block s only when the sweep is read again.  The
+    chunks of the walk's last column are the next R, its tail cut again when
+    there are several blocks and R's last chunk is partial: the first
+    block's chunks stay, and from its last chunk on the ids are cut afresh.
 
     A walk takes a pair only when the step before it added no chunk to the
     memo (cutting the R that left the base case counts as a step).  A walk
@@ -254,14 +256,14 @@ def orbit_lengths(memo, period_ids, side_ids):
     The memo (a _Memo) holds the work developed on its tables for every
     sweep given it, so all sweeps on one complex share it and none can read
     another complex's work.  A base-case column depends only on the tables,
-    its bottom letter b and R, so memo.columns maps (b, R as a tuple) to (t,
-    next R), and a sweep that meets the same b and R reads it back instead
-    of developing t blocks.  Its keys never exceed CHUNK ids: a side word
-    longer than one chunk starts in the chunks, and R only grows (its length
-    is j*len(side_ids)), so a sweep that has left the base case never
-    returns to it.  The chunk rows are shared the same way, so the two
-    directions of one query fill each other's rows.  Chunks are only
-    appended, so every yielded R stays valid.
+    its bottom letter b and R, so memo.columns maps (b, R as a tuple) to the
+    next R, and a sweep that meets the same b and R reads it back instead of
+    developing t blocks (t is the next R's length over R's).  Its keys never
+    exceed CHUNK ids: a side word longer than one chunk starts in the
+    chunks, and R only grows (its length is j*len(side_ids)), so a sweep
+    that has left the base case never returns to it.  The chunk rows are
+    shared the same way, so the two directions of one query fill each
+    other's rows.  Chunks are only appended, so every yielded R stays valid.
 
     R is yielded as a sequence of germ ids: a list while it fits in one
     chunk, else a _ChunkedWord, expanded only when iterated, so a reader of
@@ -280,20 +282,18 @@ def orbit_lengths(memo, period_ids, side_ids):
         b = period_ids[col % plen]
         col += 1
         key = b, tuple(word)
-        hit = columns.get(key)
-        if hit is None:
+        next_word = columns.get(key)
+        if next_word is None:
             (top,), next_word = develop_ids(tables, (b,), word)
-            t = 1
             while top != b:
                 (top,), block = develop_ids(tables, (top,), word)
                 next_word += block
-                t += 1
-            hit = columns[key] = t, next_word
-        t, word = hit
-        j *= t
+            columns[key] = next_word
+        j *= len(next_word) // len(word)
+        word = next_word
         if len(word) <= CHUNK:
             yield j, word
-    rows, chunks, fill, pairs, letters = memo.rows, memo.chunks, memo.fill, memo.pairs, memo.letters
+    rows, chunks, fill, letters = memo.rows, memo.chunks, memo.fill, memo.letters
     size = len(chunks)
     right = memo.cut(word)
     grown = len(chunks) - size
@@ -318,7 +318,7 @@ def orbit_lengths(memo, period_ids, side_ids):
                     if code < letters:
                         hit = fill(c, code)
                     else:  # through the two single-letter slots
-                        g1, g2 = pairs[code]
+                        g1, g2 = divmod(code - letters, letters)
                         h1, c1 = rows[c][g1] or fill(c, g1)
                         h2, c2 = rows[c1][g2] or fill(c1, g2)
                         hit = rows[c][code] = (h1 + 1) * letters + h2, c2
@@ -346,26 +346,23 @@ class _Memo:
     given the memo: base-case columns, and interned chunks, each with its
     row of developed columns.
 
-    ``columns`` maps (letter, R as a tuple) to (blocks, next R) for an R
-    within one chunk.  A row is indexed by a letter code: g for the
-    horizontal germ g, L + g1*L + g2 for the pair (g1, g2), where L is the
-    number of horizontal germs.  Slot g holds (letter out, developed chunk
+    ``columns`` maps (letter, R as a tuple) to the next R for an R within
+    one chunk.  A row is indexed by a letter code: g for the horizontal germ
+    g, L + g1*L + g2 for the pair (g1, g2), where L is the number of
+    horizontal germs.  Slot g holds (letter out, developed chunk
     id), slot (g1, g2) holds (pair out, chunk id after both columns), and an
     empty slot holds None.  A chunk longer than HALF ids is interned with
     its halves, its first HALF ids and the rest, and ``fill`` sets its
-    single-letter slots from theirs; the chunk that two developed halves
-    join into is kept by the pair of their ids.  Chunks are only appended."""
+    single-letter slots from theirs.  Chunks are only appended."""
 
     def __init__(self, tables):
         self.tables = tables
-        self.columns = {}  # (letter, R) -> (blocks, next R), R within one chunk
-        self.letters = letters = len(tables.top)
-        self.pairs = [None] * letters + list(itertools.product(range(letters), repeat=2))  # code -> (g1, g2)
+        self.columns = {}  # (letter, R) -> next R, R within one chunk
+        self.letters = len(tables.top)
         self.chunks = []  # chunk id -> germ ids
         self.rows = []  # chunk id -> letter code -> (code out, developed chunk id) or None
         self.halves = []  # chunk id -> (first HALF ids, the rest) as chunk ids, or None within HALF
         self._ids = {}
-        self._joins = {}  # (first half, second half) -> chunk id
 
     def intern(self, ids):
         ids = tuple(ids)
@@ -392,9 +389,7 @@ class _Memo:
             first, second = halves
             h, a = rows[first][g] or self.fill(first, g)
             h, b = rows[second][h] or self.fill(second, h)
-            out = self._joins.get((a, b))
-            if out is None:
-                out = self._joins[a, b] = self.intern(self.chunks[a] + self.chunks[b])
+            out = self.intern(self.chunks[a] + self.chunks[b])
         hit = rows[c][g] = h, out
         return hit
 

@@ -9,7 +9,8 @@ that moves or rewrites the text must update its row.  Running this file
 applies each row in turn to one copy of src/, tests/, pyproject.toml and
 README.md in a temporary directory and runs the row's tests there in a
 subprocess, under the Hypothesis profile ``mutants`` (tests/conftest.py),
-which draws the same examples but does not shrink a failing one:
+which draws the same examples but does not shrink a failing one, and with
+pytest's assertion rewriting off:
 
     python3 tests/mutants.py            # every row
     python3 tests/mutants.py NAME ...   # the named rows
@@ -234,6 +235,34 @@ MUTANTS = [
         ["tests/test_golden.py::test_golden_row[gamma-5]", "tests/test_golden.py::test_golden_row[enumerate-2-2-screen]"],
     ),
     Mutant(
+        "height-stops-at-the-cap",
+        _ANTITORUS,
+        "self.rises[-1][1] <= max_j",
+        "self.rises[-1][1] < max_j",
+        [_SCAN, "tests/test_antitorus.py::TestOverlapSweep::test_development_stops_at_the_height_cap"],
+    ),
+    Mutant(
+        "pair-decoded-one-letter-off",
+        _DEVELOP,
+        "divmod(code - letters, letters)",
+        "divmod(code, letters)",
+        [_CHUNKED],
+    ),
+    Mutant(
+        "join-halves-swapped",
+        _DEVELOP,
+        "self.chunks[a] + self.chunks[b]",
+        "self.chunks[b] + self.chunks[a]",
+        [_SLOTS, _CHUNKED],
+    ),
+    Mutant(
+        "blocks-one-too-many",
+        _DEVELOP,
+        "j *= len(next_word) // len(word)",
+        "j *= len(next_word) // len(word) + 1",
+        ["tests/test_golden.py::test_golden_row[gamma-5]", "tests/test_golden.py::test_golden_row[enumerate-2-2-screen]"],
+    ),
+    Mutant(
         "commuting-powers-always-null",
         _ANTITORUS,
         "return (cols // len(h_ids), j)",
@@ -265,7 +294,10 @@ def run(mutants):
         for name in ("pyproject.toml", "README.md"):  # tests/test_cli.py reads README.md as it collects
             shutil.copy(ROOT / name, tree)
         # no bytecode: a mutant of the same size and second as the original
-        # would otherwise run from a stale cached file
+        # would otherwise run from a stale cached file.  So rewritten asserts
+        # are never cached either, and rewriting Hypothesis and the tests took
+        # half of each row's time; a plain assert fails exactly when a
+        # rewritten one does, so --assert=plain changes no verdict.
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
         for m in mutants:
             path = tree / m.file
@@ -277,7 +309,7 @@ def run(mutants):
             try:
                 proc = subprocess.run(
                     [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-                     "--hypothesis-profile=mutants", *m.tests],
+                     "--hypothesis-profile=mutants", "--assert=plain", *m.tests],
                     cwd=tree, env=env, capture_output=True, text=True,
                     timeout=TIME_LIMIT_S, preexec_fn=_limit_memory,
                 )

@@ -436,8 +436,12 @@ class TestChunkedSweep:
         """Side words of 1 to 20 letters, many longer than one chunk, under
         horizontal words of 1 to 3 letters on census complexes: over up to
         12 columns, (j, R) equal the reference's while one memo per complex
-        is shared by all its sweeps, and no key of its dict of base-case
-        columns holds more than CHUNK ids."""
+        is shared by all its sweeps.  No key of its dict of base-case
+        columns holds more than CHUNK ids, and each value is the reference's
+        next R, a list whose length is a multiple of the key's R.  No chunk
+        is interned twice, and the memo holds nothing but its tables and
+        their letter count, the columns, and the chunks with their rows,
+        halves and index."""
         complexes, growing = census
         long_sides = stored = 0
         for p in rng.sample(complexes, 40) + growing[:10]:
@@ -454,6 +458,11 @@ class TestChunkedSweep:
                     if len(ref_right) > self.MAX_LETTERS:
                         break
             assert all(len(side) <= CHUNK for _, side in memo.columns)
+            for (b, side), next_side in memo.columns.items():
+                assert type(next_side) is list and len(next_side) % len(side) == 0
+                assert next_side == next(orbit_lengths_by_blocks(p.tables, [b], list(side)))[1]
+            assert len(set(memo.chunks)) == len(memo.chunks)
+            assert set(vars(memo)) == {"tables", "columns", "letters", "chunks", "rows", "halves", "_ids"}
             stored += len(memo.columns)
         assert long_sides >= 50 and stored >= 100
 
